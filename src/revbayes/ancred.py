@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior, PriorRole
-from .statfn import chisq1_tail, find_root, norm_quantile, two_sided_p
+from .statfn import chisq1_tail, norm_quantile, two_sided_p
 
 DEFAULT_ALPHA = 1.0 - DEFAULT_LEVEL
 
@@ -150,22 +150,19 @@ def intrinsic_credibility(estimate: EffectEstimate,
 def intrinsic_boundary_p(alpha: float = DEFAULT_ALPHA,
                          flavor: str = "predictive_based") -> float:
     """Largest two-sided p-value that is still intrinsically credible at
-    this alpha, located by root finding on the credibility condition."""
-    z_crit = norm_quantile(1.0 - alpha / 2.0)
+    this alpha.
 
+    With g = 1 / (z^2/z_crit^2 - 1), the prior flavour's condition
+    z^2 = z_crit^2 g has the root z^2 = phi z_crit^2 (phi the golden ratio),
+    and the predictive flavour's z^2 / (1 + g) = z_crit^2 has z^2 = 2 z_crit^2.
+    """
     if flavor == "prior_based":
-        def margin(z: float) -> float:
-            g = 1.0 / (z ** 2 / z_crit ** 2 - 1.0)
-            return z ** 2 - z_crit ** 2 * g  # theta^2 - S^2, in units of sigma^2
+        factor = (1.0 + math.sqrt(5.0)) / 2.0
     elif flavor == "predictive_based":
-        def margin(z: float) -> float:
-            g = 1.0 / (z ** 2 / z_crit ** 2 - 1.0)
-            return alpha - chisq1_tail(z ** 2 / (1.0 + g))
+        factor = 2.0
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-
-    z_boundary = find_root(margin, z_crit * (1.0 + 1e-9), z_crit * 10.0)
-    return two_sided_p(z_boundary)
+    return two_sided_p(math.sqrt(factor) * norm_quantile(1.0 - alpha / 2.0))
 
 
 def credibility_ratio(lower: float, upper: float) -> float:
@@ -179,13 +176,10 @@ def credibility_ratio(lower: float, upper: float) -> float:
 def credibility_ratio_bound(alpha: float = DEFAULT_ALPHA) -> float:
     """Critical credibility ratio implied by the predictive-based boundary.
 
-    The boundary does not depend on alpha; the argument only selects the
-    level at which the underlying condition is evaluated.
+    At that boundary z = sqrt(2) z_crit, so the ratio of the CI limits,
+    (z + z_crit) / (z - z_crit), is (1 + sqrt(2))^2 at every alpha.
     """
-    z_crit = norm_quantile(1.0 - alpha / 2.0)
-    p_boundary = intrinsic_boundary_p(alpha, "predictive_based")
-    z_boundary = norm_quantile(1.0 - p_boundary / 2.0)
-    return (z_boundary + z_crit) / (z_boundary - z_crit)
+    return 3.0 + 2.0 * math.sqrt(2.0)
 
 
 def p_intrinsic(z: float) -> float:
@@ -241,31 +235,20 @@ def equivalent_trial(prior: NormalPrior,
         return EquivalentTrial(events_per_arm=2.0 / tau2, allocation_ratio=allocation)
 
     # Equal event counts e in both arms; non-event cells b (treatment) and
-    # d (control) solve {log(d/b) = mu, 2/e + 1/b + 1/d = tau^2}. Scan
-    # integer e and keep the one whose implied control rate e/(e+d) is
-    # closest to the target.
-    e_min = math.floor(2.0 / tau2) + 1
-    best = None
-    prev_gap = None
-    for e in range(max(e_min, 1), max(e_min, 1) + 100000):
-        s = tau2 - 2.0 / e
-        if s <= 0.0:
-            continue
-        d = (1.0 + allocation) / s
-        rate = e / (e + d)
-        gap = abs(rate - event_rate)
-        if best is None or gap < best[0]:
-            best = (gap, e, d)
-        if prev_gap is not None and gap > prev_gap and rate > event_rate:
-            break  # rate grows with e; past the target and diverging
-        prev_gap = gap
-    if best is None:
-        raise ValueError(f"no equivalent trial matches mean {mu:.4g}, "
-                         f"variance {tau2:.4g}, rate {event_rate:.4g}")
-    _, e, d = best
+    # d (control) solve {log(d/b) = mu, 2/e + 1/b + 1/d = tau^2}. The
+    # control rate e/(e+d) rises with e and equals the target at e_star, so
+    # the closest integer construction is one of its two neighbours.
+    def control_cells(e: float) -> float:
+        return (1.0 + allocation) / (tau2 - 2.0 / e)
+
+    e_star = (2.0 + (1.0 + allocation) * event_rate / (1.0 - event_rate)) / tau2
+    e_floor = math.floor(e_star)
+    feasible = [float(e) for e in (e_floor, e_floor + 1) if e > 0 and tau2 - 2.0 / e > 0.0]
+    e = min(feasible, key=lambda e: abs(e / (e + control_cells(e)) - event_rate))
+    d = control_cells(e)
     b = (1.0 + 1.0 / allocation) / (tau2 - 2.0 / e)
     return EquivalentTrial(
-        events_per_arm=float(e),
+        events_per_arm=e,
         allocation_ratio=allocation,
-        per_arm_detail=((float(e), e + b), (float(e), e + d)),
+        per_arm_detail=((e, e + b), (e, e + d)),
     )

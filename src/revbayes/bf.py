@@ -122,23 +122,14 @@ def z_gamma(gamma: float) -> float:
     return math.sqrt(-2.0 * math.log(gamma))
 
 
-def _advocacy_bf(estimate: EffectEstimate, m: float, cv: float) -> float:
-    mu = m * estimate.theta_hat
-    tau = cv * abs(mu)
-    s2 = estimate.se ** 2
-    t2 = tau ** 2
-    quad = (estimate.theta_hat ** 2 / s2
-            - (estimate.theta_hat - mu) ** 2 / (s2 + t2))
-    return math.sqrt(1.0 + t2 / s2) * math.exp(-0.5 * quad)
-
-
 def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolution:
     """Both advocacy priors (relative mean m, sd = |mu|/z(gamma)) at which
     BF01 equals the cut-off gamma.
 
     The family fixes the coefficient of variation to 1/z(gamma), leaving m
-    as the only free parameter; BF01(m) is bracketed around its minimum and
-    both roots are returned, ordered by |m|.
+    as the only free parameter. BF01(m) falls from 1 at m = 0+ to a single
+    minimum and then grows without bound; both roots around the minimum are
+    returned, ordered by |m|.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0,1), got {gamma!r}")
@@ -146,28 +137,36 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
         raise NonexistenceError("advocacy prior undefined for a zero point estimate")
     cv = 1.0 / z_gamma(gamma)
 
-    # locate the family's minimum on a log grid over m > 0
-    grid = [10.0 ** (k / 40.0) for k in range(-240, 161)]  # 1e-6 .. 1e4
-    values = [_advocacy_bf(estimate, m, cv) for m in grid]
-    i_min = min(range(len(grid)), key=values.__getitem__)
-    if values[i_min] > gamma:
+    def bf(m: float) -> float:
+        mu = m * estimate.theta_hat
+        return bf01_normal_prior(estimate, NormalPrior(mu, (cv * mu) ** 2))
+
+    # dBF01/dm = 0 is k^2 m^3 + k z^2 m^2 + (k - k z^2 + z^2) m - z^2 = 0 with
+    # k = (cv z)^2, here divided by z^2. Its coefficients change sign once,
+    # so it has one positive root, and p(0) = -1 < 0 < p(1) = cv^2 (k + 1).
+    k = (cv * estimate.z) ** 2
+    m_min = find_root(
+        lambda m: (k * cv ** 2 * m + k) * m * m + (1.0 + cv ** 2 - k) * m - 1.0,
+        0.0, 1.0)
+    bf_min = bf(m_min)
+    if bf_min > gamma:
         raise NonexistenceError(
             f"no advocacy prior reaches BF01 = {gamma:.4g}: the family's "
-            f"minimum is {values[i_min]:.4g} (at m = {grid[i_min]:.4g})")
+            f"minimum is {bf_min:.4g} (at m = {m_min:.4g})")
 
     def h(m: float) -> float:
-        return _advocacy_bf(estimate, m, cv) - gamma
+        return bf(m) - gamma
 
-    # left root: BF -> 1 as m -> 0+, so bracket below the minimum
-    lo = grid[0]
+    # left root: BF01 -> 1 as m -> 0+
+    lo = m_min
     while h(lo) < 0.0:
         lo /= 10.0
-    m_small = find_root(h, lo, grid[i_min])
-    # right root: BF -> infinity as m -> infinity
-    hi = grid[i_min]
+    m_small = find_root(h, lo, m_min)
+    # right root: BF01 -> infinity as m -> infinity
+    hi = m_min
     while h(hi) < 0.0:
         hi *= 2.0
-    m_large = find_root(h, grid[i_min], hi)
+    m_large = find_root(h, m_min, hi)
 
     theta = abs(estimate.theta_hat)
     return BfAdvocacySolution(
@@ -182,8 +181,7 @@ def advocacy_prior_interval_or(estimate: EffectEstimate, m: float,
     taken at the level whose critical value is z(gamma); one endpoint is
     exactly 1 by construction."""
     mu = m * estimate.theta_hat
-    half = z_gamma(gamma) * (abs(mu) / z_gamma(gamma))
-    return (math.exp(mu - half), math.exp(mu + half))
+    return (math.exp(mu - abs(mu)), math.exp(mu + abs(mu)))
 
 
 def bf12_sceptical_vs_optimistic(z: float, g: float) -> float:
@@ -196,29 +194,18 @@ def bf12_sceptical_vs_optimistic(z: float, g: float) -> float:
 
 def bf_intrinsic(estimate: EffectEstimate) -> float:
     """Smallest cut-off gamma at which the finding is intrinsically credible
-    under the sceptical-vs-optimistic contrast."""
+    under the sceptical-vs-optimistic contrast.
+
+    BF01(z, g) = BF12(z, g) at the sceptical g. With v = z^2 / (1 + g) this
+    reads v e^-v = z^2 e^(-z^2/2) / sqrt(2), so v = -W(-x) on the secondary
+    branch (v >= 1, i.e. g at or below the BF01 minimiser z^2 - 1).
+    """
     z = estimate.z
-    floor = min_bf_local(z)
-    if floor >= 1.0:
+    if abs(z) <= 1.0:
         raise NonexistenceError(
             "no cut-off admits a sceptical prior: |z| does not exceed 1")
-
-    def h(gamma: float) -> float:
-        sol = sceptical_g_for_gamma(z, gamma)
-        return bf12_sceptical_vs_optimistic(z, sol.g_small) - gamma
-
-    lo = floor * (1.0 + 1e-9)
-    hi = 1.0 - 1e-9
-    # scan for the first sign change so the smallest root is returned
-    n_grid = 400
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    prev_gamma, prev_h = lo, h(lo)
-    for k in range(1, n_grid + 1):
-        gamma = math.exp(log_lo + (log_hi - log_lo) * k / n_grid)
-        cur_h = h(gamma)
-        if prev_h == 0.0:
-            return prev_gamma
-        if prev_h * cur_h < 0.0:
-            return find_root(h, prev_gamma, gamma)
-        prev_gamma, prev_h = gamma, cur_h
-    raise NonexistenceError("no admissible cut-off for intrinsic credibility")
+    x = z ** 2 * math.exp(-z ** 2 / 2.0) / math.sqrt(2.0)
+    if x > math.exp(-1.0):
+        raise NonexistenceError("no admissible cut-off for intrinsic credibility")
+    v = -lambert_w(-x, Branch.SECONDARY)
+    return bf01_sceptical(z, z ** 2 / v - 1.0)

@@ -38,9 +38,9 @@ def min_bf(p: float, kind: CalibrationKind) -> float:
     if kind is CalibrationKind.E_P_LOG_P:
         return -math.e * p * math.log(p) if p < 1.0 / math.e else 1.0
     if kind is CalibrationKind.E_Q_LOG_Q:
-        q = 1.0 - p
-        return -math.e * q * math.log(q) if p < 1.0 - 1.0 / math.e else 1.0
-    z = norm_quantile(1.0 - p / 2.0)
+        return -math.e * (1.0 - p) * math.log1p(-p) if p < 1.0 - 1.0 / math.e else 1.0
+    # |z| from the lower tail: 1 - p/2 rounds to 1 for p below ~1e-16
+    z = -norm_quantile(p / 2.0)
     if kind is CalibrationKind.LOCAL_Z:
         return min_bf_local(z)
     if kind is CalibrationKind.SIMPLE_Z:

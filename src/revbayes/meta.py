@@ -121,8 +121,5 @@ def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult
     if pooled_z ** 2 <= z_crit ** 2:
         return FailSafeResult(0.0, 0, significant=False,
                               reason="pooled estimate not significant at this level")
-    n = meta.n_studies
-    g = 1.0 / (pooled_z ** 2 / z_crit ** 2 - 1.0)
-    tau2 = g / meta.pooled.precision  # relative variance times pooled variance
-    n_exact = n / (meta.pooled.precision * tau2)
+    n_exact = meta.n_studies * (pooled_z ** 2 / z_crit ** 2 - 1.0)
     return FailSafeResult(n_exact, math.ceil(n_exact), significant=True)

@@ -12,6 +12,9 @@ from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
 _INV_E = math.exp(-1.0)
+# Cap on find_root's steps; the brackets the package passes narrow to the
+# stopping width in far fewer.
+_FIND_ROOT_MAX_ITER = 200
 
 
 class Branch(enum.Enum):
@@ -142,12 +145,11 @@ def lambert_w(x: float, branch: Branch = Branch.PRINCIPAL) -> float:
     return w
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float,
-              f_tol: float = 1e-12, max_iter: int = 200) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Brent-style bracketing root finder.
 
     Requires f(lo) and f(hi) of opposite sign (or zero). Terminates when the
-    bracket width drops below 1e-12 * max(1, |x|) or |f| below f_tol.
+    bracket width drops below 1e-12 * max(1, |x|), or f is exactly zero.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -160,7 +162,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
                          f"(f(lo)={fa!r}, f(hi)={fb!r})")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_FIND_ROOT_MAX_ITER):
         if fb * fc > 0.0:
             c, fc = a, fa
             d = e = b - a
@@ -169,7 +171,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
             fa, fb, fc = fb, fc, fb
         tol = 0.5 * 1e-12 * max(1.0, abs(b))
         m = 0.5 * (c - b)
-        if abs(m) <= tol or abs(fb) <= f_tol:
+        if abs(m) <= tol:
             return b
         if abs(e) >= tol and abs(fa) > abs(fb):
             s = fb / fa

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from revbayes.ancred import (advocacy_limit, advocacy_prior,
@@ -194,6 +195,17 @@ class TestIntrinsicCredibility:
                                          "predictive_based")
 
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.005])
+    @pytest.mark.parametrize("flavor, factor", [
+        ("prior_based", (1 + mpmath.sqrt(5)) / 2), ("predictive_based", 2)])
+    def test_boundary_closed_form(self, alpha, flavor, factor):
+        # z^2 = phi z_crit^2 (prior flavour) or 2 z_crit^2 (predictive)
+        with mpmath.workdps(40):
+            z_crit = mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(alpha))
+            expected = float(mpmath.erfc(mpmath.sqrt(factor) * z_crit / mpmath.sqrt(2)))
+        assert intrinsic_boundary_p(alpha, flavor) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 class TestCredibilityRatio:
     def test_recovery(self, recovery):
         lo, hi = ci_limits(recovery, 0.95)
@@ -206,6 +218,9 @@ class TestCredibilityRatio:
         assert bound == pytest.approx(5.8, abs=0.05)
         # the bound is level-free
         assert credibility_ratio_bound(0.01) == pytest.approx(bound, abs=1e-6)
+
+    def test_bound_is_one_plus_root_two_squared(self):
+        assert credibility_ratio_bound() == 3 + 2 * math.sqrt(2)
 
     def test_equal_limits(self):
         assert credibility_ratio(0.3, 0.3) == 1.0
@@ -276,6 +291,12 @@ class TestEquivalentTrial:
                 mean, var = implied_log_or_stats(et, nt - et, ec, nc - ec)
                 assert mean == pytest.approx(prior.mean, abs=1e-6)
                 assert var == pytest.approx(tau2, rel=1e-6)
+
+    def test_tiny_variance_hits_rate(self):
+        # e* = (2 + (1 + e^mu) r / (1 - r)) / tau^2 is about 2.3e8 events
+        trial = equivalent_trial(NormalPrior(0.3, 1e-7), event_rate=0.9)
+        _, (ec, nc) = trial.per_arm_detail
+        assert ec / nc == pytest.approx(0.9, abs=1e-6)
 
     def test_mean_zero_rate_hits_rate_exactly(self):
         trial = equivalent_trial(NormalPrior(0.0, 0.3), event_rate=0.25)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from revbayes.bf import (advocacy_for_gamma, advocacy_prior_interval_or,
@@ -191,6 +192,17 @@ class TestAdvocacyForGamma:
         with pytest.raises(NonexistenceError):
             advocacy_for_gamma(EffectEstimate(0.0, 1.0), 0.5)
 
+    @pytest.mark.parametrize("z", [2.29605, -2.29605])
+    def test_shallow_minimum_just_below_cutoff(self, z):
+        # the family's minimum lies within 1e-5 below gamma, so existence
+        # must be decided at the exact minimiser
+        est = EffectEstimate(z, 1.0)
+        sol = advocacy_for_gamma(est, 0.1)
+        assert sol.m_small < sol.m_large
+        for m, tau in [(sol.m_small, sol.tau_small), (sol.m_large, sol.tau_large)]:
+            prior = NormalPrior(m * est.theta_hat, tau ** 2)
+            assert bf01_normal_prior(est, prior) == pytest.approx(0.1, rel=1e-10)
+
 
 class TestBf12:
     def test_recovery_at_one_tenth(self, recovery):
@@ -231,3 +243,18 @@ class TestBfIntrinsic:
     def test_small_z_rejected(self):
         with pytest.raises(NonexistenceError):
             bf_intrinsic(EffectEstimate(0.5, 1.0))
+
+    @pytest.mark.parametrize("z", [3.655, 10.0, 12.0, 30.0])
+    def test_lambert_oracle(self, z):
+        with mpmath.workdps(50):
+            zm = mpmath.mpf(z)
+            v = -mpmath.lambertw(-zm ** 2 * mpmath.exp(-zm ** 2 / 2) / mpmath.sqrt(2), -1).real
+            g = zm ** 2 / v - 1
+            expected = float(mpmath.sqrt(1 + g) * mpmath.exp(-g / (1 + g) * zm ** 2 / 2))
+        assert bf_intrinsic(EffectEstimate(z, 1.0)) == pytest.approx(expected, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("z", [1.0 + 1e-5, 1.5, 2.0])
+    def test_no_cutoff_between_one_and_two(self, z):
+        # v e^-v = z^2 e^(-z^2/2) / sqrt(2) exceeds 1/e for 1 < |z| < 2.04
+        with pytest.raises(NonexistenceError):
+            bf_intrinsic(EffectEstimate(z, 1.0))

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import shlex
 
 import pytest
 
@@ -242,3 +244,22 @@ class TestDriver:
         w_lo, w_hi = wide["results"]["pooled"]["ci_log"]
         n_lo, n_hi = narrow["results"]["pooled"]["ci_log"]
         assert w_hi - w_lo > n_hi - n_lo
+
+
+class TestReadme:
+    def test_cli_examples_run(self, capsys, monkeypatch):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line, comments=True)[1:]
+                    for line in block.splitlines() if line.startswith("revbayes ")]
+        assert examples
+        monkeypatch.chdir(root)  # the examples name the bundled table by its path
+        for argv in examples:
+            assert run(argv) == 0, argv
+            capsys.readouterr()
+            run(["--json"] + argv)
+            first = capsys.readouterr().out
+            run(["--json"] + argv)
+            assert capsys.readouterr().out == first, argv
+

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from revbayes.bf import min_bf_els, min_bf_local
@@ -56,6 +57,23 @@ class TestMinBf:
         for kind in ALL_KINDS:
             values = [min_bf(p, kind) for p in ps]
             assert values == sorted(values)
+
+    @pytest.mark.parametrize("p", [1e-20, 1e-100, 1e-300])
+    def test_tiny_p_against_mpmath(self, p):
+        # 1 - p/2 rounds to 1 here, so |z| must come from the lower tail
+        with mpmath.workdps(40):
+            log_p = mpmath.log(p)
+            z = mpmath.findroot(lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2))) - log_p,
+                                mpmath.sqrt(-2 * log_p))
+            half_z2 = z ** 2 / 2
+            expected = {
+                K.LOCAL_Z: z * mpmath.exp(-half_z2 + mpmath.mpf(1) / 2),
+                K.SIMPLE_Z: 2 * mpmath.exp(-half_z2) / (1 + mpmath.exp(-4 * half_z2)),
+                K.ELS_ALL_PRIORS: mpmath.exp(-half_z2),
+                K.E_Q_LOG_Q: -mpmath.e * (1 - mpmath.mpf(p)) * mpmath.log1p(-mpmath.mpf(p)),
+            }
+        for kind, value in expected.items():
+            assert min_bf(p, kind) == pytest.approx(float(value), rel=1e-10, abs=0)
 
     def test_bad_p(self):
         with pytest.raises(ValueError):

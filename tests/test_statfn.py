@@ -147,6 +147,11 @@ class TestFindRoot:
         assert got == pytest.approx(expected, abs=1e-10)
         assert got == pytest.approx(1.5707963, abs=1e-7)
 
+    def test_stops_on_bracket_width_not_residual(self):
+        # every |f| here is below 1e-12, so only the bracket width can stop it
+        assert find_root(lambda x: 1e-15 * (x - 2.0), 0.0, 5.0) == pytest.approx(
+            2.0, rel=1e-12)
+
     def test_rejects_non_bracketing(self):
         with pytest.raises(ValueError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
