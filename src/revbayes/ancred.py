@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior, PriorRole
-from .statfn import chisq1_tail, norm_quantile, two_sided_p
+from .statfn import LOG_MAX, chisq1_tail, critical_z, two_sided_p
 
 DEFAULT_ALPHA = 1.0 - DEFAULT_LEVEL
 
@@ -66,7 +66,7 @@ def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float
     finding back to the credibility boundary."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
-    z_crit = norm_quantile(1.0 - alpha / 2.0)
+    z_crit = critical_z(alpha)
     ratio = z ** 2 / z_crit ** 2
     if ratio <= 1.0:
         raise NonexistenceError(
@@ -88,7 +88,7 @@ def sceptical_analysis(estimate: EffectEstimate,
     """Full sceptical-prior analysis of a significant estimate."""
     g = sceptical_relative_variance(estimate.z, alpha)
     tau2 = g * estimate.se ** 2
-    limit = norm_quantile(1.0 - alpha / 2.0) * math.sqrt(tau2)
+    limit = critical_z(alpha) * math.sqrt(tau2)
     return ScepticalAnalysis(g=g, tau2=tau2, limit=limit,
                              critical_interval_or=(math.exp(-limit), math.exp(limit)))
 
@@ -112,7 +112,7 @@ def advocacy_prior(estimate: EffectEstimate,
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
-    z_crit = norm_quantile(1.0 - alpha / 2.0)
+    z_crit = critical_z(alpha)
     ratio = estimate.z ** 2 / z_crit ** 2
     if ratio >= 1.0:
         raise NonexistenceError(
@@ -141,7 +141,7 @@ def intrinsic_credibility(estimate: EffectEstimate,
     except NonexistenceError:
         return CredibilityVerdict(False, "not significant at this level")
     if flavor == "prior_based":
-        limit = norm_quantile(1.0 - alpha / 2.0) * math.sqrt(g) * estimate.se
+        limit = critical_z(alpha) * math.sqrt(g) * estimate.se
         return CredibilityVerdict(estimate.theta_hat ** 2 > limit ** 2)
     p_box = chisq1_tail(estimate.z ** 2 / (1.0 + g))
     return CredibilityVerdict(p_box < alpha)
@@ -162,7 +162,7 @@ def intrinsic_boundary_p(alpha: float = DEFAULT_ALPHA,
         factor = 2.0
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return two_sided_p(math.sqrt(factor) * norm_quantile(1.0 - alpha / 2.0))
+    return two_sided_p(math.sqrt(factor) * critical_z(alpha))
 
 
 def credibility_ratio(lower: float, upper: float) -> float:
@@ -229,6 +229,10 @@ def equivalent_trial(prior: NormalPrior,
                                    patients_per_arm=n)
         return EquivalentTrial(events_per_arm=2.0 / tau2)
 
+    if abs(mu) > LOG_MAX:
+        raise NonexistenceError(
+            f"no equivalent trial: the allocation ratio exp({mu:.6g}) is "
+            f"outside the floating-point range")
     allocation = math.exp(mu)
     if event_rate is None:
         # large-arm limit: non-event cells contribute nothing to the variance

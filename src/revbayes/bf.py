@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior
-from .statfn import Branch, find_root, lambert_w, norm_quantile
+from .statfn import LOG_MAX, Branch, critical_z, find_root, lambert_w, lambert_wm1_log
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,22 @@ def sceptical_g_for_gamma(z: float, gamma: float,
         raise NonexistenceError(
             f"no sceptical prior reaches BF01 = {gamma:.4g}: the attainable "
             f"minimum is {floor:.4g}")
-    arg = -(z ** 2 / gamma ** 2) * math.exp(-z ** 2)
-    q_small = lambert_w(arg, Branch.SECONDARY)
-    q_large = lambert_w(arg, Branch.PRINCIPAL)
+    # 1 + g = -z^2 / W(-x) with x = (z^2/gamma^2) e^(-z^2), which underflows
+    # from |z| ~ 27: W-1 takes log x, and as W(-x) e^W(-x) = -x, the large
+    # root is 1 + g = gamma^2 e^(z^2 + W0(-x)), W0(-x) -> 0 as x -> 0.
+    log_x = 2.0 * math.log(abs(z)) - 2.0 * math.log(gamma) - z ** 2
+    q_small = lambert_wm1_log(log_x)
+    q_large = lambert_w(-math.exp(log_x), Branch.PRINCIPAL)
     g_small = -z ** 2 / q_small - 1.0
-    g_large = -z ** 2 / q_large - 1.0
+    log_large = z ** 2 + 2.0 * math.log(gamma) + q_large
+    g_large = math.expm1(log_large) if log_large <= LOG_MAX else math.inf
     # Branch-point roundoff can leave g marginally below the tangency value.
     g_small = max(g_small, 1e-15)
     g_large = max(g_large, g_small)
     interval = None
     if se is not None:
         tau = math.sqrt(g_small) * se
-        half = norm_quantile(1.0 - (1.0 - DEFAULT_LEVEL) / 2.0) * tau
+        half = critical_z(1.0 - DEFAULT_LEVEL) * tau
         interval = (math.exp(-half), math.exp(half))
     return BfScepticalSolution(g_small=g_small, g_large=g_large, gamma=gamma,
                                prior_interval_or=interval)
@@ -136,37 +140,46 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     if estimate.theta_hat == 0.0:
         raise NonexistenceError("advocacy prior undefined for a zero point estimate")
     cv = 1.0 / z_gamma(gamma)
-
-    def bf(m: float) -> float:
-        mu = m * estimate.theta_hat
-        return bf01_normal_prior(estimate, NormalPrior(mu, (cv * mu) ** 2))
-
-    # dBF01/dm = 0 is k^2 m^3 + k z^2 m^2 + (k - k z^2 + z^2) m - z^2 = 0 with
-    # k = (cv z)^2, here divided by z^2. Its coefficients change sign once,
-    # so it has one positive root, and p(0) = -1 < 0 < p(1) = cv^2 (k + 1).
+    z2 = estimate.z ** 2
     k = (cv * estimate.z) ** 2
+    log_gamma = math.log(gamma)
+
+    # h(m) = log BF01(m) - log gamma, with tau^2 / se^2 = k m^2. From m = 1
+    # on it is written in w = 1/m and t = log m (h_log), finite for every m;
+    # h(1) is h_log(0), so the two large-root brackets agree on its sign.
+    def h(m: float) -> float:
+        if m >= 1.0:
+            return h_log(math.log(m))
+        return (0.5 * math.log1p(k * m * m)
+                - 0.5 * z2 * m * (2.0 + (k - 1.0) * m) / (1.0 + k * m * m) - log_gamma)
+
+    def h_log(t: float) -> float:
+        w = math.exp(-t)
+        return (t + 0.5 * math.log(k + w * w) - 0.5 * z2
+                + 0.5 * z2 * (w - 1.0) ** 2 / (w * w + k) - log_gamma)
+
+    # dBF01/dm = 0 is k^2 m^3 + k z^2 m^2 + (k - k z^2 + z^2) m - z^2 = 0,
+    # here divided by z^2. Its coefficients change sign once, so it has one
+    # positive root, and p(0) = -1 < 0 < p(1) = cv^2 (k + 1).
     m_min = find_root(
         lambda m: (k * cv ** 2 * m + k) * m * m + (1.0 + cv ** 2 - k) * m - 1.0,
         0.0, 1.0)
-    bf_min = bf(m_min)
-    if bf_min > gamma:
+    h_min = h(m_min)
+    if h_min > 0.0:
         raise NonexistenceError(
             f"no advocacy prior reaches BF01 = {gamma:.4g}: the family's "
-            f"minimum is {bf_min:.4g} (at m = {m_min:.4g})")
+            f"minimum is {gamma * math.exp(h_min):.4g} (at m = {m_min:.4g})")
 
-    def h(m: float) -> float:
-        return bf(m) - gamma
-
-    # left root: BF01 -> 1 as m -> 0+
-    lo = m_min
-    while h(lo) < 0.0:
-        lo /= 10.0
-    m_small = find_root(h, lo, m_min)
-    # right root: BF01 -> infinity as m -> infinity
-    hi = m_min
-    while h(hi) < 0.0:
-        hi *= 2.0
-    m_large = find_root(h, m_min, hi)
+    # h(0) = -log gamma > 0. For m >= 1, log BF01 >= log m + log(k)/2 - z^2/2,
+    # so h(e^t) >= 0 at t_hi = z^2/2 + log gamma - log(k)/2; h(1) < 0 puts
+    # t_hi above log(1 + 1/k)/2 > 0.
+    m_small = find_root(h, 0.0, m_min)
+    if h(1.0) >= 0.0:
+        m_large = find_root(h, m_min, 1.0)
+    else:
+        t_hi = 0.5 * z2 + log_gamma - 0.5 * math.log(k)
+        t_large = find_root(h_log, 0.0, t_hi)
+        m_large = math.exp(t_large) if t_large <= LOG_MAX else math.inf
 
     theta = abs(estimate.theta_hat)
     return BfAdvocacySolution(
@@ -197,15 +210,16 @@ def bf_intrinsic(estimate: EffectEstimate) -> float:
     under the sceptical-vs-optimistic contrast.
 
     BF01(z, g) = BF12(z, g) at the sceptical g. With v = z^2 / (1 + g) this
-    reads v e^-v = z^2 e^(-z^2/2) / sqrt(2), so v = -W(-x) on the secondary
-    branch (v >= 1, i.e. g at or below the BF01 minimiser z^2 - 1).
+    reads v e^-v = x = z^2 e^(-z^2/2) / sqrt(2), so v = -W(-x) on the
+    secondary branch (v >= 1, i.e. g at or below the BF01 minimiser
+    z^2 - 1). W takes log x, as x underflows from |z| ~ 38.
     """
     z = estimate.z
     if abs(z) <= 1.0:
         raise NonexistenceError(
             "no cut-off admits a sceptical prior: |z| does not exceed 1")
-    x = z ** 2 * math.exp(-z ** 2 / 2.0) / math.sqrt(2.0)
-    if x > math.exp(-1.0):
+    log_x = 2.0 * math.log(abs(z)) - z ** 2 / 2.0 - 0.5 * math.log(2.0)
+    if log_x > -1.0:
         raise NonexistenceError("no admissible cut-off for intrinsic credibility")
-    v = -lambert_w(-x, Branch.SECONDARY)
+    v = -lambert_wm1_log(log_x)
     return bf01_sceptical(z, z ** 2 / v - 1.0)

@@ -99,6 +99,8 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_bf(bf: float) -> str:
+    if bf == 0.0:   # underflow: minimum BFs at |z| beyond ~38.6
+        return "0"
     if bf < 1.0:
         return f"1/{1.0 / bf:.3g}"
     return f"{bf:.3g}"

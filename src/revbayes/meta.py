@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study
-from .statfn import chisq1_tail, norm_quantile
+from .statfn import chisq1_tail, critical_z
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult
     """Number of unpublished average-precision null studies needed to make
     the pooled estimate non-significant at the level."""
     alpha = 1.0 - level
-    z_crit = norm_quantile(1.0 - alpha / 2.0)
+    z_crit = critical_z(alpha)
     pooled_z = meta.pooled.mean * math.sqrt(meta.pooled.precision)
     if pooled_z ** 2 <= z_crit ** 2:
         return FailSafeResult(0.0, 0, significant=False,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError
-from .statfn import norm_quantile, two_sided_p
+from .statfn import critical_z, two_sided_p
 
 DEFAULT_LEVEL = 0.95
 
@@ -53,7 +53,7 @@ class EffectEstimate:
         return ci_limits(self, level)
 
     def significant(self, alpha: float = 1.0 - DEFAULT_LEVEL) -> bool:
-        return self.z ** 2 > norm_quantile(1.0 - alpha / 2.0) ** 2
+        return self.z ** 2 > critical_z(alpha) ** 2
 
     @classmethod
     def from_ci(cls, lower: float, upper: float,
@@ -63,7 +63,7 @@ class EffectEstimate:
             raise ValueError(f"need lower < upper, got ({lower!r}, {upper!r})")
         if not (0.0 < level < 1.0):
             raise ValueError(f"level must be in (0,1), got {level!r}")
-        z_crit = norm_quantile(1.0 - (1.0 - level) / 2.0)
+        z_crit = critical_z(1.0 - level)
         return cls(theta_hat=0.5 * (lower + upper),
                    se=(upper - lower) / (2.0 * z_crit))
 
@@ -136,7 +136,7 @@ class NormalPrior:
         return math.sqrt(self.variance)
 
     def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
-        z_crit = norm_quantile(1.0 - (1.0 - level) / 2.0)
+        z_crit = critical_z(1.0 - level)
         half = z_crit * self.sd
         return self.mean - half, self.mean + half
 
@@ -161,7 +161,7 @@ class PosteriorSummary:
 
     def ci(self, level: float | None = None) -> tuple[float, float]:
         level = self.level if level is None else level
-        z_crit = norm_quantile(1.0 - (1.0 - level) / 2.0)
+        z_crit = critical_z(1.0 - level)
         half = z_crit / math.sqrt(self.precision)
         return self.mean - half, self.mean + half
 
@@ -211,5 +211,5 @@ def ci_limits(estimate: EffectEstimate, level: float = DEFAULT_LEVEL) -> tuple[f
     """Symmetric confidence limits for the estimate at the given level."""
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must be in (0,1), got {level!r}")
-    half = norm_quantile(1.0 - (1.0 - level) / 2.0) * estimate.se
+    half = critical_z(1.0 - level) * estimate.se
     return estimate.theta_hat - half, estimate.theta_hat + half

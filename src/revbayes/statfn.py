@@ -1,17 +1,22 @@
 """Scalar special functions and root finding used by the analysis modules.
 
-Everything here is a pure function of its arguments: no caching, no global
-state, safe to call from any number of threads.
+Everything here is a pure function of its arguments and safe to call from
+any number of threads. The one cache is critical_z's: a bounded
+functools.lru_cache over the few significance levels a process uses.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
 from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
 _INV_E = math.exp(-1.0)
+# Largest t with exp(t) finite.
+LOG_MAX = math.log(sys.float_info.max)
 # Cap on find_root's steps; the brackets the package passes narrow to the
 # stopping width in far fewer.
 _FIND_ROOT_MAX_ITER = 200
@@ -86,6 +91,13 @@ def norm_quantile(p: float) -> float:
     return x
 
 
+@functools.lru_cache(maxsize=16)
+def critical_z(alpha: float) -> float:
+    """Two-sided critical value Phi^-1(1 - alpha/2) at significance level
+    alpha, memoised: callers ask for the same few levels again and again."""
+    return norm_quantile(1.0 - alpha / 2.0)
+
+
 def chisq1_tail(t: float) -> float:
     """P(chi-square with 1 df >= t) = 2 * (1 - Phi(sqrt(t)))."""
     if t < 0.0 or not math.isfinite(t):
@@ -102,8 +114,8 @@ def lambert_w(x: float, branch: Branch = Branch.PRINCIPAL) -> float:
     """Real Lambert W: solve w * exp(w) = x on the requested branch.
 
     Principal branch is defined for x >= -1/e (w >= -1); the secondary
-    branch for -1/e <= x < 0 (w <= -1). Halley iteration from a
-    branch-appropriate seed.
+    branch for -1/e <= x < 0 (w <= -1) and is computed by lambert_wm1_log.
+    Halley iteration from a branch-appropriate seed.
     """
     if not math.isfinite(x):
         raise ValueError(f"lambert_w requires finite input, got {x!r}")
@@ -112,26 +124,21 @@ def lambert_w(x: float, branch: Branch = Branch.PRINCIPAL) -> float:
         if x > -_INV_E - 1e-15:
             return -1.0
         raise ValueError(f"lambert_w undefined for x < -1/e, got {x!r}")
+    if x == -_INV_E:
+        return -1.0
     if branch is Branch.SECONDARY:
         if x >= 0.0:
             raise ValueError("secondary branch requires -1/e <= x < 0")
-        if x == -_INV_E:
-            return -1.0
-        # Asymptotic seed near 0-; falls back to -2 close to the branch point.
-        lx = math.log(-x)
-        w = lx - math.log(-lx) if lx < -1.0 else -2.0
+        return lambert_wm1_log(math.log(-x))
+    if x == 0.0:
+        return 0.0
+    if abs(x) < 0.5:
+        w = x * (1.0 - x)  # series seed near zero
+    elif x > math.e:
+        lx = math.log(x)
+        w = lx - math.log(lx)  # asymptotic seed for large x
     else:
-        if x == 0.0:
-            return 0.0
-        if x == -_INV_E:
-            return -1.0
-        if abs(x) < 0.5:
-            w = x * (1.0 - x)  # series seed near zero
-        elif x > math.e:
-            lx = math.log(x)
-            w = lx - math.log(lx)  # asymptotic seed for large x
-        else:
-            w = math.log(x)
+        w = math.log(x)
 
     for _ in range(50):
         ew = math.exp(w)
@@ -141,6 +148,36 @@ def lambert_w(x: float, branch: Branch = Branch.PRINCIPAL) -> float:
         step = f / denom
         w -= step
         if abs(step) < 1e-14 * max(1.0, abs(w)):
+            break
+    return w
+
+
+def lambert_wm1_log(log_x: float) -> float:
+    """Secondary-branch Lambert W of -x, given log_x = log x: the w <= -1
+    solving w + log(-w) = log_x.
+
+    Taking log x keeps arguments exact whose x underflows (x = e^-1600).
+    Defined for log_x <= -1 (x <= 1/e); up to 1e-14 above -1 is taken as
+    representation noise at the branch point. Halley iteration from the
+    branch-point series seed near -1 and from log_x - log(-log_x) below.
+    """
+    if not math.isfinite(log_x):
+        raise ValueError(f"lambert_wm1_log requires finite input, got {log_x!r}")
+    if log_x >= -1.0:
+        if log_x > -1.0 + 1e-14:
+            raise ValueError(f"secondary branch requires log x <= -1, got {log_x!r}")
+        return -1.0
+    if log_x > -2.0:
+        p = -math.sqrt(-2.0 * math.expm1(1.0 + log_x))
+        w = -1.0 + p * (1.0 - p / 3.0 * (1.0 - 11.0 / 24.0 * p))
+    else:
+        w = log_x - math.log(-log_x)
+    for _ in range(50):
+        f = w + math.log(-w) - log_x
+        wp1 = w + 1.0
+        step = f * w / wp1 / (1.0 + f / (2.0 * wp1 * wp1))
+        w -= step
+        if abs(step) < 1e-14 * -w:
             break
     return w
 

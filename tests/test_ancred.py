@@ -298,6 +298,11 @@ class TestEquivalentTrial:
         _, (ec, nc) = trial.per_arm_detail
         assert ec / nc == pytest.approx(0.9, abs=1e-6)
 
+    @pytest.mark.parametrize("mu", [800.0, -800.0])
+    def test_allocation_ratio_outside_float_range(self, mu):
+        with pytest.raises(NonexistenceError, match="allocation ratio"):
+            equivalent_trial(NormalPrior(mu, 1.0), event_rate=0.3)
+
     def test_mean_zero_rate_hits_rate_exactly(self):
         trial = equivalent_trial(NormalPrior(0.0, 0.3), event_rate=0.25)
         assert trial.events_per_arm / trial.patients_per_arm == pytest.approx(

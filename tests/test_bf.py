@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -136,6 +137,22 @@ class TestScepticalGForGamma:
     def test_no_interval_without_se(self, recovery):
         assert sceptical_g_for_gamma(recovery.z, 0.1).prior_interval_or is None
 
+    @pytest.mark.parametrize("z, gamma", [(27.0, 0.1), (-30.0, 0.1), (38.0, 0.1),
+                                          (40.0, 0.1), (28.0, 1e-20)])
+    def test_lambert_oracle(self, z, gamma):
+        # e^(-z^2) underflows here; at (28, 1e-20) g_large is still finite
+        with mpmath.workdps(50):
+            zm, gm = mpmath.mpf(z), mpmath.mpf(gamma)
+            x = -zm ** 2 / gm ** 2 * mpmath.exp(-zm ** 2)
+            g_small, g_large = (-zm ** 2 / mpmath.lambertw(x, branch).real - 1
+                                for branch in (-1, 0))
+        sol = sceptical_g_for_gamma(z, gamma)
+        assert sol.g_small == pytest.approx(float(g_small), rel=1e-10, abs=0)
+        if g_large > sys.float_info.max:
+            assert sol.g_large == math.inf
+        else:
+            assert sol.g_large == pytest.approx(float(g_large), rel=1e-10, abs=0)
+
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
             sceptical_g_for_gamma(2.0, 0.0)
@@ -204,6 +221,30 @@ class TestAdvocacyForGamma:
             assert bf01_normal_prior(est, prior) == pytest.approx(0.1, rel=1e-10)
 
 
+    @pytest.mark.parametrize("z", [3.0, -3.0, 15.0, -15.0, 27.0, -27.0, 30.0, -30.0,
+                                   37.87, -37.87, 40.0, -40.0])
+    def test_roots_plug_back_in_log_space(self, z):
+        # the large root passes the float range from |z| ~ 37.9 at gamma = 0.1
+        gamma = 0.1
+        sol = advocacy_for_gamma(EffectEstimate(z, 1.0), gamma)
+        with mpmath.workdps(50):
+            zm = mpmath.mpf(z)
+            cv = 1 / mpmath.sqrt(-2 * mpmath.log(mpmath.mpf(gamma)))
+
+            def log_bf01(m):
+                mu = mpmath.mpf(m) * zm
+                return (mpmath.log1p((cv * mu) ** 2)
+                        - zm ** 2 + (zm - mu) ** 2 / (1 + (cv * mu) ** 2)) / 2
+
+            log_gamma = mpmath.log(mpmath.mpf(gamma))
+            assert abs(log_bf01(sol.m_small) - log_gamma) <= 1e-10
+            if log_bf01(sys.float_info.max) < log_gamma:
+                assert sol.m_large == math.inf
+            else:
+                assert abs(log_bf01(sol.m_large) - log_gamma) <= 1e-10
+        assert sol.m_small < sol.m_large
+
+
 class TestBf12:
     def test_recovery_at_one_tenth(self, recovery):
         sol = sceptical_g_for_gamma(recovery.z, 0.1)
@@ -244,7 +285,7 @@ class TestBfIntrinsic:
         with pytest.raises(NonexistenceError):
             bf_intrinsic(EffectEstimate(0.5, 1.0))
 
-    @pytest.mark.parametrize("z", [3.655, 10.0, 12.0, 30.0])
+    @pytest.mark.parametrize("z", [3.655, 10.0, 12.0, 27.0, 30.0, 38.0, 40.0])
     def test_lambert_oracle(self, z):
         with mpmath.workdps(50):
             zm = mpmath.mpf(z)

@@ -191,6 +191,13 @@ class TestBfCommand:
         assert "minBF local 1/149" in out
 
 
+    @pytest.mark.parametrize("mode", ["sceptical", "advocacy", "ic"])
+    def test_extreme_z_reports(self, capsys, mode):
+        # z = 40: the minimum BFs underflow to 0 and the large roots to inf
+        assert run(["bf", "--estimate", "4", "--se", "0.1", "--mode", mode]) == 0
+        assert "minBF local 0," in capsys.readouterr().out
+
+
 class TestFprCommand:
     def test_point_values(self, capsys):
         report = run_json(capsys, ["--json", "fpr", "--p", "0.05"])

@@ -4,8 +4,8 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from revbayes.statfn import (Branch, chisq1_tail, find_root, lambert_w,
-                             norm_cdf, norm_quantile, two_sided_p)
+from revbayes.statfn import (Branch, chisq1_tail, critical_z, find_root, lambert_w,
+                             lambert_wm1_log, norm_cdf, norm_quantile, two_sided_p)
 
 
 def phi_oracle(x):
@@ -72,6 +72,15 @@ class TestNormQuantile:
                 norm_quantile(p)
 
 
+class TestCriticalZ:
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01, 0.005])
+    def test_same_bits_as_the_quantile(self, alpha):
+        assert critical_z(alpha) == norm_quantile(1.0 - alpha / 2.0)
+
+    def test_cache_is_bounded(self):
+        assert critical_z.cache_info().maxsize is not None
+
+
 class TestChisq1Tail:
     def test_full_mass_at_zero(self):
         assert chisq1_tail(0.0) == 1.0
@@ -128,6 +137,25 @@ class TestLambertW:
             lambert_w(-0.5)
         with pytest.raises(ValueError):
             lambert_w(0.5, Branch.SECONDARY)
+
+
+class TestLambertWm1Log:
+    @pytest.mark.parametrize("log_x", [-1.0 - 1e-15, -1.0 - 1e-12, -1.0001, -1.5,
+                                       -2.0, -5.0, -50.0, -800.0, -1600.0, -1e6])
+    def test_against_mpmath(self, log_x):
+        # -1600 is e^(-z^2) at z = 40, far below the smallest float
+        with mpmath.workdps(50):
+            expected = mpmath.lambertw(-mpmath.exp(mpmath.mpf(log_x)), -1).real
+        assert lambert_wm1_log(log_x) == pytest.approx(float(expected), rel=1e-13, abs=0)
+
+    def test_branch_point(self):
+        assert lambert_wm1_log(-1.0) == -1.0
+        assert lambert_wm1_log(-1.0 + 1e-15) == -1.0
+
+    def test_rejections(self):
+        for log_x in (-0.5, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                lambert_wm1_log(log_x)
 
 
 class TestFindRoot:
