@@ -11,7 +11,8 @@ from importlib import resources
 from .errors import DataError, NonexistenceError
 from .model import (DEFAULT_LEVEL, EffectEstimate, NormalPrior,
                     PosteriorSummary, PriorRole, Study, ci_limits,
-                    estimate_from_counts, forward_odds, reverse_prior_odds)
+                    estimate_from_counts, forward_odds, read_study_table,
+                    reverse_prior_odds)
 from .meta import (FailSafeResult, MetaResult, StudyDiagnostics, box_check,
                    failsafe_n, forward_update, pool, reverse_update)
 from .ancred import (AdvocacyAnalysis, CredibilityVerdict, EquivalentTrial,
@@ -31,9 +32,6 @@ from .statfn import (Branch, chisq1_tail, find_root, lambert_w, norm_cdf,
                      norm_quantile, two_sided_p)
 
 __version__ = "0.1.0"
-
-# imported after __version__: the CLI module reads it back from the package
-from .cli import read_study_table  # noqa: E402
 
 
 def bundled_dataset_path() -> str:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior, PriorRole
-from .statfn import LOG_MAX, chisq1_tail, critical_z, two_sided_p
+from .statfn import LOG_MAX, chisq1_tail, critical_z, exp_or_inf, two_sided_p
 
 DEFAULT_ALPHA = 1.0 - DEFAULT_LEVEL
 
@@ -90,7 +90,7 @@ def sceptical_analysis(estimate: EffectEstimate,
     tau2 = g * estimate.se ** 2
     limit = critical_z(alpha) * math.sqrt(tau2)
     return ScepticalAnalysis(g=g, tau2=tau2, limit=limit,
-                             critical_interval_or=(math.exp(-limit), math.exp(limit)))
+                             critical_interval_or=(exp_or_inf(-limit), exp_or_inf(limit)))
 
 
 def advocacy_limit(lower: float, upper: float) -> float:

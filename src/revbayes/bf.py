@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonexistenceError
-from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior
-from .statfn import LOG_MAX, Branch, critical_z, find_root, lambert_w, lambert_wm1_log
+from .model import EffectEstimate, NormalPrior, interval
+from .statfn import (LOG_MAX, Branch, exp_or_inf, find_root, lambert_w,
+                     lambert_wm1_log)
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,12 @@ def sceptical_g_for_gamma(z: float, gamma: float,
     # Branch-point roundoff can leave g marginally below the tangency value.
     g_small = max(g_small, 1e-15)
     g_large = max(g_large, g_small)
-    interval = None
+    interval_or = None
     if se is not None:
-        tau = math.sqrt(g_small) * se
-        half = critical_z(1.0 - DEFAULT_LEVEL) * tau
-        interval = (math.exp(-half), math.exp(half))
+        lo, hi = interval(0.0, math.sqrt(g_small) * se)
+        interval_or = (exp_or_inf(lo), exp_or_inf(hi))
     return BfScepticalSolution(g_small=g_small, g_large=g_large, gamma=gamma,
-                               prior_interval_or=interval)
+                               prior_interval_or=interval_or)
 
 
 def bf01_normal_prior(estimate: EffectEstimate, prior: NormalPrior) -> float:
@@ -179,7 +179,7 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     else:
         t_hi = 0.5 * z2 + log_gamma - 0.5 * math.log(k)
         t_large = find_root(h_log, 0.0, t_hi)
-        m_large = math.exp(t_large) if t_large <= LOG_MAX else math.inf
+        m_large = exp_or_inf(t_large)
 
     theta = abs(estimate.theta_hat)
     return BfAdvocacySolution(
@@ -194,7 +194,7 @@ def advocacy_prior_interval_or(estimate: EffectEstimate, m: float,
     taken at the level whose critical value is z(gamma); one endpoint is
     exactly 1 by construction."""
     mu = m * estimate.theta_hat
-    return (math.exp(mu - abs(mu)), math.exp(mu + abs(mu)))
+    return (exp_or_inf(mu - abs(mu)), exp_or_inf(mu + abs(mu)))
 
 
 def bf12_sceptical_vs_optimistic(z: float, g: float) -> float:

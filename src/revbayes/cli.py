@@ -1,4 +1,4 @@
-"""Command-line front end: dataset ingestion, subcommand dispatch, and
+"""Command-line front end: subcommand dispatch, text rendering, and
 machine-readable reports.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical
@@ -8,7 +8,6 @@ nonexistence (e.g. sceptical prior undefined).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -16,7 +15,7 @@ import sys
 
 from . import __version__
 from .errors import DataError, NonexistenceError
-from .model import EffectEstimate, NormalPrior, PriorRole, Study
+from .model import EffectEstimate, read_study_table
 from .meta import failsafe_n, pool
 from .ancred import (advocacy_prior, credibility_ratio, equivalent_trial,
                      intrinsic_credibility, p_intrinsic, p_rep,
@@ -24,11 +23,8 @@ from .ancred import (advocacy_prior, credibility_ratio, equivalent_trial,
 from .bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                  bf12_sceptical_vs_optimistic, bf_intrinsic, min_bf_els,
                  min_bf_local, sceptical_g_for_gamma, z_gamma)
-from .fpr import (CalibrationKind, min_bf, prior_bound_fpr_equals_p,
-                  prior_prob_for_fpr)
-
-_COUNT_HEADER = ["id", "events_t", "n_t", "events_c", "n_c"]
-_ESTIMATE_HEADER = ["id", "estimate", "se"]
+from .fpr import CalibrationKind, min_bf, prior_prob_for_fpr
+from .statfn import exp_or_inf
 
 
 class UsageError(Exception):
@@ -38,50 +34,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise UsageError(message)
-
-
-def read_study_table(path: str) -> list[Study]:
-    """Parse a study CSV; the header selects the counts or estimate schema."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file (header row required)")
-    header = [h.strip() for h in rows[0]]
-    studies: list[Study] = []
-    if header == _COUNT_HEADER:
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-            try:
-                counts = [int(c) for c in row[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer count: {exc}") from exc
-            studies.append(Study(row[0].strip(), *counts))
-    elif header == _ESTIMATE_HEADER:
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                est, se = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value: {exc}") from exc
-            studies.append(Study(row[0].strip(), estimate=est, se=se))
-    else:
-        raise DataError(f"{path}: unrecognized header {header!r}; expected "
-                        f"{_COUNT_HEADER} or {_ESTIMATE_HEADER}")
-    if not studies:
-        raise DataError(f"{path}: no data rows")
-    ids = [s.id for s in studies]
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate study ids")
-    return studies
 
 
 def _digest_file(path: str) -> str:
@@ -110,8 +62,8 @@ def _estimate_payload(est: EffectEstimate, level: float) -> dict:
     lo, hi = est.ci(level)
     return {
         "log_or": est.theta_hat, "se": est.se, "z": est.z, "p": est.p_value,
-        "ci_log": [lo, hi], "or": math.exp(est.theta_hat),
-        "ci_or": [math.exp(lo), math.exp(hi)], "level": level,
+        "ci_log": [lo, hi], "or": exp_or_inf(est.theta_hat),
+        "ci_or": [exp_or_inf(lo), exp_or_inf(hi)], "level": level,
     }
 
 
@@ -126,19 +78,18 @@ def cmd_meta(args) -> dict:
 
     per_study = []
     for diag in result.per_study:
-        lo, hi = diag.estimate.ci(args.level)
+        estimate = _estimate_payload(diag.estimate, args.level)
+        loo = diag.leave_one_out_prior
+        p_box = None if math.isnan(diag.p_box) else diag.p_box
         per_study.append({
             "id": diag.study_id,
-            "estimate": _estimate_payload(diag.estimate, args.level),
-            "leave_one_out_prior": (None if diag.leave_one_out_prior is None else {
-                "mean": diag.leave_one_out_prior.mean,
-                "precision": diag.leave_one_out_prior.precision,
-            }),
+            "estimate": estimate,
+            "leave_one_out_prior": (None if loo is None else
+                                    {"mean": loo.mean, "precision": loo.precision}),
             "t_box": None if math.isnan(diag.t_box) else diag.t_box,
-            "p_box": None if math.isnan(diag.p_box) else diag.p_box,
-            "forest_row": [diag.study_id, diag.estimate.theta_hat, lo, hi,
-                           diag.estimate.p_value,
-                           None if math.isnan(diag.p_box) else diag.p_box],
+            "p_box": p_box,
+            "forest_row": [diag.study_id, estimate["log_or"], *estimate["ci_log"],
+                           estimate["p"], p_box],
         })
 
     report = {
@@ -216,10 +167,8 @@ def cmd_ancred(args) -> dict:
     results: dict = {"estimate": _estimate_payload(est, args.level)}
     if est.significant(alpha):
         sc = sceptical_analysis(est, alpha)
-        lo, hi = est.ci(args.level)
-        trial = equivalent_trial(sc.prior(), args.rate)
-        results["mode"] = "sceptical"
-        results["sceptical"] = {
+        lo, hi = results["estimate"]["ci_log"]
+        mode, prior, payload = "sceptical", sc.prior(), {
             "g": sc.g, "tau2": sc.tau2, "scepticism_limit": sc.limit,
             "critical_interval_or": list(sc.critical_interval_or),
             "credibility_ratio": credibility_ratio(lo, hi),
@@ -227,23 +176,19 @@ def cmd_ancred(args) -> dict:
                 intrinsic_credibility(est, alpha, "prior_based")),
             "intrinsically_credible_predictive": bool(
                 intrinsic_credibility(est, alpha, "predictive_based")),
-            "p_intrinsic": p_intrinsic(est.z),
-            "p_rep": p_rep(est.z),
-            "equivalent_trial": _trial_payload(trial),
         }
     else:
         adv = advocacy_prior(est, alpha)
-        trial = equivalent_trial(adv.prior(), args.rate)
-        results["mode"] = "advocacy"
-        results["advocacy"] = {
+        mode, prior, payload = "advocacy", adv.prior(), {
             "m": adv.m, "mu": adv.mu, "tau": adv.tau,
             "advocacy_limit": adv.limit,
-            "advocacy_limit_or": math.exp(adv.limit),
+            "advocacy_limit_or": exp_or_inf(adv.limit),
             "cv": adv.cv,
-            "p_intrinsic": p_intrinsic(est.z),
-            "p_rep": p_rep(est.z),
-            "equivalent_trial": _trial_payload(trial),
         }
+    payload.update(p_intrinsic=p_intrinsic(est.z), p_rep=p_rep(est.z),
+                   equivalent_trial=_trial_payload(equivalent_trial(prior, args.rate)))
+    results["mode"] = mode
+    results[mode] = payload
     return {
         "command": "ancred",
         "input_digest": _digest_args({"estimate": est.theta_hat, "se": est.se,
@@ -278,16 +223,15 @@ def _print_ancred(report: dict, scale: str) -> None:
         print(f"credibility ratio {sc['credibility_ratio']:.2f}; intrinsically "
               f"credible (prior) { sc['intrinsically_credible_prior']}, "
               f"(predictive) {sc['intrinsically_credible_predictive']}")
-        print(f"p_IC {sc['p_intrinsic']:.4f}, p_rep {sc['p_rep']:.3f}")
-        _print_trial(sc["equivalent_trial"])
     else:
         adv = res["advocacy"]
         print(f"advocacy prior: m {adv['m']:.2f}, mu {_fmt(adv['mu'])}, "
               f"tau {adv['tau']:.2f}")
         print(f"advocacy limit {_fmt(adv['advocacy_limit'])} "
               f"(OR {adv['advocacy_limit_or']:.2f})")
-        print(f"p_IC {adv['p_intrinsic']:.4f}, p_rep {adv['p_rep']:.3f}")
-        _print_trial(adv["equivalent_trial"])
+    shared = res[res["mode"]]
+    print(f"p_IC {shared['p_intrinsic']:.4f}, p_rep {shared['p_rep']:.3f}")
+    _print_trial(shared["equivalent_trial"])
 
 
 def _print_trial(payload: dict) -> None:
@@ -378,32 +322,25 @@ _GRID_KINDS = [CalibrationKind.LOCAL_Z, CalibrationKind.SIMPLE_Z,
 def cmd_fpr(args) -> dict:
     kinds = (list(CalibrationKind) if args.calibration == "all"
              else [CalibrationKind(args.calibration)])
-    bounds = {}
-    for kind in kinds:
-        if args.fpr_equals_p:
-            bounds[kind.value] = prior_bound_fpr_equals_p(args.p, kind)
-        else:
-            bounds[kind.value] = prior_prob_for_fpr(args.p, args.fpr, kind)
+
+    def bound(p: float, kind: CalibrationKind) -> float:
+        return prior_prob_for_fpr(p, p if args.fpr_equals_p else args.fpr, kind)
+
     results: dict = {
         "p": args.p,
         "fpr": args.p if args.fpr_equals_p else args.fpr,
         "fpr_equals_p": args.fpr_equals_p,
         "min_bf": {k.value: min_bf(args.p, k) for k in kinds},
-        "prior_bound": bounds,
+        "prior_bound": {k.value: bound(args.p, k) for k in kinds},
     }
     if args.grid:
-        rows = []
         n = 200
         lo, hi = math.log(1e-4), math.log(0.5)
+        grid = []
         for i in range(n + 1):
             p = math.exp(lo + (hi - lo) * i / n)
-            for kind in _GRID_KINDS:
-                if args.fpr_equals_p:
-                    value = prior_bound_fpr_equals_p(p, kind)
-                else:
-                    value = prior_prob_for_fpr(p, args.fpr, kind)
-                rows.append((p, kind.value, value))
-        results["grid"] = [[p, series, value] for p, series, value in rows]
+            grid.extend([p, kind.value, bound(p, kind)] for kind in _GRID_KINDS)
+        results["grid"] = grid
     return {
         "command": "fpr",
         "input_digest": _digest_args({"p": args.p, "fpr": args.fpr,

@@ -75,5 +75,4 @@ def fpr_forward(prior_h0: float, bf01: float) -> float:
 
 def prior_bound_fpr_equals_p(p: float, kind: CalibrationKind) -> float:
     """Upper bound on Pr(H0) under the claim that the FPR equals the p-value."""
-    _check_p(p)
     return prior_prob_for_fpr(p, p, kind)

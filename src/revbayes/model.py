@@ -1,4 +1,5 @@
-"""Core domain types: studies, effect estimates, normal priors, posteriors.
+"""Core domain types: studies, effect estimates, normal priors, posteriors,
+and the study-table reader.
 
 Effects live on the log odds ratio scale throughout; odds-ratio-scale
 values only appear at I/O boundaries via exp/log.
@@ -6,6 +7,7 @@ values only appear at I/O boundaries via exp/log.
 
 from __future__ import annotations
 
+import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -19,7 +21,6 @@ DEFAULT_LEVEL = 0.95
 class PriorRole(enum.Enum):
     SCEPTICAL = "sceptical"
     ADVOCACY = "advocacy"
-    OPTIMISTIC = "optimistic"
     FLAT = "flat"
     GENERIC = "generic"
 
@@ -136,9 +137,7 @@ class NormalPrior:
         return math.sqrt(self.variance)
 
     def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
-        z_crit = critical_z(1.0 - level)
-        half = z_crit * self.sd
-        return self.mean - half, self.mean + half
+        return interval(self.mean, self.sd, level)
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,7 @@ class PosteriorSummary:
         return 1.0 / math.sqrt(self.precision)
 
     def ci(self, level: float | None = None) -> tuple[float, float]:
-        level = self.level if level is None else level
-        z_crit = critical_z(1.0 - level)
-        half = z_crit / math.sqrt(self.precision)
-        return self.mean - half, self.mean + half
+        return interval(self.mean, self.sd, self.level if level is None else level)
 
     def as_estimate(self) -> EffectEstimate:
         return EffectEstimate(self.mean, self.sd)
@@ -207,9 +203,59 @@ def forward_odds(prior_odds: float, likelihood_ratio: float) -> float:
     return prior_odds * likelihood_ratio
 
 
-def ci_limits(estimate: EffectEstimate, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
-    """Symmetric confidence limits for the estimate at the given level."""
+def interval(center: float, sd: float,
+             level: float = DEFAULT_LEVEL) -> tuple[float, float]:
+    """Symmetric normal interval center -/+ z_crit * sd at the given level."""
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must be in (0,1), got {level!r}")
-    half = critical_z(1.0 - level) * estimate.se
-    return estimate.theta_hat - half, estimate.theta_hat + half
+    half = critical_z(1.0 - level) * sd
+    return center - half, center + half
+
+
+def ci_limits(estimate: EffectEstimate, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
+    """Symmetric confidence limits for the estimate at the given level."""
+    return interval(estimate.theta_hat, estimate.se, level)
+
+
+# header -> (cell parser, error noun, Study constructor from id and cells)
+_SCHEMAS = (
+    (["id", "events_t", "n_t", "events_c", "n_c"], int, "non-integer count",
+     lambda sid, cells: Study(sid, *cells)),
+    (["id", "estimate", "se"], float, "non-numeric value",
+     lambda sid, cells: Study(sid, estimate=cells[0], se=cells[1])),
+)
+
+
+def read_study_table(path: str) -> list[Study]:
+    """Parse a study CSV; the header selects the counts or estimate schema."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file (header row required)")
+    header = [h.strip() for h in rows[0]]
+    for names, parse, noun, make in _SCHEMAS:
+        if header == names:
+            break
+    else:
+        raise DataError(f"{path}: unrecognized header {header!r}; expected "
+                        f"{_SCHEMAS[0][0]} or {_SCHEMAS[1][0]}")
+    studies: list[Study] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(names):
+            raise DataError(f"{path}:{lineno}: expected {len(names)} columns, got {len(row)}")
+        try:
+            cells = [parse(c) for c in row[1:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {noun}: {exc}") from exc
+        studies.append(make(row[0].strip(), cells))
+    if not studies:
+        raise DataError(f"{path}: no data rows")
+    ids = [s.id for s in studies]
+    if len(set(ids)) != len(ids):
+        raise DataError(f"{path}: duplicate study ids")
+    return studies

@@ -98,6 +98,11 @@ def critical_z(alpha: float) -> float:
     return norm_quantile(1.0 - alpha / 2.0)
 
 
+def exp_or_inf(x: float) -> float:
+    """exp(x), or inf past the float range (x > LOG_MAX) instead of OverflowError."""
+    return math.exp(x) if x <= LOG_MAX else math.inf
+
+
 def chisq1_tail(t: float) -> float:
     """P(chi-square with 1 df >= t) = 2 * (1 - Phi(sqrt(t)))."""
     if t < 0.0 or not math.isfinite(t):
@@ -186,7 +191,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Brent-style bracketing root finder.
 
     Requires f(lo) and f(hi) of opposite sign (or zero). Terminates when the
-    bracket width drops below 1e-12 * max(1, |x|), or f is exactly zero.
+    bracket narrows to 4 ulp, 4 * eps * |x| at every scale, or f is exactly zero.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -199,6 +204,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
                          f"(f(lo)={fa!r}, f(hi)={fb!r})")
     c, fc = a, fa
     d = e = b - a
+    rel, tiny = 2.0 * sys.float_info.epsilon, sys.float_info.min
     for _ in range(_FIND_ROOT_MAX_ITER):
         if fb * fc > 0.0:
             c, fc = a, fa
@@ -206,7 +212,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * 1e-12 * max(1.0, abs(b))
+        tol = max(rel * abs(b), tiny)
         m = 0.5 * (c - b)
         if abs(m) <= tol:
             return b

@@ -221,11 +221,20 @@ class TestAdvocacyForGamma:
             assert bf01_normal_prior(est, prior) == pytest.approx(0.1, rel=1e-10)
 
 
-    @pytest.mark.parametrize("z", [3.0, -3.0, 15.0, -15.0, 27.0, -27.0, 30.0, -30.0,
-                                   37.87, -37.87, 40.0, -40.0])
-    def test_roots_plug_back_in_log_space(self, z):
+    @pytest.mark.parametrize("z, gamma", [
+        *(pytest.param(z, 0.1, id=str(z))
+          for z in [3.0, -3.0, 15.0, -15.0, 27.0, -27.0, 30.0, -30.0,
+                    37.87, -37.87, 40.0, -40.0]),
+        # roots that an absolute stopping width of 1e-12 left 1.2e-10 to
+        # 2.8e-10 off in log BF01: small roots near 1e-3, large t = log m
+        (-26.54441044525013, 0.7298948576118643),
+        (33.644375599285816, 0.7136670105865661),
+        (-24.91093919016628, 3.434118871566747e-30),
+        (35.69727097621465, 5.831103081638957e-05),
+        (-39.976826187753154, 3.844657033265922e-30),
+    ])
+    def test_roots_plug_back_in_log_space(self, z, gamma):
         # the large root passes the float range from |z| ~ 37.9 at gamma = 0.1
-        gamma = 0.1
         sol = advocacy_for_gamma(EffectEstimate(z, 1.0), gamma)
         with mpmath.workdps(50):
             zm = mpmath.mpf(z)

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import revbayes
 from revbayes import bundled_dataset_path
 from revbayes.cli import read_study_table, run
 from revbayes.errors import DataError
@@ -233,6 +237,62 @@ class TestFprCommand:
 
     def test_bad_p_exit_code(self, capsys):
         assert run(["fpr", "--p", "1.5"]) == 2
+
+
+class TestOddsRatioOverflow:
+    # valid findings whose odds ratios pass the float range: each site
+    # reports inf instead of raising OverflowError
+    @pytest.mark.parametrize("argv, path", [
+        ("ancred --estimate -0.53 --se 400", ("estimate", "ci_or", 1)),
+        ("ancred --estimate -0.53 --se 400 --rate 0.3", ("estimate", "ci_or", 1)),
+        ("meta {table}", ("per_study", 1, "estimate", "ci_or", 1)),
+        ("bf --estimate 700 --se 100", ("estimate", "ci_or", 1)),
+        ("bf --estimate 1200 --se 400 --mode advocacy --gamma 0.3", ("estimate", "or")),
+        ("ancred --estimate 150 --se 75", ("sceptical", "critical_interval_or", 1)),
+        ("ancred --estimate 200 --se 400", ("advocacy", "advocacy_limit_or")),
+        ("bf --estimate 900 --se 300", ("sceptical", "prior_interval_or", 1)),
+        ("bf --estimate 3000 --se 1000 --mode advocacy --gamma 0.3",
+         ("advocacy", "prior_interval_or", 1)),
+    ], ids=["ancred-ci", "ancred-ci-rate", "meta-study-ci", "bf-ci", "bf-or",
+            "critical-interval", "advocacy-limit", "sceptical-prior-interval",
+            "advocacy-prior-interval"])
+    def test_reports_inf(self, capsys, tmp_path, argv, path):
+        table = tmp_path / "wide.csv"
+        table.write_text("id,estimate,se\nRECOVERY,-0.53,0.145\nWIDE,0.2,400\n")
+        argv = shlex.split(argv.format(table=table))
+        assert run(argv) == 0
+        capsys.readouterr()
+        value = run_json(capsys, ["--json"] + argv)["results"]
+        for key in path:
+            value = value[key]
+        assert value == math.inf
+
+
+class TestPackage:
+    # fresh interpreters, so the checks see what importing the package loads
+    def python(self, *args):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+
+    def test_import_leaves_cli_unloaded(self):
+        proc = self.python("-c", "import sys, revbayes; "
+                           "print('revbayes.cli' in sys.modules, 'argparse' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
+    @pytest.mark.parametrize("args", [["-W", "error", "-m", "revbayes.cli"],
+                                      ["-m", "revbayes"]],
+                             ids=["revbayes.cli", "revbayes"])
+    def test_version_entry_points(self, args):
+        proc = self.python(*args, "--version")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, revbayes.__version__ + "\n", "")
+
+    def test_one_table_reader(self):
+        import revbayes.cli
+        assert revbayes.read_study_table is revbayes.cli.read_study_table
 
 
 class TestDriver:

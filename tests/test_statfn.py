@@ -4,8 +4,9 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from revbayes.statfn import (Branch, chisq1_tail, critical_z, find_root, lambert_w,
-                             lambert_wm1_log, norm_cdf, norm_quantile, two_sided_p)
+from revbayes.statfn import (LOG_MAX, Branch, chisq1_tail, critical_z, exp_or_inf,
+                             find_root, lambert_w, lambert_wm1_log, norm_cdf,
+                             norm_quantile, two_sided_p)
 
 
 def phi_oracle(x):
@@ -158,6 +159,16 @@ class TestLambertWm1Log:
                 lambert_wm1_log(log_x)
 
 
+class TestExpOrInf:
+    def test_same_bits_as_exp_in_range(self):
+        for x in (-800.0, -1.0, 0.0, 0.5, 700.0, LOG_MAX):
+            assert exp_or_inf(x) == math.exp(x)
+
+    def test_inf_past_the_range(self):
+        assert exp_or_inf(math.nextafter(LOG_MAX, math.inf)) == math.inf
+        assert exp_or_inf(1e6) == math.inf
+
+
 class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
@@ -179,6 +190,12 @@ class TestFindRoot:
         # every |f| here is below 1e-12, so only the bracket width can stop it
         assert find_root(lambda x: 1e-15 * (x - 2.0), 0.0, 5.0) == pytest.approx(
             2.0, rel=1e-12)
+
+    def test_small_root_relative(self):
+        # the root 1e-6 lies far below 1, where the stopping width must
+        # still be relative to keep its digits
+        assert find_root(lambda x: x ** 3 - 1e-18, 0.0, 1.0) == pytest.approx(
+            1e-6, rel=1e-14, abs=0.0)
 
     def test_rejects_non_bracketing(self):
         with pytest.raises(ValueError):
