@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior, PriorRole
-from .statfn import LOG_MAX, chisq1_tail, critical_z, exp_or_inf, two_sided_p
+from .statfn import LOG_MAX, critical_ratio, critical_z, exp_or_inf, two_sided_p
 
 DEFAULT_ALPHA = 1.0 - DEFAULT_LEVEL
 
@@ -64,10 +64,7 @@ class EquivalentTrial:
 def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float:
     """Relative variance g of the sceptical prior pulling a significant
     finding back to the credibility boundary."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
-    z_crit = critical_z(alpha)
-    ratio = z ** 2 / z_crit ** 2
+    ratio = critical_ratio(z, alpha)
     if ratio <= 1.0:
         raise NonexistenceError(
             f"sufficiently sceptical prior undefined: finding not significant "
@@ -110,10 +107,7 @@ def advocacy_prior(estimate: EffectEstimate,
     The prior's quantile nearer zero sits exactly at zero, so its
     coefficient of variation is fixed at 1/z_crit.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
-    z_crit = critical_z(alpha)
-    ratio = estimate.z ** 2 / z_crit ** 2
+    ratio = critical_ratio(estimate.z, alpha)
     if ratio >= 1.0:
         raise NonexistenceError(
             f"advocacy prior undefined: finding significant at alpha={alpha}")
@@ -121,8 +115,21 @@ def advocacy_prior(estimate: EffectEstimate,
         raise NonexistenceError("advocacy prior undefined for a zero point estimate")
     m = 2.0 / (1.0 - ratio)
     mu = m * estimate.theta_hat
+    z_crit = critical_z(alpha)
     tau = abs(mu) / z_crit
     return AdvocacyAnalysis(m=m, mu=mu, tau=tau, limit=2.0 * mu, cv=1.0 / z_crit)
+
+
+# Intrinsic credibility is r = z^2/z_crit^2 > factor: with the sceptical g = 1/(r - 1),
+# the prior flavour's z^2 > z_crit^2 g is r^2 - r - 1 > 0, so r > phi (the golden
+# ratio), and the predictive flavour's z^2/(1 + g) > z_crit^2 is r > 2.
+_INTRINSIC_FACTOR = {"prior_based": (1.0 + math.sqrt(5.0)) / 2.0, "predictive_based": 2.0}
+
+
+def _intrinsic_factor(flavor: str) -> float:
+    if flavor not in _INTRINSIC_FACTOR:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return _INTRINSIC_FACTOR[flavor]
 
 
 def intrinsic_credibility(estimate: EffectEstimate,
@@ -134,35 +141,18 @@ def intrinsic_credibility(estimate: EffectEstimate,
     interval. flavor "predictive_based": the prior-predictive tail
     probability of the estimate must fall below alpha.
     """
-    if flavor not in ("prior_based", "predictive_based"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    try:
-        g = sceptical_relative_variance(estimate.z, alpha)
-    except NonexistenceError:
+    factor = _intrinsic_factor(flavor)
+    ratio = critical_ratio(estimate.z, alpha)
+    if ratio <= 1.0:
         return CredibilityVerdict(False, "not significant at this level")
-    if flavor == "prior_based":
-        limit = critical_z(alpha) * math.sqrt(g) * estimate.se
-        return CredibilityVerdict(estimate.theta_hat ** 2 > limit ** 2)
-    p_box = chisq1_tail(estimate.z ** 2 / (1.0 + g))
-    return CredibilityVerdict(p_box < alpha)
+    return CredibilityVerdict(ratio > factor)
 
 
 def intrinsic_boundary_p(alpha: float = DEFAULT_ALPHA,
                          flavor: str = "predictive_based") -> float:
     """Largest two-sided p-value that is still intrinsically credible at
-    this alpha.
-
-    With g = 1 / (z^2/z_crit^2 - 1), the prior flavour's condition
-    z^2 = z_crit^2 g has the root z^2 = phi z_crit^2 (phi the golden ratio),
-    and the predictive flavour's z^2 / (1 + g) = z_crit^2 has z^2 = 2 z_crit^2.
-    """
-    if flavor == "prior_based":
-        factor = (1.0 + math.sqrt(5.0)) / 2.0
-    elif flavor == "predictive_based":
-        factor = 2.0
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return two_sided_p(math.sqrt(factor) * critical_z(alpha))
+    this alpha: that of the z with z^2 = factor * z_crit^2."""
+    return two_sided_p(math.sqrt(_intrinsic_factor(flavor)) * critical_z(alpha))
 
 
 def credibility_ratio(lower: float, upper: float) -> float:
@@ -201,10 +191,10 @@ def equivalent_trial(prior: NormalPrior,
     carry the same information.
 
     A mean-zero prior with variance tau^2 corresponds to 2/tau^2 events per
-    arm of arbitrarily large arms; pass patients_per_arm for finite arms or
-    event_rate to fix the per-arm event fraction. For a nonzero prior mean a
-    target control event rate selects among the integer-event constructions
-    that match the prior mean and variance exactly.
+    arm of arbitrarily large arms; pass either patients_per_arm for finite
+    arms or event_rate to fix the per-arm event fraction. For a nonzero mean
+    only event_rate applies: a target control event rate selects among the
+    integer-event constructions that match the prior mean and variance exactly.
     """
     tau2 = prior.variance
     if not (tau2 > 0.0 and math.isfinite(tau2)):
@@ -212,6 +202,9 @@ def equivalent_trial(prior: NormalPrior,
     if event_rate is not None and not (0.0 < event_rate < 1.0):
         raise ValueError(f"event rate must be in (0,1), got {event_rate!r}")
     mu = prior.mean
+    if patients_per_arm is not None and (mu != 0.0 or event_rate is not None):
+        raise ValueError("patients_per_arm applies only to a mean-zero prior "
+                         "without an event rate")
 
     if mu == 0.0:
         if event_rate is not None:

@@ -72,7 +72,7 @@ def _estimate_payload(est: EffectEstimate, level: float) -> dict:
 
 def cmd_meta(args) -> dict:
     studies = read_study_table(args.file)
-    result = pool(studies, args.level)
+    result = pool(studies)
     fsn = failsafe_n(result, args.level)
     pooled_est = result.pooled.as_estimate()
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study
-from .statfn import chisq1_tail, critical_z
+from .statfn import chisq1_tail, critical_ratio
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,16 @@ class FailSafeResult:
 
 
 def forward_update(prior_mean: float, prior_precision: float,
-                   estimate: EffectEstimate,
-                   level: float = DEFAULT_LEVEL) -> PosteriorSummary:
+                   estimate: EffectEstimate) -> PosteriorSummary:
     """One step of conjugate normal updating; zero precision is a flat prior."""
     if prior_precision < 0.0:
         raise ValueError(f"prior precision must be nonnegative, got {prior_precision!r}")
     kappa = estimate.precision
     if prior_precision == 0.0:
-        return PosteriorSummary(estimate.theta_hat, kappa, level)
+        return PosteriorSummary(estimate.theta_hat, kappa)
     post_precision = prior_precision + kappa
     post_mean = (prior_mean * prior_precision + estimate.theta_hat * kappa) / post_precision
-    return PosteriorSummary(post_mean, post_precision, level)
+    return PosteriorSummary(post_mean, post_precision)
 
 
 def reverse_update(posterior: PosteriorSummary,
@@ -63,7 +62,7 @@ def reverse_update(posterior: PosteriorSummary,
             "posterior precision not greater than observational precision")
     prior_mean = (posterior.mean * posterior.precision
                   - estimate.theta_hat * kappa) / prior_precision
-    return PosteriorSummary(prior_mean, prior_precision, posterior.level)
+    return PosteriorSummary(prior_mean, prior_precision)
 
 
 def box_check(estimate: EffectEstimate,
@@ -80,7 +79,7 @@ def box_check(estimate: EffectEstimate,
     return t_box, chisq1_tail(t_box ** 2)
 
 
-def pool(studies: list[Study], level: float = DEFAULT_LEVEL) -> MetaResult:
+def pool(studies: list[Study]) -> MetaResult:
     """Fixed-effect pooling by iterated forward updating from a flat prior.
 
     Per-study leave-one-out priors come from reverse updating the full
@@ -95,9 +94,9 @@ def pool(studies: list[Study], level: float = DEFAULT_LEVEL) -> MetaResult:
 
     mean, precision = 0.0, 0.0
     for est in estimates:
-        post = forward_update(mean, precision, est, level)
+        post = forward_update(mean, precision, est)
         mean, precision = post.mean, post.precision
-    pooled = PosteriorSummary(mean, precision, level)
+    pooled = PosteriorSummary(mean, precision)
 
     per_study = []
     for study, est in zip(studies, estimates):
@@ -115,11 +114,10 @@ def pool(studies: list[Study], level: float = DEFAULT_LEVEL) -> MetaResult:
 def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult:
     """Number of unpublished average-precision null studies needed to make
     the pooled estimate non-significant at the level."""
-    alpha = 1.0 - level
-    z_crit = critical_z(alpha)
     pooled_z = meta.pooled.mean * math.sqrt(meta.pooled.precision)
-    if pooled_z ** 2 <= z_crit ** 2:
+    ratio = critical_ratio(pooled_z, 1.0 - level)
+    if ratio <= 1.0:
         return FailSafeResult(0.0, 0, significant=False,
                               reason="pooled estimate not significant at this level")
-    n_exact = meta.n_studies * (pooled_z ** 2 / z_crit ** 2 - 1.0)
+    n_exact = meta.n_studies * (ratio - 1.0)
     return FailSafeResult(n_exact, math.ceil(n_exact), significant=True)

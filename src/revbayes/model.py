@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError
-from .statfn import critical_z, two_sided_p
+from .statfn import critical_ratio, critical_z, two_sided_p
 
 DEFAULT_LEVEL = 0.95
 
@@ -54,7 +54,7 @@ class EffectEstimate:
         return ci_limits(self, level)
 
     def significant(self, alpha: float = 1.0 - DEFAULT_LEVEL) -> bool:
-        return self.z ** 2 > critical_z(alpha) ** 2
+        return critical_ratio(self.z, alpha) > 1.0
 
     @classmethod
     def from_ci(cls, lower: float, upper: float,
@@ -146,20 +146,17 @@ class PosteriorSummary:
 
     mean: float
     precision: float
-    level: float = DEFAULT_LEVEL
 
     def __post_init__(self):
         if self.precision <= 0.0:
             raise ValueError(f"posterior precision must be positive, got {self.precision!r}")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"level must be in (0,1), got {self.level!r}")
 
     @property
     def sd(self) -> float:
         return 1.0 / math.sqrt(self.precision)
 
-    def ci(self, level: float | None = None) -> tuple[float, float]:
-        return interval(self.mean, self.sd, self.level if level is None else level)
+    def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
+        return interval(self.mean, self.sd, level)
 
     def as_estimate(self) -> EffectEstimate:
         return EffectEstimate(self.mean, self.sd)

@@ -95,7 +95,15 @@ def norm_quantile(p: float) -> float:
 def critical_z(alpha: float) -> float:
     """Two-sided critical value Phi^-1(1 - alpha/2) at significance level
     alpha, memoised: callers ask for the same few levels again and again."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
     return norm_quantile(1.0 - alpha / 2.0)
+
+
+def critical_ratio(z: float, alpha: float) -> float:
+    """r = z^2 / z_crit^2. Significant iff r > 1; sceptical g = 1/(r - 1),
+    advocacy m = 2/(1 - r) and fail-safe N = n (r - 1) are closed forms of r."""
+    return z ** 2 / critical_z(alpha) ** 2
 
 
 def exp_or_inf(x: float) -> float:

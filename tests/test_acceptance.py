@@ -208,9 +208,8 @@ class TestAcceptance:
                     est = EffectEstimate(z * se, se)
                     adv = advocacy_prior(est, alpha)
                     prior = NormalPrior(adv.mu, adv.tau ** 2)
-                post = forward_update(prior.mean, prior.precision, est,
-                                      1 - alpha)
-                lo, hi = post.ci()
+                post = forward_update(prior.mean, prior.precision, est)
+                lo, hi = post.ci(1 - alpha)
                 worst = max(worst, min(abs(lo), abs(hi)))
         _report(12, f"posterior CI boundary at zero (worst {worst:.2e})",
                 [("boundary <= 1e-10", worst <= 1e-10)])

@@ -21,6 +21,24 @@ def implied_log_or_stats(a, b, c, d):
     return math.log((a / b) / (c / d)), 1 / a + 1 / b + 1 / c + 1 / d
 
 
+def _assert_verdict_flips(alpha, flavor, factor):
+    """The verdict is credible just below the boundary p-value and not just
+    above it (+-2 %), and flips between z = sqrt(factor) z_crit (1 -+ 1e-12)
+    at every scale of se."""
+    boundary = intrinsic_boundary_p(alpha, flavor)
+    z_above = norm_quantile(1 - boundary * 0.98 / 2)
+    z_below = norm_quantile(1 - boundary * 1.02 / 2)
+    assert intrinsic_credibility(EffectEstimate(z_above, 1.0), alpha, flavor)
+    assert not intrinsic_credibility(EffectEstimate(z_below, 1.0), alpha, flavor)
+    z_boundary = math.sqrt(factor) * norm_quantile(1 - alpha / 2)
+    for se in (0.01, 1.0, 37.0):
+        above = EffectEstimate(z_boundary * (1 + 1e-12) * se, se)
+        below = EffectEstimate(z_boundary * (1 - 1e-12) * se, se)
+        assert intrinsic_credibility(above, alpha, flavor), se
+        assert not intrinsic_credibility(below, alpha, flavor), se
+        assert intrinsic_credibility(below, alpha, flavor).reason is None
+
+
 class TestScepticalRelativeVariance:
     def test_recovery(self, recovery):
         assert sceptical_relative_variance(recovery.z, 0.05) == pytest.approx(
@@ -145,8 +163,8 @@ class TestPosteriorBoundary:
             z = rng.uniform(z_crit * 1.01, z_crit * 5) * rng.choice([-1, 1])
             est = EffectEstimate(z * se, se)
             analysis = sceptical_analysis(est, alpha)
-            post = forward_update(0.0, 1.0 / analysis.tau2, est, 1 - alpha)
-            lo, hi = post.ci()
+            post = forward_update(0.0, 1.0 / analysis.tau2, est)
+            lo, hi = post.ci(1 - alpha)
             assert min(abs(lo), abs(hi)) < 1e-10
 
     def test_advocacy(self):
@@ -160,8 +178,8 @@ class TestPosteriorBoundary:
                 continue
             est = EffectEstimate(z * se, se)
             adv = advocacy_prior(est, alpha)
-            post = forward_update(adv.mu, 1.0 / adv.tau ** 2, est, 1 - alpha)
-            lo, hi = post.ci()
+            post = forward_update(adv.mu, 1.0 / adv.tau ** 2, est)
+            lo, hi = post.ci(1 - alpha)
             assert min(abs(lo), abs(hi)) < 1e-10
 
 
@@ -175,24 +193,23 @@ class TestIntrinsicCredibility:
         assert not verdict
         assert "not significant" in verdict.reason
 
-    def test_prior_based_boundary(self):
-        boundary = intrinsic_boundary_p(0.05, "prior_based")
-        assert boundary == pytest.approx(0.013, abs=1e-3)
-        z_above = norm_quantile(1 - boundary * 0.98 / 2)
-        z_below = norm_quantile(1 - boundary * 1.02 / 2)
-        assert intrinsic_credibility(EffectEstimate(z_above, 1.0), 0.05, "prior_based")
-        assert not intrinsic_credibility(EffectEstimate(z_below, 1.0), 0.05,
-                                         "prior_based")
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01])
+    def test_prior_based_boundary(self, alpha):
+        if alpha == 0.05:
+            assert intrinsic_boundary_p(alpha, "prior_based") == pytest.approx(
+                0.013, abs=1e-3)
+        _assert_verdict_flips(alpha, "prior_based", (1 + math.sqrt(5)) / 2)
 
-    def test_predictive_boundary(self):
-        boundary = intrinsic_boundary_p(0.05, "predictive_based")
-        assert boundary == pytest.approx(0.0056, abs=1e-3)
-        z_above = norm_quantile(1 - boundary * 0.98 / 2)
-        z_below = norm_quantile(1 - boundary * 1.02 / 2)
-        assert intrinsic_credibility(EffectEstimate(z_above, 1.0), 0.05,
-                                     "predictive_based")
-        assert not intrinsic_credibility(EffectEstimate(z_below, 1.0), 0.05,
-                                         "predictive_based")
+    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01])
+    def test_predictive_boundary(self, alpha):
+        if alpha == 0.05:
+            assert intrinsic_boundary_p(alpha, "predictive_based") == pytest.approx(
+                0.0056, abs=1e-3)
+        _assert_verdict_flips(alpha, "predictive_based", 2.0)
+
+    def test_boundary_rejects_impossible_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            intrinsic_boundary_p(1.5)
 
 
     @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.005])
@@ -315,6 +332,15 @@ class TestEquivalentTrial:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             equivalent_trial(NormalPrior(0.0, 0.5), event_rate=1.5)
+
+    def test_patients_per_arm_rejected_with_nonzero_mean(self):
+        with pytest.raises(ValueError, match="patients_per_arm"):
+            equivalent_trial(NormalPrior(0.3, 0.01), patients_per_arm=100)
+
+    def test_patients_per_arm_rejected_with_event_rate(self):
+        with pytest.raises(ValueError, match="patients_per_arm"):
+            equivalent_trial(NormalPrior(0.0, 0.01), event_rate=0.3,
+                             patients_per_arm=100)
 
 
 class TestSignEquivariance:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from revbayes.cli import read_study_table, run
 from revbayes.errors import DataError
 
 DATA = str(bundled_dataset_path())
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "revbayes"
 
 
 def run_json(capsys, argv):
@@ -290,6 +292,19 @@ class TestPackage:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, revbayes.__version__ + "\n", "")
 
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+    def test_no_stale_imports(self, module):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == []
+
     def test_one_table_reader(self):
         import revbayes.cli
         assert revbayes.read_study_table is revbayes.cli.read_study_table
@@ -330,3 +345,12 @@ class TestReadme:
             run(["--json"] + argv)
             assert capsys.readouterr().out == first, argv
 
+    def test_library_quick_start_runs(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library quick start", 1)[1]
+        block = section.split("```python", 1)[1].split("```", 1)[0]
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                              text=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert proc.returncode == 0, proc.stderr

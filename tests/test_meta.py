@@ -152,6 +152,10 @@ class TestFailSafeN:
         result = failsafe_n(pool([Study("edge", estimate=z_crit * 0.25, se=0.25)]))
         assert not result.significant
 
+    def test_rejects_impossible_level(self, meta_result):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            failsafe_n(meta_result, level=-0.5)
+
     def test_brute_force_augmentation(self, meta_result):
         result = failsafe_n(meta_result)
         assert not _still_significant(meta_result, result.n_integer)

@@ -116,6 +116,12 @@ class TestCiLimits:
         assert back.se == pytest.approx(se, rel=1e-12)
 
 
+class TestSignificant:
+    def test_rejects_impossible_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            EffectEstimate(0.8, 1.0).significant(1.5)
+
+
 class TestNormalPrior:
     def test_sceptical_requires_zero_mean(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from revbayes.statfn import (LOG_MAX, Branch, chisq1_tail, critical_z, exp_or_inf,
-                             find_root, lambert_w, lambert_wm1_log, norm_cdf,
-                             norm_quantile, two_sided_p)
+from revbayes.statfn import (LOG_MAX, Branch, chisq1_tail, critical_ratio,
+                             critical_z, exp_or_inf, find_root, lambert_w,
+                             lambert_wm1_log, norm_cdf, norm_quantile,
+                             two_sided_p)
 
 
 def phi_oracle(x):
@@ -80,6 +81,19 @@ class TestCriticalZ:
 
     def test_cache_is_bounded(self):
         assert critical_z.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            critical_z(alpha)
+
+
+class TestCriticalRatio:
+    @given(st.floats(min_value=-40, max_value=40),
+           st.sampled_from([0.5, 0.2, 0.1, 0.05, 0.01, 0.005]))
+    def test_decides_significance_like_the_squares(self, z, alpha):
+        # for positive floats a > b exactly when fl(a / b) > 1
+        assert (critical_ratio(z, alpha) > 1.0) == (z ** 2 > critical_z(alpha) ** 2)
 
 
 class TestChisq1Tail:
