@@ -38,7 +38,7 @@ class AdvocacyAnalysis:
     cv: float                # tau / |mu| = 1 / z_crit
 
     def prior(self) -> NormalPrior:
-        return NormalPrior(self.mu, self.tau ** 2, PriorRole.ADVOCACY)
+        return NormalPrior(self.mu, self.tau * self.tau, PriorRole.ADVOCACY)
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,17 @@ def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float
 
 def scepticism_limit(lower: float, upper: float) -> float:
     """Half-width S of the critical prior interval, from the CI limits."""
-    if lower * upper < 0.0:
+    if lower * upper <= 0.0:
         raise NonexistenceError(
             "scepticism limit requires a significant interval (limits of the same sign)")
-    return (upper - lower) ** 2 / (4.0 * math.sqrt(upper * lower))
+    return (upper - lower) * (upper - lower) / (4.0 * math.sqrt(upper * lower))
 
 
 def sceptical_analysis(estimate: EffectEstimate,
                        alpha: float = DEFAULT_ALPHA) -> ScepticalAnalysis:
     """Full sceptical-prior analysis of a significant estimate."""
     g = sceptical_relative_variance(estimate.z, alpha)
-    tau2 = g * estimate.se ** 2
+    tau2 = g * (estimate.se * estimate.se)
     limit = critical_z(alpha) * math.sqrt(tau2)
     return ScepticalAnalysis(g=g, tau2=tau2, limit=limit,
                              critical_interval_or=(exp_or_inf(-limit), exp_or_inf(limit)))
@@ -97,7 +97,7 @@ def advocacy_limit(lower: float, upper: float) -> float:
             "advocacy limit requires a non-significant interval (limits straddling zero)")
     if lower + upper == 0.0:
         raise NonexistenceError("advocacy limit undefined for a zero point estimate")
-    return -(upper + lower) / (2.0 * upper * lower) * (upper - lower) ** 2
+    return -(upper + lower) / (2.0 * upper * lower) * ((upper - lower) * (upper - lower))
 
 
 def advocacy_prior(estimate: EffectEstimate,
@@ -163,7 +163,7 @@ def credibility_ratio(lower: float, upper: float) -> float:
     return max(abs(upper / lower), abs(lower / upper))
 
 
-def credibility_ratio_bound(alpha: float = DEFAULT_ALPHA) -> float:
+def credibility_ratio_bound() -> float:
     """Critical credibility ratio implied by the predictive-based boundary.
 
     At that boundary z = sqrt(2) z_crit, so the ratio of the CI limits,

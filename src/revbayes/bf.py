@@ -52,7 +52,7 @@ def bf01_sceptical(z: float, g: float) -> float:
     relative variance g."""
     if g <= 0.0:
         raise ValueError(f"relative prior variance must be positive, got {g!r}")
-    return math.sqrt(1.0 + g) * math.exp(-(g / (1.0 + g)) * z ** 2 / 2.0)
+    return math.sqrt(1.0 + g) * math.exp(-(g / (1.0 + g)) * (z * z) / 2.0)
 
 
 def min_bf_local(z: float) -> float:
@@ -61,14 +61,14 @@ def min_bf_local(z: float) -> float:
         raise ValueError(f"z must be finite, got {z!r}")
     if abs(z) <= 1.0:
         return 1.0
-    return abs(z) * math.exp(-z ** 2 / 2.0) * math.sqrt(math.e)
+    return abs(z) * math.exp(-z * z / 2.0) * math.sqrt(math.e)
 
 
 def min_bf_els(z: float) -> float:
     """Minimum BF01 over all possible priors (simple alternative at the MLE)."""
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    return math.exp(-z ** 2 / 2.0)
+    return math.exp(-z * z / 2.0)
 
 
 def sceptical_g_for_gamma(z: float, gamma: float,
@@ -90,11 +90,12 @@ def sceptical_g_for_gamma(z: float, gamma: float,
     # 1 + g = -z^2 / W(-x) with x = (z^2/gamma^2) e^(-z^2), which underflows
     # from |z| ~ 27: W-1 takes log x, and as W(-x) e^W(-x) = -x, the large
     # root is 1 + g = gamma^2 e^(z^2 + W0(-x)), W0(-x) -> 0 as x -> 0.
-    log_x = 2.0 * math.log(abs(z)) - 2.0 * math.log(gamma) - z ** 2
+    z2 = z * z
+    log_x = 2.0 * math.log(abs(z)) - 2.0 * math.log(gamma) - z2
     q_small = lambert_wm1_log(log_x)
     q_large = lambert_w(-math.exp(log_x), Branch.PRINCIPAL)
-    g_small = -z ** 2 / q_small - 1.0
-    log_large = z ** 2 + 2.0 * math.log(gamma) + q_large
+    g_small = -z2 / q_small - 1.0
+    log_large = z2 + 2.0 * math.log(gamma) + q_large
     g_large = math.expm1(log_large) if log_large <= LOG_MAX else math.inf
     # Branch-point roundoff can leave g marginally below the tangency value.
     g_small = max(g_small, 1e-15)
@@ -111,11 +112,11 @@ def bf01_normal_prior(estimate: EffectEstimate, prior: NormalPrior) -> float:
     """BF01 for the point null against a general normal prior."""
     if not (prior.variance > 0.0 and math.isfinite(prior.variance)):
         raise ValueError("prior variance must be positive and finite")
-    s2 = estimate.se ** 2
-    t2 = prior.variance
-    quad = (estimate.theta_hat ** 2 / s2
-            - (estimate.theta_hat - prior.mean) ** 2 / (s2 + t2))
-    return math.sqrt(1.0 + t2 / s2) * math.exp(-0.5 * quad)
+    s2 = estimate.se * estimate.se
+    shift = estimate.theta_hat - prior.mean
+    quad = (estimate.theta_hat * estimate.theta_hat / s2
+            - shift * shift / (s2 + prior.variance))
+    return math.sqrt(1.0 + prior.variance / s2) * math.exp(-0.5 * quad)
 
 
 def z_gamma(gamma: float) -> float:
@@ -140,8 +141,8 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     if estimate.theta_hat == 0.0:
         raise NonexistenceError("advocacy prior undefined for a zero point estimate")
     cv = 1.0 / z_gamma(gamma)
-    z2 = estimate.z ** 2
-    k = (cv * estimate.z) ** 2
+    z2 = estimate.z * estimate.z
+    k = (cv * estimate.z) * (cv * estimate.z)
     log_gamma = math.log(gamma)
 
     # h(m) = log BF01(m) - log gamma, with tau^2 / se^2 = k m^2. From m = 1
@@ -156,13 +157,13 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     def h_log(t: float) -> float:
         w = math.exp(-t)
         return (t + 0.5 * math.log(k + w * w) - 0.5 * z2
-                + 0.5 * z2 * (w - 1.0) ** 2 / (w * w + k) - log_gamma)
+                + 0.5 * z2 * ((w - 1.0) * (w - 1.0)) / (w * w + k) - log_gamma)
 
     # dBF01/dm = 0 is k^2 m^3 + k z^2 m^2 + (k - k z^2 + z^2) m - z^2 = 0,
     # here divided by z^2. Its coefficients change sign once, so it has one
     # positive root, and p(0) = -1 < 0 < p(1) = cv^2 (k + 1).
     m_min = find_root(
-        lambda m: (k * cv ** 2 * m + k) * m * m + (1.0 + cv ** 2 - k) * m - 1.0,
+        lambda m: (k * (cv * cv) * m + k) * m * m + (1.0 + cv * cv - k) * m - 1.0,
         0.0, 1.0)
     h_min = h(m_min)
     if h_min > 0.0:
@@ -202,7 +203,7 @@ def bf12_sceptical_vs_optimistic(z: float, g: float) -> float:
     optimistic prior centred at the estimate with its own variance."""
     if g <= 0.0:
         raise ValueError(f"relative prior variance must be positive, got {g!r}")
-    return math.sqrt(2.0 / (1.0 + g)) * math.exp(-z ** 2 / (2.0 * (1.0 + g)))
+    return math.sqrt(2.0 / (1.0 + g)) * math.exp(-z * z / (2.0 * (1.0 + g)))
 
 
 def bf_intrinsic(estimate: EffectEstimate) -> float:
@@ -218,8 +219,8 @@ def bf_intrinsic(estimate: EffectEstimate) -> float:
     if abs(z) <= 1.0:
         raise NonexistenceError(
             "no cut-off admits a sceptical prior: |z| does not exceed 1")
-    log_x = 2.0 * math.log(abs(z)) - z ** 2 / 2.0 - 0.5 * math.log(2.0)
+    log_x = 2.0 * math.log(abs(z)) - z * z / 2.0 - 0.5 * math.log(2.0)
     if log_x > -1.0:
         raise NonexistenceError("no admissible cut-off for intrinsic credibility")
     v = -lambert_wm1_log(log_x)
-    return bf01_sceptical(z, z ** 2 / v - 1.0)
+    return bf01_sceptical(z, z * z / v - 1.0)

@@ -46,8 +46,8 @@ def min_bf(p: float, kind: CalibrationKind) -> float:
     if kind is CalibrationKind.SIMPLE_Z:
         # saturates at 1 like the other calibrations (the raw expression
         # peaks slightly above 1 around |z| = 0.74)
-        return min(1.0, 2.0 * math.exp(-z ** 2 / 2.0)
-                   / (1.0 + math.exp(-2.0 * z ** 2)))
+        return min(1.0, 2.0 * math.exp(-z * z / 2.0)
+                   / (1.0 + math.exp(-2.0 * z * z)))
     if kind is CalibrationKind.ELS_ALL_PRIORS:
         return min_bf_els(z)
     raise ValueError(f"unknown calibration {kind!r}")

@@ -1,5 +1,5 @@
-"""Fixed-effect meta-analysis with reverse-updated leave-one-out priors,
-prior-predictive conflict checks, and fail-safe N."""
+"""Fixed-effect meta-analysis with leave-one-out priors, prior-predictive
+conflict checks, and fail-safe N."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study
-from .statfn import chisq1_tail, critical_ratio
+from .statfn import critical_ratio, two_sided_p
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,24 @@ class FailSafeResult:
     reason: str | None = None
 
 
+def _combine(mean_a: float, precision_a: float,
+             mean_b: float, precision_b: float) -> tuple[float, float]:
+    """Precision-weighted pool of two normal summaries; zero precision is flat."""
+    if precision_a == 0.0:
+        return mean_b, precision_b
+    if precision_b == 0.0:
+        return mean_a, precision_a
+    precision = precision_a + precision_b
+    return (mean_a * precision_a + mean_b * precision_b) / precision, precision
+
+
 def forward_update(prior_mean: float, prior_precision: float,
                    estimate: EffectEstimate) -> PosteriorSummary:
     """One step of conjugate normal updating; zero precision is a flat prior."""
     if prior_precision < 0.0:
         raise ValueError(f"prior precision must be nonnegative, got {prior_precision!r}")
-    kappa = estimate.precision
-    if prior_precision == 0.0:
-        return PosteriorSummary(estimate.theta_hat, kappa)
-    post_precision = prior_precision + kappa
-    post_mean = (prior_mean * prior_precision + estimate.theta_hat * kappa) / post_precision
-    return PosteriorSummary(post_mean, post_precision)
+    return PosteriorSummary(*_combine(prior_mean, prior_precision,
+                                      estimate.theta_hat, estimate.precision))
 
 
 def reverse_update(posterior: PosteriorSummary,
@@ -75,15 +82,16 @@ def box_check(estimate: EffectEstimate,
     if prior.precision <= 0.0:
         raise ValueError("prior precision must be positive")
     t_box = (estimate.theta_hat - prior.mean) / math.sqrt(
-        estimate.se ** 2 + 1.0 / prior.precision)
-    return t_box, chisq1_tail(t_box ** 2)
+        estimate.se * estimate.se + 1.0 / prior.precision)
+    return t_box, two_sided_p(t_box)
 
 
 def pool(studies: list[Study]) -> MetaResult:
     """Fixed-effect pooling by iterated forward updating from a flat prior.
 
-    Per-study leave-one-out priors come from reverse updating the full
-    posterior, which is identical to re-pooling the remaining studies.
+    Each study's leave-one-out prior pools the studies before it (a forward
+    pass) with the studies after it (a backward pass), so no study is
+    subtracted back out of the pooled posterior.
     """
     if not studies:
         raise DataError("meta-analysis requires at least one study")
@@ -92,22 +100,20 @@ def pool(studies: list[Study]) -> MetaResult:
         raise DataError("study ids must be unique")
     estimates = [s.effect_estimate() for s in studies]
 
-    mean, precision = 0.0, 0.0
+    before = [(0.0, 0.0)]
     for est in estimates:
-        post = forward_update(mean, precision, est)
-        mean, precision = post.mean, post.precision
-    pooled = PosteriorSummary(mean, precision)
+        before.append(_combine(*before[-1], est.theta_hat, est.precision))
+    pooled = PosteriorSummary(*before.pop())
 
     per_study = []
-    for study, est in zip(studies, estimates):
-        if len(estimates) == 1:
-            # the leave-one-out prior is flat: no conflict check possible
-            loo = None
-            t_box, p_box = math.nan, math.nan
-        else:
-            loo = reverse_update(pooled, est)
-            t_box, p_box = box_check(est, loo)
+    after = (0.0, 0.0)
+    for study, est, prefix in zip(reversed(studies), reversed(estimates), reversed(before)):
+        loo_mean, loo_precision = _combine(*prefix, *after)
+        loo = PosteriorSummary(loo_mean, loo_precision) if loo_precision > 0.0 else None
+        t_box, p_box = (math.nan, math.nan) if loo is None else box_check(est, loo)
         per_study.append(StudyDiagnostics(study.id, est, loo, t_box, p_box))
+        after = _combine(*after, est.theta_hat, est.precision)
+    per_study.reverse()
     return MetaResult(pooled, tuple(per_study))
 
 
@@ -120,4 +126,8 @@ def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult
         return FailSafeResult(0.0, 0, significant=False,
                               reason="pooled estimate not significant at this level")
     n_exact = meta.n_studies * (ratio - 1.0)
+    if not math.isfinite(n_exact):
+        raise NonexistenceError(
+            f"no fail-safe N: for pooled z = {pooled_z:.6g} it is outside "
+            f"the floating-point range")
     return FailSafeResult(n_exact, math.ceil(n_exact), significant=True)

@@ -48,7 +48,7 @@ class EffectEstimate:
 
     @property
     def precision(self) -> float:
-        return 1.0 / self.se ** 2
+        return 1.0 / (self.se * self.se)
 
     def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
         return ci_limits(self, level)

@@ -11,6 +11,7 @@ import enum
 import functools
 import math
 import sys
+from statistics import NormalDist
 from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
@@ -41,81 +42,38 @@ def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-# Acklam-style rational approximation for the normal quantile; accurate to
-# about 1e-9 on its own, refined below by Newton steps against norm_cdf.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
-
-
-def _quantile_seed(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+_STD_NORMAL = NormalDist()
 
 
 def norm_quantile(p: float) -> float:
-    """Inverse standard normal CDF.
-
-    Rational-approximation seed followed by Newton refinement against
-    norm_cdf, so the round trip norm_cdf(norm_quantile(p)) = p holds to
-    better than 1e-12 over the usable range.
-    """
+    """Inverse standard normal CDF, by Wichura's AS241 (Appl. Stat. 37:477,
+    1988), which the statistics module runs in C."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"norm_quantile requires 0 < p < 1, got {p!r}")
-    x = _quantile_seed(p)
-    for _ in range(3):
-        err = norm_cdf(x) - p
-        if err == 0.0:
-            break
-        step = err / norm_pdf(x)
-        x -= step
-        if abs(step) < 1e-15 * max(1.0, abs(x)):
-            break
-    return x
+    return _STD_NORMAL.inv_cdf(p)
 
 
 @functools.lru_cache(maxsize=16)
 def critical_z(alpha: float) -> float:
-    """Two-sided critical value Phi^-1(1 - alpha/2) at significance level
-    alpha, memoised: callers ask for the same few levels again and again."""
+    """Two-sided critical value Phi^-1(1 - alpha/2), memoised: callers ask for
+    the same few levels again and again. Taken from the lower tail, as
+    1 - alpha/2 rounds, plus one Newton step on erfc(x / sqrt(2)) / 2 = alpha / 2."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
-    return norm_quantile(1.0 - alpha / 2.0)
+    x = -norm_quantile(alpha / 2.0)
+    return x + (0.5 * math.erfc(x / _SQRT2) - alpha / 2.0) / norm_pdf(x)
 
 
 def critical_ratio(z: float, alpha: float) -> float:
     """r = z^2 / z_crit^2. Significant iff r > 1; sceptical g = 1/(r - 1),
     advocacy m = 2/(1 - r) and fail-safe N = n (r - 1) are closed forms of r."""
-    return z ** 2 / critical_z(alpha) ** 2
+    z_crit = critical_z(alpha)
+    return z * z / (z_crit * z_crit)
 
 
 def exp_or_inf(x: float) -> float:
     """exp(x), or inf past the float range (x > LOG_MAX) instead of OverflowError."""
     return math.exp(x) if x <= LOG_MAX else math.inf
-
-
-def chisq1_tail(t: float) -> float:
-    """P(chi-square with 1 df >= t) = 2 * (1 - Phi(sqrt(t)))."""
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError(f"chisq1_tail requires t >= 0, got {t!r}")
-    return math.erfc(math.sqrt(t / 2.0))
 
 
 def two_sided_p(z: float) -> float:

@@ -295,15 +295,20 @@ class TestPackage:
     @pytest.mark.parametrize("module", sorted(
         p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
     def test_no_stale_imports(self, module):
+        # also: every absolute import is of the standard library
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
-        imported = set()
+        imported, modules = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+                modules.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported.update(a.asname or a.name for a in node.names)
+                if node.level == 0:
+                    modules.add(node.module.split(".")[0])
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == []
+        assert sorted(modules - sys.stdlib_module_names) == []
 
     def test_one_table_reader(self):
         import revbayes.cli
@@ -319,6 +324,15 @@ class TestDriver:
 
     def test_missing_file_exit_two(self, capsys):
         assert run(["meta", "/nonexistent/file.csv"]) == 2
+
+    @pytest.mark.parametrize("argv", ["meta {table}", "ancred --estimate 1e155 --se 1",
+                                      "bf --estimate 1e155 --se 1"],
+                             ids=["meta", "ancred", "bf"])
+    def test_z_squared_past_the_float_range(self, capsys, tmp_path, argv):
+        # z = 1e155: z * z is inf; each command reports an error, not a traceback
+        table = tmp_path / "huge.csv"
+        table.write_text("id,estimate,se\nA,1e155,1\nB,1e155,1\n")
+        assert run(shlex.split(argv.format(table=table))) in (2, 3)
 
     def test_level_flag_changes_interval(self, capsys):
         wide = run_json(capsys, ["--json", "--level", "0.99", "meta", DATA])

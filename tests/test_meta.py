@@ -1,7 +1,9 @@
 import math
 import random
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from revbayes.errors import DataError, NonexistenceError
 from revbayes.meta import (box_check, failsafe_n, forward_update, pool,
@@ -103,6 +105,32 @@ class TestPool:
             assert back.mean == pytest.approx(meta_result.pooled.mean, abs=1e-10)
             assert back.precision == pytest.approx(
                 meta_result.pooled.precision, rel=1e-10)
+
+    @given(st.lists(st.tuples(st.floats(min_value=-3, max_value=3),
+                              st.floats(min_value=-2, max_value=2)),
+                    min_size=2, max_size=30))
+    def test_loo_against_mpmath(self, rows):
+        # se = 10^u with u in [-2, 2]: precisions differ by up to 1e8
+        studies = [Study(str(i), estimate=theta, se=10.0 ** u)
+                   for i, (theta, u) in enumerate(rows)]
+        result = pool(studies)
+        with mpmath.workdps(50):
+            for i, diag in enumerate(result.per_study):
+                rest = studies[:i] + studies[i + 1:]
+                precision = mpmath.fsum(1 / mpmath.mpf(s.se) ** 2 for s in rest)
+                mean = mpmath.fsum(mpmath.mpf(s.estimate) / mpmath.mpf(s.se) ** 2
+                                   for s in rest) / precision
+                loo = diag.leave_one_out_prior
+                assert loo.precision == pytest.approx(float(precision), rel=1e-10, abs=0)
+                assert loo.mean == pytest.approx(float(mean), rel=1e-10, abs=0)
+
+    def test_dominant_study_leaves_the_rest(self):
+        # the first study's precision is 1e16 times the others'
+        studies = [Study("big", estimate=1.0, se=1e-8), Study("a", estimate=0.2, se=1.0),
+                   Study("b", estimate=0.5, se=1.0)]
+        (big, _, _) = pool(studies).per_study
+        assert big.leave_one_out_prior.mean == 0.35
+        assert big.leave_one_out_prior.precision == 2.0
 
     def test_loo_matches_re_pooling(self, studies):
         full = pool(studies)

@@ -4,15 +4,25 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from revbayes.statfn import (LOG_MAX, Branch, chisq1_tail, critical_ratio,
-                             critical_z, exp_or_inf, find_root, lambert_w,
-                             lambert_wm1_log, norm_cdf, norm_quantile,
-                             two_sided_p)
+from revbayes.statfn import (LOG_MAX, Branch, critical_ratio, critical_z,
+                             exp_or_inf, find_root, lambert_w, lambert_wm1_log,
+                             norm_cdf, norm_quantile, two_sided_p)
 
 
 def phi_oracle(x):
     """High-precision normal CDF, independent of the implementation."""
     return float(mpmath.ncdf(x))
+
+
+def quantile_oracle(p):
+    """Phi^-1(p) to 40 digits; below the quartile it is solved on log erfc,
+    where 2p - 1 would round to -1 for tiny p."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        if p >= 0.25:
+            return float(mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1))
+        return -float(mpmath.sqrt(2) * mpmath.findroot(
+            lambda x: mpmath.log(mpmath.erfc(x)) - mpmath.log(2 * p), 1))
 
 
 def bisect_oracle(f, lo, hi, iters=200):
@@ -59,7 +69,7 @@ class TestNormQuantile:
         assert norm_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_known_values(self):
-        # Newton refinement against norm_cdf pins these
+        # AS241 pins these
         assert norm_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
         assert norm_quantile(0.025) == pytest.approx(-1.959964, abs=1e-6)
 
@@ -73,11 +83,21 @@ class TestNormQuantile:
             with pytest.raises(ValueError):
                 norm_quantile(p)
 
+    @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+    def test_against_mpmath(self, p):
+        assert norm_quantile(p) == pytest.approx(quantile_oracle(p), rel=1e-10, abs=0)
+
 
 class TestCriticalZ:
-    @pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01, 0.005])
-    def test_same_bits_as_the_quantile(self, alpha):
-        assert critical_z(alpha) == norm_quantile(1.0 - alpha / 2.0)
+    @given(st.floats(min_value=1e-12, max_value=0.5))
+    def test_against_mpmath(self, alpha):
+        # alpha / 2 is exact, so the oracle sees the level the code sees
+        assert critical_z(alpha) == pytest.approx(-quantile_oracle(alpha / 2),
+                                                  rel=1e-10, abs=0)
+
+    def test_level_95_bits(self):
+        # the bits every default-level output is built on
+        assert critical_z(1.0 - 0.95) == 1.9599639845400538
 
     def test_cache_is_bounded(self):
         assert critical_z.cache_info().maxsize is not None
@@ -96,27 +116,12 @@ class TestCriticalRatio:
         assert (critical_ratio(z, alpha) > 1.0) == (z ** 2 > critical_z(alpha) ** 2)
 
 
-class TestChisq1Tail:
-    def test_full_mass_at_zero(self):
-        assert chisq1_tail(0.0) == 1.0
-
-    def test_five_percent_point(self):
-        z = norm_quantile(0.975)
-        assert chisq1_tail(z * z) == pytest.approx(0.05, abs=1e-12)
-
+class TestTwoSidedP:
     def test_box_scale_value(self):
         # 2*(1 - Phi(sqrt(1.545))) via the high-precision oracle
         expected = 2.0 * (1.0 - phi_oracle(math.sqrt(1.545)))
-        assert chisq1_tail(1.545) == pytest.approx(expected, abs=1e-14)
-        assert chisq1_tail(1.545) == pytest.approx(0.2139, abs=1e-4)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            chisq1_tail(-0.5)
-
-    @given(st.floats(min_value=-8, max_value=8))
-    def test_matches_two_sided_p(self, z):
-        assert chisq1_tail(z * z) == pytest.approx(two_sided_p(z), abs=1e-12)
+        assert two_sided_p(math.sqrt(1.545)) == pytest.approx(expected, abs=1e-14)
+        assert two_sided_p(math.sqrt(1.545)) == pytest.approx(0.2139, abs=1e-4)
 
 
 class TestLambertW:
