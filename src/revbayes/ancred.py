@@ -239,6 +239,10 @@ def equivalent_trial(prior: NormalPrior,
         return (1.0 + allocation) / (tau2 - 2.0 / e)
 
     e_star = (2.0 + (1.0 + allocation) * event_rate / (1.0 - event_rate)) / tau2
+    if math.isinf(e_star):
+        raise NonexistenceError(
+            f"no equivalent trial: its event count is outside the "
+            f"floating-point range (prior variance {tau2:.6g})")
     e_floor = math.floor(e_star)
     feasible = [float(e) for e in (e_floor, e_floor + 1) if e > 0 and tau2 - 2.0 / e > 0.0]
     e = min(feasible, key=lambda e: abs(e / (e + control_cells(e)) - event_rate))

@@ -192,9 +192,9 @@ class TestAcceptance:
     def test_12_posterior_boundary(self):
         rng = random.Random(103)
         worst = 0.0
-        from revbayes.statfn import norm_quantile
+        from revbayes.statfn import critical_z
         for alpha in (0.2, 0.1, 0.05, 0.01):
-            z_crit = norm_quantile(1 - alpha / 2)
+            z_crit = critical_z(alpha)
             for _ in range(10 ** 3):
                 se = 10 ** rng.uniform(-2, 1)
                 sign = rng.choice([-1, 1])
@@ -290,8 +290,8 @@ class TestAcceptance:
             mean = meta.pooled.mean * meta.pooled.precision / precision
             return (mean * math.sqrt(precision)) ** 2 > z_crit ** 2
 
-        from revbayes.statfn import norm_quantile
-        z_crit = norm_quantile(0.975)
+        from revbayes.statfn import critical_z
+        z_crit = critical_z(1.0 - 0.95)   # the alpha of failsafe_n's default level
         done = 0
         ok = True
         while done < 100:

@@ -319,6 +319,12 @@ class TestEquivalentTrial:
         with pytest.raises(NonexistenceError, match="allocation ratio"):
             equivalent_trial(NormalPrior(mu, 1.0), event_rate=0.3)
 
+    def test_event_count_outside_float_range(self):
+        # a prior variance near the subnormal range needs more events than
+        # a float holds; an OverflowError escaped from math.floor before
+        with pytest.raises(NonexistenceError, match="event count"):
+            equivalent_trial(NormalPrior(1.0, 1e-320), event_rate=0.3)
+
     def test_mean_zero_rate_hits_rate_exactly(self):
         trial = equivalent_trial(NormalPrior(0.0, 0.3), event_rate=0.25)
         assert trial.events_per_arm / trial.patients_per_arm == pytest.approx(

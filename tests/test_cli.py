@@ -3,26 +3,52 @@ import json
 import math
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import revbayes
-from revbayes import bundled_dataset_path
-from revbayes.cli import read_study_table, run
+from revbayes import bundled_dataset_path, cli
+from revbayes.cli import read_study_table, render_json, run
 from revbayes.errors import DataError
 
 DATA = str(bundled_dataset_path())
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "revbayes"
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_loads(text):
+    """json.loads that rejects Infinity, -Infinity and NaN (RFC 8259)."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     assert code == 0, out
-    return json.loads(out)
+    return strict_loads(out)
+
+
+@pytest.fixture(autouse=True)
+def renders_as_json_dumps(monkeypatch):
+    """The equality gate, on every report a test here renders: a finite
+    report comes out as json.dumps(report, sort_keys=True, indent=2)."""
+    def checked(report):
+        text = render_json(report)
+        try:
+            expected = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:   # non-finite floats, which json.dumps cannot write strictly
+            return text
+        assert text == expected
+        return text
+    monkeypatch.setattr(cli, "render_json", checked)
 
 
 class TestReadStudyTable:
@@ -243,7 +269,7 @@ class TestFprCommand:
 
 class TestOddsRatioOverflow:
     # valid findings whose odds ratios pass the float range: each site
-    # reports inf instead of raising OverflowError
+    # reports the string "inf" instead of raising OverflowError
     @pytest.mark.parametrize("argv, path", [
         ("ancred --estimate -0.53 --se 400", ("estimate", "ci_or", 1)),
         ("ancred --estimate -0.53 --se 400 --rate 0.3", ("estimate", "ci_or", 1)),
@@ -267,7 +293,96 @@ class TestOddsRatioOverflow:
         value = run_json(capsys, ["--json"] + argv)["results"]
         for key in path:
             value = value[key]
-        assert value == math.inf
+        assert value == "inf"
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_KEYS = st.text() | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028",
+                                     "\u00e9", "\U0001f600", ""])
+_SCALARS = (st.none() | st.booleans() | st.text()
+            | st.integers() | st.sampled_from([2 ** 64, -2 ** 64 - 1, 10 ** 40])
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from(_EDGE_FLOATS))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.just(()) | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestRenderJson:
+    @given(_VALUES)
+    def test_same_bytes_as_json_dumps(self, value):
+        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [{2: "a", 10: "b"}, {1.5: 0, -0.0: 1},
+                                       {True: 0, False: 1}, {None: 0}])
+    def test_scalar_keys_as_json_dumps(self, value):
+        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_non_finite_floats_are_strings(self):
+        text = render_json({"g": math.inf, "ci": [-math.inf, math.nan], "p": None})
+        assert strict_loads(text) == {"g": "inf", "ci": ["-inf", "nan"], "p": None}
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {(1,): 2}],
+                             ids=["set", "nested", "tuple-key"])
+    def test_unsupported_types_raise(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            render_json(value)
+
+
+def _fuzz_argv(rng):
+    """One extreme but finite command: |estimate| up to float max, se down to
+    5e-324, p down to 1e-300, --level up to 1 - 1e-12. Numbers go as
+    --opt=value, because argparse reads "-1e-05" after a space as an option."""
+    def magnitude(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    def estimate(se):
+        if rng.random() < 0.5:   # |z| up to 40 at any scale
+            return min(rng.uniform(-40.0, 40.0) * se, sys.float_info.max)
+        return rng.choice([-1.0, 1.0]) * magnitude(-3, 308)
+
+    kind = rng.choice(["ancred", "ancred-ci", "sceptical", "advocacy", "ic", "fpr"])
+    if kind == "fpr":
+        argv = ["fpr", f"--p={magnitude(-300, 0) * 0.999!r}",
+                rng.choice([f"--fpr={magnitude(-6, 0) * 0.999!r}", "--fpr-equals-p"])]
+    elif kind == "ancred-ci":
+        lower = estimate(1.0)
+        argv = ["ancred", f"--lower={lower!r}", f"--upper={lower + abs(estimate(1.0))!r}"]
+    else:
+        se = 5e-324 if rng.random() < 0.05 else magnitude(-323, 3)
+        argv = [f"--estimate={estimate(se)!r}", f"--se={se!r}"]
+        if kind == "ancred":
+            argv = ["ancred", *argv]
+            if rng.random() < 0.5:
+                argv.append(f"--rate={rng.uniform(1e-6, 1.0)!r}")
+        else:
+            argv = ["bf", *argv, f"--mode={kind}", f"--gamma={magnitude(-30, 0) * 0.999!r}"]
+    if rng.random() < 0.5:
+        level = rng.choice([1.0 - 1e-12, 1.0 - magnitude(-12, 0) * 0.999, rng.uniform(0.01, 0.99)])
+        argv = [f"--level={level!r}", *argv]
+    return ["--json", *argv] if rng.random() < 0.7 else argv
+
+
+class TestFuzz:
+    def test_exit_codes_and_strict_json(self, capsys):
+        # in process, so the renderer's equality gate sees every report too
+        rng = random.Random(7001)
+        codes = []
+        for _ in range(1500):
+            argv = _fuzz_argv(rng)
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            if code == 0 and "--json" in argv:
+                strict_loads(out)
+            codes.append(code)
+        assert {0, 2, 3} <= set(codes)
 
 
 class TestPackage:

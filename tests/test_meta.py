@@ -9,7 +9,7 @@ from revbayes.errors import DataError, NonexistenceError
 from revbayes.meta import (box_check, failsafe_n, forward_update, pool,
                            reverse_update)
 from revbayes.model import EffectEstimate, PosteriorSummary, Study
-from revbayes.statfn import norm_quantile
+from revbayes.statfn import critical_z
 
 
 def closed_form_pool(estimates):
@@ -174,11 +174,14 @@ class TestFailSafeN:
         assert "not significant" in result.reason
 
     def test_boundary_z(self):
-        # pooled z exactly at the critical value: no sceptical variance
-        # exists (se is a power of two so the arithmetic is exact)
-        z_crit = norm_quantile(0.975)
+        # pooled z exactly at the critical value failsafe_n compares with at
+        # level 0.95: not significant (se is a power of two, so the
+        # arithmetic is exact and r = 1)
+        z_crit = critical_z(1.0 - 0.95)
         result = failsafe_n(pool([Study("edge", estimate=z_crit * 0.25, se=0.25)]))
         assert not result.significant
+        above = math.nextafter(z_crit, math.inf) * 0.25
+        assert failsafe_n(pool([Study("edge", estimate=above, se=0.25)])).significant
 
     def test_rejects_impossible_level(self, meta_result):
         with pytest.raises(ValueError, match="alpha must be in"):
@@ -196,4 +199,4 @@ def _still_significant(meta, n_null, level=0.95):
     precision = meta.pooled.precision + n_null * avg_precision
     mean = meta.pooled.mean * meta.pooled.precision / precision
     z = mean * math.sqrt(precision)
-    return z ** 2 > norm_quantile(0.975) ** 2
+    return z ** 2 > critical_z(1.0 - level) ** 2
