@@ -5,7 +5,7 @@ conversion into equivalent hypothetical trials."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior, PriorRole
@@ -14,8 +14,7 @@ from .statfn import LOG_MAX, critical_ratio, critical_z, exp_or_inf, two_sided_p
 DEFAULT_ALPHA = 1.0 - DEFAULT_LEVEL
 
 
-@dataclass(frozen=True)
-class ScepticalAnalysis:
+class ScepticalAnalysis(NamedTuple):
     """Sufficiently sceptical prior for a significant finding."""
 
     g: float                 # relative prior variance tau^2 / sigma^2
@@ -27,8 +26,7 @@ class ScepticalAnalysis:
         return NormalPrior(0.0, self.tau2, PriorRole.SCEPTICAL)
 
 
-@dataclass(frozen=True)
-class AdvocacyAnalysis:
+class AdvocacyAnalysis(NamedTuple):
     """Advocacy prior for a non-significant finding."""
 
     m: float                 # relative prior mean mu / theta_hat
@@ -41,8 +39,7 @@ class AdvocacyAnalysis:
         return NormalPrior(self.mu, self.tau * self.tau, PriorRole.ADVOCACY)
 
 
-@dataclass(frozen=True)
-class CredibilityVerdict:
+class CredibilityVerdict(NamedTuple):
     credible: bool
     reason: str | None = None
 
@@ -50,8 +47,7 @@ class CredibilityVerdict:
         return self.credible
 
 
-@dataclass(frozen=True)
-class EquivalentTrial:
+class EquivalentTrial(NamedTuple):
     """Hypothetical two-arm trial carrying the same information as a prior."""
 
     events_per_arm: float

@@ -10,7 +10,7 @@ layers may invert to "1/x" strings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonexistenceError
 from .model import EffectEstimate, NormalPrior, interval
@@ -18,8 +18,7 @@ from .statfn import (LOG_MAX, Branch, exp_or_inf, find_root, lambert_w,
                      lambert_wm1_log)
 
 
-@dataclass(frozen=True)
-class BfScepticalSolution:
+class BfScepticalSolution(NamedTuple):
     """Both relative prior variances g at which BF01 equals the cut-off."""
 
     g_small: float
@@ -30,8 +29,7 @@ class BfScepticalSolution:
     prior_interval_or: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class BfAdvocacySolution:
+class BfAdvocacySolution(NamedTuple):
     """Both advocacy priors (fixed CV) at which BF01 equals the cut-off."""
 
     m_small: float

@@ -8,9 +8,11 @@ nonexistence (e.g. sceptical prior undefined).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -33,6 +35,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse would take -1e-05 for an option, not a negative number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise UsageError(message)
 
@@ -165,29 +172,26 @@ def cmd_meta(args) -> dict:
         per_study.append({
             "id": diag.study_id,
             "estimate": estimate,
-            "leave_one_out_prior": (None if loo is None else
-                                    {"mean": loo.mean, "precision": loo.precision}),
+            "leave_one_out_prior": None if loo is None else loo._asdict(),
             "t_box": None if math.isnan(diag.t_box) else diag.t_box,
             "p_box": p_box,
             "forest_row": [diag.study_id, estimate["log_or"], *estimate["ci_log"],
                            estimate["p"], p_box],
         })
 
-    report = {
+    return {
         "command": "meta",
         "input_digest": _digest_file(args.file),
         "results": {
             "pooled": _estimate_payload(pooled_est, args.level),
             "pooled_precision": result.pooled.precision,
             "n_studies": result.n_studies,
-            "fail_safe_n": {"n_exact": fsn.n_exact, "n_integer": fsn.n_integer,
-                            "significant": fsn.significant, "reason": fsn.reason},
+            "fail_safe_n": fsn._asdict(),
             "per_study": per_study,
         },
         "warnings": ([] if result.n_studies > 1 else
                      ["single-study table: fail-safe N refers to n=1"]),
     }
-    return report
 
 
 def _print_meta(report: dict, scale: str) -> None:
@@ -341,22 +345,13 @@ def cmd_bf(args) -> dict:
                      "mode": args.mode}
     if args.mode == "sceptical":
         sol = sceptical_g_for_gamma(z, args.gamma, est.se)
-        results["sceptical"] = {
-            "gamma": sol.gamma,
-            "g_small": sol.g_small, "g_large": sol.g_large,
-            "prior_interval_or": list(sol.prior_interval_or),
-            "bf12_at_g_small": bf12_sceptical_vs_optimistic(z, sol.g_small),
-        }
+        results["sceptical"] = dict(
+            sol._asdict(), bf12_at_g_small=bf12_sceptical_vs_optimistic(z, sol.g_small))
     elif args.mode == "advocacy":
         sol = advocacy_for_gamma(est, args.gamma)
-        results["advocacy"] = {
-            "gamma": sol.gamma, "z_gamma": z_gamma(args.gamma), "cv": sol.cv,
-            "m_small": sol.m_small, "tau_small": sol.tau_small,
-            "m_large": sol.m_large, "tau_large": sol.tau_large,
-            "recommended_m": sol.recommended_m,
-            "prior_interval_or": list(
-                advocacy_prior_interval_or(est, sol.m_small, args.gamma)),
-        }
+        results["advocacy"] = dict(
+            sol._asdict(), z_gamma=z_gamma(args.gamma), recommended_m=sol.recommended_m,
+            prior_interval_or=advocacy_prior_interval_or(est, sol.m_small, args.gamma))
     elif args.mode == "ic":
         results["bf_intrinsic"] = bf_intrinsic(est)
     else:
@@ -495,14 +490,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process: parse_args leaves it unchanged
 _RUNNERS = {"meta": (cmd_meta, _print_meta), "ancred": (cmd_ancred, _print_ancred),
             "bf": (cmd_bf, _print_bf), "fpr": (cmd_fpr, _print_fpr)}
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if not (0.0 < args.level < 1.0):
             raise UsageError(f"--level must be in (0,1), got {args.level!r}")
         runner, printer = _RUNNERS[args.command]

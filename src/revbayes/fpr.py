@@ -11,7 +11,7 @@ import enum
 import math
 
 from .bf import min_bf_els, min_bf_local
-from .statfn import norm_quantile
+from .statfn import two_sided_z
 
 
 class CalibrationKind(enum.Enum):
@@ -39,8 +39,7 @@ def min_bf(p: float, kind: CalibrationKind) -> float:
         return -math.e * p * math.log(p) if p < 1.0 / math.e else 1.0
     if kind is CalibrationKind.E_Q_LOG_Q:
         return -math.e * (1.0 - p) * math.log1p(-p) if p < 1.0 - 1.0 / math.e else 1.0
-    # |z| from the lower tail: 1 - p/2 rounds to 1 for p below ~1e-16
-    z = -norm_quantile(p / 2.0)
+    z = two_sided_z(p)
     if kind is CalibrationKind.LOCAL_Z:
         return min_bf_local(z)
     if kind is CalibrationKind.SIMPLE_Z:

@@ -4,15 +4,14 @@ conflict checks, and fail-safe N."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study
 from .statfn import critical_ratio, two_sided_p
 
 
-@dataclass(frozen=True)
-class StudyDiagnostics:
+class StudyDiagnostics(NamedTuple):
     study_id: str
     estimate: EffectEstimate
     # None when the study stands alone: the leave-one-out prior is flat
@@ -21,8 +20,7 @@ class StudyDiagnostics:
     p_box: float
 
 
-@dataclass(frozen=True)
-class MetaResult:
+class MetaResult(NamedTuple):
     pooled: PosteriorSummary
     per_study: tuple[StudyDiagnostics, ...]
 
@@ -31,8 +29,7 @@ class MetaResult:
         return len(self.per_study)
 
 
-@dataclass(frozen=True)
-class FailSafeResult:
+class FailSafeResult(NamedTuple):
     n_exact: float
     n_integer: int
     significant: bool

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataError
 from .statfn import critical_ratio, critical_z, two_sided_p
@@ -25,18 +25,24 @@ class PriorRole(enum.Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class EffectEstimate:
+def _checked_make(cls, values):
+    # namedtuple's _make, which _replace calls, would skip __new__'s checks
+    return cls(*values)
+
+
+class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", float)])):
     """A normally distributed point estimate (log OR) with standard error."""
 
-    theta_hat: float
-    se: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
+    def __new__(cls, theta_hat: float, se: float):
+        self = super().__new__(cls, theta_hat, se)
         if not (math.isfinite(self.theta_hat) and math.isfinite(self.se)):
             raise ValueError("estimate and se must be finite")
         if self.se <= 0.0:
             raise ValueError(f"standard error must be positive, got {self.se!r}")
+        return self
 
     @property
     def z(self) -> float:
@@ -69,19 +75,19 @@ class EffectEstimate:
                    se=(upper - lower) / (2.0 * z_crit))
 
 
-@dataclass(frozen=True)
-class Study:
+class Study(NamedTuple("Study", [
+        ("id", str), ("events_treatment", "int | None"), ("n_treatment", "int | None"),
+        ("events_control", "int | None"), ("n_control", "int | None"),
+        ("estimate", "float | None"), ("se", "float | None")])):
     """One trial: either 2x2 outcome counts or a precomputed estimate."""
 
-    id: str
-    events_treatment: int | None = None
-    n_treatment: int | None = None
-    events_control: int | None = None
-    n_control: int | None = None
-    estimate: float | None = None
-    se: float | None = None
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
+    def __new__(cls, id, events_treatment=None, n_treatment=None, events_control=None,
+                n_control=None, estimate=None, se=None):
+        self = super().__new__(cls, id, events_treatment, n_treatment,
+                               events_control, n_control, estimate, se)
         counts = (self.events_treatment, self.n_treatment,
                   self.events_control, self.n_control)
         has_counts = all(v is not None for v in counts)
@@ -100,6 +106,7 @@ class Study:
         else:
             if self.se <= 0:
                 raise DataError(f"study {self.id!r}: se must be positive")
+        return self
 
     @property
     def has_counts(self) -> bool:
@@ -111,15 +118,15 @@ class Study:
         return EffectEstimate(self.estimate, self.se)
 
 
-@dataclass(frozen=True)
-class NormalPrior:
+class NormalPrior(NamedTuple("NormalPrior", [
+        ("mean", float), ("variance", float), ("role", PriorRole)])):
     """Normal prior on the log OR scale, tagged with its role."""
 
-    mean: float
-    variance: float
-    role: PriorRole = PriorRole.GENERIC
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
+    def __new__(cls, mean: float, variance: float, role: PriorRole = PriorRole.GENERIC):
+        self = super().__new__(cls, mean, variance, role)
         if self.role is PriorRole.FLAT:
             if not math.isinf(self.variance):
                 raise ValueError("flat prior is encoded as infinite variance")
@@ -127,6 +134,7 @@ class NormalPrior:
             raise ValueError(f"prior variance must be positive, got {self.variance!r}")
         if self.role is PriorRole.SCEPTICAL and self.mean != 0.0:
             raise ValueError("sceptical prior must have mean zero")
+        return self
 
     @property
     def precision(self) -> float:
@@ -140,16 +148,17 @@ class NormalPrior:
         return interval(self.mean, self.sd, level)
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
+class PosteriorSummary(NamedTuple("PosteriorSummary", [("mean", float), ("precision", float)])):
     """Posterior mean and precision from forward normal updating."""
 
-    mean: float
-    precision: float
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
+    def __new__(cls, mean: float, precision: float):
+        self = super().__new__(cls, mean, precision)
         if self.precision <= 0.0:
             raise ValueError(f"posterior precision must be positive, got {self.precision!r}")
+        return self
 
     @property
     def sd(self) -> float:

@@ -53,15 +53,20 @@ def norm_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
-@functools.lru_cache(maxsize=16)
-def critical_z(alpha: float) -> float:
-    """Two-sided critical value Phi^-1(1 - alpha/2), memoised: callers ask for
-    the same few levels again and again. Taken from the lower tail, as
-    1 - alpha/2 rounds, plus one Newton step on erfc(x / sqrt(2)) / 2 = alpha / 2."""
+def two_sided_z(alpha: float) -> float:
+    """|z| with two-sided p-value alpha, Phi^-1(1 - alpha/2). Taken from the
+    lower tail, as 1 - alpha/2 rounds, plus one Newton step on
+    erfc(x / sqrt(2)) / 2 = alpha / 2."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
     x = -norm_quantile(alpha / 2.0)
     return x + (0.5 * math.erfc(x / _SQRT2) - alpha / 2.0) / norm_pdf(x)
+
+
+@functools.lru_cache(maxsize=16)
+def critical_z(alpha: float) -> float:
+    """two_sided_z(alpha), memoised: callers ask for the same few levels again."""
+    return two_sided_z(alpha)
 
 
 def critical_ratio(z: float, alpha: float) -> float:

@@ -337,7 +337,7 @@ class TestRenderJson:
 def _fuzz_argv(rng):
     """One extreme but finite command: |estimate| up to float max, se down to
     5e-324, p down to 1e-300, --level up to 1 - 1e-12. Numbers go as
-    --opt=value, because argparse reads "-1e-05" after a space as an option."""
+    --opt=value."""
     def magnitude(lo, hi):
         return 10.0 ** rng.uniform(lo, hi)
 
@@ -399,6 +399,13 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
 
+    def test_cli_import_skips_dataclasses(self):
+        # dataclasses, with inspect behind it, is most of a cold process's import
+        proc = self.python("-c", "import sys; from revbayes.cli import main; "
+                           "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
     @pytest.mark.parametrize("args", [["-W", "error", "-m", "revbayes.cli"],
                                       ["-m", "revbayes"]],
                              ids=["revbayes.cli", "revbayes"])
@@ -448,6 +455,30 @@ class TestDriver:
         table = tmp_path / "huge.csv"
         table.write_text("id,estimate,se\nA,1e155,1\nB,1e155,1\n")
         assert run(shlex.split(argv.format(table=table))) in (2, 3)
+
+    def test_runs_share_no_state(self, capsys):
+        # one parser serves every run of the process
+        assert run(["--json", "fpr", "--p", "0.05"]) == 0
+        assert strict_loads(capsys.readouterr().out)["command"] == "fpr"
+        assert run(["fpr", "--p", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("p 0.05, FPR 0.05: upper bound on Pr(H0)\n")
+        assert "{" not in out
+
+    @pytest.mark.parametrize("command", ["ancred", "bf"])
+    def test_negative_number_in_scientific_notation(self, capsys, command):
+        assert run(["--json", command, "--estimate", "-1e-05", "--se", "1e-06"]) == 0
+        spaced = capsys.readouterr()
+        assert run(["--json", command, "--estimate=-1e-05", "--se", "1e-06"]) == 0
+        assert capsys.readouterr() == spaced
+
+    def test_negative_exponent_forms(self, capsys):
+        for value in ["-2.5E+1", "-.5e-3", "-5.e2", "-7"]:
+            assert run(["--json", "ancred", "--estimate", value, "--se", "100"]) == 0, value
+            assert strict_loads(capsys.readouterr().out)["results"]["estimate"][
+                "log_or"] == float(value)
+        assert run(["ancred", "--estimate", "-e5", "--se", "1"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_level_flag_changes_interval(self, capsys):
         wide = run_json(capsys, ["--json", "--level", "0.99", "meta", DATA])

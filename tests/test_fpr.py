@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -74,6 +75,28 @@ class TestMinBf:
             }
         for kind, value in expected.items():
             assert min_bf(p, kind) == pytest.approx(float(value), rel=1e-10, abs=0)
+
+    def test_grid_range_against_mpmath(self):
+        # the p range of `fpr --grid`. exp(-z^2/2) turns a relative error d
+        # in z into about z^2 d, so the bound grows with z^2; a z taken from
+        # the quantile without the Newton step is up to 2.1 times over it.
+        eps = sys.float_info.epsilon
+        lo, hi = math.log(1e-4), math.log(0.5)
+        with mpmath.workdps(40):
+            for i in range(201):
+                p = math.exp(lo + (hi - lo) * i / 200)
+                z = mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(p))
+                half_z2 = z * z / 2
+                expected = {
+                    K.LOCAL_Z: 1 if z <= 1 else z * mpmath.exp(-half_z2 + mpmath.mpf(1) / 2),
+                    K.SIMPLE_Z: min(1, 2 * mpmath.exp(-half_z2)
+                                    / (1 + mpmath.exp(-4 * half_z2))),
+                    K.ELS_ALL_PRIORS: mpmath.exp(-half_z2),
+                }
+                rel_tol = 1.5 * (float(z * z) + 1.0) * eps
+                for kind, value in expected.items():
+                    assert min_bf(p, kind) == pytest.approx(
+                        float(value), rel=rel_tol, abs=0), (p, kind)
 
     def test_bad_p(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from revbayes.errors import DataError
-from revbayes.model import (EffectEstimate, NormalPrior, PriorRole, Study,
-                            ci_limits, estimate_from_counts, forward_odds,
-                            reverse_prior_odds)
+from revbayes.model import (EffectEstimate, NormalPrior, PosteriorSummary,
+                            PriorRole, Study, ci_limits, estimate_from_counts,
+                            forward_odds, reverse_prior_odds)
 
 
 class TestEstimateFromCounts:
@@ -57,6 +57,45 @@ class TestStudyInvariants:
         assert est.theta_hat == -0.4 and est.se == 0.2
         with pytest.raises(DataError):
             Study("s", estimate=-0.4, se=0.0)
+
+
+class TestRecords:
+    # the result records are immutable named tuples that validate when built
+    def test_fields_cannot_be_assigned(self):
+        est = EffectEstimate(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            est.se = 3.0
+        with pytest.raises(AttributeError):
+            Study("s", estimate=0.1, se=0.2).id = "t"
+
+    def test_equal_records_hash_equal(self):
+        assert EffectEstimate(1.0, 2.0) == EffectEstimate(1.0, 2.0)
+        assert hash(EffectEstimate(1.0, 2.0)) == hash(EffectEstimate(1.0, 2.0))
+        assert len({NormalPrior(0.0, 1.0), NormalPrior(0.0, 1.0)}) == 1
+
+    def test_repr(self):
+        assert repr(EffectEstimate(1.0, 2.0)) == "EffectEstimate(theta_hat=1.0, se=2.0)"
+
+    def test_invalid_input_raises_as_before(self):
+        with pytest.raises(ValueError) as exc:
+            EffectEstimate(0.1, 0.0)
+        assert (type(exc.value), str(exc.value)) == (
+            ValueError, "standard error must be positive, got 0.0")
+        with pytest.raises(DataError) as exc:
+            Study("bad", 11, 10, 1, 10)
+        assert str(exc.value) == "study 'bad': events exceed arm size"
+        with pytest.raises(ValueError, match="posterior precision must be positive"):
+            PosteriorSummary(0.0, -1.0)
+
+    def test_replace_validates(self):
+        est = EffectEstimate(1.0, 2.0)
+        assert est._replace(se=4.0) == EffectEstimate(1.0, 4.0)
+        with pytest.raises(ValueError, match="standard error must be positive"):
+            est._replace(se=0.0)
+        with pytest.raises(DataError, match="events exceed arm size"):
+            Study("s", 1, 10, 1, 10)._replace(events_treatment=11)
+        with pytest.raises(ValueError, match="sceptical prior must have mean zero"):
+            NormalPrior(0.0, 1.0, PriorRole.SCEPTICAL)._replace(mean=0.5)
 
 
 class TestReversePriorOdds:
