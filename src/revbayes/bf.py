@@ -88,15 +88,19 @@ def sceptical_g_for_gamma(z: float, gamma: float,
     # 1 + g = -z^2 / W(-x) with x = (z^2/gamma^2) e^(-z^2), which underflows
     # from |z| ~ 27: W-1 takes log x, and as W(-x) e^W(-x) = -x, the large
     # root is 1 + g = gamma^2 e^(z^2 + W0(-x)), W0(-x) -> 0 as x -> 0.
-    z2 = z * z
-    log_x = 2.0 * math.log(abs(z)) - 2.0 * math.log(gamma) - z2
+    z2, log_gamma2 = z * z, 2.0 * math.log(gamma)
+    log_x = 2.0 * math.log(abs(z)) - log_gamma2 - z2
     q_small = lambert_wm1_log(log_x)
     q_large = lambert_w(-math.exp(log_x), Branch.PRINCIPAL)
-    g_small = -z2 / q_small - 1.0
-    log_large = z2 + 2.0 * math.log(gamma) + q_large
+    # g_small = d / (z^2 - d), d = z^2 + W-1 cancels as gamma -> 1: one Newton
+    # step on d + log1p(-d/z^2) = -2 log gamma, of slope 0 at W-1 = -1, fixes d.
+    d = z2 + q_small
+    if q_small < -1.0:
+        d -= (d + math.log1p(-d / z2) + log_gamma2) / (1.0 + 1.0 / q_small)
+    g_small = d / (z2 - d)
+    log_large = z2 + log_gamma2 + q_large
     g_large = math.expm1(log_large) if log_large <= LOG_MAX else math.inf
-    # Branch-point roundoff can leave g marginally below the tangency value.
-    g_small = max(g_small, 1e-15)
+    # Branch-point roundoff can leave g_large marginally below g_small.
     g_large = max(g_large, g_small)
     interval_or = None
     if se is not None:
@@ -142,45 +146,60 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     z2 = estimate.z * estimate.z
     k = (cv * estimate.z) * (cv * estimate.z)
     log_gamma = math.log(gamma)
+    theta = abs(estimate.theta_hat)
+    # dBF01/dm = 0 is z^2 p(m) = 0 with p(m) = a m^3 + k m^2 + c m - 1, convex
+    # on m > 0. Its coefficients change sign once, so it has one positive
+    # root m_min, and p(0) = -1 < 0 < p(1) = cv^2 (k + 1).
+    a, c = k * (cv * cv), 1.0 + cv * cv - k
+    if max(z2, a) == math.inf:
+        # Past the float range the limits hold: as z -> inf, t_far -> inf and
+        # h(x / z^2) (below) -> -log gamma - x - cv^2 x^2 / 2, cv^2 = -1/(2 log gamma).
+        m = 2.0 * (math.sqrt(2.0) - 1.0) * -log_gamma / abs(estimate.z) / abs(estimate.z)
+        return BfAdvocacySolution(m, cv * m * theta, math.inf, math.inf, gamma, cv)
 
-    # h(m) = log BF01(m) - log gamma, with tau^2 / se^2 = k m^2. From m = 1
-    # on it is written in w = 1/m and t = log m (h_log), finite for every m;
-    # h(1) is h_log(0), so the two large-root brackets agree on its sign.
-    def h(m: float) -> float:
-        if m >= 1.0:
-            return h_log(math.log(m))
-        return (0.5 * math.log1p(k * m * m)
-                - 0.5 * z2 * m * (2.0 + (k - 1.0) * m) / (1.0 + k * m * m) - log_gamma)
+    def p(m: float) -> tuple[float, float]:
+        return ((a * m + k) * m + c) * m - 1.0, (3.0 * a * m + 2.0 * k) * m + c
 
-    def h_log(t: float) -> float:
+    # h(m) = log BF01(m) - log gamma, with tau^2 / se^2 = k m^2, and its slope
+    # dh/dm = z^2 p(m) / (1 + k m^2)^2.
+    def h(m: float) -> tuple[float, float]:
+        d = 1.0 + k * m * m
+        return (0.5 * math.log1p(k * m * m) - 0.5 * z2 * m * (2.0 + (k - 1.0) * m) / d
+                - log_gamma, z2 * p(m)[0] / (d * d))
+
+    # h and dh/dt in t = log m: h itself below m = 1, and from m = 1 on in
+    # w = 1/m, where it stays finite for every t.
+    def h_log(t: float) -> tuple[float, float]:
+        if t < 0.0:
+            value, slope = h(m := math.exp(t))
+            return value, m * slope
         w = math.exp(-t)
-        return (t + 0.5 * math.log(k + w * w) - 0.5 * z2
-                + 0.5 * z2 * ((w - 1.0) * (w - 1.0)) / (w * w + k) - log_gamma)
+        d = w * w + k
+        return (t + 0.5 * math.log(d) - 0.5 * z2 + 0.5 * z2 * ((w - 1.0) * (w - 1.0)) / d
+                - log_gamma, z2 * (a + (k + (c - w) * w) * w) / (d * d))
 
-    # dBF01/dm = 0 is k^2 m^3 + k z^2 m^2 + (k - k z^2 + z^2) m - z^2 = 0,
-    # here divided by z^2. Its coefficients change sign once, so it has one
-    # positive root, and p(0) = -1 < 0 < p(1) = cv^2 (k + 1).
-    m_min = find_root(
-        lambda m: (k * (cv * cv) * m + k) * m * m + (1.0 + cv * cv - k) * m - 1.0,
-        0.0, 1.0)
-    h_min = h(m_min)
+    # p(m) = k m s(m) + (1 + cv^2) m - 1 with s(m) = cv^2 m^2 + m - 1, so p >= 0
+    # at the positive root of s, and Newton from there falls monotonically to
+    # m_min. m_min = exp(log m_min), so that h and h_log agree on h_min.
+    t_min = math.log(find_root(p, 0.0, 1.0, 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (cv * cv)))))
+    m_min = math.exp(t_min)
+    h_min = h(m_min)[0]
     if h_min > 0.0:
         raise NonexistenceError(
             f"no advocacy prior reaches BF01 = {gamma:.4g}: the family's "
             f"minimum is {gamma * math.exp(h_min):.4g} (at m = {m_min:.4g})")
 
-    # h(0) = -log gamma > 0. For m >= 1, log BF01 >= log m + log(k)/2 - z^2/2,
-    # so h(e^t) >= 0 at t_hi = z^2/2 + log gamma - log(k)/2; h(1) < 0 puts
-    # t_hi above log(1 + 1/k)/2 > 0.
-    m_small = find_root(h, 0.0, m_min)
-    if h(1.0) >= 0.0:
-        m_large = find_root(h, m_min, 1.0)
-    else:
-        t_hi = 0.5 * z2 + log_gamma - 0.5 * math.log(k)
-        t_large = find_root(h_log, 0.0, t_hi)
-        m_large = exp_or_inf(t_large)
-
-    theta = abs(estimate.theta_hat)
+    # h(0) = -log gamma > 0 with slope -z^2: the small root starts where that
+    # tangent meets 0. log BF01 >= log m + log(k)/2 - z^2/2 for every m, so
+    # h(e^t) >= t - t_hi with t_hi = z^2/2 + log gamma - log(k)/2, and h(e^t)
+    # ~ t - t_far, t_far = t_hi + log gamma, for m >> 1. The large root starts
+    # from the later of t_far and the small root mirrored about m_min, or
+    # from the mirror if t_far < 0.
+    m_small = find_root(h, 0.0, m_min, min(-log_gamma / z2, 0.5 * m_min))
+    t_hi = 0.5 * z2 + log_gamma - 0.5 * math.log(k)
+    t_far, t_mirror = t_hi + log_gamma, math.log(2.0 * m_min - m_small)
+    m_large = exp_or_inf(find_root(h_log, t_min, t_hi + 1.0,
+                                   max(t_far, t_mirror) if t_far > 0.0 else t_mirror))
     return BfAdvocacySolution(
         m_small=m_small, tau_small=cv * m_small * theta,
         m_large=m_large, tau_large=cv * m_large * theta,

@@ -39,9 +39,11 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
     def __new__(cls, theta_hat: float, se: float):
         self = super().__new__(cls, theta_hat, se)
         if not (math.isfinite(self.theta_hat) and math.isfinite(self.se)):
-            raise ValueError("estimate and se must be finite")
+            raise DataError("estimate and se must be finite")
         if self.se <= 0.0:
             raise ValueError(f"standard error must be positive, got {self.se!r}")
+        if math.isinf(self.theta_hat / self.se):
+            raise DataError(f"z = estimate / se overflows: {self.theta_hat!r} / {self.se!r}")
         return self
 
     @property

@@ -18,8 +18,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_E = math.exp(-1.0)
 # Largest t with exp(t) finite.
 LOG_MAX = math.log(sys.float_info.max)
-# Cap on find_root's steps; the brackets the package passes narrow to the
-# stopping width in far fewer.
+# Cap on find_root's steps; from the package's starts Newton needs far fewer.
 _FIND_ROOT_MAX_ITER = 200
 
 
@@ -158,59 +157,38 @@ def lambert_wm1_log(log_x: float) -> float:
     return w
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Brent-style bracketing root finder.
+def find_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float,
+              x0: float) -> float:
+    """Bracketed Newton root finder; f(x) returns (f(x), f'(x)).
 
-    Requires f(lo) and f(hi) of opposite sign (or zero). Terminates when the
-    bracket narrows to 4 ulp, 4 * eps * |x| at every scale, or f is exactly zero.
+    Requires f(lo) and f(hi) of opposite sign (or zero), and lo <= x0 <= hi.
+    Newton steps from x0; each evaluation shrinks the bracket, and a step that
+    would leave it bisects instead. Stops once a step is within 2 ulp of x,
+    when the bracket is 4 ulp wide, or when f is exactly zero.
     """
-    a, b = float(lo), float(hi)
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    if f_lo * f_hi > 0.0:
         raise ValueError(f"find_root: interval [{lo}, {hi}] does not bracket a root "
-                         f"(f(lo)={fa!r}, f(hi)={fb!r})")
-    c, fc = a, fa
-    d = e = b - a
-    rel, tiny = 2.0 * sys.float_info.epsilon, sys.float_info.min
+                         f"(f(lo)={f_lo!r}, f(hi)={f_hi!r})")
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    x = x0
     for _ in range(_FIND_ROOT_MAX_ITER):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = max(rel * abs(b), tiny)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol:
-            return b
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                # secant
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                # inverse quadratic
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
+        fx, slope = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo = x
         else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-        if fb == 0.0:
-            return b
-    return b
+            hi = x
+        step = fx / slope if slope else math.inf
+        tol = 2.0 * math.ulp(x)
+        # Step test first: a roundoff step onto a bracket end would bisect.
+        if abs(step) <= tol:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 * tol:
+                return x
+    return x

@@ -4,7 +4,9 @@ import sys
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from revbayes import bf, statfn
 from revbayes.bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                          bf01_normal_prior, bf01_sceptical, bf12_sceptical_vs_optimistic,
                          bf_intrinsic, min_bf_els, min_bf_local,
@@ -308,3 +310,121 @@ class TestBfIntrinsic:
         # v e^-v = z^2 e^(-z^2/2) / sqrt(2) exceeds 1/e for 1 < |z| < 2.04
         with pytest.raises(NonexistenceError):
             bf_intrinsic(EffectEstimate(z, 1.0))
+
+
+# gamma log-uniform on [1e-30, 0.95], or 1 - gamma log-uniform on [1e-12, 0.05]
+_GAMMAS = (st.floats(-30.0, math.log10(0.95)).map(lambda u: 10.0 ** u)
+           | st.floats(-12.0, math.log10(0.05)).map(lambda u: 1.0 - 10.0 ** u))
+_ESTIMATES = st.builds(lambda z, log_se: EffectEstimate(z * 10.0 ** log_se, 10.0 ** log_se),
+                       st.floats(-40.0, 40.0), st.floats(-2.0, 2.0))
+
+
+def mp_bisect(f, lo, hi, steps=200):
+    """Oracle: plain bisection in the current mpmath precision."""
+    negative_at_lo = f(lo) < 0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if (f(mid) < 0) == negative_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+class TestOracleSweep:
+    """|z| in [0, 40] and se in [1e-2, 1e2] against mpmath at 50 digits,
+    with relative tolerances and no absolute one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ESTIMATES, _GAMMAS)
+    def test_advocacy(self, est, gamma):
+        with mpmath.workdps(50):
+            zm, log_gamma = mpmath.mpf(est.z), mpmath.log(mpmath.mpf(gamma))
+            cv2 = -1 / (2 * log_gamma)
+            k = cv2 * zm ** 2
+
+            def h(m):  # log BF01 - log gamma at relative prior mean m
+                mu = mpmath.mpf(m) * zm
+                return (mpmath.log1p(cv2 * mu ** 2) - zm ** 2
+                        + (zm - mu) ** 2 / (1 + cv2 * mu ** 2)) / 2 - log_gamma
+
+            m_min = mp_bisect(lambda m: ((k * cv2 * m + k) * m + 1 + cv2 - k) * m - 1,
+                              mpmath.mpf(0), mpmath.mpf(1))
+            h_min = h(m_min)
+            try:
+                sol = advocacy_for_gamma(est, gamma)
+            except NonexistenceError:
+                assert h_min > -1e-10
+                return
+            assert h_min < 1e-10
+            tol = 1e-10 * max(1.0, abs(math.log(gamma)))
+            assert abs(h(sol.m_small)) <= tol
+            assert (sol.m_large == math.inf) == (h(sys.float_info.max) < 0)
+            if sol.m_large < math.inf:
+                assert abs(h(sol.m_large)) <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-40.0, 40.0), _GAMMAS)
+    def test_sceptical_g(self, z, gamma):
+        with mpmath.workdps(50):
+            zm, gm = mpmath.mpf(z), mpmath.mpf(gamma)
+            x = zm ** 2 / gm ** 2 * mpmath.exp(-zm ** 2)
+            if abs(z) <= 1.0 or x > 1 / mpmath.e:
+                with pytest.raises(NonexistenceError):
+                    sceptical_g_for_gamma(z, gamma)
+                return
+            g_small, g_large = (-zm ** 2 / mpmath.lambertw(-x, branch).real - 1
+                                for branch in (-1, 0))
+        sol = sceptical_g_for_gamma(z, gamma)
+        assert sol.g_small == pytest.approx(float(g_small), rel=1e-10, abs=0)
+        if g_large > sys.float_info.max:
+            assert sol.g_large == math.inf
+        else:
+            assert sol.g_large == pytest.approx(float(g_large), rel=1e-10, abs=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ESTIMATES)
+    def test_bf_intrinsic(self, est):
+        with mpmath.workdps(50):
+            zm = mpmath.mpf(est.z)
+            x = zm ** 2 * mpmath.exp(-zm ** 2 / 2) / mpmath.sqrt(2)
+            if abs(est.z) <= 1.0 or x > 1 / mpmath.e:
+                with pytest.raises(NonexistenceError):
+                    bf_intrinsic(est)
+                return
+            g = zm ** 2 / -mpmath.lambertw(-x, -1).real - 1
+            expected = mpmath.sqrt(1 + g) * mpmath.exp(-g / (1 + g) * zm ** 2 / 2)
+        assert bf_intrinsic(est) == pytest.approx(float(expected), rel=1e-10, abs=0)
+
+
+class TestAdvocacySolveBudget:
+    def test_evaluations_per_solve(self, monkeypatch):
+        # f calls per find_root call, over a seeded sweep of the oracle range
+        calls = []
+
+        def counted_find_root(f, lo, hi, x0):
+            calls.append(0)
+
+            def counted(x):
+                calls[-1] += 1
+                return f(x)
+            return statfn.find_root(counted, lo, hi, x0)
+
+        monkeypatch.setattr(bf, "find_root", counted_find_root)
+        rng = random.Random(9)
+        main, near_one = [], []
+        for i in range(4000):
+            se = 10.0 ** rng.uniform(-2.0, 2.0)
+            est = EffectEstimate(rng.uniform(-40.0, 40.0) * se, se)
+            if i % 4:
+                gamma, solves = 10.0 ** rng.uniform(-30.0, math.log10(0.95)), main
+            else:
+                gamma, solves = 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.05)), near_one
+            calls.clear()
+            try:
+                advocacy_for_gamma(est, gamma)
+            except NonexistenceError:
+                pass
+            solves.extend(calls)
+        assert sum(main) / len(main) <= 7.0
+        assert max(main + near_one) <= 40

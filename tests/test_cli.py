@@ -456,6 +456,13 @@ class TestDriver:
         table.write_text("id,estimate,se\nA,1e155,1\nB,1e155,1\n")
         assert run(shlex.split(argv.format(table=table))) in (2, 3)
 
+    def test_overflowing_z_is_named(self, capsys):
+        # z = 1.4e154 / 2.6e-162 overflows; the error names it, not the
+        # prior variance that would underflow to 0 from it
+        assert run(["ancred", "--estimate", "1.4e154", "--se", "2.6e-162"]) == 2
+        assert capsys.readouterr().err == (
+            "data error: z = estimate / se overflows: 1.4e+154 / 2.6e-162\n")
+
     def test_runs_share_no_state(self, capsys):
         # one parser serves every run of the process
         assert run(["--json", "fpr", "--p", "0.05"]) == 0

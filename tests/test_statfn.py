@@ -190,38 +190,54 @@ class TestExpOrInf:
 
 class TestFindRoot:
     def test_linear(self):
-        assert find_root(lambda x: x - 2.0, 0.0, 5.0) == pytest.approx(2.0, abs=1e-12)
+        assert find_root(lambda x: (x - 2.0, 1.0), 0.0, 5.0, 1.0) == pytest.approx(
+            2.0, abs=1e-12)
 
     def test_sqrt2_against_bisection(self):
         expected = bisect_oracle(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert find_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
-            expected, abs=1e-10)
-        assert find_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(
-            1.4142136, abs=1e-7)
+        got = find_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1.0)
+        assert got == pytest.approx(expected, abs=1e-10)
+        assert got == pytest.approx(1.4142136, abs=1e-7)
 
     def test_cosine(self):
         expected = bisect_oracle(math.cos, 1.0, 2.0)
-        got = find_root(math.cos, 1.0, 2.0)
+        got = find_root(lambda x: (math.cos(x), -math.sin(x)), 1.0, 2.0, 1.0)
         assert got == pytest.approx(expected, abs=1e-10)
         assert got == pytest.approx(1.5707963, abs=1e-7)
 
-    def test_stops_on_bracket_width_not_residual(self):
-        # every |f| here is below 1e-12, so only the bracket width can stop it
-        assert find_root(lambda x: 1e-15 * (x - 2.0), 0.0, 5.0) == pytest.approx(
-            2.0, rel=1e-12)
+    def test_stops_on_step_not_residual(self):
+        # every |f| here is below 1e-12, so only the step size can stop it
+        assert find_root(lambda x: (1e-15 * (x - 2.0), 1e-15), 0.0, 5.0, 4.0) \
+            == pytest.approx(2.0, rel=1e-12)
 
     def test_small_root_relative(self):
-        # the root 1e-6 lies far below 1, where the stopping width must
+        # the root 1e-6 lies far below 1, where the stopping step must
         # still be relative to keep its digits
-        assert find_root(lambda x: x ** 3 - 1e-18, 0.0, 1.0) == pytest.approx(
-            1e-6, rel=1e-14, abs=0.0)
+        assert find_root(lambda x: (x * x * x - 1e-18, 3.0 * x * x), 0.0, 1.0, 1.0) \
+            == pytest.approx(1e-6, rel=1e-14, abs=0.0)
 
     def test_rejects_non_bracketing(self):
         with pytest.raises(ValueError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+            find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 0.5)
 
     def test_deterministic_bits(self):
-        f = lambda x: math.exp(x) - 3.0 * x
-        first = find_root(f, 0.0, 1.0)
-        second = find_root(f, 0.0, 1.0)
+        f = lambda x: (math.exp(x) - 3.0 * x, math.exp(x) - 3.0)
+        first = find_root(f, 0.0, 1.0, 0.5)
+        second = find_root(f, 0.0, 1.0, 0.5)
         assert first == second  # identical bits, no hidden state
+
+    def test_step_leaving_the_bracket_bisects(self):
+        # Newton on atan from 10 steps to about -1e2, far outside (-1, 20)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.atan(x), 1.0 / (1.0 + x * x)
+
+        assert find_root(f, -1.0, 20.0, 10.0) == pytest.approx(0.0, abs=1e-300)
+        assert calls[3] == 0.5 * (-1.0 + 10.0)  # lo, hi, x0, then the midpoint
+        assert all(-1.0 <= x <= 20.0 for x in calls)
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 5.0), (0.0, 2.0)])
+    def test_root_at_an_end(self, lo, hi):
+        assert find_root(lambda x: (x - 2.0, 1.0), lo, hi, 0.5 * (lo + hi)) == 2.0
