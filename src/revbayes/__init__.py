@@ -28,7 +28,7 @@ from .bf import (BfAdvocacySolution, BfScepticalSolution, advocacy_for_gamma,
                  min_bf_local, sceptical_g_for_gamma, z_gamma)
 from .fpr import (CalibrationKind, fpr_forward, min_bf,
                   prior_bound_fpr_equals_p, prior_prob_for_fpr)
-from .statfn import (Branch, find_root, lambert_w, norm_cdf, norm_quantile,
+from .statfn import (Branch, find_root, lambert_w_log, norm_cdf, norm_quantile,
                      two_sided_p)
 
 __version__ = "0.1.0"

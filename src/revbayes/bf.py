@@ -1,7 +1,7 @@
 """Bayes-factor-based credibility analysis: minimum Bayes factors,
-sufficiently sceptical prior variances via Lambert W, advocacy priors with
-fixed coefficient of variation, and the Bayes factor for intrinsic
-credibility.
+sufficiently sceptical prior variances via both real branches of Lambert W
+on log x, advocacy priors with fixed coefficient of variation, and the
+Bayes factor for intrinsic credibility.
 
 All Bayes factors are oriented as BF01 (null over alternative); display
 layers may invert to "1/x" strings.
@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 from .errors import NonexistenceError
 from .model import EffectEstimate, NormalPrior, interval
-from .statfn import (LOG_MAX, Branch, exp_or_inf, find_root, lambert_w,
-                     lambert_wm1_log)
+from .statfn import LOG_MAX, Branch, exp_or_inf, find_root, lambert_w_log
 
 
 class BfScepticalSolution(NamedTuple):
@@ -75,8 +74,9 @@ def sceptical_g_for_gamma(z: float, gamma: float,
     at the cut-off gamma.
 
     The small solution (secondary Lambert branch) is the sceptical prior;
-    the large one (principal branch) represents ignorance. A prior interval
-    on the OR scale is attached when the standard error is supplied.
+    the large one (principal branch) represents ignorance. Where z * z
+    overflows, their limits -2 log(gamma) / z^2 and inf are returned. A prior
+    interval on the OR scale is attached when the standard error is supplied.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0,1), got {gamma!r}")
@@ -85,23 +85,27 @@ def sceptical_g_for_gamma(z: float, gamma: float,
         raise NonexistenceError(
             f"no sceptical prior reaches BF01 = {gamma:.4g}: the attainable "
             f"minimum is {floor:.4g}")
-    # 1 + g = -z^2 / W(-x) with x = (z^2/gamma^2) e^(-z^2), which underflows
-    # from |z| ~ 27: W-1 takes log x, and as W(-x) e^W(-x) = -x, the large
-    # root is 1 + g = gamma^2 e^(z^2 + W0(-x)), W0(-x) -> 0 as x -> 0.
     z2, log_gamma2 = z * z, 2.0 * math.log(gamma)
-    log_x = 2.0 * math.log(abs(z)) - log_gamma2 - z2
-    q_small = lambert_wm1_log(log_x)
-    q_large = lambert_w(-math.exp(log_x), Branch.PRINCIPAL)
-    # g_small = d / (z^2 - d), d = z^2 + W-1 cancels as gamma -> 1: one Newton
-    # step on d + log1p(-d/z^2) = -2 log gamma, of slope 0 at W-1 = -1, fixes d.
-    d = z2 + q_small
-    if q_small < -1.0:
-        d -= (d + math.log1p(-d / z2) + log_gamma2) / (1.0 + 1.0 / q_small)
-    g_small = d / (z2 - d)
-    log_large = z2 + log_gamma2 + q_large
-    g_large = math.expm1(log_large) if log_large <= LOG_MAX else math.inf
-    # Branch-point roundoff can leave g_large marginally below g_small.
-    g_large = max(g_large, g_small)
+    if z2 == math.inf:
+        # Past the float range the limits hold: z^2 g_small -> -2 log gamma.
+        g_small, g_large = -log_gamma2 / abs(z) / abs(z), math.inf
+    else:
+        # 1 + g = -z^2 / W(-x) with x = (z^2/gamma^2) e^(-z^2), which underflows
+        # from |z| ~ 27: both branches take log x, and as W(-x) e^W(-x) = -x,
+        # the large root is 1 + g = gamma^2 e^(z^2 + W0(-x)), W0(-x) -> 0 as x -> 0.
+        log_x = 2.0 * math.log(abs(z)) - log_gamma2 - z2
+        q_small = lambert_w_log(log_x, Branch.SECONDARY)
+        q_large = lambert_w_log(log_x, Branch.PRINCIPAL)
+        # g_small = d / (z^2 - d), d = z^2 + W-1 cancels as gamma -> 1: one Newton
+        # step on d + log1p(-d/z^2) = -2 log gamma, of slope 0 at W-1 = -1, fixes d.
+        d = z2 + q_small
+        if q_small < -1.0:
+            d -= (d + math.log1p(-d / z2) + log_gamma2) / (1.0 + 1.0 / q_small)
+        g_small = d / (z2 - d)
+        log_large = z2 + log_gamma2 + q_large
+        g_large = math.expm1(log_large) if log_large <= LOG_MAX else math.inf
+        # Branch-point roundoff can leave g_large marginally below g_small.
+        g_large = max(g_large, g_small)
     interval_or = None
     if se is not None:
         lo, hi = interval(0.0, math.sqrt(g_small) * se)
@@ -176,7 +180,7 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
         w = math.exp(-t)
         d = w * w + k
         return (t + 0.5 * math.log(d) - 0.5 * z2 + 0.5 * z2 * ((w - 1.0) * (w - 1.0)) / d
-                - log_gamma, z2 * (a + (k + (c - w) * w) * w) / (d * d))
+                - log_gamma, (z2 / d) * ((a + (k + (c - w) * w) * w) / d))
 
     # p(m) = k m s(m) + (1 + cv^2) m - 1 with s(m) = cv^2 m^2 + m - 1, so p >= 0
     # at the positive root of s, and Newton from there falls monotonically to
@@ -217,9 +221,10 @@ def advocacy_prior_interval_or(estimate: EffectEstimate, m: float,
 
 def bf12_sceptical_vs_optimistic(z: float, g: float) -> float:
     """BF contrasting the sceptical prior with relative variance g to the
-    optimistic prior centred at the estimate with its own variance."""
-    if g <= 0.0:
-        raise ValueError(f"relative prior variance must be positive, got {g!r}")
+    optimistic prior centred at the estimate with its own variance. At
+    g = 0, where a sceptical g_small underflows, that prior is the null."""
+    if g < 0.0:
+        raise ValueError(f"relative prior variance must be non-negative, got {g!r}")
     return math.sqrt(2.0 / (1.0 + g)) * math.exp(-z * z / (2.0 * (1.0 + g)))
 
 
@@ -236,8 +241,10 @@ def bf_intrinsic(estimate: EffectEstimate) -> float:
     if abs(z) <= 1.0:
         raise NonexistenceError(
             "no cut-off admits a sceptical prior: |z| does not exceed 1")
+    if z * z == math.inf:
+        return 0.0   # BF01 underflows to 0 from |z| ~ 39
     log_x = 2.0 * math.log(abs(z)) - z * z / 2.0 - 0.5 * math.log(2.0)
     if log_x > -1.0:
         raise NonexistenceError("no admissible cut-off for intrinsic credibility")
-    v = -lambert_wm1_log(log_x)
+    v = -lambert_w_log(log_x, Branch.SECONDARY)
     return bf01_sceptical(z, z * z / v - 1.0)

@@ -75,7 +75,7 @@ def render_json(value) -> str:
     repr ("inf", "-inf" or "nan"), where json.dumps would write the
     non-standard Infinity and NaN tokens; null keeps its meaning of "not
     applicable". Anything but a dict, list, tuple, str, int, float, bool or
-    None raises TypeError, as in json.dumps.
+    None raises TypeError, as in json.dumps, and so does a non-str key.
     """
     chunks: list[str] = []
     _render(value, "\n", chunks.append)
@@ -92,8 +92,6 @@ def _render(value, newline: str, emit) -> None:
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            if type(key) is not str:
-                key = _json_key(key)
             encode = _JSON_SCALARS.get(type(item))
             if encode is None:
                 emit(sep + encode_basestring_ascii(key) + ": ")
@@ -122,16 +120,6 @@ def _render(value, newline: str, emit) -> None:
         if encode is None:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         emit(encode(value))
-
-
-def _json_key(key) -> str:
-    # json.dumps writes a scalar key as a string of its text
-    if type(key) is float:
-        return float.__repr__(key)
-    if type(key) not in (int, bool, type(None)):
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    return _JSON_SCALARS[type(key)](key)
 
 
 def _fmt(x: float) -> str:

@@ -1,4 +1,5 @@
-"""Scalar special functions and root finding used by the analysis modules.
+"""Scalar special functions (normal CDF and quantile, both real branches of
+Lambert W on log x) and root finding used by the analysis modules.
 
 Everything here is a pure function of its arguments and safe to call from
 any number of threads. The one cache is critical_z's: a bounded
@@ -15,7 +16,6 @@ from statistics import NormalDist
 from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
-_INV_E = math.exp(-1.0)
 # Largest t with exp(t) finite.
 LOG_MAX = math.log(sys.float_info.max)
 # Cap on find_root's steps; from the package's starts Newton needs far fewer.
@@ -85,68 +85,36 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / _SQRT2)
 
 
-def lambert_w(x: float, branch: Branch = Branch.PRINCIPAL) -> float:
-    """Real Lambert W: solve w * exp(w) = x on the requested branch.
-
-    Principal branch is defined for x >= -1/e (w >= -1); the secondary
-    branch for -1/e <= x < 0 (w <= -1) and is computed by lambert_wm1_log.
-    Halley iteration from a branch-appropriate seed.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"lambert_w requires finite input, got {x!r}")
-    if x < -_INV_E:
-        # Tolerate representation noise right at the branch point.
-        if x > -_INV_E - 1e-15:
-            return -1.0
-        raise ValueError(f"lambert_w undefined for x < -1/e, got {x!r}")
-    if x == -_INV_E:
-        return -1.0
-    if branch is Branch.SECONDARY:
-        if x >= 0.0:
-            raise ValueError("secondary branch requires -1/e <= x < 0")
-        return lambert_wm1_log(math.log(-x))
-    if x == 0.0:
-        return 0.0
-    if abs(x) < 0.5:
-        w = x * (1.0 - x)  # series seed near zero
-    elif x > math.e:
-        lx = math.log(x)
-        w = lx - math.log(lx)  # asymptotic seed for large x
-    else:
-        w = math.log(x)
-
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        if abs(step) < 1e-14 * max(1.0, abs(w)):
-            break
-    return w
-
-
-def lambert_wm1_log(log_x: float) -> float:
-    """Secondary-branch Lambert W of -x, given log_x = log x: the w <= -1
-    solving w + log(-w) = log_x.
+def lambert_w_log(log_x: float, branch: Branch = Branch.PRINCIPAL) -> float:
+    """Real Lambert W of -x, given log_x = log x: the w solving
+    w + log(-w) = log_x, in [-1, 0) on the principal branch and w <= -1 on
+    the secondary.
 
     Taking log x keeps arguments exact whose x underflows (x = e^-1600).
     Defined for log_x <= -1 (x <= 1/e); up to 1e-14 above -1 is taken as
-    representation noise at the branch point. Halley iteration from the
-    branch-point series seed near -1 and from log_x - log(-log_x) below.
+    representation noise at the branch point. Halley iteration, whose step
+    is the same on both branches, from the branch-point series of Corless
+    et al. (1996, Adv. Comput. Math. 5:329) near -1 and from
+    log_x - log(-log_x) (W-1) or -x (W0) below; W0 is -x itself for
+    x < 2^-53.
     """
     if not math.isfinite(log_x):
-        raise ValueError(f"lambert_wm1_log requires finite input, got {log_x!r}")
+        raise ValueError(f"lambert_w_log requires finite input, got {log_x!r}")
     if log_x >= -1.0:
         if log_x > -1.0 + 1e-14:
-            raise ValueError(f"secondary branch requires log x <= -1, got {log_x!r}")
+            raise ValueError(f"lambert_w_log requires log x <= -1, got {log_x!r}")
         return -1.0
+    secondary = branch is Branch.SECONDARY
     if log_x > -2.0:
-        p = -math.sqrt(-2.0 * math.expm1(1.0 + log_x))
+        p = math.sqrt(-2.0 * math.expm1(1.0 + log_x))
+        p = -p if secondary else p
         w = -1.0 + p * (1.0 - p / 3.0 * (1.0 - 11.0 / 24.0 * p))
-    else:
+    elif secondary:
         w = log_x - math.log(-log_x)
+    else:
+        w = -math.exp(log_x)
+        if w > -2.0 ** -53:
+            return w  # -x - x^2 - ... rounds to -x, also where x underflows
     for _ in range(50):
         f = w + math.log(-w) - log_x
         wp1 = w + 1.0

@@ -272,6 +272,11 @@ class TestBf12:
         assert bf12_sceptical_vs_optimistic(recovery.z, g) == pytest.approx(
             ratio, rel=1e-8)
 
+    def test_zero_g_is_the_null(self):
+        assert bf12_sceptical_vs_optimistic(2.0, 0.0) == math.sqrt(2.0) * math.exp(-2.0)
+        with pytest.raises(ValueError):
+            bf12_sceptical_vs_optimistic(2.0, -1e-300)
+
     def test_unimodal_in_g_with_peak_at_z_squared_minus_one(self):
         z = 3.0
         peak = z ** 2 - 1.0
@@ -398,8 +403,9 @@ class TestOracleSweep:
 
 
 class TestAdvocacySolveBudget:
-    def test_evaluations_per_solve(self, monkeypatch):
-        # f calls per find_root call, over a seeded sweep of the oracle range
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """f calls per find_root call that bf makes."""
         calls = []
 
         def counted_find_root(f, lo, hi, x0):
@@ -411,6 +417,10 @@ class TestAdvocacySolveBudget:
             return statfn.find_root(counted, lo, hi, x0)
 
         monkeypatch.setattr(bf, "find_root", counted_find_root)
+        return calls
+
+    def test_evaluations_per_solve(self, calls):
+        # over a seeded sweep of the oracle range
         rng = random.Random(9)
         main, near_one = [], []
         for i in range(4000):
@@ -428,3 +438,13 @@ class TestAdvocacySolveBudget:
             solves.extend(calls)
         assert sum(main) / len(main) <= 7.0
         assert max(main + near_one) <= 40
+
+    @pytest.mark.parametrize("gamma", [1e-30, 0.1, 0.95, 1.0 - 1e-6, 1.0 - 1e-12])
+    def test_evaluations_at_huge_z(self, calls, gamma):
+        # z^2 is finite but z^2 q / d^2 would be inf / inf: Newton, not bisection
+        for z in (1e80, 1e100, 1e130, 1e150, 1e154):
+            calls.clear()
+            sol = advocacy_for_gamma(EffectEstimate(z, 1.0), gamma)
+            assert 0.0 < sol.m_small < 1.0 < sol.m_large
+            # none where a = k cv^2 overflows and the limits are returned
+            assert sum(calls) <= 15, (z, calls)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from revbayes.statfn import (LOG_MAX, Branch, critical_ratio, critical_z,
-                             exp_or_inf, find_root, lambert_w, lambert_wm1_log,
+                             exp_or_inf, find_root, lambert_w_log,
                              norm_cdf, norm_quantile, two_sided_p)
 
 
@@ -125,57 +125,49 @@ class TestTwoSidedP:
 
 
 class TestLambertW:
+    @pytest.mark.parametrize("branch, k", [(Branch.PRINCIPAL, 0), (Branch.SECONDARY, -1)],
+                             ids=["W0", "W-1"])
+    @pytest.mark.parametrize("log_x", [-1.0 - 1e-15, -1.0 - 1e-12, -1.0001, -1.5, -2.0,
+                                       -5.0, -37.0, -50.0, -800.0, -1600.0, -1e6])
+    def test_against_mpmath(self, log_x, branch, k):
+        # -37: W0 returns -x as it is; from -745 on, x = e^log_x underflows;
+        # -1600 is e^(-z^2) at z = 40
+        with mpmath.workdps(50):
+            expected = mpmath.lambertw(-mpmath.exp(mpmath.mpf(log_x)), k).real
+        assert lambert_w_log(log_x, branch) == pytest.approx(float(expected), rel=1e-13, abs=0)
+
     def test_zero(self):
-        assert lambert_w(0.0, Branch.PRINCIPAL) == 0.0
+        # W0(-x) = -x - x^2 - ... is -x once x < 2^-53, also where x is 0
+        assert lambert_w_log(-37.0) == -math.exp(-37.0)
+        assert lambert_w_log(-800.0) == 0.0
 
     def test_branch_point(self):
-        assert lambert_w(-1.0 / math.e, Branch.PRINCIPAL) == -1.0
-        assert lambert_w(-1.0 / math.e, Branch.SECONDARY) == -1.0
+        for branch in Branch:
+            assert lambert_w_log(-1.0, branch) == -1.0
+            assert lambert_w_log(-1.0 + 1e-15, branch) == -1.0
 
     def test_secondary_against_bisection_oracle(self):
-        x = -0.0016507
-        expected = bisect_oracle(lambda w: w * math.exp(w) - x, -50.0, -1.0)
-        got = lambert_w(x, Branch.SECONDARY)
+        x = 0.0016507
+        expected = bisect_oracle(lambda w: w * math.exp(w) + x, -50.0, -1.0)
+        got = lambert_w_log(math.log(x), Branch.SECONDARY)
         assert got == pytest.approx(expected, rel=1e-10)
         assert got == pytest.approx(-8.55, abs=5e-3)
 
     @pytest.mark.parametrize("branch", [Branch.PRINCIPAL, Branch.SECONDARY])
     def test_defining_identity(self, branch):
-        xs = [-1 / math.e + 1e-12, -0.367, -0.3, -0.1, -1e-3, -1e-6, -1e-12]
-        if branch is Branch.PRINCIPAL:
-            xs += [1e-9, 0.1, 1.0, 10.0, 1e6]
-        for x in xs:
-            w = lambert_w(x, branch)
-            assert w * math.exp(w) == pytest.approx(x, rel=1e-10, abs=1e-13)
+        for x in [1 / math.e - 1e-12, 0.367, 0.3, 0.1, 1e-3, 1e-6, 1e-12]:
+            w = lambert_w_log(math.log(x), branch)
+            assert w * math.exp(w) == pytest.approx(-x, rel=1e-10, abs=1e-13)
             if branch is Branch.PRINCIPAL:
-                assert w >= -1.0 - 1e-12
+                assert -1.0 - 1e-12 <= w < 0.0
             else:
                 assert w <= -1.0 + 1e-12
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
-            lambert_w(-0.5)
-        with pytest.raises(ValueError):
-            lambert_w(0.5, Branch.SECONDARY)
-
-
-class TestLambertWm1Log:
-    @pytest.mark.parametrize("log_x", [-1.0 - 1e-15, -1.0 - 1e-12, -1.0001, -1.5,
-                                       -2.0, -5.0, -50.0, -800.0, -1600.0, -1e6])
-    def test_against_mpmath(self, log_x):
-        # -1600 is e^(-z^2) at z = 40, far below the smallest float
-        with mpmath.workdps(50):
-            expected = mpmath.lambertw(-mpmath.exp(mpmath.mpf(log_x)), -1).real
-        assert lambert_wm1_log(log_x) == pytest.approx(float(expected), rel=1e-13, abs=0)
-
-    def test_branch_point(self):
-        assert lambert_wm1_log(-1.0) == -1.0
-        assert lambert_wm1_log(-1.0 + 1e-15) == -1.0
-
-    def test_rejections(self):
-        for log_x in (-0.5, 0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                lambert_wm1_log(log_x)
+        for branch in Branch:
+            for log_x in (-0.5, 0.0, math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    lambert_w_log(log_x, branch)
 
 
 class TestExpOrInf:
