@@ -142,9 +142,8 @@ class TestLambertW:
         assert lambert_w_log(-800.0) == 0.0
 
     def test_branch_point(self):
-        for branch in Branch:
-            assert lambert_w_log(-1.0, branch) == -1.0
-            assert lambert_w_log(-1.0 + 1e-15, branch) == -1.0
+        assert lambert_w_log(-1.0) == -1.0
+        assert lambert_w_log(-1.0 + 1e-15) == -1.0
 
     def test_secondary_against_bisection_oracle(self):
         x = 0.0016507
@@ -164,10 +163,22 @@ class TestLambertW:
                 assert w <= -1.0 + 1e-12
 
     def test_rejections(self):
-        for branch in Branch:
-            for log_x in (-0.5, 0.0, math.inf, -math.inf, math.nan):
-                with pytest.raises(ValueError):
-                    lambert_w_log(log_x, branch)
+        for log_x in (-0.5, 0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                lambert_w_log(log_x)
+
+
+class TestLambertWm1Log:
+    """The secondary branch W-1 of lambert_w_log at the ends of its domain."""
+
+    def test_branch_point(self):
+        assert lambert_w_log(-1.0, Branch.SECONDARY) == -1.0
+        assert lambert_w_log(-1.0 + 1e-15, Branch.SECONDARY) == -1.0
+
+    def test_rejections(self):
+        for log_x in (-0.5, 0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                lambert_w_log(log_x, Branch.SECONDARY)
 
 
 class TestExpOrInf:
