@@ -8,7 +8,7 @@ import math
 from typing import NamedTuple
 
 from .errors import NonexistenceError
-from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior, PriorRole
+from .model import ADVOCACY, DEFAULT_LEVEL, SCEPTICAL, EffectEstimate, NormalPrior
 from .statfn import LOG_MAX, critical_ratio, critical_z, exp_or_inf, two_sided_p
 
 DEFAULT_ALPHA = 1.0 - DEFAULT_LEVEL
@@ -23,7 +23,7 @@ class ScepticalAnalysis(NamedTuple):
     critical_interval_or: tuple[float, float]
 
     def prior(self) -> NormalPrior:
-        return NormalPrior(0.0, self.tau2, PriorRole.SCEPTICAL)
+        return NormalPrior(0.0, self.tau2, SCEPTICAL)
 
 
 class AdvocacyAnalysis(NamedTuple):
@@ -36,7 +36,7 @@ class AdvocacyAnalysis(NamedTuple):
     cv: float                # tau / |mu| = 1 / z_crit
 
     def prior(self) -> NormalPrior:
-        return NormalPrior(self.mu, self.tau * self.tau, PriorRole.ADVOCACY)
+        return NormalPrior(self.mu, self.tau * self.tau, ADVOCACY)
 
 
 class CredibilityVerdict(NamedTuple):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import NonexistenceError
 from .model import EffectEstimate, NormalPrior, interval
-from .statfn import LOG_MAX, Branch, exp_or_inf, find_root, lambert_w_log
+from .statfn import FLOAT_MIN, LOG_MAX, PRINCIPAL, SECONDARY, exp_or_inf, find_root, lambert_w_log
 
 
 class BfScepticalSolution(NamedTuple):
@@ -58,7 +58,11 @@ def min_bf_local(z: float) -> float:
         raise ValueError(f"z must be finite, got {z!r}")
     if abs(z) <= 1.0:
         return 1.0
-    return abs(z) * math.exp(-z * z / 2.0) * math.sqrt(math.e)
+    bf = abs(z) * math.exp(-z * z / 2.0) * math.sqrt(math.e)
+    if bf < FLOAT_MIN:
+        # e^(-z^2/2) rounded as a subnormal, to few bits: round once instead
+        bf = math.exp(math.log(abs(z)) + 0.5 - z * z / 2.0)
+    return bf
 
 
 def min_bf_els(z: float) -> float:
@@ -94,8 +98,8 @@ def sceptical_g_for_gamma(z: float, gamma: float,
         # from |z| ~ 27: both branches take log x, and as W(-x) e^W(-x) = -x,
         # the large root is 1 + g = gamma^2 e^(z^2 + W0(-x)), W0(-x) -> 0 as x -> 0.
         log_x = 2.0 * math.log(abs(z)) - log_gamma2 - z2
-        q_small = lambert_w_log(log_x, Branch.SECONDARY)
-        q_large = lambert_w_log(log_x, Branch.PRINCIPAL)
+        q_small = lambert_w_log(log_x, SECONDARY)
+        q_large = lambert_w_log(log_x, PRINCIPAL)
         # g_small = d / (z^2 - d), d = z^2 + W-1 cancels as gamma -> 1: one Newton
         # step on d + log1p(-d/z^2) = -2 log gamma, of slope 0 at W-1 = -1, fixes d.
         d = z2 + q_small
@@ -246,5 +250,5 @@ def bf_intrinsic(estimate: EffectEstimate) -> float:
     log_x = 2.0 * math.log(abs(z)) - z * z / 2.0 - 0.5 * math.log(2.0)
     if log_x > -1.0:
         raise NonexistenceError("no admissible cut-off for intrinsic credibility")
-    v = -lambert_w_log(log_x, Branch.SECONDARY)
+    v = -lambert_w_log(log_x, SECONDARY)
     return bf01_sceptical(z, z * z / v - 1.0)

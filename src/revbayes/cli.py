@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import re
@@ -20,9 +19,6 @@ from . import __version__
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, read_study_table
 from .meta import failsafe_n, pool
-from .ancred import (advocacy_prior, credibility_ratio, equivalent_trial,
-                     intrinsic_credibility, p_intrinsic, p_rep,
-                     sceptical_analysis)
 from .bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                  bf12_sceptical_vs_optimistic, bf_intrinsic, min_bf_els,
                  min_bf_local, sceptical_g_for_gamma, z_gamma)
@@ -44,12 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Only --json prints input_digest, so a text run neither computes it nor
+# imports hashlib (with OpenSSL behind it).
 def _digest_file(path: str) -> str:
+    import hashlib
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _digest_args(args: dict) -> str:
+    import hashlib
     canon = json.dumps(args, sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -169,7 +169,7 @@ def cmd_meta(args) -> dict:
 
     return {
         "command": "meta",
-        "input_digest": _digest_file(args.file),
+        "input_digest": _digest_file(args.file) if args.json else None,
         "results": {
             "pooled": _estimate_payload(pooled_est, args.level),
             "pooled_precision": result.pooled.precision,
@@ -223,6 +223,9 @@ def _print_meta(report: dict, scale: str) -> None:
 
 
 def cmd_ancred(args) -> dict:
+    # here, so that the other subcommands' cold processes never load ancred
+    from .ancred import (advocacy_prior, credibility_ratio, equivalent_trial,
+                         intrinsic_credibility, p_intrinsic, p_rep, sceptical_analysis)
     has_est = args.estimate is not None or args.se is not None
     has_ci = args.lower is not None or args.upper is not None
     if has_est == has_ci:
@@ -265,7 +268,8 @@ def cmd_ancred(args) -> dict:
     return {
         "command": "ancred",
         "input_digest": _digest_args({"estimate": est.theta_hat, "se": est.se,
-                                      "level": args.level, "rate": args.rate}),
+                                      "level": args.level, "rate": args.rate})
+                        if args.json else None,
         "results": results,
         "warnings": [],
     }
@@ -347,7 +351,8 @@ def cmd_bf(args) -> dict:
     return {
         "command": "bf",
         "input_digest": _digest_args({"estimate": est.theta_hat, "se": est.se,
-                                      "gamma": args.gamma, "mode": args.mode}),
+                                      "gamma": args.gamma, "mode": args.mode})
+                        if args.json else None,
         "results": results,
         "warnings": [],
     }
@@ -410,7 +415,8 @@ def cmd_fpr(args) -> dict:
         "input_digest": _digest_args({"p": args.p, "fpr": args.fpr,
                                       "calibration": args.calibration,
                                       "fpr_equals_p": args.fpr_equals_p,
-                                      "grid": args.grid}),
+                                      "grid": args.grid})
+                        if args.json else None,
         "results": results,
         "warnings": [],
     }

@@ -4,6 +4,8 @@ Lambert W on log x) and root finding used by the analysis modules.
 Everything here is a pure function of its arguments and safe to call from
 any number of threads. The one cache is critical_z's: a bounded
 functools.lru_cache over the few significance levels a process uses.
+norm_quantile runs AS241 itself, so that no process imports the
+statistics module (with fractions and decimal behind it) for one function.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ import enum
 import functools
 import math
 import sys
-from statistics import NormalDist
 from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Largest t with exp(t) finite.
 LOG_MAX = math.log(sys.float_info.max)
+# Smallest normal float: a product below it keeps fewer than 53 bits.
+FLOAT_MIN = sys.float_info.min
 # Cap on find_root's steps; from the package's starts Newton needs far fewer.
 _FIND_ROOT_MAX_ITER = 200
 
@@ -27,6 +31,10 @@ class Branch(enum.Enum):
 
     PRINCIPAL = "principal"  # W0, w >= -1
     SECONDARY = "secondary"  # W-1, w <= -1
+
+
+# the members as globals: on Python 3.11 Branch.SECONDARY costs ~100 ns a lookup
+PRINCIPAL, SECONDARY = Branch
 
 
 def norm_cdf(x: float) -> float:
@@ -41,25 +49,96 @@ def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-_STD_NORMAL = NormalDist()
-
-
 def norm_quantile(p: float) -> float:
     """Inverse standard normal CDF, by Wichura's AS241 (Appl. Stat. 37:477,
-    1988), which the statistics module runs in C."""
+    1988): the statistics module's rational approximations with its
+    operations in the same order, so the bits are NormalDist().inv_cdf's."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"norm_quantile requires 0 < p < 1, got {p!r}")
-    return _STD_NORMAL.inv_cdf(p)
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.50908_09287_30122_6727e+3 * r +
+                     3.34305_75583_58812_8105e+4) * r +
+                     6.72657_70927_00870_0853e+4) * r +
+                     4.59219_53931_54987_1457e+4) * r +
+                     1.37316_93765_50946_1125e+4) * r +
+                     1.97159_09503_06551_4427e+3) * r +
+                     1.33141_66789_17843_7745e+2) * r +
+                     3.38713_28727_96366_6080e+0) * q
+        den = (((((((5.22649_52788_52854_5610e+3 * r +
+                     2.87290_85735_72194_2674e+4) * r +
+                     3.93078_95800_09271_0610e+4) * r +
+                     2.12137_94301_58659_5867e+4) * r +
+                     5.39419_60214_24751_1077e+3) * r +
+                     6.87187_00749_20579_0830e+2) * r +
+                     4.23133_30701_60091_1252e+1) * r +
+                     1.0)
+        return num / den
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    if r <= 5.0:
+        r = r - 1.6
+        num = (((((((7.74545_01427_83414_07640e-4 * r +
+                     2.27238_44989_26918_45833e-2) * r +
+                     2.41780_72517_74506_11770e-1) * r +
+                     1.27045_82524_52368_38258e+0) * r +
+                     3.64784_83247_63204_60504e+0) * r +
+                     5.76949_72214_60691_40550e+0) * r +
+                     4.63033_78461_56545_29590e+0) * r +
+                     1.42343_71107_49683_57734e+0)
+        den = (((((((1.05075_00716_44416_84324e-9 * r +
+                     5.47593_80849_95344_94600e-4) * r +
+                     1.51986_66563_61645_71966e-2) * r +
+                     1.48103_97642_74800_74590e-1) * r +
+                     6.89767_33498_51000_04550e-1) * r +
+                     1.67638_48301_83803_84940e+0) * r +
+                     2.05319_16266_37758_82187e+0) * r +
+                     1.0)
+    else:
+        r = r - 5.0
+        num = (((((((2.01033_43992_92288_13265e-7 * r +
+                     2.71155_55687_43487_57815e-5) * r +
+                     1.24266_09473_88078_43860e-3) * r +
+                     2.65321_89526_57612_30930e-2) * r +
+                     2.96560_57182_85048_91230e-1) * r +
+                     1.78482_65399_17291_33580e+0) * r +
+                     5.46378_49111_64114_36990e+0) * r +
+                     6.65790_46435_01103_77720e+0)
+        den = (((((((2.04426_31033_89939_78564e-15 * r +
+                     1.42151_17583_16445_88870e-7) * r +
+                     1.84631_83175_10054_68180e-5) * r +
+                     7.86869_13114_56132_59100e-4) * r +
+                     1.48753_61290_85061_48525e-2) * r +
+                     1.36929_88092_27358_05310e-1) * r +
+                     5.99832_20655_58879_37690e-1) * r +
+                     1.0)
+    return -(num / den) if q < 0.0 else num / den
 
 
 def two_sided_z(alpha: float) -> float:
     """|z| with two-sided p-value alpha, Phi^-1(1 - alpha/2). Taken from the
     lower tail, as 1 - alpha/2 rounds, plus one Newton step on
-    erfc(x / sqrt(2)) / 2 = alpha / 2."""
+    erfc(x / sqrt(2)) / 2 = alpha / 2.
+
+    At alpha = 5e-324 alpha/2 rounds to 0, and Newton runs in log space
+    from x = sqrt(-2 log(alpha/2)): log Q(x) = -x^2/2 - log sqrt(2 pi) - log r
+    for the upper tail Q, with r = phi(x)/Q(x) = d(-log Q)/dx taken from
+    Laplace's continued fraction x + 1/(x + 2/(x + 3/(x + ...))).
+    """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
-    x = -norm_quantile(alpha / 2.0)
-    return x + (0.5 * math.erfc(x / _SQRT2) - alpha / 2.0) / norm_pdf(x)
+    half = alpha / 2.0
+    if half == 0.0:
+        log_half = math.log(alpha) - math.log(2.0)
+        x = math.sqrt(-2.0 * log_half)
+        for _ in range(4):
+            r = x
+            for k in range(12, 0, -1):
+                r = x + k / r
+            x += (-0.5 * x * x - _LOG_SQRT_2PI - math.log(r) - log_half) / r
+        return x
+    x = -norm_quantile(half)
+    return x + (0.5 * math.erfc(x / _SQRT2) - half) / norm_pdf(x)
 
 
 @functools.lru_cache(maxsize=16)
@@ -85,7 +164,7 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / _SQRT2)
 
 
-def lambert_w_log(log_x: float, branch: Branch = Branch.PRINCIPAL) -> float:
+def lambert_w_log(log_x: float, branch: Branch = PRINCIPAL) -> float:
     """Real Lambert W of -x, given log_x = log x: the w solving
     w + log(-w) = log_x, in [-1, 0) on the principal branch and w <= -1 on
     the secondary.
@@ -104,7 +183,7 @@ def lambert_w_log(log_x: float, branch: Branch = Branch.PRINCIPAL) -> float:
         if log_x > -1.0 + 1e-14:
             raise ValueError(f"lambert_w_log requires log x <= -1, got {log_x!r}")
         return -1.0
-    secondary = branch is Branch.SECONDARY
+    secondary = branch is SECONDARY
     if log_x > -2.0:
         p = math.sqrt(-2.0 * math.expm1(1.0 + log_x))
         p = -p if secondary else p

@@ -268,6 +268,13 @@ class TestFprCommand:
     def test_bad_p_exit_code(self, capsys):
         assert run(["fpr", "--p", "1.5"]) == 2
 
+    def test_smallest_p(self, capsys):
+        # p / 2 rounds to 0 at 5e-324, so |z| comes from log space
+        assert run(["fpr", "--p", "5e-324"]) == 0
+        assert capsys.readouterr().err == ""
+        report = run_json(capsys, ["--json", "fpr", "--p", "5e-324"])
+        assert report["results"]["min_bf"]["els_all_priors"] > 0.0
+
 
 class TestOddsRatioOverflow:
     # valid findings whose odds ratios pass the float range: each site
@@ -389,6 +396,28 @@ class TestFuzz:
         assert {0, 2, 3} <= set(codes)
 
 
+# the names `revbayes` exported when its __init__ imported every module
+_EXPORTED = {
+    "errors": "DataError NonexistenceError",
+    "model": "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary PriorRole Study "
+             "ci_limits estimate_from_counts forward_odds read_study_table "
+             "reverse_prior_odds",
+    "meta": "FailSafeResult MetaResult StudyDiagnostics box_check failsafe_n "
+            "forward_update pool reverse_update",
+    "ancred": "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
+              "advocacy_limit advocacy_prior credibility_ratio credibility_ratio_bound "
+              "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
+              "p_rep sceptical_analysis sceptical_relative_variance scepticism_limit",
+    "bf": "BfAdvocacySolution BfScepticalSolution advocacy_for_gamma "
+          "advocacy_prior_interval_or bf01_normal_prior bf01_sceptical "
+          "bf12_sceptical_vs_optimistic bf_intrinsic min_bf_els min_bf_local "
+          "sceptical_g_for_gamma z_gamma",
+    "fpr": "CalibrationKind fpr_forward min_bf prior_bound_fpr_equals_p prior_prob_for_fpr",
+    "statfn": "Branch find_root lambert_w_log norm_cdf norm_quantile two_sided_p",
+    "__init__": "bundled_dataset_path",
+}
+
+
 class TestPackage:
     # fresh interpreters, so the checks see what importing the package loads
     def python(self, *args):
@@ -409,6 +438,55 @@ class TestPackage:
                            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
+
+    def test_cli_import_loads_only_what_it_runs(self):
+        # norm_quantile runs AS241 itself; csv and ancred load with meta and ancred
+        unloaded = ["statistics", "fractions", "decimal", "csv", "revbayes.ancred"]
+        proc = self.python("-c", "import sys; from revbayes.cli import main; "
+                           f"print([m for m in {unloaded!r} if m in sys.modules])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_text_run_skips_hashlib(self):
+        # only --json prints input_digest
+        proc = self.python("-c", "import sys; from revbayes.cli import run; "
+                           "run(['ancred', '--estimate', '-0.5', '--se', '0.2']); "
+                           "print('hashlib' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_import_loads_no_submodule(self):
+        proc = self.python("-c", "import sys, revbayes; "
+                           "print([m for m in sys.modules if m.startswith('revbayes.')])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_lazy_exports(self):
+        # each name resolves, on first access, to its home module's object
+        exports = {name: module for module, names in _EXPORTED.items()
+                   for name in names.split()}
+        script = "\n".join([
+            "import importlib, revbayes",
+            f"exports = {exports!r}",
+            "for name, module in exports.items():",
+            "    home = (revbayes if module == '__init__'",
+            "            else importlib.import_module('revbayes.' + module))",
+            "    assert getattr(revbayes, name) is getattr(home, name), name",
+            "names = sorted(exports)",
+            "assert sorted(revbayes.__all__) == names, revbayes.__all__",
+            "assert set(names) <= set(dir(revbayes))",
+            "star = {}",
+            "exec('from revbayes import *', star)",
+            "assert sorted(k for k in star if k != '__builtins__') == names",
+            "try:",
+            "    revbayes.no_such_name",
+            "except AttributeError as exc:",
+            "    assert 'no_such_name' in str(exc)",
+            "else:",
+            "    raise AssertionError('no AttributeError')",
+        ])
+        proc = self.python("-c", script)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     @pytest.mark.parametrize("args", [["-W", "error", "-m", "revbayes.cli"],
                                       ["-m", "revbayes"]],

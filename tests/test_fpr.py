@@ -59,9 +59,11 @@ class TestMinBf:
             values = [min_bf(p, kind) for p in ps]
             assert values == sorted(values)
 
-    @pytest.mark.parametrize("p", [1e-20, 1e-100, 1e-300])
+    @pytest.mark.parametrize("p", [1e-20, 1e-100, 1e-300, 1e-323, 5e-324])
     def test_tiny_p_against_mpmath(self, p):
-        # 1 - p/2 rounds to 1 here, so |z| must come from the lower tail
+        # 1 - p/2 rounds to 1 here, so |z| must come from the lower tail; at
+        # 5e-324 p/2 rounds to 0 as well, and from 1e-323 the bounds are
+        # subnormal, so each must be rounded once to pass
         with mpmath.workdps(40):
             log_p = mpmath.log(p)
             z = mpmath.findroot(lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2))) - log_p,

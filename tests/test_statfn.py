@@ -1,4 +1,6 @@
 import math
+import random
+import statistics
 
 import mpmath
 import pytest
@@ -87,6 +89,21 @@ class TestNormQuantile:
     def test_against_mpmath(self, p):
         assert norm_quantile(p) == pytest.approx(quantile_oracle(p), rel=1e-10, abs=0)
 
+    def test_bits_of_statistics_inv_cdf(self):
+        # the package runs AS241 itself, with the standard library's bits
+        inv_cdf = statistics.NormalDist().inv_cdf
+        rng = random.Random(241)
+        ps = [rng.random() for _ in range(40_000)]
+        ps += [math.exp(rng.uniform(math.log(5e-324), 0.0)) for _ in range(40_000)]
+        ps += [1.0 - math.exp(rng.uniform(math.log(1e-16), 0.0)) for _ in range(40_000)]
+        # branch edges: q = p - 1/2 = -/+0.425, r = sqrt(-log p) = 5, the extremes
+        edges = [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0), 2.0 ** -1074,
+                 1.0 - 2.0 ** -53]
+        ps += [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))]
+        ps = [p for p in ps if 0.0 < p < 1.0]
+        assert len(ps) >= 100_000
+        assert [p for p in ps if norm_quantile(p) != inv_cdf(p)] == []
+
 
 class TestCriticalZ:
     @given(st.floats(min_value=1e-12, max_value=0.5))
@@ -94,6 +111,15 @@ class TestCriticalZ:
         # alpha / 2 is exact, so the oracle sees the level the code sees
         assert critical_z(alpha) == pytest.approx(-quantile_oracle(alpha / 2),
                                                   rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-323, 1e-300])
+    def test_smallest_alpha(self, alpha):
+        # at 5e-324 alpha / 2 rounds to 0, so the oracle takes log(alpha / 2)
+        with mpmath.workdps(40):
+            log_half = mpmath.log(mpmath.mpf(alpha) / 2)
+            expected = mpmath.findroot(
+                lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2) - log_half, 38)
+        assert critical_z(alpha) == pytest.approx(float(expected), rel=4e-16, abs=0)
 
     def test_level_95_bits(self):
         # the bits every default-level output is built on
