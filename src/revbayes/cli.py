@@ -40,18 +40,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Only --json prints input_digest, so a text run neither computes it nor
-# imports hashlib (with OpenSSL behind it).
-def _digest_file(path: str) -> str:
+def _input_digest(args, fields: dict | None = None) -> str | None:
+    """sha256 of the study file, or of fields as canonical JSON. Only --json
+    prints it, so a text run neither computes it nor imports hashlib."""
+    if not args.json:
+        return None
     import hashlib
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _digest_args(args: dict) -> str:
-    import hashlib
-    canon = json.dumps(args, sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    if fields is None:
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+    else:
+        data = json.dumps(fields, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 def _json_float(x: float) -> str:
@@ -127,7 +127,9 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_bf(bf: float) -> str:
-    if bf == 0.0:   # underflow: minimum BFs at |z| beyond ~38.6
+    # 0 for a bf whose reciprocal overflows (bf <= 2^-1024), as the minimum
+    # BFs do at |z| beyond ~37.7
+    if bf <= 2.0 ** -1024:
         return "0"
     if bf < 1.0:
         return f"1/{1.0 / bf:.3g}"
@@ -169,7 +171,7 @@ def cmd_meta(args) -> dict:
 
     return {
         "command": "meta",
-        "input_digest": _digest_file(args.file) if args.json else None,
+        "input_digest": _input_digest(args),
         "results": {
             "pooled": _estimate_payload(pooled_est, args.level),
             "pooled_precision": result.pooled.precision,
@@ -267,9 +269,8 @@ def cmd_ancred(args) -> dict:
     results[mode] = payload
     return {
         "command": "ancred",
-        "input_digest": _digest_args({"estimate": est.theta_hat, "se": est.se,
-                                      "level": args.level, "rate": args.rate})
-                        if args.json else None,
+        "input_digest": _input_digest(args, {"estimate": est.theta_hat, "se": est.se,
+                                             "level": args.level, "rate": args.rate}),
         "results": results,
         "warnings": [],
     }
@@ -350,9 +351,8 @@ def cmd_bf(args) -> dict:
         raise UsageError(f"unknown mode {args.mode!r}")
     return {
         "command": "bf",
-        "input_digest": _digest_args({"estimate": est.theta_hat, "se": est.se,
-                                      "gamma": args.gamma, "mode": args.mode})
-                        if args.json else None,
+        "input_digest": _input_digest(args, {"estimate": est.theta_hat, "se": est.se,
+                                             "gamma": args.gamma, "mode": args.mode}),
         "results": results,
         "warnings": [],
     }
@@ -412,11 +412,10 @@ def cmd_fpr(args) -> dict:
         results["grid"] = grid
     return {
         "command": "fpr",
-        "input_digest": _digest_args({"p": args.p, "fpr": args.fpr,
-                                      "calibration": args.calibration,
-                                      "fpr_equals_p": args.fpr_equals_p,
-                                      "grid": args.grid})
-                        if args.json else None,
+        "input_digest": _input_digest(args, {"p": args.p, "fpr": args.fpr,
+                                             "calibration": args.calibration,
+                                             "fpr_equals_p": args.fpr_equals_p,
+                                             "grid": args.grid}),
         "results": results,
         "warnings": [],
     }

@@ -17,7 +17,6 @@ import sys
 from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # Largest t with exp(t) finite.
 LOG_MAX = math.log(sys.float_info.max)
 # Smallest normal float: a product below it keeps fewer than 53 bits.
@@ -118,25 +117,12 @@ def norm_quantile(p: float) -> float:
 def two_sided_z(alpha: float) -> float:
     """|z| with two-sided p-value alpha, Phi^-1(1 - alpha/2). Taken from the
     lower tail, as 1 - alpha/2 rounds, plus one Newton step on
-    erfc(x / sqrt(2)) / 2 = alpha / 2.
-
-    At alpha = 5e-324 alpha/2 rounds to 0, and Newton runs in log space
-    from x = sqrt(-2 log(alpha/2)): log Q(x) = -x^2/2 - log sqrt(2 pi) - log r
-    for the upper tail Q, with r = phi(x)/Q(x) = d(-log Q)/dx taken from
-    Laplace's continued fraction x + 1/(x + 2/(x + 3/(x + ...))).
-    """
+    erfc(x / sqrt(2)) / 2 = alpha / 2."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0,1), got {alpha!r}")
+    if alpha == 5e-324:   # alpha / 2 rounds to 0; the correctly rounded root
+        return 38.48540833556734
     half = alpha / 2.0
-    if half == 0.0:
-        log_half = math.log(alpha) - math.log(2.0)
-        x = math.sqrt(-2.0 * log_half)
-        for _ in range(4):
-            r = x
-            for k in range(12, 0, -1):
-                r = x + k / r
-            x += (-0.5 * x * x - _LOG_SQRT_2PI - math.log(r) - log_half) / r
-        return x
     x = -norm_quantile(half)
     return x + (0.5 * math.erfc(x / _SQRT2) - half) / norm_pdf(x)
 

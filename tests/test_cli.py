@@ -231,6 +231,12 @@ class TestBfCommand:
         # z = 1e155, where z * z overflows: the limits of the roots
         run_json(capsys, ["--json", "bf", "--estimate", "1e155", "--se", "1", "--mode", mode])
 
+    def test_subnormal_bf_reads_0(self, capsys):
+        # z = 38: minBF local ~ 1.7e-312 and the ELS bound ~ 2.8e-314 are
+        # nonzero, but their reciprocals overflow
+        assert run(["bf", "--estimate", "38", "--se", "1"]) == 0
+        assert "minBF local 0, ELS bound 0" in capsys.readouterr().out
+
 
 class TestFprCommand:
     def test_point_values(self, capsys):
@@ -269,11 +275,18 @@ class TestFprCommand:
         assert run(["fpr", "--p", "1.5"]) == 2
 
     def test_smallest_p(self, capsys):
-        # p / 2 rounds to 0 at 5e-324, so |z| comes from log space
+        # p / 2 rounds to 0 at 5e-324, where two_sided_z has its own case
         assert run(["fpr", "--p", "5e-324"]) == 0
         assert capsys.readouterr().err == ""
         report = run_json(capsys, ["--json", "fpr", "--p", "5e-324"])
         assert report["results"]["min_bf"]["els_all_priors"] > 0.0
+
+    def test_subnormal_bf_text(self, capsys):
+        # at p = 1e-323 the nonzero local-z bound's reciprocal overflows
+        assert run(["fpr", "--p", "1e-323"]) == 0
+        out = capsys.readouterr().out
+        assert "inf" not in out
+        assert "local_z          minBF 0 " in out
 
 
 class TestOddsRatioOverflow:
