@@ -228,14 +228,12 @@ class TestBfCommand:
         # z = 40: the minimum BFs underflow to 0 and the large roots to inf
         assert run(["bf", "--estimate", "4", "--se", "0.1", "--mode", mode]) == 0
         assert "minBF local 0," in capsys.readouterr().out
-        # z = 1e155, where z * z overflows: the limits of the roots
-        run_json(capsys, ["--json", "bf", "--estimate", "1e155", "--se", "1", "--mode", mode])
-
-    def test_subnormal_bf_reads_0(self, capsys):
         # z = 38: minBF local ~ 1.7e-312 and the ELS bound ~ 2.8e-314 are
         # nonzero, but their reciprocals overflow
-        assert run(["bf", "--estimate", "38", "--se", "1"]) == 0
+        assert run(["bf", "--estimate", "38", "--se", "1", "--mode", mode]) == 0
         assert "minBF local 0, ELS bound 0" in capsys.readouterr().out
+        # z = 1e155, where z * z overflows: the limits of the roots
+        run_json(capsys, ["--json", "bf", "--estimate", "1e155", "--se", "1", "--mode", mode])
 
 
 class TestFprCommand:
