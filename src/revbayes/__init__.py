@@ -17,22 +17,20 @@ __version__ = "0.1.0"
 # export name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("errors", "DataError NonexistenceError"),
-    ("model", "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary PriorRole "
-              "Study ci_limits estimate_from_counts forward_odds read_study_table "
-              "reverse_prior_odds"),
+    ("model", "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary Study "
+              "ci_limits estimate_from_counts read_study_table"),
     ("meta", "FailSafeResult MetaResult StudyDiagnostics box_check failsafe_n "
              "forward_update pool reverse_update"),
     ("ancred", "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
-               "advocacy_limit advocacy_prior credibility_ratio credibility_ratio_bound "
+               "advocacy_prior credibility_ratio credibility_ratio_bound "
                "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
                "p_rep sceptical_analysis sceptical_relative_variance scepticism_limit"),
     ("bf", "BfAdvocacySolution BfScepticalSolution advocacy_for_gamma "
            "advocacy_prior_interval_or bf01_normal_prior bf01_sceptical "
            "bf12_sceptical_vs_optimistic bf_intrinsic min_bf_els min_bf_local "
            "sceptical_g_for_gamma z_gamma"),
-    ("fpr", "CalibrationKind fpr_forward min_bf prior_bound_fpr_equals_p "
-            "prior_prob_for_fpr"),
-    ("statfn", "Branch find_root lambert_w_log norm_cdf norm_quantile two_sided_p"),
+    ("fpr", "CalibrationKind min_bf prior_bound_fpr_equals_p prior_prob_for_fpr"),
+    ("statfn", "Branch find_root lambert_w_log norm_quantile two_sided_p"),
 ) for name in names.split()}
 
 __all__ = [*_EXPORTS, "bundled_dataset_path"]

@@ -8,7 +8,7 @@ import math
 from typing import NamedTuple
 
 from .errors import NonexistenceError
-from .model import ADVOCACY, DEFAULT_LEVEL, SCEPTICAL, EffectEstimate, NormalPrior
+from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior
 from .statfn import LOG_MAX, critical_ratio, critical_z, exp_or_inf, two_sided_p
 
 DEFAULT_ALPHA = 1.0 - DEFAULT_LEVEL
@@ -23,7 +23,7 @@ class ScepticalAnalysis(NamedTuple):
     critical_interval_or: tuple[float, float]
 
     def prior(self) -> NormalPrior:
-        return NormalPrior(0.0, self.tau2, SCEPTICAL)
+        return NormalPrior(0.0, self.tau2)
 
 
 class AdvocacyAnalysis(NamedTuple):
@@ -36,7 +36,7 @@ class AdvocacyAnalysis(NamedTuple):
     cv: float                # tau / |mu| = 1 / z_crit
 
     def prior(self) -> NormalPrior:
-        return NormalPrior(self.mu, self.tau * self.tau, ADVOCACY)
+        return NormalPrior(self.mu, self.tau * self.tau)
 
 
 class CredibilityVerdict(NamedTuple):
@@ -84,16 +84,6 @@ def sceptical_analysis(estimate: EffectEstimate,
     limit = critical_z(alpha) * math.sqrt(tau2)
     return ScepticalAnalysis(g=g, tau2=tau2, limit=limit,
                              critical_interval_or=(exp_or_inf(-limit), exp_or_inf(limit)))
-
-
-def advocacy_limit(lower: float, upper: float) -> float:
-    """Far quantile AL of the advocacy prior, from non-significant CI limits."""
-    if lower * upper >= 0.0:
-        raise NonexistenceError(
-            "advocacy limit requires a non-significant interval (limits straddling zero)")
-    if lower + upper == 0.0:
-        raise NonexistenceError("advocacy limit undefined for a zero point estimate")
-    return -(upper + lower) / (2.0 * upper * lower) * ((upper - lower) * (upper - lower))
 
 
 def advocacy_prior(estimate: EffectEstimate,
@@ -192,9 +182,7 @@ def equivalent_trial(prior: NormalPrior,
     only event_rate applies: a target control event rate selects among the
     integer-event constructions that match the prior mean and variance exactly.
     """
-    tau2 = prior.variance
-    if not (tau2 > 0.0 and math.isfinite(tau2)):
-        raise ValueError("prior variance must be positive and finite")
+    tau2 = prior.variance   # positive and finite: NormalPrior checks it
     if event_rate is not None and not (0.0 < event_rate < 1.0):
         raise ValueError(f"event rate must be in (0,1), got {event_rate!r}")
     mu = prior.mean

@@ -246,23 +246,19 @@ def cmd_ancred(args) -> dict:
     if est.significant(alpha):
         sc = sceptical_analysis(est, alpha)
         lo, hi = results["estimate"]["ci_log"]
-        mode, prior, payload = "sceptical", sc.prior(), {
-            "g": sc.g, "tau2": sc.tau2, "scepticism_limit": sc.limit,
-            "critical_interval_or": list(sc.critical_interval_or),
-            "credibility_ratio": credibility_ratio(lo, hi),
-            "intrinsically_credible_prior": bool(
+        mode, prior, payload = "sceptical", sc.prior(), sc._asdict()
+        payload.update(
+            scepticism_limit=payload.pop("limit"),
+            credibility_ratio=credibility_ratio(lo, hi),
+            intrinsically_credible_prior=bool(
                 intrinsic_credibility(est, alpha, "prior_based")),
-            "intrinsically_credible_predictive": bool(
-                intrinsic_credibility(est, alpha, "predictive_based")),
-        }
+            intrinsically_credible_predictive=bool(
+                intrinsic_credibility(est, alpha, "predictive_based")))
     else:
         adv = advocacy_prior(est, alpha)
-        mode, prior, payload = "advocacy", adv.prior(), {
-            "m": adv.m, "mu": adv.mu, "tau": adv.tau,
-            "advocacy_limit": adv.limit,
-            "advocacy_limit_or": exp_or_inf(adv.limit),
-            "cv": adv.cv,
-        }
+        mode, prior, payload = "advocacy", adv.prior(), adv._asdict()
+        payload.update(advocacy_limit=payload.pop("limit"),
+                       advocacy_limit_or=exp_or_inf(adv.limit))
     payload.update(p_intrinsic=p_intrinsic(est.z), p_rep=p_rep(est.z),
                    equivalent_trial=_trial_payload(equivalent_trial(prior, args.rate)))
     results["mode"] = mode

@@ -68,16 +68,6 @@ def prior_prob_for_fpr(p: float, fpr: float, kind: CalibrationKind) -> float:
     return 1.0 / (1.0 + (1.0 - fpr) / fpr * bf)
 
 
-def fpr_forward(prior_h0: float, bf01: float) -> float:
-    """False positive risk from a prior null probability and a BF01."""
-    if not (0.0 < prior_h0 < 1.0):
-        raise ValueError(f"prior probability must be in (0,1), got {prior_h0!r}")
-    if not (bf01 > 0.0 and math.isfinite(bf01)):
-        raise ValueError(f"BF01 must be positive and finite, got {bf01!r}")
-    odds = bf01 * prior_h0 / (1.0 - prior_h0)
-    return odds / (1.0 + odds)
-
-
 def prior_bound_fpr_equals_p(p: float, kind: CalibrationKind) -> float:
     """Upper bound on Pr(H0) under the claim that the FPR equals the p-value."""
     return prior_prob_for_fpr(p, p, kind)

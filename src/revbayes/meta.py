@@ -76,8 +76,6 @@ def box_check(estimate: EffectEstimate,
     Returns the standardized discrepancy and its two-sided tail probability
     under the prior-predictive distribution.
     """
-    if prior.precision <= 0.0:
-        raise ValueError("prior precision must be positive")
     t_box = (estimate.theta_hat - prior.mean) / math.sqrt(
         estimate.se * estimate.se + 1.0 / prior.precision)
     return t_box, two_sided_p(t_box)
@@ -96,20 +94,31 @@ def pool(studies: list[Study]) -> MetaResult:
     if len(set(ids)) != len(ids):
         raise DataError("study ids must be unique")
     estimates = [s.effect_estimate() for s in studies]
+    try:
+        precisions = [est.precision for est in estimates]
+    except ZeroDivisionError:   # se * se underflowed to 0
+        precisions = [math.inf]
+    if math.inf in precisions:
+        # 1/se^2 falls as se grows, so the smallest se is past the range
+        study, est = min(zip(studies, estimates), key=lambda pair: pair[1].se)
+        raise NonexistenceError(
+            f"no pooled estimate: study {study.id!r} has se = {est.se!r}, whose "
+            f"precision 1/se^2 is outside the floating-point range")
 
     before = [(0.0, 0.0)]
-    for est in estimates:
-        before.append(_combine(*before[-1], est.theta_hat, est.precision))
+    for est, precision in zip(estimates, precisions):
+        before.append(_combine(*before[-1], est.theta_hat, precision))
     pooled = PosteriorSummary(*before.pop())
 
     per_study = []
     after = (0.0, 0.0)
-    for study, est, prefix in zip(reversed(studies), reversed(estimates), reversed(before)):
+    for study, est, precision, prefix in zip(reversed(studies), reversed(estimates),
+                                             reversed(precisions), reversed(before)):
         loo_mean, loo_precision = _combine(*prefix, *after)
         loo = PosteriorSummary(loo_mean, loo_precision) if loo_precision > 0.0 else None
         t_box, p_box = (math.nan, math.nan) if loo is None else box_check(est, loo)
         per_study.append(StudyDiagnostics(study.id, est, loo, t_box, p_box))
-        after = _combine(*after, est.theta_hat, est.precision)
+        after = _combine(*after, est.theta_hat, precision)
     per_study.reverse()
     return MetaResult(pooled, tuple(per_study))
 

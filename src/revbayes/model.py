@@ -7,7 +7,6 @@ values only appear at I/O boundaries via exp/log.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -15,17 +14,6 @@ from .errors import DataError
 from .statfn import critical_ratio, critical_z, two_sided_p
 
 DEFAULT_LEVEL = 0.95
-
-
-class PriorRole(enum.Enum):
-    SCEPTICAL = "sceptical"
-    ADVOCACY = "advocacy"
-    FLAT = "flat"
-    GENERIC = "generic"
-
-
-# the members as globals: on Python 3.11 PriorRole.X costs ~100 ns a lookup
-SCEPTICAL, ADVOCACY, FLAT, GENERIC = PriorRole
 
 
 def _checked_make(cls, values):
@@ -123,27 +111,21 @@ class Study(NamedTuple("Study", [
         return EffectEstimate(self.estimate, self.se)
 
 
-class NormalPrior(NamedTuple("NormalPrior", [
-        ("mean", float), ("variance", float), ("role", PriorRole)])):
-    """Normal prior on the log OR scale, tagged with its role."""
+class NormalPrior(NamedTuple("NormalPrior", [("mean", float), ("variance", float)])):
+    """Normal prior on the log OR scale."""
 
     __slots__ = ()
     _make = classmethod(_checked_make)
 
-    def __new__(cls, mean: float, variance: float, role: PriorRole = GENERIC):
-        self = super().__new__(cls, mean, variance, role)
-        if self.role is FLAT:
-            if not math.isinf(self.variance):
-                raise ValueError("flat prior is encoded as infinite variance")
-        elif self.variance <= 0.0 or not math.isfinite(self.variance):
+    def __new__(cls, mean: float, variance: float):
+        self = super().__new__(cls, mean, variance)
+        if self.variance <= 0.0 or not math.isfinite(self.variance):
             raise ValueError(f"prior variance must be positive, got {self.variance!r}")
-        if self.role is SCEPTICAL and self.mean != 0.0:
-            raise ValueError("sceptical prior must have mean zero")
         return self
 
     @property
     def precision(self) -> float:
-        return 0.0 if self.role is FLAT else 1.0 / self.variance
+        return 1.0 / self.variance
 
     @property
     def sd(self) -> float:
@@ -194,24 +176,6 @@ def estimate_from_counts(study: Study) -> EffectEstimate:
     theta = math.log((a / b) / (c / d))
     se = math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
     return EffectEstimate(theta, se)
-
-
-def reverse_prior_odds(posterior_odds: float, likelihood_ratio: float) -> float:
-    """Prior odds implied by fixed posterior odds and a likelihood ratio."""
-    if not (posterior_odds > 0.0 and math.isfinite(posterior_odds)):
-        raise ValueError(f"posterior odds must be positive and finite, got {posterior_odds!r}")
-    if not (likelihood_ratio > 0.0 and math.isfinite(likelihood_ratio)):
-        raise ValueError(f"likelihood ratio must be positive and finite, got {likelihood_ratio!r}")
-    return posterior_odds / likelihood_ratio
-
-
-def forward_odds(prior_odds: float, likelihood_ratio: float) -> float:
-    """Posterior odds from prior odds and a likelihood ratio."""
-    if not (prior_odds > 0.0 and math.isfinite(prior_odds)):
-        raise ValueError(f"prior odds must be positive and finite, got {prior_odds!r}")
-    if not (likelihood_ratio > 0.0 and math.isfinite(likelihood_ratio)):
-        raise ValueError(f"likelihood ratio must be positive and finite, got {likelihood_ratio!r}")
-    return prior_odds * likelihood_ratio
 
 
 def interval(center: float, sd: float,

@@ -1,4 +1,4 @@
-"""Scalar special functions (normal CDF and quantile, both real branches of
+"""Scalar special functions (the normal quantile, both real branches of
 Lambert W on log x) and root finding used by the analysis modules.
 
 Everything here is a pure function of its arguments and safe to call from
@@ -34,13 +34,6 @@ class Branch(enum.Enum):
 
 # the members as globals: on Python 3.11 Branch.SECONDARY costs ~100 ns a lookup
 PRINCIPAL, SECONDARY = Branch
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x) via the complementary error function."""
-    if not math.isfinite(x):
-        raise ValueError(f"norm_cdf requires finite input, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def norm_pdf(x: float) -> float:

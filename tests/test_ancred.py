@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from revbayes.ancred import (advocacy_limit, advocacy_prior,
+from revbayes.ancred import (advocacy_prior,
                              credibility_ratio, credibility_ratio_bound,
                              equivalent_trial, intrinsic_boundary_p,
                              intrinsic_credibility, p_intrinsic, p_rep,
@@ -96,27 +96,32 @@ class TestScepticismLimit:
 
 
 class TestAdvocacyLimit:
+    """The advocacy limit from CI limits, by the route of `ancred --lower/--upper`."""
+
+    @staticmethod
+    def limit(lower, upper):
+        return advocacy_prior(EffectEstimate.from_ci(lower, upper), 0.05).limit
+
     def test_remap_cap(self, remap_cap):
-        lo, hi = ci_limits(remap_cap, 0.95)
-        al = advocacy_limit(lo, hi)
+        al = self.limit(*ci_limits(remap_cap, 0.95))
         assert al == pytest.approx(-1.89, abs=0.01)
         assert math.exp(al) == pytest.approx(0.15, abs=5e-3)
 
     def test_symmetric_interval_rejected(self):
         with pytest.raises(NonexistenceError):
-            advocacy_limit(-0.5, 0.5)
+            self.limit(-0.5, 0.5)
 
     def test_significant_rejected(self):
         with pytest.raises(NonexistenceError):
-            advocacy_limit(0.1, 0.5)
+            self.limit(0.1, 0.5)
 
     def test_direct_evaluation(self):
-        # -(U+L)/(2UL) * (U-L)^2 at (-1, 3)
-        assert advocacy_limit(-1.0, 3.0) == pytest.approx(16.0 / 3.0, rel=1e-12)
+        # the CI form -(U+L)/(2UL) * (U-L)^2 at (-1, 3)
+        assert self.limit(-1.0, 3.0) == pytest.approx(16.0 / 3.0, rel=1e-12)
 
     def test_sign_follows_point_estimate(self):
-        assert advocacy_limit(-0.2, 0.9) > 0
-        assert advocacy_limit(-0.9, 0.2) < 0
+        assert self.limit(-0.2, 0.9) > 0
+        assert self.limit(-0.9, 0.2) < 0
 
 
 class TestAdvocacyPrior:
@@ -141,8 +146,9 @@ class TestAdvocacyPrior:
 
     def test_limit_matches_ci_form(self, remap_cap):
         lo, hi = ci_limits(remap_cap, 0.95)
-        adv = advocacy_prior(remap_cap, 0.05)
-        assert advocacy_limit(lo, hi) == pytest.approx(adv.limit, abs=1e-10)
+        from_ci = advocacy_prior(EffectEstimate.from_ci(lo, hi), 0.05)
+        assert from_ci.limit == pytest.approx(
+            advocacy_prior(remap_cap, 0.05).limit, rel=1e-12)
 
     def test_prior_quantile_at_zero(self, remap_cap):
         adv = advocacy_prior(remap_cap, 0.05)

@@ -17,7 +17,15 @@ from revbayes.cli import read_study_table, render_json, run
 from revbayes.errors import DataError
 
 DATA = str(bundled_dataset_path())
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "revbayes"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "revbayes"
+
+
+def quick_start_block() -> str:
+    """The Python block of the README's "Library quick start" section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
 
 
 def _reject_constant(token):
@@ -407,24 +415,23 @@ class TestFuzz:
         assert {0, 2, 3} <= set(codes)
 
 
-# the names `revbayes` exported when its __init__ imported every module
+# the names `revbayes` exports, by the module that defines them
 _EXPORTED = {
     "errors": "DataError NonexistenceError",
-    "model": "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary PriorRole Study "
-             "ci_limits estimate_from_counts forward_odds read_study_table "
-             "reverse_prior_odds",
+    "model": "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary Study "
+             "ci_limits estimate_from_counts read_study_table",
     "meta": "FailSafeResult MetaResult StudyDiagnostics box_check failsafe_n "
             "forward_update pool reverse_update",
     "ancred": "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
-              "advocacy_limit advocacy_prior credibility_ratio credibility_ratio_bound "
+              "advocacy_prior credibility_ratio credibility_ratio_bound "
               "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
               "p_rep sceptical_analysis sceptical_relative_variance scepticism_limit",
     "bf": "BfAdvocacySolution BfScepticalSolution advocacy_for_gamma "
           "advocacy_prior_interval_or bf01_normal_prior bf01_sceptical "
           "bf12_sceptical_vs_optimistic bf_intrinsic min_bf_els min_bf_local "
           "sceptical_g_for_gamma z_gamma",
-    "fpr": "CalibrationKind fpr_forward min_bf prior_bound_fpr_equals_p prior_prob_for_fpr",
-    "statfn": "Branch find_root lambert_w_log norm_cdf norm_quantile two_sided_p",
+    "fpr": "CalibrationKind min_bf prior_bound_fpr_equals_p prior_prob_for_fpr",
+    "statfn": "Branch find_root lambert_w_log norm_quantile two_sided_p",
     "__init__": "bundled_dataset_path",
 }
 
@@ -532,6 +539,24 @@ class TestPackage:
         assert "math" in modules
         assert sorted(modules - sys.stdlib_module_names) == []
 
+    def test_every_export_has_a_caller(self):
+        # a public name stays only while the package, the acceptance tests or
+        # the README's quick start use it
+        sources = [path.read_text(encoding="utf-8")
+                   for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+        sources += [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"),
+                    quick_start_block()]
+        used = set()
+        for text in sources:
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+        assert sorted(set(revbayes.__all__) - used) == []
+
     def test_one_table_reader(self):
         import revbayes.cli
         assert revbayes.read_study_table is revbayes.cli.read_study_table
@@ -547,17 +572,25 @@ class TestDriver:
     def test_missing_file_exit_two(self, capsys):
         assert run(["meta", "/nonexistent/file.csv"]) == 2
 
-    @pytest.mark.parametrize("argv, code", [("meta {table}", 3),
-                                            ("ancred --estimate 1e155 --se 1", 2),
-                                            ("bf --estimate 1e155 --se 1", 0)],
-                             ids=["meta", "ancred", "bf"])
-    def test_z_squared_past_the_float_range(self, capsys, tmp_path, argv, code):
+    @pytest.mark.parametrize("argv, rows, code, named", [
+        ("meta {table}", "A,1e155,1\nB,1e155,1", 3, ""),
+        ("ancred --estimate 1e155 --se 1", "", 2, ""),
+        ("bf --estimate 1e155 --se 1", "", 0, ""),
+        # se * se underflows to 0, or 1/(se * se) overflows to inf
+        ("meta {table}", "A,0.1,1e-200\nB,0.2,2e-200", 3, "study 'A' has se = 1e-200"),
+        ("meta {table}", "A,0.1,1e-160\nB,0.2,2e-160", 3, "study 'A' has se = 1e-160"),
+    ], ids=["meta", "ancred", "bf", "meta-se-1e-200", "meta-se-1e-160"])
+    def test_z_squared_past_the_float_range(self, capsys, tmp_path, argv, rows, code,
+                                            named):
         # z = 1e155: z * z is inf; meta and ancred report an error, bf its
-        # limits, and none a traceback
+        # limits, and none a traceback. A study whose precision 1/se^2 is
+        # past the float range is named.
         table = tmp_path / "huge.csv"
-        table.write_text("id,estimate,se\nA,1e155,1\nB,1e155,1\n")
+        table.write_text(f"id,estimate,se\n{rows}\n")
         assert run(shlex.split(argv.format(table=table))) == code
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
 
     def test_overflowing_z_is_named(self, capsys):
         # z = 1.4e154 / 2.6e-162 overflows; the error names it, not the
@@ -616,11 +649,7 @@ class TestReadme:
             assert capsys.readouterr().out == first, argv
 
     def test_library_quick_start_runs(self):
-        root = pathlib.Path(__file__).resolve().parents[1]
-        readme = (root / "README.md").read_text(encoding="utf-8")
-        section = readme.split("## Library quick start", 1)[1]
-        block = section.split("```python", 1)[1].split("```", 1)[0]
-        proc = subprocess.run([sys.executable, "-c", block], capture_output=True,
-                              text=True,
-                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+        proc = subprocess.run([sys.executable, "-c", quick_start_block()],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 0, proc.stderr

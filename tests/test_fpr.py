@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from revbayes.bf import min_bf_els, min_bf_local
-from revbayes.fpr import (CalibrationKind, fpr_forward, min_bf,
+from revbayes.fpr import (CalibrationKind, min_bf,
                           prior_bound_fpr_equals_p, prior_prob_for_fpr)
 from revbayes.statfn import norm_quantile
 
@@ -142,29 +142,14 @@ class TestPriorProbForFpr:
             fpr = rng.uniform(0.001, 0.5)
             kind = rng.choice(ALL_KINDS)
             prior = prior_prob_for_fpr(p, fpr, kind)
-            assert fpr_forward(prior, min_bf(p, kind)) == pytest.approx(
-                fpr, rel=1e-10)
+            odds = min_bf(p, kind) * prior / (1.0 - prior)   # forward FPR
+            assert odds / (1.0 + odds) == pytest.approx(fpr, rel=1e-10)
 
     def test_bad_fpr(self):
         with pytest.raises(ValueError):
             prior_prob_for_fpr(0.05, 0.0, K.LOCAL_Z)
         with pytest.raises(ValueError):
             prior_prob_for_fpr(0.05, 1.0, K.LOCAL_Z)
-
-
-class TestFprForward:
-    def test_even_odds_with_unit_bf(self):
-        assert fpr_forward(0.5, 1.0) == 0.5
-
-    def test_monotone_in_prior(self):
-        values = [fpr_forward(q, 0.3) for q in [0.05, 0.2, 0.5, 0.8, 0.95]]
-        assert values == sorted(values)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            fpr_forward(0.0, 0.3)
-        with pytest.raises(ValueError):
-            fpr_forward(0.5, math.inf)
 
 
 class TestFprEqualsP:

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from revbayes.errors import DataError
 from revbayes.model import (EffectEstimate, NormalPrior, PosteriorSummary,
-                            PriorRole, Study, ci_limits, estimate_from_counts,
-                            forward_odds, reverse_prior_odds)
+                            Study, ci_limits, estimate_from_counts)
 
 
 class TestEstimateFromCounts:
@@ -94,29 +93,8 @@ class TestRecords:
             est._replace(se=0.0)
         with pytest.raises(DataError, match="events exceed arm size"):
             Study("s", 1, 10, 1, 10)._replace(events_treatment=11)
-        with pytest.raises(ValueError, match="sceptical prior must have mean zero"):
-            NormalPrior(0.0, 1.0, PriorRole.SCEPTICAL)._replace(mean=0.5)
-
-
-class TestReversePriorOdds:
-    def test_esp_style_bounds(self):
-        assert reverse_prior_odds(1.0, 1e20) == pytest.approx(1e-20, rel=1e-15)
-        assert reverse_prior_odds(1.0, 1e3) == pytest.approx(1e-3, rel=1e-15)
-
-    def test_identity_likelihood(self):
-        assert reverse_prior_odds(3.7, 1.0) == 3.7
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            reverse_prior_odds(0.0, 2.0)
-        with pytest.raises(ValueError):
-            reverse_prior_odds(1.0, -2.0)
-
-    @given(st.floats(min_value=1e-10, max_value=1e10),
-           st.floats(min_value=1e-10, max_value=1e10))
-    def test_inverts_forward_updating(self, prior, lr):
-        assert reverse_prior_odds(forward_odds(prior, lr), lr) == pytest.approx(
-            prior, rel=1e-15)
+        with pytest.raises(ValueError, match="prior variance must be positive"):
+            NormalPrior(0.0, 1.0)._replace(variance=0.0)
 
 
 class TestCiLimits:
@@ -162,16 +140,8 @@ class TestSignificant:
 
 
 class TestNormalPrior:
-    def test_sceptical_requires_zero_mean(self):
-        with pytest.raises(ValueError):
-            NormalPrior(0.2, 0.1, PriorRole.SCEPTICAL)
-
-    def test_flat_is_zero_precision(self):
-        flat = NormalPrior(0.0, math.inf, PriorRole.FLAT)
-        assert flat.precision == 0.0
-        with pytest.raises(ValueError):
-            NormalPrior(0.0, 0.1, PriorRole.FLAT)
-
     def test_variance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            NormalPrior(0.0, 0.0)
+        # and finite: equivalent_trial and bf01_normal_prior rely on it
+        for variance in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="prior variance must be positive"):
+                NormalPrior(0.0, variance)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from revbayes.statfn import (LOG_MAX, Branch, critical_ratio, critical_z,
                              exp_or_inf, find_root, lambert_w_log,
-                             norm_cdf, norm_quantile, two_sided_p)
+                             norm_quantile, two_sided_p)
 
 
 def phi_oracle(x):
@@ -40,32 +40,6 @@ def bisect_oracle(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-class TestNormCdf:
-    def test_symmetry_at_zero(self):
-        assert norm_cdf(0.0) == 0.5
-
-    def test_against_high_precision_oracle(self):
-        for x in [-8, -3.7, -1.96, -0.1, 0.3, 1.96, 2.5, 7]:
-            assert norm_cdf(x) == pytest.approx(phi_oracle(x), abs=1e-14)
-        assert norm_cdf(1.96) == pytest.approx(0.9750021, abs=5e-8)
-        assert norm_cdf(-1.96) == pytest.approx(0.0249979, abs=5e-8)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            norm_cdf(math.inf)
-        with pytest.raises(ValueError):
-            norm_cdf(math.nan)
-
-    @given(st.floats(min_value=-8, max_value=8))
-    def test_complement_identity(self, x):
-        assert norm_cdf(x) + norm_cdf(-x) == pytest.approx(1.0, abs=1e-14)
-
-    @given(st.floats(min_value=-10, max_value=10),
-           st.floats(min_value=0, max_value=5))
-    def test_monotone(self, x, step):
-        assert norm_cdf(x + step) >= norm_cdf(x)
-
-
 class TestNormQuantile:
     def test_median(self):
         assert norm_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
@@ -78,7 +52,7 @@ class TestNormQuantile:
     def test_round_trip_grid(self):
         ps = [1e-8, 1e-5, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.77, 0.99, 1 - 1e-5, 1 - 1e-8]
         for p in ps:
-            assert norm_cdf(norm_quantile(p)) == pytest.approx(p, abs=1e-10)
+            assert phi_oracle(norm_quantile(p)) == pytest.approx(p, abs=1e-10)
 
     def test_rejects_boundaries(self):
         for p in (0.0, 1.0, -0.1, 1.1):
