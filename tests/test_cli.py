@@ -439,10 +439,9 @@ _EXPORTED = {
 class TestPackage:
     # fresh interpreters, so the checks see what importing the package loads
     def python(self, *args):
-        root = pathlib.Path(__file__).resolve().parents[1]
         return subprocess.run([sys.executable, *args], capture_output=True,
                               text=True,
-                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
     def test_import_leaves_cli_unloaded(self):
         proc = self.python("-c", "import sys, revbayes; "
@@ -633,13 +632,12 @@ class TestDriver:
 
 class TestReadme:
     def test_cli_examples_run(self, capsys, monkeypatch):
-        root = pathlib.Path(__file__).resolve().parents[1]
-        readme = (root / "README.md").read_text(encoding="utf-8")
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
         block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
         examples = [shlex.split(line, comments=True)[1:]
                     for line in block.splitlines() if line.startswith("revbayes ")]
         assert examples
-        monkeypatch.chdir(root)  # the examples name the bundled table by its path
+        monkeypatch.chdir(ROOT)  # the examples name the bundled table by its path
         for argv in examples:
             assert run(argv) == 0, argv
             capsys.readouterr()
