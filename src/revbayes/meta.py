@@ -96,19 +96,21 @@ def pool(studies: list[Study]) -> MetaResult:
     estimates = [s.effect_estimate() for s in studies]
     try:
         precisions = [est.precision for est in estimates]
-    except ZeroDivisionError:   # se * se underflowed to 0
-        precisions = [math.inf]
-    if math.inf in precisions:
+    except NonexistenceError:
         # 1/se^2 falls as se grows, so the smallest se is past the range
         study, est = min(zip(studies, estimates), key=lambda pair: pair[1].se)
         raise NonexistenceError(
             f"no pooled estimate: study {study.id!r} has se = {est.se!r}, whose "
-            f"precision 1/se^2 is outside the floating-point range")
+            f"precision 1/se^2 is outside the floating-point range") from None
 
     before = [(0.0, 0.0)]
     for est, precision in zip(estimates, precisions):
         before.append(_combine(*before[-1], est.theta_hat, precision))
     pooled = PosteriorSummary(*before.pop())
+    if pooled.precision == math.inf:
+        raise NonexistenceError(
+            f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
+            f"{len(studies)} studies, is outside the floating-point range")
 
     per_study = []
     after = (0.0, 0.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DataError
+from .errors import DataError, NonexistenceError
 from .statfn import critical_ratio, critical_z, two_sided_p
 
 DEFAULT_LEVEL = 0.95
@@ -47,7 +47,12 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
 
     @property
     def precision(self) -> float:
-        return 1.0 / (self.se * self.se)
+        se2 = self.se * self.se
+        precision = 1.0 / se2 if se2 > 0.0 else math.inf
+        if precision == math.inf:
+            raise NonexistenceError(f"precision 1/se^2 is outside the floating-point range "
+                                    f"for se = {self.se!r}")
+        return precision
 
     def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
         return ci_limits(self, level)

@@ -337,6 +337,22 @@ _VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
                    | st.just(()) | st.dictionaries(_KEYS, inner, max_size=4)),
     max_leaves=30)
+# Row layouts: a strategy that draws the strategy of one row, so that a list
+# of its rows holds >= 2 dicts of one key set or lists of one length, the
+# rows that the renderer writes column by column. A column holds one scalar
+# type, mixed scalars, or rows of a nested layout.
+_LAYOUTS = st.recursive(
+    st.sampled_from([st.floats(allow_nan=False, allow_infinity=False)
+                     | st.sampled_from(_EDGE_FLOATS),
+                     st.text(), st.integers(), st.booleans(), st.none(), _SCALARS]),
+    lambda inner: (st.lists(inner, max_size=4).map(lambda row: st.tuples(*row).map(list))
+                   | st.dictionaries(_KEYS, inner, max_size=4).map(st.fixed_dictionaries)),
+    max_leaves=8)
+_TABLES = _LAYOUTS.flatmap(lambda row: st.lists(row, min_size=2, max_size=8))
+
+
+def _rows(n):
+    return [{"id": f"s{i}", "x": i / 7.0, "row": [str(i), i * 0.5, None]} for i in range(n)]
 
 
 class TestRenderJson:
@@ -344,8 +360,44 @@ class TestRenderJson:
     def test_same_bytes_as_json_dumps(self, value):
         assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
+    @given(_TABLES)
+    def test_tables_same_bytes_as_json_dumps(self, value):
+        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [{"%": 1.5, "%s": "a", "%%d": 0, '"': None, "\u00e9": [1, 2], "": True}] * 3,
+        [[1, 2], [1, 2, 3], [], [1]],
+        [1.0, 1, "1", None, True, [1.0], {"a": 1}, ()],
+        [{"a": 1, "b": 2.5}, {"b": 2.5, "a": 1}, {"b": 0.5, "a": "x"}],
+        [{"a": 1}, {"b": 1}, {"a": 1, "b": 2}, {}],
+        [{}, {}], [[], []], [(1, "a"), [2, "b"], (3, None)],
+    ], ids=["keys", "ragged", "mixed-types", "key-orders", "key-sets", "empty-dicts",
+            "empty-lists", "lists-and-tuples"])
+    def test_column_layouts(self, value):
+        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_block_boundaries(self, n):
+        rows = _rows(n)
+        for value in (rows, rows[:-1] + [None], {"per_study": rows}):
+            assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_large_meta_report(self, capsys, tmp_path):
+        # about a quarter of a meta-large table, through the equality gate
+        rng = random.Random(2500)
+        lines = ["id,events_t,n_t,events_c,n_c"]
+        for i in range(2500):
+            n_t, n_c = (int(10.0 ** rng.uniform(1, 9)) for _ in range(2))
+            lines.append(f"S{i},{rng.randint(1, n_t - 1)},{n_t},{rng.randint(1, n_c - 1)},{n_c}")
+        table = tmp_path / "large.csv"
+        table.write_text("\n".join(lines) + "\n")
+        results = run_json(capsys, ["--json", "meta", str(table)])["results"]
+        assert results["n_studies"] == len(results["per_study"]) == 2500
+
     @pytest.mark.parametrize("value", [{2: "a", 10: "b"}, {1.5: 0, -0.0: 1},
-                                       {True: 0, False: 1}, {None: 0}])
+                                       {True: 0, False: 1}, {None: 0},
+                                       [{2: "a"}, {2: "b"}], [{"a": 0}, {1: 0}],
+                                       [[{None: 0}], [{None: 1}]]])
     def test_scalar_keys_raise(self, value):
         # every report has str keys; json.dumps would write these as strings
         with pytest.raises(TypeError):
@@ -354,9 +406,15 @@ class TestRenderJson:
     def test_non_finite_floats_are_strings(self):
         text = render_json({"g": math.inf, "ci": [-math.inf, math.nan], "p": None})
         assert strict_loads(text) == {"g": "inf", "ci": ["-inf", "nan"], "p": None}
+        column = [[1.0, math.inf], [math.nan, -math.inf], [{"g": 0.5}, {"g": math.inf}]]
+        assert strict_loads(render_json(column)) == [
+            [1.0, "inf"], ["nan", "-inf"], [{"g": 0.5}, {"g": "inf"}]]
 
-    @pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {(1,): 2}],
-                             ids=["set", "nested", "tuple-key"])
+    @pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {(1,): 2},
+                                       [{1}, {2}], [[frozenset()], [frozenset()]],
+                                       [{"a": {1}}, {"a": {2}}]],
+                             ids=["set", "nested", "tuple-key", "set-column",
+                                  "nested-column", "dict-column"])
     def test_unsupported_types_raise(self, value):
         with pytest.raises(TypeError):
             json.dumps(value, sort_keys=True, indent=2)
@@ -578,12 +636,15 @@ class TestDriver:
         # se * se underflows to 0, or 1/(se * se) overflows to inf
         ("meta {table}", "A,0.1,1e-200\nB,0.2,2e-200", 3, "study 'A' has se = 1e-200"),
         ("meta {table}", "A,0.1,1e-160\nB,0.2,2e-160", 3, "study 'A' has se = 1e-160"),
-    ], ids=["meta", "ancred", "bf", "meta-se-1e-200", "meta-se-1e-160"])
+        # each 1/se^2 is 1e308, and their sum overflows
+        ("meta {table}", "A,0.1,1e-154\nB,0.2,1e-154", 3, "the pooled precision"),
+    ], ids=["meta", "ancred", "bf", "meta-se-1e-200", "meta-se-1e-160",
+            "meta-pooled-precision"])
     def test_z_squared_past_the_float_range(self, capsys, tmp_path, argv, rows, code,
                                             named):
         # z = 1e155: z * z is inf; meta and ancred report an error, bf its
         # limits, and none a traceback. A study whose precision 1/se^2 is
-        # past the float range is named.
+        # past the float range is named, and so is a pooled precision that is.
         table = tmp_path / "huge.csv"
         table.write_text(f"id,estimate,se\n{rows}\n")
         assert run(shlex.split(argv.format(table=table))) == code

@@ -39,6 +39,12 @@ class TestForwardUpdate:
         with pytest.raises(ValueError):
             forward_update(0.0, -1.0, EffectEstimate(0.0, 1.0))
 
+    @pytest.mark.parametrize("se", [1e-200, 1e-160])
+    def test_precision_past_the_float_range(self, se):
+        # se * se underflows to 0 (1e-200) or 1/(se * se) overflows (1e-160)
+        with pytest.raises(NonexistenceError, match="precision 1/se"):
+            forward_update(0.0, 1.0, EffectEstimate(0.1, se))
+
 
 class TestReverseUpdate:
     def test_recovery_leave_one_out(self, meta_result, recovery):
@@ -62,6 +68,11 @@ class TestReverseUpdate:
         post = forward_update(0.0, 0.0, est)
         with pytest.raises(NonexistenceError, match="posterior precision"):
             reverse_update(post, est)
+
+    @pytest.mark.parametrize("se", [1e-200, 1e-160])
+    def test_precision_past_the_float_range(self, se):
+        with pytest.raises(NonexistenceError, match="precision 1/se"):
+            reverse_update(PosteriorSummary(0.0, 1.0), EffectEstimate(0.1, se))
 
 
 class TestPool:
