@@ -114,7 +114,7 @@ def _render(value, newline: str, emit) -> None:
             emit("[]")
             return
         inner = newline + "  "
-        if len(value) <= _BLOCK:
+        if len(value) <= _BLOCK:   # no block loop for the short lists of small reports
             emit("[" + inner + ("," + inner).join(_column(value, inner)) + newline + "]")
             return
         sep = "[" + inner

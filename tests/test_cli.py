@@ -406,9 +406,11 @@ class TestRenderJson:
     def test_non_finite_floats_are_strings(self):
         text = render_json({"g": math.inf, "ci": [-math.inf, math.nan], "p": None})
         assert strict_loads(text) == {"g": "inf", "ci": ["-inf", "nan"], "p": None}
-        column = [[1.0, math.inf], [math.nan, -math.inf], [{"g": 0.5}, {"g": math.inf}]]
-        assert strict_loads(render_json(column)) == [
-            [1.0, "inf"], ["nan", "-inf"], [{"g": 0.5}, {"g": "inf"}]]
+        # float columns: by position, and by key
+        columns = {"rows": [[1.0, math.inf], [math.nan, -math.inf]],
+                   "dicts": [{"g": 0.5}, {"g": math.inf}]}
+        assert strict_loads(render_json(columns)) == {
+            "rows": [[1.0, "inf"], ["nan", "-inf"]], "dicts": [{"g": 0.5}, {"g": "inf"}]}
 
     @pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {(1,): 2},
                                        [{1}, {2}], [[frozenset()], [frozenset()]],
