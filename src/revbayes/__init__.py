@@ -19,7 +19,7 @@ _EXPORTS = {name: module for module, names in (
     ("errors", "DataError NonexistenceError"),
     ("model", "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary Study "
               "ci_limits estimate_from_counts read_study_table"),
-    ("meta", "FailSafeResult MetaResult StudyDiagnostics box_check failsafe_n "
+    ("meta", "FailSafeResult MetaResult StudyDiagnostics failsafe_n "
              "forward_update pool reverse_update"),
     ("ancred", "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
                "advocacy_prior credibility_ratio credibility_ratio_bound "

@@ -18,13 +18,13 @@ from operator import itemgetter
 
 from . import __version__
 from .errors import DataError, NonexistenceError
-from .model import EffectEstimate, read_study_table
+from .model import EffectEstimate, interval, read_study_table
 from .meta import failsafe_n, pool
 from .bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                  bf12_sceptical_vs_optimistic, bf_intrinsic, min_bf_els,
                  min_bf_local, sceptical_g_for_gamma, z_gamma)
 from .fpr import CalibrationKind, min_bf, prior_prob_for_fpr
-from .statfn import exp_or_inf
+from .statfn import exp_or_inf, two_sided_p
 
 
 class UsageError(Exception):
@@ -177,11 +177,12 @@ def _fmt_bf(bf: float) -> str:
     return f"{bf:.3g}"
 
 
-def _estimate_payload(est: EffectEstimate, level: float) -> dict:
-    lo, hi = est.ci(level)
+def _estimate_payload(theta: float, se: float, level: float) -> dict:
+    lo, hi = interval(theta, se, level)
+    z = theta / se
     return {
-        "log_or": est.theta_hat, "se": est.se, "z": est.z, "p": est.p_value,
-        "ci_log": [lo, hi], "or": exp_or_inf(est.theta_hat),
+        "log_or": theta, "se": se, "z": z, "p": two_sided_p(z),
+        "ci_log": [lo, hi], "or": exp_or_inf(theta),
         "ci_or": [exp_or_inf(lo), exp_or_inf(hi)], "level": level,
     }
 
@@ -196,25 +197,24 @@ def cmd_meta(args) -> dict:
     pooled_est = result.pooled.as_estimate()
 
     per_study = []
-    for diag in result.per_study:
-        estimate = _estimate_payload(diag.estimate, args.level)
-        loo = diag.leave_one_out_prior
-        p_box = None if math.isnan(diag.p_box) else diag.p_box
+    for sid, theta, se, loo_mean, loo_precision, t_box, p_box in zip(*result[1:]):
+        estimate = _estimate_payload(theta, se, args.level)
+        p_box = None if math.isnan(p_box) else p_box
         per_study.append({
-            "id": diag.study_id,
+            "id": sid,
             "estimate": estimate,
-            "leave_one_out_prior": None if loo is None else loo._asdict(),
-            "t_box": None if math.isnan(diag.t_box) else diag.t_box,
+            "leave_one_out_prior": ({"mean": loo_mean, "precision": loo_precision}
+                                    if loo_precision > 0.0 else None),
+            "t_box": None if math.isnan(t_box) else t_box,
             "p_box": p_box,
-            "forest_row": [diag.study_id, estimate["log_or"], *estimate["ci_log"],
-                           estimate["p"], p_box],
+            "forest_row": [sid, theta, *estimate["ci_log"], estimate["p"], p_box],
         })
 
     return {
         "command": "meta",
         "input_digest": _input_digest(args),
         "results": {
-            "pooled": _estimate_payload(pooled_est, args.level),
+            "pooled": _estimate_payload(*pooled_est, args.level),
             "pooled_precision": result.pooled.precision,
             "n_studies": result.n_studies,
             "fail_safe_n": fsn._asdict(),
@@ -283,7 +283,7 @@ def cmd_ancred(args) -> dict:
         est = EffectEstimate.from_ci(args.lower, args.upper, args.level)
 
     alpha = 1.0 - args.level
-    results: dict = {"estimate": _estimate_payload(est, args.level)}
+    results: dict = {"estimate": _estimate_payload(*est, args.level)}
     if est.significant(alpha):
         sc = sceptical_analysis(est, alpha)
         lo, hi = results["estimate"]["ci_log"]
@@ -369,7 +369,7 @@ def _print_trial(payload: dict) -> None:
 def cmd_bf(args) -> dict:
     est = EffectEstimate(args.estimate, args.se)
     z = est.z
-    results: dict = {"estimate": _estimate_payload(est, args.level),
+    results: dict = {"estimate": _estimate_payload(*est, args.level),
                      "min_bf_local": min_bf_local(z),
                      "min_bf_els": min_bf_els(z),
                      "mode": args.mode}

@@ -4,10 +4,11 @@ conflict checks, and fail-safe N."""
 from __future__ import annotations
 
 import math
+from operator import truediv
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
-from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study
+from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study, theta_se
 from .statfn import critical_ratio, two_sided_p
 
 
@@ -21,12 +22,29 @@ class StudyDiagnostics(NamedTuple):
 
 
 class MetaResult(NamedTuple):
+    """The pooled posterior and one column per study quantity, in table
+    order. A study that stands alone has loo_precision 0.0 (a flat
+    leave-one-out prior) and t_box and p_box nan."""
     pooled: PosteriorSummary
-    per_study: tuple[StudyDiagnostics, ...]
+    ids: tuple[str, ...]
+    theta: tuple[float, ...]
+    se: tuple[float, ...]
+    loo_mean: tuple[float, ...]
+    loo_precision: tuple[float, ...]
+    t_box: tuple[float, ...]
+    p_box: tuple[float, ...]
 
     @property
     def n_studies(self) -> int:
-        return len(self.per_study)
+        return len(self.ids)
+
+    @property
+    def per_study(self) -> tuple[StudyDiagnostics, ...]:
+        """The columns as one record per study, built on each access."""
+        return tuple(StudyDiagnostics(sid, EffectEstimate(theta, se),
+                                      PosteriorSummary(mean, precision) if precision > 0.0
+                                      else None, t_box, p_box)
+                     for sid, theta, se, mean, precision, t_box, p_box in zip(*self[1:]))
 
 
 class FailSafeResult(NamedTuple):
@@ -69,60 +87,53 @@ def reverse_update(posterior: PosteriorSummary,
     return PosteriorSummary(prior_mean, prior_precision)
 
 
-def box_check(estimate: EffectEstimate,
-              prior: PosteriorSummary) -> tuple[float, float]:
-    """Prior-predictive conflict check of an estimate against a normal prior.
-
-    Returns the standardized discrepancy and its two-sided tail probability
-    under the prior-predictive distribution.
-    """
-    t_box = (estimate.theta_hat - prior.mean) / math.sqrt(
-        estimate.se * estimate.se + 1.0 / prior.precision)
-    return t_box, two_sided_p(t_box)
-
-
 def pool(studies: list[Study]) -> MetaResult:
     """Fixed-effect pooling by iterated forward updating from a flat prior.
 
     Each study's leave-one-out prior pools the studies before it (a forward
     pass) with the studies after it (a backward pass), so no study is
-    subtracted back out of the pooled posterior.
+    subtracted back out of the pooled posterior. The work runs on columns
+    of floats; a study that EffectEstimate would reject is reported by
+    building its estimate, so the first such study in table order is named.
     """
     if not studies:
         raise DataError("meta-analysis requires at least one study")
     ids = [s.id for s in studies]
     if len(set(ids)) != len(ids):
         raise DataError("study ids must be unique")
-    estimates = [s.effect_estimate() for s in studies]
-    try:
-        precisions = [est.precision for est in estimates]
-    except NonexistenceError:
-        # 1/se^2 falls as se grows, so the smallest se is past the range
-        study, est = min(zip(studies, estimates), key=lambda pair: pair[1].se)
+    theta, se = zip(*map(theta_se, studies))
+    if not (all(map(math.isfinite, map(truediv, theta, se))) and all(map(math.isfinite, se))):
+        for study, t, s in zip(studies, theta, se):
+            if not (math.isfinite(t / s) and math.isfinite(s)):
+                study.effect_estimate()   # raises the study's own error
+    # 1/se^2 falls as se grows: if any precision leaves the float range, the smallest se's does
+    i = se.index(min(se))
+    if se[i] * se[i] == 0.0 or 1.0 / (se[i] * se[i]) == math.inf:
         raise NonexistenceError(
-            f"no pooled estimate: study {study.id!r} has se = {est.se!r}, whose "
-            f"precision 1/se^2 is outside the floating-point range") from None
+            f"no pooled estimate: study {ids[i]!r} has se = {se[i]!r}, whose "
+            f"precision 1/se^2 is outside the floating-point range")
+    precisions = [1.0 / (s * s) for s in se]
 
     before = [(0.0, 0.0)]
-    for est, precision in zip(estimates, precisions):
-        before.append(_combine(*before[-1], est.theta_hat, precision))
+    for t, precision in zip(theta, precisions):
+        before.append(_combine(*before[-1], t, precision))
     pooled = PosteriorSummary(*before.pop())
     if pooled.precision == math.inf:
         raise NonexistenceError(
             f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
             f"{len(studies)} studies, is outside the floating-point range")
 
-    per_study = []
+    loo = []
     after = (0.0, 0.0)
-    for study, est, precision, prefix in zip(reversed(studies), reversed(estimates),
-                                             reversed(precisions), reversed(before)):
-        loo_mean, loo_precision = _combine(*prefix, *after)
-        loo = PosteriorSummary(loo_mean, loo_precision) if loo_precision > 0.0 else None
-        t_box, p_box = (math.nan, math.nan) if loo is None else box_check(est, loo)
-        per_study.append(StudyDiagnostics(study.id, est, loo, t_box, p_box))
-        after = _combine(*after, est.theta_hat, precision)
-    per_study.reverse()
-    return MetaResult(pooled, tuple(per_study))
+    for t, precision, prefix in zip(reversed(theta), reversed(precisions), reversed(before)):
+        loo.append(_combine(*prefix, *after))
+        after = _combine(*after, t, precision)
+    loo_mean, loo_precision = zip(*reversed(loo))
+    # the prior-predictive conflict check of each study against its leave-one-out prior
+    t_box = tuple((t - m) / math.sqrt(s * s + 1.0 / k) if k > 0.0 else math.nan
+                  for t, s, m, k in zip(theta, se, loo_mean, loo_precision))
+    return MetaResult(pooled, tuple(ids), theta, se, loo_mean, loo_precision,
+                      t_box, tuple(map(two_sided_p, t_box)))
 
 
 def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult:

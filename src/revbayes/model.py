@@ -86,9 +86,7 @@ class Study(NamedTuple("Study", [
                 n_control=None, estimate=None, se=None):
         self = super().__new__(cls, id, events_treatment, n_treatment,
                                events_control, n_control, estimate, se)
-        counts = (self.events_treatment, self.n_treatment,
-                  self.events_control, self.n_control)
-        has_counts = all(v is not None for v in counts)
+        has_counts = None not in self[1:5]
         has_estimate = self.estimate is not None and self.se is not None
         if has_counts == has_estimate:
             raise DataError(f"study {self.id!r}: supply either all four counts "
@@ -171,16 +169,25 @@ def estimate_from_counts(study: Study) -> EffectEstimate:
     """
     if not study.has_counts:
         raise DataError(f"study {study.id!r} carries no counts")
+    theta, se = theta_se(study)
+    if math.isnan(se):
+        raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
+                        "supply estimate and se directly instead")
+    return EffectEstimate(theta, se)
+
+
+def theta_se(study: Study) -> tuple[float, float]:
+    """(log OR, se) of a study of either schema, unchecked: its estimate and
+    se, or the log odds ratio of its counts, nan for both when a cell is zero."""
+    if study.events_treatment is None:
+        return study.estimate, study.se
     a = study.events_treatment
     b = study.n_treatment - a
     c = study.events_control
     d = study.n_control - c
     if min(a, b, c, d) <= 0:
-        raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
-                        "supply estimate and se directly instead")
-    theta = math.log((a / b) / (c / d))
-    se = math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
-    return EffectEstimate(theta, se)
+        return math.nan, math.nan
+    return math.log((a / b) / (c / d)), math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
 
 
 def interval(center: float, sd: float,
@@ -199,10 +206,9 @@ def ci_limits(estimate: EffectEstimate, level: float = DEFAULT_LEVEL) -> tuple[f
 
 # header -> (cell parser, error noun, Study constructor from id and cells)
 _SCHEMAS = (
-    (["id", "events_t", "n_t", "events_c", "n_c"], int, "non-integer count",
-     lambda sid, cells: Study(sid, *cells)),
+    (["id", "events_t", "n_t", "events_c", "n_c"], int, "non-integer count", Study),
     (["id", "estimate", "se"], float, "non-numeric value",
-     lambda sid, cells: Study(sid, estimate=cells[0], se=cells[1])),
+     lambda sid, estimate, se: Study(sid, estimate=estimate, se=se)),
 )
 
 
@@ -210,7 +216,8 @@ def read_study_table(path: str) -> list[Study]:
     """Parse a study CSV; the header selects the counts or estimate schema."""
     import csv   # here, so that only `meta` pays for it in a cold process
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte order mark that Excel's "CSV UTF-8" writes
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -225,15 +232,15 @@ def read_study_table(path: str) -> list[Study]:
                         f"{_SCHEMAS[0][0]} or {_SCHEMAS[1][0]}")
     studies: list[Study] = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
+        if not any(map(str.strip, row)):
             continue
         if len(row) != len(names):
             raise DataError(f"{path}:{lineno}: expected {len(names)} columns, got {len(row)}")
         try:
-            cells = [parse(c) for c in row[1:]]
+            cells = list(map(parse, row[1:]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {noun}: {exc}") from exc
-        studies.append(make(row[0].strip(), cells))
+        studies.append(make(row[0].strip(), *cells))
     if not studies:
         raise DataError(f"{path}: no data rows")
     ids = [s.id for s in studies]

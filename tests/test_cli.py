@@ -100,6 +100,29 @@ class TestReadStudyTable:
         f.write_text("id,estimate,se\nA,-0.5,0.2\n\n , , \nB,0.1,0.3\n")
         assert len(read_study_table(str(f))) == 2
 
+    @pytest.mark.parametrize("rows, message", [
+        # a bad cell on line 2 and a short row on line 4
+        ("id,estimate,se\nA,x,0.2\n \t, ,\nB,0.1\n", r"bad\.csv:2: non-numeric value"),
+        ("id,estimate,se\nA,0.1,0.2\n  ,,\nB,0.1\nC,y,0.2\n", r"bad\.csv:4: expected 3"),
+        # a negative count on line 3 and a non-integer on line 5
+        ("id,events_t,n_t,events_c,n_c\nA,2,7,2,12\nB,-1,7,2,12\n , , , , \nC,2.5,7,2,12\n",
+         "study 'B': negative event count"),
+    ], ids=["cell-before-short-row", "short-row-before-cell", "count-before-non-integer"])
+    def test_first_bad_row_is_named(self, tmp_path, rows, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(rows)
+        with pytest.raises(DataError, match=message):
+            read_study_table(str(f))
+
+    def test_byte_order_mark(self, capsys, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 BOM
+        f = tmp_path / "bom.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(DATA).read_bytes())
+        with_bom = run_json(capsys, ["--json", "meta", str(f)])
+        plain = run_json(capsys, ["--json", "meta", DATA])
+        assert with_bom["results"] == plain["results"]
+        assert with_bom["input_digest"] != plain["input_digest"]   # the raw bytes
+
 
 class TestMetaCommand:
     def test_pooled_values(self, capsys):
@@ -474,13 +497,72 @@ class TestFuzz:
             codes.append(code)
         assert {0, 2, 3} <= set(codes)
 
+    def test_meta_tables(self, capsys, tmp_path):
+        rng = random.Random(7101)
+        table = tmp_path / "fuzz.csv"
+        codes = []
+        for _ in range(600):
+            table.write_text(_fuzz_table(rng))
+            argv = ["meta", str(table)]
+            if rng.random() < 0.3:
+                argv = [f"--level={rng.uniform(0.01, 0.99)!r}", *argv]
+            if rng.random() < 0.75:
+                argv = ["--json", *argv]
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), table.read_text()
+            assert "Traceback" not in err, table.read_text()
+            if code == 0 and "--json" in argv:
+                strict_loads(out)
+            codes.append(code)
+        assert {0, 2, 3} <= set(codes)
+        assert codes.count(0) >= len(codes) // 4
+
+
+def _fuzz_table(rng):
+    """The text of one extreme study table: 1-50 rows of either schema, with
+    se down to 5e-324, |estimate| up to 1e308 and counts up to 2^53, and
+    whitespace-only rows between. A table's rows share a scale of se, and
+    0, 2 or 20 % of them are bad (a zero cell, a bad count or value, a
+    non-finite estimate, a z or precision past the float range, a short row
+    or a repeated id), so that about half of the tables pool."""
+    counts = rng.random() < 0.5
+    bad = rng.choice([0.0, 0.0, 0.02, 0.2])
+    scale = rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else rng.uniform(-323.0, 308.0)
+    lines = ["id,events_t,n_t,events_c,n_c" if counts else "id,estimate,se"]
+    for i in range(rng.randint(1, 50)):
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", " ", " , , ", "\t,,"]))
+        n_t, n_c = (int(2.0 ** rng.uniform(1.0, 53.0)) for _ in range(2))
+        se = max(10.0 ** min(scale + rng.uniform(-3.0, 3.0), 308.0), 5e-324)
+        if rng.random() < 0.95:
+            estimate = min(rng.uniform(-40.0, 40.0) * se, sys.float_info.max)
+        else:
+            estimate = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 308.0)
+        cells = ([rng.randint(1, n_t - 1), n_t, rng.randint(1, n_c - 1), n_c] if counts
+                 else [repr(estimate), repr(se)])
+        if rng.random() < bad:
+            kind = rng.randrange(4)
+            if kind == 0:     # a zero cell, or an impossible count
+                cells[0] = rng.choice([0, n_t, -1, n_t + 1]) if counts else "inf"
+            elif kind == 1:   # not a number of the schema's kind
+                cells[-1] = rng.choice(["2.5", "x", "nan", "0", "-1"])
+            elif kind == 2:   # z or 1/se^2 past the float range
+                cells = ([0, n_t, rng.randint(1, n_c - 1), n_c] if counts
+                         else [rng.choice(["1e308", "1e-300", "-2e300"]), "5e-324"])
+            else:             # a short row, or the id of the row before
+                cells = cells[:-1] if rng.random() < 0.5 else cells
+                i = i - 1 if i else i
+        lines.append(",".join([f"S{i}", *map(str, cells)]))
+    return "\n".join(lines) + "\n"
+
 
 # the names `revbayes` exports, by the module that defines them
 _EXPORTED = {
     "errors": "DataError NonexistenceError",
     "model": "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary Study "
              "ci_limits estimate_from_counts read_study_table",
-    "meta": "FailSafeResult MetaResult StudyDiagnostics box_check failsafe_n "
+    "meta": "FailSafeResult MetaResult StudyDiagnostics failsafe_n "
             "forward_update pool reverse_update",
     "ancred": "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
               "advocacy_prior credibility_ratio credibility_ratio_bound "

@@ -1,15 +1,16 @@
 import math
 import random
+import re
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from revbayes.errors import DataError, NonexistenceError
-from revbayes.meta import (box_check, failsafe_n, forward_update, pool,
-                           reverse_update)
+from revbayes.meta import failsafe_n, forward_update, pool, reverse_update
+from revbayes.meta import StudyDiagnostics
 from revbayes.model import EffectEstimate, PosteriorSummary, Study
-from revbayes.statfn import critical_z
+from revbayes.statfn import critical_z, two_sided_p
 
 
 def closed_form_pool(estimates):
@@ -17,6 +18,66 @@ def closed_form_pool(estimates):
     precision = sum(1.0 / e.se ** 2 for e in estimates)
     mean = sum(e.theta_hat / e.se ** 2 for e in estimates) / precision
     return mean, precision
+
+
+def record_pool(studies):
+    """Oracle: pool as written one record per study, with an EffectEstimate,
+    a PosteriorSummary and a conflict check each: (pooled, per_study)."""
+    def combine(mean_a, precision_a, mean_b, precision_b):
+        if precision_a == 0.0:
+            return mean_b, precision_b
+        if precision_b == 0.0:
+            return mean_a, precision_a
+        precision = precision_a + precision_b
+        return (mean_a * precision_a + mean_b * precision_b) / precision, precision
+
+    if not studies:
+        raise DataError("meta-analysis requires at least one study")
+    estimates = [s.effect_estimate() for s in studies]
+    try:
+        precisions = [est.precision for est in estimates]
+    except NonexistenceError:
+        study, est = min(zip(studies, estimates), key=lambda pair: pair[1].se)
+        raise NonexistenceError(
+            f"no pooled estimate: study {study.id!r} has se = {est.se!r}, whose "
+            f"precision 1/se^2 is outside the floating-point range") from None
+    before = [(0.0, 0.0)]
+    for est, precision in zip(estimates, precisions):
+        before.append(combine(*before[-1], est.theta_hat, precision))
+    pooled = PosteriorSummary(*before.pop())
+    if pooled.precision == math.inf:
+        raise NonexistenceError(
+            f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
+            f"{len(studies)} studies, is outside the floating-point range")
+    per_study = []
+    after = (0.0, 0.0)
+    for study, est, precision, prefix in zip(reversed(studies), reversed(estimates),
+                                             reversed(precisions), reversed(before)):
+        loo_mean, loo_precision = combine(*prefix, *after)
+        loo = PosteriorSummary(loo_mean, loo_precision) if loo_precision > 0.0 else None
+        t_box = p_box = math.nan
+        if loo is not None:
+            t_box = (est.theta_hat - loo.mean) / math.sqrt(
+                est.se * est.se + 1.0 / loo.precision)
+            p_box = two_sided_p(t_box)
+        per_study.append(StudyDiagnostics(study.id, est, loo, t_box, p_box))
+        after = combine(*after, est.theta_hat, precision)
+    return pooled, tuple(reversed(per_study))
+
+
+# rows of both schemas, some with a zero cell, a non-finite value or an se whose
+# precision or z leaves the float range
+_CELL = st.integers(min_value=0, max_value=2 ** 52)
+_COUNTS_ROW = st.tuples(_CELL, _CELL, _CELL, _CELL).filter(
+    lambda c: c[0] + c[1] > 0 and c[2] + c[3] > 0).map(
+    lambda c: {"events_treatment": c[0], "n_treatment": c[0] + c[1],
+               "events_control": c[2], "n_control": c[2] + c[3]})
+_ESTIMATE_ROW = st.fixed_dictionaries({
+    "estimate": st.one_of([st.floats(min_value=-1e308, max_value=1e308)] * 7
+                          + [st.sampled_from([math.inf, -math.inf, math.nan])]),
+    "se": st.one_of([st.floats(min_value=5e-324, max_value=1e308)] * 7
+                    + [st.sampled_from([5e-324, 1e-200, 1e-160, 1e-154, 1e154, 1e300,
+                                        math.inf, math.nan])])})
 
 
 class TestForwardUpdate:
@@ -135,6 +196,40 @@ class TestPool:
                 assert loo.precision == pytest.approx(float(precision), rel=1e-10, abs=0)
                 assert loo.mean == pytest.approx(float(mean), rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([("1", 2, 7, 2, 12), ("2", 0, 10, 3, 11), ("3", 2, 7, 2, 12), ("4", 1e308, 1e-10)],
+         "study '2': zero cell"),
+        ([("1", 2, 7, 2, 12), ("2", 1e308, 1e-10), ("3", 2, 7, 2, 12), ("4", 0, 10, 3, 11)],
+         "z = estimate / se overflows: 1e+308 / 1e-10"),
+        ([("1", 0.1, 0.2), ("2", math.inf, 0.2), ("3", 0.1, 1e-200), ("4", 0.1, math.nan)],
+         "estimate and se must be finite"),
+    ], ids=["zero-cell-first", "z-overflow-first", "non-finite-first"])
+    def test_mixed_schemas_name_the_first_bad_row(self, rows, message):
+        studies = [Study(*row) if len(row) == 5 else Study(row[0], estimate=row[1], se=row[2])
+                   for row in rows]
+        with pytest.raises(DataError, match=re.escape(message)):
+            pool(studies)
+
+    @given(st.lists(_COUNTS_ROW | _ESTIMATE_ROW, min_size=1, max_size=30))
+    # an infinite se with a finite z; two smallest se past the range, of which
+    # the first is named
+    @example([{"estimate": 0.1, "se": 0.2}, {"estimate": 0.1, "se": math.inf}])
+    @example([{"estimate": 0.1, "se": 0.2}, {"estimate": 0.1, "se": 1e-200},
+              {"estimate": 0.2, "se": 1e-200}])
+    def test_same_as_record_by_record(self, rows):
+        # the error of the first bad study, or every column bit for bit
+        studies = [Study(str(i), **row) for i, row in enumerate(rows)]
+        try:
+            expected = record_pool(studies)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                pool(studies)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            return
+        result = pool(studies)
+        assert repr((result.pooled, result.per_study)) == repr(expected)
+        assert result.n_studies == len(studies)
+
     def test_dominant_study_leaves_the_rest(self):
         # the first study's precision is 1e16 times the others'
         studies = [Study("big", estimate=1.0, se=1e-8), Study("a", estimate=0.2, se=1.0),
@@ -164,11 +259,10 @@ class TestBoxCheck:
         assert diag.p_box == pytest.approx(0.05, abs=0.01)
 
     def test_no_conflict_when_means_agree(self):
-        est = EffectEstimate(0.3, 0.2)
-        prior = PosteriorSummary(0.3, 4.0)
-        t_box, p_box = box_check(est, prior)
-        assert t_box == 0.0
-        assert p_box == 1.0
+        # each study's leave-one-out prior is the other, of the same mean
+        result = pool([Study("a", estimate=0.3, se=0.2), Study("b", estimate=0.3, se=0.5)])
+        assert result.t_box == (0.0, 0.0)
+        assert result.p_box == (1.0, 1.0)
 
 
 class TestFailSafeN:
