@@ -481,44 +481,6 @@ def _fuzz_argv(rng):
     return ["--json", *argv] if rng.random() < 0.7 else argv
 
 
-class TestFuzz:
-    def test_exit_codes_and_strict_json(self, capsys):
-        # in process, so the renderer's equality gate sees every report too
-        rng = random.Random(7001)
-        codes = []
-        for _ in range(1500):
-            argv = _fuzz_argv(rng)
-            code = run(argv)
-            out, err = capsys.readouterr()
-            assert code in (0, 1, 2, 3), argv
-            assert "Traceback" not in err, argv
-            if code == 0 and "--json" in argv:
-                strict_loads(out)
-            codes.append(code)
-        assert {0, 2, 3} <= set(codes)
-
-    def test_meta_tables(self, capsys, tmp_path):
-        rng = random.Random(7101)
-        table = tmp_path / "fuzz.csv"
-        codes = []
-        for _ in range(600):
-            table.write_text(_fuzz_table(rng))
-            argv = ["meta", str(table)]
-            if rng.random() < 0.3:
-                argv = [f"--level={rng.uniform(0.01, 0.99)!r}", *argv]
-            if rng.random() < 0.75:
-                argv = ["--json", *argv]
-            code = run(argv)
-            out, err = capsys.readouterr()
-            assert code in (0, 1, 2, 3), table.read_text()
-            assert "Traceback" not in err, table.read_text()
-            if code == 0 and "--json" in argv:
-                strict_loads(out)
-            codes.append(code)
-        assert {0, 2, 3} <= set(codes)
-        assert codes.count(0) >= len(codes) // 4
-
-
 def _fuzz_table(rng):
     """The text of one extreme study table: 1-50 rows of either schema, with
     se down to 5e-324, |estimate| up to 1e308 and counts up to 2^53, and
@@ -555,6 +517,44 @@ def _fuzz_table(rng):
                 i = i - 1 if i else i
         lines.append(",".join([f"S{i}", *map(str, cells)]))
     return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    def test_exit_codes_and_strict_json(self, capsys):
+        # in process, so the renderer's equality gate sees every report too
+        rng = random.Random(7001)
+        codes = []
+        for _ in range(1500):
+            argv = _fuzz_argv(rng)
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            if code == 0 and "--json" in argv:
+                strict_loads(out)
+            codes.append(code)
+        assert {0, 2, 3} <= set(codes)
+
+    def test_meta_tables(self, capsys, tmp_path):
+        rng = random.Random(7101)
+        table = tmp_path / "fuzz.csv"
+        codes = []
+        for _ in range(600):
+            table.write_text(_fuzz_table(rng))
+            argv = ["meta", str(table)]
+            if rng.random() < 0.3:
+                argv = [f"--level={rng.uniform(0.01, 0.99)!r}", *argv]
+            if rng.random() < 0.75:
+                argv = ["--json", *argv]
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3), table.read_text()
+            assert "Traceback" not in err, table.read_text()
+            if code == 0 and "--json" in argv:
+                strict_loads(out)
+            codes.append(code)
+        assert {0, 2, 3} <= set(codes)
+        assert codes.count(0) >= len(codes) // 4
 
 
 # the names `revbayes` exports, by the module that defines them

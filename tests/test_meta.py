@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from revbayes.errors import DataError, NonexistenceError
-from revbayes.meta import failsafe_n, forward_update, pool, reverse_update
-from revbayes.meta import StudyDiagnostics
+from revbayes.meta import (StudyDiagnostics, failsafe_n, forward_update, pool,
+                           reverse_update)
 from revbayes.model import EffectEstimate, PosteriorSummary, Study
 from revbayes.statfn import critical_z, two_sided_p
 
