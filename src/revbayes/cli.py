@@ -14,7 +14,8 @@ import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from itertools import repeat
+from operator import is_, itemgetter
 
 from . import __version__
 from .errors import DataError, NonexistenceError
@@ -72,23 +73,29 @@ def render_json(value) -> str:
     json.dumps is not used: given an indent, the standard library drops its
     C encoder for a pure-Python generator chain, which spends most of a
     10 000-study `meta` report. Dicts and scalars are written depth-first,
-    but the items of a list are rendered as columns (`_column`): a report's
-    long lists hold rows of one layout, so each layout is worked out once
-    and its texts come from map calls and one %-template instead of one
-    Python call per container and per float. A list goes in blocks of
-    _BLOCK items, so the column texts of a whole 10 000-study list are
-    never held at once. A non-finite float becomes the string of its repr
-    ("inf", "-inf" or "nan"), where json.dumps would write the non-standard
-    Infinity and NaN tokens; null keeps its meaning of "not applicable".
-    Anything but a dict, list, tuple, str, int, float, bool or None raises
-    TypeError, as in json.dumps, and so does a non-str key.
+    but a list's items of one layout take one flat %-template (`_layout`),
+    filled from a column per slot; numbers go in as themselves, and a float
+    column shared with an earlier one is formatted once (`_rows`). A list
+    goes in blocks of _BLOCK items, which write_json passes on as rendered.
+    A non-finite float becomes the string of its repr ("inf", "-inf" or
+    "nan"), where json.dumps would write the non-standard Infinity and NaN
+    tokens; null keeps its meaning of "not applicable". Anything but a dict,
+    list, tuple, str, int, float, bool or None raises TypeError, as in
+    json.dumps, and so does a non-str key.
     """
     chunks: list[str] = []
-    _render(value, "\n", chunks.append)
+    write_json(value, chunks.append)
     return "".join(chunks)
 
 
-_BLOCK = 1024   # list items per _column call: smaller blocks cost calls, larger ones memory
+def write_json(value, write) -> None:
+    """Pass the text of render_json(value) to `write`, chunk by chunk."""
+    _render(value, "\n", write)
+
+
+# list items per _rows call: as fast as 256 items, but in 24 meta-large runs peak RSS
+# stayed at 58.7-59.6 MB, where 256 reached ~68 MB in 3 of 20 runs
+_BLOCK = 128
 
 
 def _render(value, newline: str, emit) -> None:
@@ -114,12 +121,9 @@ def _render(value, newline: str, emit) -> None:
             emit("[]")
             return
         inner = newline + "  "
-        if len(value) <= _BLOCK:   # no block loop for the short lists of small reports
-            emit("[" + inner + ("," + inner).join(_column(value, inner)) + newline + "]")
-            return
         sep = "[" + inner
         for start in range(0, len(value), _BLOCK):
-            emit(sep + ("," + inner).join(_column(value[start:start + _BLOCK], inner)))
+            emit(sep + ("," + inner).join(_rows(value[start:start + _BLOCK], inner)))
             sep = "," + inner
         emit(newline + "]")
     else:
@@ -129,38 +133,55 @@ def _render(value, newline: str, emit) -> None:
         emit(encode(value))
 
 
-def _column(values, newline: str) -> list[str]:
-    """The JSON texts of `values`, all written at the depth of `newline`.
-    Items of one scalar type take one map; dicts with one key set and lists
-    of one length take one %-template, filled from the column of each key
-    or position; other items are rendered one by one."""
+def _rows(values, newline: str):
+    """The JSON texts of `values`, all written at the depth of `newline`. A
+    float column of one object, or of the objects of an earlier float column
+    (by identity: 0.0 == -0.0), is formatted once; other numbers go to %s."""
+    template, columns = _layout(values, newline)
+    first = {}   # (id of the first item, id of the last) -> index and items of a float column
+    for i, column in enumerate(columns):
+        head, tail = column[0], column[-1]
+        if type(head) is float:
+            j, items = first.setdefault((id(head), id(tail)), (i, column))
+            if head is tail and all(map(is_, column, repeat(head))):
+                columns[i] = [float.__repr__(head)] * len(column)
+            elif j != i and all(map(is_, column, items)):
+                if columns[j] is items:
+                    columns[j] = list(map(float.__repr__, column))
+                columns[i] = columns[j]
+    return map(template.__mod__, zip(*columns)) if columns else [template] * len(values)
+
+
+def _layout(values, newline: str) -> tuple[str, list]:
+    """A %-template for each item of `values`, at the depth of `newline`, and
+    the columns for its slots: dicts with one key set and lists of one length
+    are inlined, finite floats and ints fill a slot as numbers, other scalars
+    as texts, and items of mixed types, key sets or lengths as rendered."""
     kind = type(values[0]) if len(set(map(type, values))) == 1 else None
-    if kind is float:
-        texts = list(map(float.__repr__, values))
-        return texts if all(map(math.isfinite, values)) else list(map(_json_float, values))
+    if kind is int or (kind is float and all(map(math.isfinite, values))):
+        return "%s", [values]
     encode = _JSON_SCALARS.get(kind)
     if encode is not None:
-        return list(map(encode, values))
+        return "%s", [list(map(encode, values))]
     inner = newline + "  "
     if kind is dict and all(map(values[0].keys().__eq__, map(dict.keys, values))):
         keys = sorted(values[0])
         opener, heads, closer = "{", [encode_basestring_ascii(key) + ": " for key in keys], "}"
-        columns = [_column(list(map(itemgetter(key), values)), inner) for key in keys]
+        parts = [_layout(list(map(itemgetter(key), values)), inner) for key in keys]
     elif (kind is list or kind is tuple) and len(set(map(len, values))) == 1:
-        columns = [_column(column, inner) for column in zip(*values)]
-        opener, heads, closer = "[", [""] * len(columns), "]"
+        parts = [_layout(column, inner) for column in zip(*values)]
+        opener, heads, closer = "[", [""] * len(parts), "]"
     else:   # mixed types, key sets or lengths
         texts = []
         for item in values:
             chunks: list[str] = []
             _render(item, newline, chunks.append)
             texts.append("".join(chunks))
-        return texts
-    if not heads:
-        return [opener + closer] * len(values)
-    template = (opener + inner + ("," + inner).join(head.replace("%", "%%") + "%s"
-                                                    for head in heads) + newline + closer)
-    return list(map(template.__mod__, zip(*columns)))
+        return "%s", [texts]
+    body = ("," + inner).join(head.replace("%", "%%") + part
+                              for head, (part, _) in zip(heads, parts))
+    return (opener + inner + body + newline + closer if parts else opener + closer,
+            [column for _, columns in parts for column in columns])
 
 
 def _fmt(x: float) -> str:
@@ -545,7 +566,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(render_json(report))
+        write_json(report, sys.stdout.write)
+        print()
     else:
         printer(report, args.scale)
     return 0

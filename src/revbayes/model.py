@@ -86,6 +86,8 @@ class Study(NamedTuple("Study", [
                 n_control=None, estimate=None, se=None):
         self = super().__new__(cls, id, events_treatment, n_treatment,
                                events_control, n_control, estimate, se)
+        if self[1:5].count(None) not in (0, 4):
+            raise DataError(f"study {self.id!r}: supply all four counts or none")
         has_counts = None not in self[1:5]
         has_estimate = self.estimate is not None and self.se is not None
         if has_counts == has_estimate:
@@ -187,7 +189,13 @@ def theta_se(study: Study) -> tuple[float, float]:
     d = study.n_control - c
     if min(a, b, c, d) <= 0:
         return math.nan, math.nan
-    return math.log((a / b) / (c / d)), math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
+    try:
+        return math.log((a / b) / (c / d)), math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        # a count that no float holds, or an odds ratio that underflows to 0
+        what = "counts are" if max(a, b, c, d) >= 2 ** 1024 else "odds ratio is"
+        raise NonexistenceError(f"study {study.id!r}: its {what} outside the "
+                                f"floating-point range") from None
 
 
 def interval(center: float, sd: float,

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,13 +9,15 @@ import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
 import revbayes
 from revbayes import bundled_dataset_path, cli
-from revbayes.cli import read_study_table, render_json, run
+from revbayes.cli import read_study_table, render_json, run, write_json
 from revbayes.errors import DataError
 
 DATA = str(bundled_dataset_path())
@@ -47,16 +51,19 @@ def run_json(capsys, argv):
 @pytest.fixture(autouse=True)
 def renders_as_json_dumps(monkeypatch):
     """The equality gate, on every report a test here renders: a finite
-    report comes out as json.dumps(report, sort_keys=True, indent=2)."""
-    def checked(report):
-        text = render_json(report)
+    report comes out as json.dumps(report, sort_keys=True, indent=2). It
+    wraps write_json, which run streams each --json report through."""
+    def checked(report, write):
+        chunks = []
+        write_json(report, chunks.append)
+        text = "".join(chunks)
         try:
             expected = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
         except ValueError:   # non-finite floats, which json.dumps cannot write strictly
-            return text
+            expected = text
         assert text == expected
-        return text
-    monkeypatch.setattr(cli, "render_json", checked)
+        write(text)
+    monkeypatch.setattr(cli, "write_json", checked)
 
 
 class TestReadStudyTable:
@@ -176,6 +183,21 @@ class TestMetaCommand:
         assert run(["meta", str(f)]) == 2
         err = capsys.readouterr().err
         assert "EMPTY" in err
+
+    @pytest.mark.parametrize("rows, named", [
+        (f"A,{10 ** 399},{10 ** 400},2,12", "counts are"),
+        (f"OK,2,7,2,12\nA,1,{10 ** 400},2,12", "counts are"),
+        (f"A,1,2,1,{10 ** 400}", "counts are"),
+        # every count is a float, but (a/b)/(c/d) underflows to 0
+        (f"A,1,{10 ** 307},{10 ** 307 - 1},{10 ** 307}", "odds ratio is"),
+    ], ids=["events-and-arm", "arm", "control-arm", "odds-ratio"])
+    def test_counts_past_the_float_range(self, capsys, tmp_path, rows, named):
+        f = tmp_path / "huge.csv"
+        f.write_text(f"id,events_t,n_t,events_c,n_c\n{rows}\n")
+        for argv in (["meta", str(f)], ["--json", "meta", str(f)]):
+            assert run(argv) == 3
+            assert capsys.readouterr().err == (
+                f"nonexistence: study 'A': its {named} outside the floating-point range\n")
 
 
 class TestAncredCommand:
@@ -378,6 +400,31 @@ def _rows(n):
     return [{"id": f"s{i}", "x": i / 7.0, "row": [str(i), i * 0.5, None]} for i in range(n)]
 
 
+def _counts_table(tmp_path, n):
+    """A seeded counts-schema table of n studies, arm sizes log-uniform on
+    10-1e9, written to a file; its path."""
+    rng = random.Random(n)
+    lines = ["id,events_t,n_t,events_c,n_c"]
+    for i in range(n):
+        n_t, n_c = (int(10.0 ** rng.uniform(1, 9)) for _ in range(2))
+        lines.append(f"S{i},{rng.randint(1, n_t - 1)},{n_t},{rng.randint(1, n_c - 1)},{n_c}")
+    table = tmp_path / f"counts-{n}.csv"
+    table.write_text("\n".join(lines) + "\n")
+    return str(table)
+
+
+def _non_finite_as_strings(value):
+    """value with each non-finite float replaced by its repr, as render_json writes it."""
+    if isinstance(value, dict):
+        return {key: _non_finite_as_strings(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_non_finite_as_strings(item) for item in value]
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+_X, _Y, _Z = 0.1 + 0.2, 2.0 / 3.0, 0.0   # one object each, shared by the rows below
+
+
 class TestRenderJson:
     @given(_VALUES)
     def test_same_bytes_as_json_dumps(self, value):
@@ -394,12 +441,38 @@ class TestRenderJson:
         [{"a": 1, "b": 2.5}, {"b": 2.5, "a": 1}, {"b": 0.5, "a": "x"}],
         [{"a": 1}, {"b": 1}, {"a": 1, "b": 2}, {}],
         [{}, {}], [[], []], [(1, "a"), [2, "b"], (3, None)],
+        [{"%s": {"%d": i / 3.0, "a%": [i, "%s", {"%%": None}]}} for i in range(3)],
     ], ids=["keys", "ragged", "mixed-types", "key-orders", "key-sets", "empty-dicts",
-            "empty-lists", "lists-and-tuples"])
+            "empty-lists", "lists-and-tuples", "nested-keys"])
     def test_column_layouts(self, value):
         assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("value", [
+        # the same float objects under two keys and at a list position
+        [{"a": x, "b": x, "c": [i, x]} for i, x in enumerate([_X, _Y, 0.5, -0.0])],
+        # equal by == but not identical: 0.0 and -0.0 differ in repr
+        [{"a": x, "b": y} for x, y in zip([0.0, 1.5], [-0.0, 1.5])],
+        [{"a": x, "b": y} for x, y in zip([_X, 0.0, _Y], [_X, -0.0, _Y])],
+        # the same first and last objects, another in the middle
+        [{"a": x, "b": y} for x, y in zip([_X, 0.25, _Y], [_X, 0.75, _Y])],
+        # one object throughout, equal but distinct objects, and 0.0 around -0.0
+        [{"level": _X, "x": float(repr(_Y)), "z": z} for z in (_Z, -0.0, _Z)],
+    ], ids=["same-objects", "signed-zeros", "signed-zero-inside", "same-ends",
+            "one-object"])
+    def test_shared_float_columns(self, value):
+        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_shared_non_finite_columns(self):
+        floats = [1.0, math.inf, math.nan, -math.inf, -0.0]
+        value = [{"a": x, "b": [x, math.nan], "c": x} for x in floats]
+        text = render_json(value)
+        expected = _non_finite_as_strings(value)
+        assert strict_loads(text) == expected
+        assert text == json.dumps(expected, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("n", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
+                                   2 * cli._BLOCK + 1],
+                             ids=["block-1", "block", "block+1", "2block+1"])
     def test_block_boundaries(self, n):
         rows = _rows(n)
         for value in (rows, rows[:-1] + [None], {"per_study": rows}):
@@ -407,15 +480,42 @@ class TestRenderJson:
 
     def test_large_meta_report(self, capsys, tmp_path):
         # about a quarter of a meta-large table, through the equality gate
-        rng = random.Random(2500)
-        lines = ["id,events_t,n_t,events_c,n_c"]
-        for i in range(2500):
-            n_t, n_c = (int(10.0 ** rng.uniform(1, 9)) for _ in range(2))
-            lines.append(f"S{i},{rng.randint(1, n_t - 1)},{n_t},{rng.randint(1, n_c - 1)},{n_c}")
-        table = tmp_path / "large.csv"
-        table.write_text("\n".join(lines) + "\n")
-        results = run_json(capsys, ["--json", "meta", str(table)])["results"]
+        table = _counts_table(tmp_path, 2500)
+        results = run_json(capsys, ["--json", "meta", table])["results"]
         assert results["n_studies"] == len(results["per_study"]) == 2500
+
+    def test_run_streams_the_report(self, monkeypatch, tmp_path):
+        # run writes render_json's text through write_json, a block at a time
+        table = _counts_table(tmp_path, 2500)
+        argv = ["--json", "meta", table]
+        calls, writes = [], []
+        def spy(report, write):
+            calls.append(report)
+            write_json(report, write)
+        monkeypatch.setattr(cli, "write_json", spy)
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        assert run(argv) == 0
+        (report,) = calls
+        assert report == cli.cmd_meta(cli.build_parser().parse_args(argv))
+        assert "".join(writes) == render_json(report) + "\n"
+        assert len(writes) > 2500 // cli._BLOCK
+
+    def test_report_memory(self, monkeypatch, tmp_path):
+        # A 10 000-study report, less its text in the captured stdout, peaks
+        # near 14 MB traced; joined into one string, with lists formatted
+        # 1 024 items a block, it took 22.2-22.6 MB. The bound leaves a 15 %
+        # margin to each. The gate would hold whole texts: the real seam runs.
+        monkeypatch.setattr(cli, "write_json", write_json)
+        table = _counts_table(tmp_path, 10_000)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert run(["--json", "meta", table]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - len(out.getvalue())) / 1e6 < 17.5
 
     @pytest.mark.parametrize("value", [{2: "a", 10: "b"}, {1.5: 0, -0.0: 1},
                                        {True: 0, False: 1}, {None: 0},

@@ -47,6 +47,12 @@ class TestStudyInvariants:
         with pytest.raises(DataError):
             Study("neither")
 
+    @pytest.mark.parametrize("counts", [(1,), (1, 2), (1, 2, 1), (None, 2, 1, 2)])
+    def test_partial_counts_rejected(self, counts):
+        for extra in ({}, {"estimate": 0.1, "se": 0.2}):
+            with pytest.raises(DataError, match="all four counts or none"):
+                Study("x", *counts, **extra)
+
     def test_events_bounded_by_arm(self):
         with pytest.raises(DataError):
             Study("bad", 11, 10, 1, 10)
