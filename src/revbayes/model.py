@@ -192,8 +192,8 @@ def theta_se(study: Study) -> tuple[float, float]:
     try:
         return math.log((a / b) / (c / d)), math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
     except (OverflowError, ValueError, ZeroDivisionError):
-        # a count that no float holds, or an odds ratio that underflows to 0
-        what = "counts are" if max(a, b, c, d) >= 2 ** 1024 else "odds ratio is"
+        # float() rejects ints from 2^1024 - 2^970 on; else (a/b)/(c/d) underflowed to 0
+        what = "counts are" if max(a, b, c, d) >= 2 ** 1024 - 2 ** 970 else "odds ratio is"
         raise NonexistenceError(f"study {study.id!r}: its {what} outside the "
                                 f"floating-point range") from None
 

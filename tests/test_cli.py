@@ -188,9 +188,11 @@ class TestMetaCommand:
         (f"A,{10 ** 399},{10 ** 400},2,12", "counts are"),
         (f"OK,2,7,2,12\nA,1,{10 ** 400},2,12", "counts are"),
         (f"A,1,2,1,{10 ** 400}", "counts are"),
+        # b = 2^1024 - 2^970, the smallest int that float() rejects
+        (f"A,1,{2 ** 1024 - 2 ** 970 + 1},2,12", "counts are"),
         # every count is a float, but (a/b)/(c/d) underflows to 0
         (f"A,1,{10 ** 307},{10 ** 307 - 1},{10 ** 307}", "odds ratio is"),
-    ], ids=["events-and-arm", "arm", "control-arm", "odds-ratio"])
+    ], ids=["events-and-arm", "arm", "control-arm", "first-int-past-float", "odds-ratio"])
     def test_counts_past_the_float_range(self, capsys, tmp_path, rows, named):
         f = tmp_path / "huge.csv"
         f.write_text(f"id,events_t,n_t,events_c,n_c\n{rows}\n")
