@@ -1,7 +1,8 @@
-"""Bayes-factor-based credibility analysis: minimum Bayes factors,
-sufficiently sceptical prior variances via both real branches of Lambert W
-on log x, advocacy priors with fixed coefficient of variation, and the
-Bayes factor for intrinsic credibility.
+"""Bayes-factor-based credibility analysis: sufficiently sceptical prior
+variances via both real branches of Lambert W on log x, advocacy priors
+with fixed coefficient of variation, and the Bayes factor for intrinsic
+credibility. The minimum Bayes factors of a z-value live in `fpr`, with
+the calibrations that call them.
 
 All Bayes factors are oriented as BF01 (null over alternative); display
 layers may invert to "1/x" strings.
@@ -13,8 +14,9 @@ import math
 from typing import NamedTuple
 
 from .errors import NonexistenceError
+from .fpr import min_bf_local
 from .model import EffectEstimate, NormalPrior, interval
-from .statfn import FLOAT_MIN, LOG_MAX, PRINCIPAL, SECONDARY, exp_or_inf, find_root, lambert_w_log
+from .statfn import LOG_MAX, PRINCIPAL, SECONDARY, exp_or_inf, find_root, lambert_w_log
 
 
 class BfScepticalSolution(NamedTuple):
@@ -50,26 +52,6 @@ def bf01_sceptical(z: float, g: float) -> float:
     if g <= 0.0:
         raise ValueError(f"relative prior variance must be positive, got {g!r}")
     return math.sqrt(1.0 + g) * math.exp(-(g / (1.0 + g)) * (z * z) / 2.0)
-
-
-def min_bf_local(z: float) -> float:
-    """Minimum BF01 over all mean-zero normal alternatives."""
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
-    if abs(z) <= 1.0:
-        return 1.0
-    bf = abs(z) * math.exp(-z * z / 2.0) * math.sqrt(math.e)
-    if bf < FLOAT_MIN:
-        # e^(-z^2/2) rounded as a subnormal, to few bits: round once instead
-        bf = math.exp(math.log(abs(z)) + 0.5 - z * z / 2.0)
-    return bf
-
-
-def min_bf_els(z: float) -> float:
-    """Minimum BF01 over all possible priors (simple alternative at the MLE)."""
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
-    return math.exp(-z * z / 2.0)
 
 
 def sceptical_g_for_gamma(z: float, gamma: float,

@@ -20,11 +20,9 @@ from operator import is_, itemgetter
 from . import __version__
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, interval, read_study_table
-from .meta import failsafe_n, pool
-from .bf import (advocacy_for_gamma, advocacy_prior_interval_or,
-                 bf12_sceptical_vs_optimistic, bf_intrinsic, min_bf_els,
-                 min_bf_local, sceptical_g_for_gamma, z_gamma)
-from .fpr import CalibrationKind, min_bf, prior_prob_for_fpr
+# fpr, for the parser's --calibration choices; meta, ancred and bf load
+# with their subcommands, so a cold process loads only the one it runs
+from .fpr import CalibrationKind, min_bf, min_bf_els, min_bf_local, prior_prob_for_fpr
 from .statfn import exp_or_inf, two_sided_p
 
 
@@ -44,16 +42,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _input_digest(args, fields: dict | None = None) -> str | None:
     """sha256 of the study file, or of fields as canonical JSON. Only --json
-    prints it, so a text run neither computes it nor imports hashlib."""
+    prints it, so a text run never computes it. The standard library's own
+    _sha256 hashes it, as `random` takes _sha512, since hashlib would load
+    OpenSSL's libcrypto to hash a few bytes."""
     if not args.json:
         return None
-    import hashlib
+    try:
+        from _sha256 import sha256
+    except ImportError:   # an interpreter built without it, or Python 3.12+
+        from hashlib import sha256
     if fields is None:
         with open(args.file, "rb") as fh:
             data = fh.read()
     else:
         data = json.dumps(fields, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def _json_float(x: float) -> str:
@@ -212,6 +215,11 @@ def _estimate_payload(theta: float, se: float, level: float) -> dict:
 
 
 def cmd_meta(args) -> dict:
+    # bound once, in this module, so that what rebinds cli.pool or
+    # cli.failsafe_n (perfbench's tracer) is what later runs call
+    global failsafe_n, pool
+    if "pool" not in globals():
+        from .meta import failsafe_n, pool
     studies = read_study_table(args.file)
     result = pool(studies)
     fsn = failsafe_n(result, args.level)
@@ -306,9 +314,19 @@ def cmd_ancred(args) -> dict:
     alpha = 1.0 - args.level
     results: dict = {"estimate": _estimate_payload(*est, args.level)}
     if est.significant(alpha):
-        sc = sceptical_analysis(est, alpha)
+        mode, analysis = "sceptical", sceptical_analysis(est, alpha)
+        tau2 = analysis.tau2
+    else:
+        mode, analysis = "advocacy", advocacy_prior(est, alpha)
+        tau2 = analysis.tau * analysis.tau
+    # tau^2 = g se^2 or (mu / z_crit)^2 can leave the float range from finite
+    # input, as at g = 0, the sceptical limit once z * z overflows
+    if not 0.0 < tau2 < math.inf:
+        raise NonexistenceError(f"the {mode} prior variance tau^2 is outside the "
+                                f"floating-point range (it computes as {tau2!r})")
+    payload = analysis._asdict()
+    if mode == "sceptical":
         lo, hi = results["estimate"]["ci_log"]
-        mode, prior, payload = "sceptical", sc.prior(), sc._asdict()
         payload.update(
             scepticism_limit=payload.pop("limit"),
             credibility_ratio=credibility_ratio(lo, hi),
@@ -317,12 +335,11 @@ def cmd_ancred(args) -> dict:
             intrinsically_credible_predictive=bool(
                 intrinsic_credibility(est, alpha, "predictive_based")))
     else:
-        adv = advocacy_prior(est, alpha)
-        mode, prior, payload = "advocacy", adv.prior(), adv._asdict()
         payload.update(advocacy_limit=payload.pop("limit"),
-                       advocacy_limit_or=exp_or_inf(adv.limit))
+                       advocacy_limit_or=exp_or_inf(analysis.limit))
     payload.update(p_intrinsic=p_intrinsic(est.z), p_rep=p_rep(est.z),
-                   equivalent_trial=_trial_payload(equivalent_trial(prior, args.rate)))
+                   equivalent_trial=_trial_payload(equivalent_trial(analysis.prior(),
+                                                                    args.rate)))
     results["mode"] = mode
     results[mode] = payload
     return {
@@ -388,6 +405,9 @@ def _print_trial(payload: dict) -> None:
 
 
 def cmd_bf(args) -> dict:
+    from .bf import (advocacy_for_gamma, advocacy_prior_interval_or,
+                     bf12_sceptical_vs_optimistic, bf_intrinsic, sceptical_g_for_gamma,
+                     z_gamma)
     est = EffectEstimate(args.estimate, args.se)
     z = est.z
     results: dict = {"estimate": _estimate_payload(*est, args.level),

@@ -1,5 +1,7 @@
-"""False-positive-risk analysis: p-value-to-minimum-Bayes-factor
-calibrations and Reverse-Bayes bounds on the prior probability of the null.
+"""False-positive-risk analysis: the minimum Bayes factors of a z-value,
+p-value-to-minimum-Bayes-factor calibrations, and Reverse-Bayes bounds on
+the prior probability of the null. `bf` takes min_bf_local from here, so a
+process that runs fpr never loads bf.
 
 All p-values are two-sided under the "p-equals" reading: the exact observed
 p-value is the data.
@@ -10,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 
-from .bf import min_bf_els, min_bf_local
 from .statfn import FLOAT_MIN, two_sided_z
 
 
@@ -24,6 +25,26 @@ class CalibrationKind(enum.Enum):
 
 # the members as globals: on Python 3.11 CalibrationKind.X costs ~100 ns a lookup
 LOCAL_Z, SIMPLE_Z, E_P_LOG_P, E_Q_LOG_Q, ELS_ALL_PRIORS = CalibrationKind
+
+
+def min_bf_local(z: float) -> float:
+    """Minimum BF01 over all mean-zero normal alternatives."""
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+    if abs(z) <= 1.0:
+        return 1.0
+    bf = abs(z) * math.exp(-z * z / 2.0) * math.sqrt(math.e)
+    if bf < FLOAT_MIN:
+        # e^(-z^2/2) rounded as a subnormal, to few bits: round once instead
+        bf = math.exp(math.log(abs(z)) + 0.5 - z * z / 2.0)
+    return bf
+
+
+def min_bf_els(z: float) -> float:
+    """Minimum BF01 over all possible priors (simple alternative at the MLE)."""
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+    return math.exp(-z * z / 2.0)
 
 
 def _check_p(p: float) -> None:

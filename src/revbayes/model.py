@@ -175,6 +175,8 @@ def estimate_from_counts(study: Study) -> EffectEstimate:
     if math.isnan(se):
         raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
                         "supply estimate and se directly instead")
+    if theta == math.inf:   # (a/b)/(c/d) overflowed, which theta_se leaves unchecked
+        raise _outside_float_range(study, "odds ratio is")
     return EffectEstimate(theta, se)
 
 
@@ -194,8 +196,11 @@ def theta_se(study: Study) -> tuple[float, float]:
     except (OverflowError, ValueError, ZeroDivisionError):
         # float() rejects ints from 2^1024 - 2^970 on; else (a/b)/(c/d) underflowed to 0
         what = "counts are" if max(a, b, c, d) >= 2 ** 1024 - 2 ** 970 else "odds ratio is"
-        raise NonexistenceError(f"study {study.id!r}: its {what} outside the "
-                                f"floating-point range") from None
+        raise _outside_float_range(study, what) from None
+
+
+def _outside_float_range(study: Study, what: str) -> NonexistenceError:
+    return NonexistenceError(f"study {study.id!r}: its {what} outside the floating-point range")
 
 
 def interval(center: float, sd: float,

@@ -18,11 +18,10 @@ from revbayes.ancred import (advocacy_prior, credibility_ratio,
 from revbayes.bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                          bf01_normal_prior, bf01_sceptical,
                          bf12_sceptical_vs_optimistic, bf_intrinsic,
-                         min_bf_els, min_bf_local, sceptical_g_for_gamma,
-                         z_gamma)
+                         sceptical_g_for_gamma, z_gamma)
 from revbayes.errors import NonexistenceError
-from revbayes.fpr import (CalibrationKind, min_bf, prior_bound_fpr_equals_p,
-                          prior_prob_for_fpr)
+from revbayes.fpr import (CalibrationKind, min_bf, min_bf_els, min_bf_local,
+                          prior_bound_fpr_equals_p, prior_prob_for_fpr)
 from revbayes.meta import (failsafe_n, forward_update, pool, reverse_update)
 from revbayes.model import (EffectEstimate, NormalPrior, PosteriorSummary,
                             Study, ci_limits)

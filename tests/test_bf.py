@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from revbayes import bf, statfn
 from revbayes.bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                          bf01_normal_prior, bf01_sceptical, bf12_sceptical_vs_optimistic,
-                         bf_intrinsic, min_bf_els, min_bf_local,
-                         sceptical_g_for_gamma, z_gamma)
+                         bf_intrinsic, sceptical_g_for_gamma, z_gamma)
 from revbayes.errors import NonexistenceError
+from revbayes.fpr import min_bf_els, min_bf_local
 from revbayes.model import EffectEstimate, NormalPrior
 from revbayes.statfn import norm_pdf
 

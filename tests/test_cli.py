@@ -1,5 +1,7 @@
 import ast
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -18,7 +20,9 @@ from hypothesis import given, strategies as st
 import revbayes
 from revbayes import bundled_dataset_path, cli
 from revbayes.cli import read_study_table, render_json, run, write_json
+from revbayes.ancred import advocacy_prior, sceptical_analysis
 from revbayes.errors import DataError
+from revbayes.model import EffectEstimate
 
 DATA = str(bundled_dataset_path())
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -30,6 +34,14 @@ def quick_start_block() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quick start", 1)[1]
     return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of each `revbayes` line of the README's CLI block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("revbayes ")]
 
 
 def _reject_constant(token):
@@ -192,7 +204,10 @@ class TestMetaCommand:
         (f"A,1,{2 ** 1024 - 2 ** 970 + 1},2,12", "counts are"),
         # every count is a float, but (a/b)/(c/d) underflows to 0
         (f"A,1,{10 ** 307},{10 ** 307 - 1},{10 ** 307}", "odds ratio is"),
-    ], ids=["events-and-arm", "arm", "control-arm", "first-int-past-float", "odds-ratio"])
+        # or overflows to inf: a/b = 1e300 and c/d = 1e-300
+        (f"A,{10 ** 300},{10 ** 300 + 1},1,{10 ** 300}", "odds ratio is"),
+    ], ids=["events-and-arm", "arm", "control-arm", "first-int-past-float", "odds-ratio",
+            "odds-ratio-overflow"])
     def test_counts_past_the_float_range(self, capsys, tmp_path, rows, named):
         f = tmp_path / "huge.csv"
         f.write_text(f"id,events_t,n_t,events_c,n_c\n{rows}\n")
@@ -224,6 +239,26 @@ class TestAncredCommand:
         assert report["results"]["mode"] == "advocacy"
         assert adv["mu"] == pytest.approx(-0.94, abs=0.01)
         assert adv["advocacy_limit_or"] == pytest.approx(0.15, abs=5e-3)
+
+    @pytest.mark.parametrize("argv, mode, tau2", [
+        ("--estimate 1e155 --se 1", "sceptical", "0.0"),         # g = 0 once z * z overflows
+        ("--estimate 1e300 --se 1e200", "sceptical", "inf"),     # g se^2 overflows
+        ("--estimate 1e-170 --se 1e-160", "advocacy", "0.0"),    # (mu / z_crit)^2 underflows
+        ("--estimate 1e300 --se 1e300", "advocacy", "inf"),      # and overflows
+    ], ids=["sceptical-0", "sceptical-inf", "advocacy-0", "advocacy-inf"])
+    def test_prior_variance_outside_float_range(self, capsys, argv, mode, tau2):
+        # finite input whose tau^2 no float holds: nonexistence, not bad input;
+        # the analysis functions themselves still return their limits
+        for flags in ([], ["--json"]):
+            assert run([*flags, "ancred", *argv.split()]) == 3
+            assert capsys.readouterr().err == (
+                f"nonexistence: the {mode} prior variance tau^2 is outside the "
+                f"floating-point range (it computes as {tau2})\n")
+        theta, se = map(float, argv.split()[1::2])
+        analysis = (sceptical_analysis if mode == "sceptical" else advocacy_prior)(
+            EffectEstimate(theta, se))
+        assert (analysis.tau2 if mode == "sceptical"
+                else analysis.tau * analysis.tau) == float(tau2)
 
     def test_estimate_and_ci_are_exclusive(self, capsys):
         assert run(["ancred", "--estimate", "-0.5", "--se", "0.2",
@@ -672,9 +707,9 @@ _EXPORTED = {
               "p_rep sceptical_analysis sceptical_relative_variance scepticism_limit",
     "bf": "BfAdvocacySolution BfScepticalSolution advocacy_for_gamma "
           "advocacy_prior_interval_or bf01_normal_prior bf01_sceptical "
-          "bf12_sceptical_vs_optimistic bf_intrinsic min_bf_els min_bf_local "
-          "sceptical_g_for_gamma z_gamma",
-    "fpr": "CalibrationKind min_bf prior_bound_fpr_equals_p prior_prob_for_fpr",
+          "bf12_sceptical_vs_optimistic bf_intrinsic sceptical_g_for_gamma z_gamma",
+    "fpr": "CalibrationKind min_bf min_bf_els min_bf_local prior_bound_fpr_equals_p "
+           "prior_prob_for_fpr",
     "statfn": "Branch find_root lambert_w_log norm_quantile two_sided_p",
     "__init__": "bundled_dataset_path",
 }
@@ -684,7 +719,7 @@ class TestPackage:
     # fresh interpreters, so the checks see what importing the package loads
     def python(self, *args):
         return subprocess.run([sys.executable, *args], capture_output=True,
-                              text=True,
+                              text=True, cwd=ROOT,
                               env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
     def test_import_leaves_cli_unloaded(self):
@@ -701,20 +736,64 @@ class TestPackage:
         assert proc.stdout.split() == ["False", "False"]
 
     def test_cli_import_loads_only_what_it_runs(self):
-        # norm_quantile runs AS241 itself; csv and ancred load with meta and ancred
-        unloaded = ["statistics", "fractions", "decimal", "csv", "revbayes.ancred"]
+        # norm_quantile runs AS241 itself; csv, meta, ancred and bf load with
+        # their subcommands
+        unloaded = ["statistics", "fractions", "decimal", "csv", "revbayes.meta",
+                    "revbayes.ancred", "revbayes.bf"]
         proc = self.python("-c", "import sys; from revbayes.cli import main; "
                            f"print([m for m in {unloaded!r} if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
     def test_text_run_skips_hashlib(self):
-        # only --json prints input_digest
+        # only --json prints input_digest, so a text run loads no hash at all
         proc = self.python("-c", "import sys; from revbayes.cli import run; "
                            "run(['ancred', '--estimate', '-0.5', '--se', '0.2']); "
-                           "print('hashlib' in sys.modules)")
+                           "print([m for m in ('hashlib', '_hashlib', '_sha256') "
+                           "if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    # the package modules each subcommand loads, besides revbayes itself, the
+    # cli and what the cli imports for every subcommand
+    _LOADS = {"meta": {"revbayes.meta", "csv"}, "ancred": {"revbayes.ancred"},
+              "bf": {"revbayes.bf"}, "fpr": set()}
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_subcommand_loads_only_its_modules(self, argv):
+        # a --json run, as cold-cli starts it; _hashlib is OpenSSL's libcrypto,
+        # which hashlib loads where the interpreter has no _sha256
+        watched = ["revbayes.meta", "revbayes.ancred", "revbayes.bf", "csv"]
+        if importlib.util.find_spec("_sha256") is not None:
+            watched.append("_hashlib")
+        proc = self.python("-c", "import sys; from revbayes.cli import run; "
+                           "code = run(sys.argv[1:]); "
+                           f"print((code, [m for m in {watched!r} if m in sys.modules], "
+                           "sorted(m for m in sys.modules if m.startswith('revbayes'))))",
+                           "--json", *argv)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, package = ast.literal_eval(proc.stdout.splitlines()[-1])
+        expected = self._LOADS[next(arg for arg in argv if arg in self._LOADS)]
+        assert (code, set(loaded)) == (0, expected)
+        assert package == sorted(
+            {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.fpr", "revbayes.model",
+             "revbayes.statfn"} | {m for m in expected if m.startswith("revbayes.")})
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["meta", DATA], None),
+        (["bf", "--estimate", "-0.53", "--se", "0.145", "--mode", "ic"],
+         {"estimate": -0.53, "se": 0.145, "gamma": 0.1, "mode": "ic"}),
+    ], ids=["meta", "bf"])
+    @pytest.mark.parametrize("sha256", ["_sha256", "hashlib"])
+    def test_input_digest_value(self, capsys, monkeypatch, argv, fields, sha256):
+        # the sha256 of the study file's bytes, or of the inputs as canonical JSON,
+        # by either module
+        if sha256 == "hashlib":
+            monkeypatch.setitem(sys.modules, "_sha256", None)   # its import fails
+        data = (pathlib.Path(DATA).read_bytes() if fields is None
+                else json.dumps(fields, sort_keys=True).encode("utf-8"))
+        digest = run_json(capsys, ["--json", *argv])["input_digest"]
+        assert digest == hashlib.sha256(data).hexdigest()
 
     def test_import_loads_no_submodule(self):
         proc = self.python("-c", "import sys, revbayes; "
@@ -817,7 +896,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("argv, rows, code, named", [
         ("meta {table}", "A,1e155,1\nB,1e155,1", 3, ""),
-        ("ancred --estimate 1e155 --se 1", "", 2, ""),
+        ("ancred --estimate 1e155 --se 1", "", 3, "sceptical prior variance tau^2"),
         ("bf --estimate 1e155 --se 1", "", 0, ""),
         # se * se underflows to 0, or 1/(se * se) overflows to inf
         ("meta {table}", "A,0.1,1e-200\nB,0.2,2e-200", 3, "study 'A' has se = 1e-200"),
@@ -828,8 +907,8 @@ class TestDriver:
             "meta-pooled-precision"])
     def test_z_squared_past_the_float_range(self, capsys, tmp_path, argv, rows, code,
                                             named):
-        # z = 1e155: z * z is inf; meta and ancred report an error, bf its
-        # limits, and none a traceback. A study whose precision 1/se^2 is
+        # z = 1e155: z * z is inf; meta and ancred report an error (ancred's
+        # sceptical g is 0, and so is tau^2), bf its limits, and none a traceback. A study whose precision 1/se^2 is
         # past the float range is named, and so is a pooled precision that is.
         table = tmp_path / "huge.csv"
         table.write_text(f"id,estimate,se\n{rows}\n")
@@ -879,10 +958,7 @@ class TestDriver:
 
 class TestReadme:
     def test_cli_examples_run(self, capsys, monkeypatch):
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-        examples = [shlex.split(line, comments=True)[1:]
-                    for line in block.splitlines() if line.startswith("revbayes ")]
+        examples = readme_examples()
         assert examples
         monkeypatch.chdir(ROOT)  # the examples name the bundled table by its path
         for argv in examples:

@@ -5,8 +5,7 @@ import sys
 import mpmath
 import pytest
 
-from revbayes.bf import min_bf_els, min_bf_local
-from revbayes.fpr import (CalibrationKind, min_bf,
+from revbayes.fpr import (CalibrationKind, min_bf, min_bf_els, min_bf_local,
                           prior_bound_fpr_equals_p, prior_prob_for_fpr)
 from revbayes.statfn import norm_quantile
 
