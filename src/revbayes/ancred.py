@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import NonexistenceError
+from .errors import DataError, NonexistenceError
 from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior
 from .statfn import LOG_MAX, critical_ratio, critical_z, exp_or_inf, two_sided_p
 
@@ -114,7 +114,7 @@ _INTRINSIC_FACTOR = {"prior_based": (1.0 + math.sqrt(5.0)) / 2.0, "predictive_ba
 
 def _intrinsic_factor(flavor: str) -> float:
     if flavor not in _INTRINSIC_FACTOR:
-        raise ValueError(f"unknown flavor {flavor!r}")
+        raise DataError(f"unknown flavor {flavor!r}")
     return _INTRINSIC_FACTOR[flavor]
 
 
@@ -161,7 +161,7 @@ def credibility_ratio_bound() -> float:
 def p_intrinsic(z: float) -> float:
     """Smallest level at which the finding is intrinsically credible."""
     if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
+        raise DataError(f"z must be finite, got {z!r}")
     return two_sided_p(z / math.sqrt(2.0))
 
 
@@ -184,11 +184,11 @@ def equivalent_trial(prior: NormalPrior,
     """
     tau2 = prior.variance   # positive and finite: NormalPrior checks it
     if event_rate is not None and not (0.0 < event_rate < 1.0):
-        raise ValueError(f"event rate must be in (0,1), got {event_rate!r}")
+        raise DataError(f"event rate must be in (0,1), got {event_rate!r}")
     mu = prior.mean
     if patients_per_arm is not None and (mu != 0.0 or event_rate is not None):
-        raise ValueError("patients_per_arm applies only to a mean-zero prior "
-                         "without an event rate")
+        raise DataError("patients_per_arm applies only to a mean-zero prior "
+                        "without an event rate")
 
     if mu == 0.0:
         if event_rate is not None:
@@ -199,7 +199,7 @@ def equivalent_trial(prior: NormalPrior,
             n = float(patients_per_arm)
             disc = n * n - 8.0 * n / tau2
             if disc < 0.0:
-                raise ValueError(
+                raise DataError(
                     f"no trial with {patients_per_arm} patients per arm carries "
                     f"as little information as variance {tau2:.4g}")
             return EquivalentTrial(events_per_arm=0.5 * (n - math.sqrt(disc)),

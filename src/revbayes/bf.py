@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import NonexistenceError
+from .errors import DataError, NonexistenceError
 from .fpr import min_bf_local
 from .model import EffectEstimate, NormalPrior, interval
 from .statfn import LOG_MAX, PRINCIPAL, SECONDARY, exp_or_inf, find_root, lambert_w_log
@@ -50,7 +50,7 @@ def bf01_sceptical(z: float, g: float) -> float:
     """BF01 for the point null against a mean-zero normal prior with
     relative variance g."""
     if g <= 0.0:
-        raise ValueError(f"relative prior variance must be positive, got {g!r}")
+        raise DataError(f"relative prior variance must be positive, got {g!r}")
     return math.sqrt(1.0 + g) * math.exp(-(g / (1.0 + g)) * (z * z) / 2.0)
 
 
@@ -65,7 +65,7 @@ def sceptical_g_for_gamma(z: float, gamma: float,
     interval on the OR scale is attached when the standard error is supplied.
     """
     if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must be in (0,1), got {gamma!r}")
+        raise DataError(f"gamma must be in (0,1), got {gamma!r}")
     floor = min_bf_local(z)
     if floor > gamma:
         raise NonexistenceError(
@@ -113,7 +113,7 @@ def z_gamma(gamma: float) -> float:
     """Evidential weight z(gamma) of data whose all-priors minimum BF01
     equals gamma."""
     if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must be in (0,1], got {gamma!r}")
+        raise DataError(f"gamma must be in (0,1], got {gamma!r}")
     return math.sqrt(-2.0 * math.log(gamma))
 
 
@@ -127,7 +127,7 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     returned, ordered by |m|.
     """
     if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must be in (0,1), got {gamma!r}")
+        raise DataError(f"gamma must be in (0,1), got {gamma!r}")
     if estimate.theta_hat == 0.0:
         raise NonexistenceError("advocacy prior undefined for a zero point estimate")
     cv = 1.0 / z_gamma(gamma)
@@ -208,7 +208,7 @@ def bf12_sceptical_vs_optimistic(z: float, g: float) -> float:
     optimistic prior centred at the estimate with its own variance. At
     g = 0, where a sceptical g_small underflows, that prior is the null."""
     if g < 0.0:
-        raise ValueError(f"relative prior variance must be non-negative, got {g!r}")
+        raise DataError(f"relative prior variance must be non-negative, got {g!r}")
     return math.sqrt(2.0 / (1.0 + g)) * math.exp(-z * z / (2.0 * (1.0 + g)))
 
 

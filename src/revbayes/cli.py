@@ -2,7 +2,7 @@
 machine-readable reports.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical
-nonexistence (e.g. sceptical prior undefined).
+nonexistence (e.g. sceptical prior undefined). Any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -582,9 +582,6 @@ def run(argv: list[str] | None = None) -> int:
     except NonexistenceError as exc:
         print(f"nonexistence: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     if args.json:
         write_json(report, sys.stdout.write)
         print()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 
+from .errors import DataError
 from .statfn import FLOAT_MIN, two_sided_z
 
 
@@ -30,7 +31,7 @@ LOCAL_Z, SIMPLE_Z, E_P_LOG_P, E_Q_LOG_Q, ELS_ALL_PRIORS = CalibrationKind
 def min_bf_local(z: float) -> float:
     """Minimum BF01 over all mean-zero normal alternatives."""
     if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
+        raise DataError(f"z must be finite, got {z!r}")
     if abs(z) <= 1.0:
         return 1.0
     bf = abs(z) * math.exp(-z * z / 2.0) * math.sqrt(math.e)
@@ -43,13 +44,13 @@ def min_bf_local(z: float) -> float:
 def min_bf_els(z: float) -> float:
     """Minimum BF01 over all possible priors (simple alternative at the MLE)."""
     if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
+        raise DataError(f"z must be finite, got {z!r}")
     return math.exp(-z * z / 2.0)
 
 
 def _check_p(p: float) -> None:
     if not (0.0 < p < 1.0):
-        raise ValueError(f"p-value must be in (0,1), got {p!r}")
+        raise DataError(f"p-value must be in (0,1), got {p!r}")
 
 
 def min_bf(p: float, kind: CalibrationKind) -> float:
@@ -76,7 +77,7 @@ def min_bf(p: float, kind: CalibrationKind) -> float:
         return min(1.0, bf)
     if kind is ELS_ALL_PRIORS:
         return min_bf_els(z)
-    raise ValueError(f"unknown calibration {kind!r}")
+    raise DataError(f"unknown calibration {kind!r}")
 
 
 def prior_prob_for_fpr(p: float, fpr: float, kind: CalibrationKind) -> float:
@@ -84,7 +85,7 @@ def prior_prob_for_fpr(p: float, fpr: float, kind: CalibrationKind) -> float:
     given value for this p-value."""
     _check_p(p)
     if not (0.0 < fpr < 1.0):
-        raise ValueError(f"FPR must be in (0,1), got {fpr!r}")
+        raise DataError(f"FPR must be in (0,1), got {fpr!r}")
     bf = min_bf(p, kind)
     return 1.0 / (1.0 + (1.0 - fpr) / fpr * bf)
 

@@ -69,7 +69,7 @@ def forward_update(prior_mean: float, prior_precision: float,
                    estimate: EffectEstimate) -> PosteriorSummary:
     """One step of conjugate normal updating; zero precision is a flat prior."""
     if prior_precision < 0.0:
-        raise ValueError(f"prior precision must be nonnegative, got {prior_precision!r}")
+        raise DataError(f"prior precision must be nonnegative, got {prior_precision!r}")
     return PosteriorSummary(*_combine(prior_mean, prior_precision,
                                       estimate.theta_hat, estimate.precision))
 
@@ -93,8 +93,9 @@ def pool(studies: list[Study]) -> MetaResult:
     Each study's leave-one-out prior pools the studies before it (a forward
     pass) with the studies after it (a backward pass), so no study is
     subtracted back out of the pooled posterior. The work runs on columns
-    of floats; a study that EffectEstimate would reject is reported by
-    building its estimate, so the first such study in table order is named.
+    of floats from theta_se, which never raises; if a z or se is not finite,
+    each study builds its estimate in table order, so the first bad one
+    raises the error that Study.effect_estimate gives it, naming it.
     """
     if not studies:
         raise DataError("meta-analysis requires at least one study")
@@ -103,9 +104,8 @@ def pool(studies: list[Study]) -> MetaResult:
         raise DataError("study ids must be unique")
     theta, se = zip(*map(theta_se, studies))
     if not (all(map(math.isfinite, map(truediv, theta, se))) and all(map(math.isfinite, se))):
-        for study, t, s in zip(studies, theta, se):
-            if not (math.isfinite(t / s) and math.isfinite(s)):
-                study.effect_estimate()   # raises the study's own error
+        for study in studies:
+            study.effect_estimate()   # the first bad study raises its own error
     # 1/se^2 falls as se grows: if any precision leaves the float range, the smallest se's does
     i = se.index(min(se))
     if se[i] * se[i] == 0.0 or 1.0 / (se[i] * se[i]) == math.inf:
@@ -117,11 +117,11 @@ def pool(studies: list[Study]) -> MetaResult:
     before = [(0.0, 0.0)]
     for t, precision in zip(theta, precisions):
         before.append(_combine(*before[-1], t, precision))
-    pooled = PosteriorSummary(*before.pop())
-    if pooled.precision == math.inf:
+    if not 0.0 < before[-1][1] < math.inf:   # each 1/se^2 can underflow to 0
         raise NonexistenceError(
             f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
             f"{len(studies)} studies, is outside the floating-point range")
+    pooled = PosteriorSummary(*before.pop())
 
     loo = []
     after = (0.0, 0.0)

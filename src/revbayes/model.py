@@ -32,7 +32,7 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
         if not (math.isfinite(self.theta_hat) and math.isfinite(self.se)):
             raise DataError("estimate and se must be finite")
         if self.se <= 0.0:
-            raise ValueError(f"standard error must be positive, got {self.se!r}")
+            raise DataError(f"standard error must be positive, got {self.se!r}")
         if math.isinf(self.theta_hat / self.se):
             raise DataError(f"z = estimate / se overflows: {self.theta_hat!r} / {self.se!r}")
         return self
@@ -65,9 +65,9 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
                 level: float = DEFAULT_LEVEL) -> "EffectEstimate":
         """Reconstruct an estimate from a symmetric confidence interval."""
         if upper <= lower:
-            raise ValueError(f"need lower < upper, got ({lower!r}, {upper!r})")
+            raise DataError(f"need lower < upper, got ({lower!r}, {upper!r})")
         if not (0.0 < level < 1.0):
-            raise ValueError(f"level must be in (0,1), got {level!r}")
+            raise DataError(f"level must be in (0,1), got {level!r}")
         z_crit = critical_z(1.0 - level)
         return cls(theta_hat=0.5 * (lower + upper),
                    se=(upper - lower) / (2.0 * z_crit))
@@ -113,7 +113,10 @@ class Study(NamedTuple("Study", [
     def effect_estimate(self) -> EffectEstimate:
         if self.has_counts:
             return estimate_from_counts(self)
-        return EffectEstimate(self.estimate, self.se)
+        try:
+            return EffectEstimate(self.estimate, self.se)
+        except DataError as exc:
+            raise DataError(f"study {self.id!r}: {exc}") from None
 
 
 class NormalPrior(NamedTuple("NormalPrior", [("mean", float), ("variance", float)])):
@@ -125,7 +128,7 @@ class NormalPrior(NamedTuple("NormalPrior", [("mean", float), ("variance", float
     def __new__(cls, mean: float, variance: float):
         self = super().__new__(cls, mean, variance)
         if self.variance <= 0.0 or not math.isfinite(self.variance):
-            raise ValueError(f"prior variance must be positive, got {self.variance!r}")
+            raise DataError(f"prior variance must be positive, got {self.variance!r}")
         return self
 
     @property
@@ -149,7 +152,7 @@ class PosteriorSummary(NamedTuple("PosteriorSummary", [("mean", float), ("precis
     def __new__(cls, mean: float, precision: float):
         self = super().__new__(cls, mean, precision)
         if self.precision <= 0.0:
-            raise ValueError(f"posterior precision must be positive, got {self.precision!r}")
+            raise DataError(f"posterior precision must be positive, got {self.precision!r}")
         return self
 
     @property
@@ -172,42 +175,40 @@ def estimate_from_counts(study: Study) -> EffectEstimate:
     if not study.has_counts:
         raise DataError(f"study {study.id!r} carries no counts")
     theta, se = theta_se(study)
-    if math.isnan(se):
-        raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
-                        "supply estimate and se directly instead")
-    if theta == math.inf:   # (a/b)/(c/d) overflowed, which theta_se leaves unchecked
-        raise _outside_float_range(study, "odds ratio is")
+    if math.isnan(se) or theta == math.inf:
+        a, c = study.events_treatment, study.events_control
+        cells = (a, study.n_treatment - a, c, study.n_control - c)
+        if min(cells) <= 0:
+            raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
+                            "supply estimate and se directly instead")
+        # float() rejects ints from 2^1024 - 2^970 on; else (a/b)/(c/d) left the range
+        what = "counts are" if max(cells) >= 2 ** 1024 - 2 ** 970 else "odds ratio is"
+        raise NonexistenceError(f"study {study.id!r}: its {what} outside the "
+                                "floating-point range")
     return EffectEstimate(theta, se)
 
 
 def theta_se(study: Study) -> tuple[float, float]:
-    """(log OR, se) of a study of either schema, unchecked: its estimate and
-    se, or the log odds ratio of its counts, nan for both when a cell is zero."""
+    """(log OR, se) of a study's estimate and se, or of its counts. It never raises:
+    both are nan where a quotient fails, as at a zero cell, and the log OR is inf
+    where the odds ratio overflows; estimate_from_counts says which."""
     if study.events_treatment is None:
         return study.estimate, study.se
     a = study.events_treatment
     b = study.n_treatment - a
     c = study.events_control
     d = study.n_control - c
-    if min(a, b, c, d) <= 0:
-        return math.nan, math.nan
     try:
         return math.log((a / b) / (c / d)), math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
     except (OverflowError, ValueError, ZeroDivisionError):
-        # float() rejects ints from 2^1024 - 2^970 on; else (a/b)/(c/d) underflowed to 0
-        what = "counts are" if max(a, b, c, d) >= 2 ** 1024 - 2 ** 970 else "odds ratio is"
-        raise _outside_float_range(study, what) from None
-
-
-def _outside_float_range(study: Study, what: str) -> NonexistenceError:
-    return NonexistenceError(f"study {study.id!r}: its {what} outside the floating-point range")
+        return math.nan, math.nan
 
 
 def interval(center: float, sd: float,
              level: float = DEFAULT_LEVEL) -> tuple[float, float]:
     """Symmetric normal interval center -/+ z_crit * sd at the given level."""
     if not (0.0 < level < 1.0):
-        raise ValueError(f"level must be in (0,1), got {level!r}")
+        raise DataError(f"level must be in (0,1), got {level!r}")
     half = critical_z(1.0 - level) * sd
     return center - half, center + half
 

@@ -217,6 +217,18 @@ class TestMetaCommand:
                 f"nonexistence: study 'A': its {named} outside the floating-point range\n")
 
 
+    @pytest.mark.parametrize("rows, message", [
+        ("A,0.1,0.2\nB,inf,0.2", "estimate and se must be finite"),
+        ("A,0.1,0.2\nB,1e308,1e-10", "z = estimate / se overflows: 1e+308 / 1e-10"),
+    ], ids=["non-finite", "z-overflow"])
+    def test_estimate_errors_name_the_study(self, capsys, tmp_path, rows, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"id,estimate,se\n{rows}\n")
+        for argv in (["meta", str(f)], ["--json", "meta", str(f)]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"data error: study 'B': {message}\n"
+
+
 class TestAncredCommand:
     def test_sceptical_from_counts_estimate(self, capsys, recovery):
         report = run_json(capsys, [
@@ -687,6 +699,9 @@ class TestFuzz:
             out, err = capsys.readouterr()
             assert code in (0, 1, 2, 3), table.read_text()
             assert "Traceback" not in err, table.read_text()
+            if code == 2:   # bad input is named: the table and its line, or the study
+                assert err.startswith((f"data error: {table}:", "data error: study '")), (
+                    err, table.read_text())
             if code == 0 and "--json" in argv:
                 strict_loads(out)
             codes.append(code)
@@ -849,6 +864,19 @@ class TestPackage:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == []
 
+    def test_errors_typed_where_raised(self):
+        # an input check raises DataError, so run catches no bare ValueError:
+        # any other exception is a bug, and the fuzz shows its traceback
+        def value_errors(module, node_type, field):
+            tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+            return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, node_type) and getattr(node, field) is not None
+                    and any(isinstance(name, ast.Name) and name.id == "ValueError"
+                            for name in ast.walk(getattr(node, field)))]
+        assert [line for module in ("model.py", "meta.py", "ancred.py", "bf.py", "fpr.py")
+                for line in value_errors(module, ast.Raise, "exc")] == []
+        assert value_errors("cli.py", ast.ExceptHandler, "type") == []
+
     def test_standard_library_only(self):
         # numpy and scipy may be installed, but the package must not need them
         modules = set()
@@ -903,8 +931,10 @@ class TestDriver:
         ("meta {table}", "A,0.1,1e-160\nB,0.2,2e-160", 3, "study 'A' has se = 1e-160"),
         # each 1/se^2 is 1e308, and their sum overflows
         ("meta {table}", "A,0.1,1e-154\nB,0.2,1e-154", 3, "the pooled precision"),
+        # se * se overflows, so each 1/se^2 and their sum underflow to 0
+        ("meta {table}", "A,0.1,1e200\nB,0.2,1e200", 3, "the pooled precision"),
     ], ids=["meta", "ancred", "bf", "meta-se-1e-200", "meta-se-1e-160",
-            "meta-pooled-precision"])
+            "meta-pooled-precision", "meta-pooled-precision-underflow"])
     def test_z_squared_past_the_float_range(self, capsys, tmp_path, argv, rows, code,
                                             named):
         # z = 1e155: z * z is inf; meta and ancred report an error (ancred's

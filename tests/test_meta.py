@@ -44,11 +44,11 @@ def record_pool(studies):
     before = [(0.0, 0.0)]
     for est, precision in zip(estimates, precisions):
         before.append(combine(*before[-1], est.theta_hat, precision))
-    pooled = PosteriorSummary(*before.pop())
-    if pooled.precision == math.inf:
+    if not 0.0 < before[-1][1] < math.inf:
         raise NonexistenceError(
             f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
             f"{len(studies)} studies, is outside the floating-point range")
+    pooled = PosteriorSummary(*before.pop())
     per_study = []
     after = (0.0, 0.0)
     for study, est, precision, prefix in zip(reversed(studies), reversed(estimates),
@@ -200,10 +200,14 @@ class TestPool:
         ([("1", 2, 7, 2, 12), ("2", 0, 10, 3, 11), ("3", 2, 7, 2, 12), ("4", 1e308, 1e-10)],
          "study '2': zero cell"),
         ([("1", 2, 7, 2, 12), ("2", 1e308, 1e-10), ("3", 2, 7, 2, 12), ("4", 0, 10, 3, 11)],
-         "z = estimate / se overflows: 1e+308 / 1e-10"),
+         "study '2': z = estimate / se overflows: 1e+308 / 1e-10"),
         ([("1", 0.1, 0.2), ("2", math.inf, 0.2), ("3", 0.1, 1e-200), ("4", 0.1, math.nan)],
-         "estimate and se must be finite"),
-    ], ids=["zero-cell-first", "z-overflow-first", "non-finite-first"])
+         "study '2': estimate and se must be finite"),
+        # study '3's counts are past the float range, but study '2' comes first
+        ([("1", 2, 7, 2, 12), ("2", 1e308, 1e-10), ("3", 10 ** 400, 10 ** 401, 2, 12)],
+         "study '2': z = estimate / se overflows"),
+    ], ids=["zero-cell-first", "z-overflow-first", "non-finite-first",
+            "z-overflow-before-huge-counts"])
     def test_mixed_schemas_name_the_first_bad_row(self, rows, message):
         studies = [Study(*row) if len(row) == 5 else Study(row[0], estimate=row[1], se=row[2])
                    for row in rows]
@@ -216,6 +220,8 @@ class TestPool:
     @example([{"estimate": 0.1, "se": 0.2}, {"estimate": 0.1, "se": math.inf}])
     @example([{"estimate": 0.1, "se": 0.2}, {"estimate": 0.1, "se": 1e-200},
               {"estimate": 0.2, "se": 1e-200}])
+    # 1/se^2 underflows to 0, so the pooled precision is 0
+    @example([{"estimate": 0.0, "se": 1.3407807929942597e+154}])
     def test_same_as_record_by_record(self, rows):
         # the error of the first bad study, or every column bit for bit
         studies = [Study(str(i), **row) for i, row in enumerate(rows)]

@@ -85,7 +85,7 @@ class TestRecords:
         with pytest.raises(ValueError) as exc:
             EffectEstimate(0.1, 0.0)
         assert (type(exc.value), str(exc.value)) == (
-            ValueError, "standard error must be positive, got 0.0")
+            DataError, "standard error must be positive, got 0.0")
         with pytest.raises(DataError) as exc:
             Study("bad", 11, 10, 1, 10)
         assert str(exc.value) == "study 'bad': events exceed arm size"
