@@ -117,7 +117,7 @@ def pool(studies: list[Study]) -> MetaResult:
     before = [(0.0, 0.0)]
     for t, precision in zip(theta, precisions):
         before.append(_combine(*before[-1], t, precision))
-    if not 0.0 < before[-1][1] < math.inf:   # each 1/se^2 can underflow to 0
+    if not 0.0 < before[-1][1] < math.inf:   # 0 where every se * se overflows
         raise NonexistenceError(
             f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
             f"{len(studies)} studies, is outside the floating-point range")

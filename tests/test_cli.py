@@ -216,7 +216,6 @@ class TestMetaCommand:
             assert capsys.readouterr().err == (
                 f"nonexistence: study 'A': its {named} outside the floating-point range\n")
 
-
     @pytest.mark.parametrize("rows, message", [
         ("A,0.1,0.2\nB,inf,0.2", "estimate and se must be finite"),
         ("A,0.1,0.2\nB,1e308,1e-10", "z = estimate / se overflows: 1e+308 / 1e-10"),

@@ -220,7 +220,7 @@ class TestPool:
     @example([{"estimate": 0.1, "se": 0.2}, {"estimate": 0.1, "se": math.inf}])
     @example([{"estimate": 0.1, "se": 0.2}, {"estimate": 0.1, "se": 1e-200},
               {"estimate": 0.2, "se": 1e-200}])
-    # 1/se^2 underflows to 0, so the pooled precision is 0
+    # se * se overflows, so 1/se^2 and the pooled precision are 0
     @example([{"estimate": 0.0, "se": 1.3407807929942597e+154}])
     def test_same_as_record_by_record(self, rows):
         # the error of the first bad study, or every column bit for bit
