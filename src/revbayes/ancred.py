@@ -112,12 +112,6 @@ def advocacy_prior(estimate: EffectEstimate,
 _INTRINSIC_FACTOR = {"prior_based": (1.0 + math.sqrt(5.0)) / 2.0, "predictive_based": 2.0}
 
 
-def _intrinsic_factor(flavor: str) -> float:
-    if flavor not in _INTRINSIC_FACTOR:
-        raise DataError(f"unknown flavor {flavor!r}")
-    return _INTRINSIC_FACTOR[flavor]
-
-
 def intrinsic_credibility(estimate: EffectEstimate,
                           alpha: float = DEFAULT_ALPHA,
                           flavor: str = "predictive_based") -> CredibilityVerdict:
@@ -127,7 +121,7 @@ def intrinsic_credibility(estimate: EffectEstimate,
     interval. flavor "predictive_based": the prior-predictive tail
     probability of the estimate must fall below alpha.
     """
-    factor = _intrinsic_factor(flavor)
+    factor = _INTRINSIC_FACTOR[flavor]
     ratio = critical_ratio(estimate.z, alpha)
     if ratio <= 1.0:
         return CredibilityVerdict(False, "not significant at this level")
@@ -138,7 +132,7 @@ def intrinsic_boundary_p(alpha: float = DEFAULT_ALPHA,
                          flavor: str = "predictive_based") -> float:
     """Largest two-sided p-value that is still intrinsically credible at
     this alpha: that of the z with z^2 = factor * z_crit^2."""
-    return two_sided_p(math.sqrt(_intrinsic_factor(flavor)) * critical_z(alpha))
+    return two_sided_p(math.sqrt(_INTRINSIC_FACTOR[flavor]) * critical_z(alpha))
 
 
 def credibility_ratio(lower: float, upper: float) -> float:

@@ -77,7 +77,7 @@ def min_bf(p: float, kind: CalibrationKind) -> float:
         return min(1.0, bf)
     if kind is ELS_ALL_PRIORS:
         return min_bf_els(z)
-    raise DataError(f"unknown calibration {kind!r}")
+    raise TypeError(f"unknown calibration {kind!r}")   # a caller's bug, not input
 
 
 def prior_prob_for_fpr(p: float, fpr: float, kind: CalibrationKind) -> float:

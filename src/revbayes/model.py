@@ -176,8 +176,7 @@ def estimate_from_counts(study: Study) -> EffectEstimate:
         raise DataError(f"study {study.id!r} carries no counts")
     theta, se = theta_se(study)
     if math.isnan(se) or theta == math.inf:
-        a, c = study.events_treatment, study.events_control
-        cells = (a, study.n_treatment - a, c, study.n_control - c)
+        cells = _cells(study)
         if min(cells) <= 0:
             raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
                             "supply estimate and se directly instead")
@@ -194,14 +193,17 @@ def theta_se(study: Study) -> tuple[float, float]:
     where the odds ratio overflows; estimate_from_counts says which."""
     if study.events_treatment is None:
         return study.estimate, study.se
-    a = study.events_treatment
-    b = study.n_treatment - a
-    c = study.events_control
-    d = study.n_control - c
+    a, b, c, d = _cells(study)
     try:
         return math.log((a / b) / (c / d)), math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
     except (OverflowError, ValueError, ZeroDivisionError):
         return math.nan, math.nan
+
+
+def _cells(study: Study) -> tuple[int, int, int, int]:
+    """The 2x2 table: events and non-events of the treatment arm, then of control."""
+    a, c = study.events_treatment, study.events_control
+    return a, study.n_treatment - a, c, study.n_control - c
 
 
 def interval(center: float, sd: float,
@@ -232,9 +234,13 @@ def read_study_table(path: str) -> list[Study]:
     try:
         # utf-8-sig drops the byte order mark that Excel's "CSV UTF-8" writes
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            rows = list(reader := csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:   # its position is within a block, not the file
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:   # a field past csv.field_size_limit()
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file (header row required)")
     header = [h.strip() for h in rows[0]]

@@ -227,6 +227,20 @@ class TestMetaCommand:
             assert run(argv) == 2
             assert capsys.readouterr().err == f"data error: study 'B': {message}\n"
 
+    @pytest.mark.parametrize("content, message", [
+        # a Latin-1 e-acute, as Excel's plain "CSV" saves it
+        (b"id,estimate,se\nA\xe9,0.1,0.2\n",
+         ": not UTF-8 text: invalid continuation byte"),
+        (b"id,estimate,se\nA,0.1,0.2\n" + b"B" * 131073 + b",0.1,0.2\n",
+         ":3: field larger than field limit (131072)"),
+    ], ids=["latin-1", "field-limit"])
+    def test_unreadable_table_is_a_data_error(self, capsys, tmp_path, content, message):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(content)
+        for argv in (["meta", str(f)], ["--json", "meta", str(f)]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"data error: {f}{message}\n"
+
 
 class TestAncredCommand:
     def test_sceptical_from_counts_estimate(self, capsys, recovery):
