@@ -168,8 +168,10 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
 
     # p(m) = k m s(m) + (1 + cv^2) m - 1 with s(m) = cv^2 m^2 + m - 1, so p >= 0
     # at the positive root of s, and Newton from there falls monotonically to
-    # m_min. m_min = exp(log m_min), so that h and h_log agree on h_min.
-    t_min = math.log(find_root(p, 0.0, 1.0, 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (cv * cv)))))
+    # m_min. m_min = exp(log m_min), so that h and h_log agree on h_min. The solves
+    # are given the ends' values held: p(0) = -1, h(0) = -log gamma, h(m_min) = h_min.
+    t_min = math.log(find_root(p, 0.0, 1.0, 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (cv * cv))),
+                               -1.0))
     m_min = math.exp(t_min)
     h_min = h(m_min)[0]
     if h_min > 0.0:
@@ -183,11 +185,11 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     # ~ t - t_far, t_far = t_hi + log gamma, for m >> 1. The large root starts
     # from the later of t_far and the small root mirrored about m_min, or
     # from the mirror if t_far < 0.
-    m_small = find_root(h, 0.0, m_min, min(-log_gamma / z2, 0.5 * m_min))
+    m_small = find_root(h, 0.0, m_min, min(-log_gamma / z2, 0.5 * m_min), -log_gamma, h_min)
     t_hi = 0.5 * z2 + log_gamma - 0.5 * math.log(k)
     t_far, t_mirror = t_hi + log_gamma, math.log(2.0 * m_min - m_small)
     m_large = exp_or_inf(find_root(h_log, t_min, t_hi + 1.0,
-                                   max(t_far, t_mirror) if t_far > 0.0 else t_mirror))
+                                   max(t_far, t_mirror) if t_far > 0.0 else t_mirror, h_min))
     return BfAdvocacySolution(
         m_small=m_small, tau_small=cv * m_small * theta,
         m_large=m_large, tau_large=cv * m_large * theta,

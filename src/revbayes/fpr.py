@@ -13,7 +13,7 @@ import enum
 import math
 
 from .errors import DataError
-from .statfn import FLOAT_MIN, two_sided_z
+from .statfn import FLOAT_MIN, critical_z
 
 
 class CalibrationKind(enum.Enum):
@@ -48,11 +48,6 @@ def min_bf_els(z: float) -> float:
     return math.exp(-z * z / 2.0)
 
 
-def _check_p(p: float) -> None:
-    if not (0.0 < p < 1.0):
-        raise DataError(f"p-value must be in (0,1), got {p!r}")
-
-
 def min_bf(p: float, kind: CalibrationKind) -> float:
     """Minimum BF01 associated with a two-sided p-value.
 
@@ -60,12 +55,13 @@ def min_bf(p: float, kind: CalibrationKind) -> float:
     density-ratio bound under simple alternatives; it is documented from
     figure values rather than a printed formula in the source material.
     """
-    _check_p(p)
+    if not (0.0 < p < 1.0):
+        raise DataError(f"p-value must be in (0,1), got {p!r}")
     if kind is E_P_LOG_P:
         return -math.e * p * math.log(p) if p < 1.0 / math.e else 1.0
     if kind is E_Q_LOG_Q:
         return -math.e * (1.0 - p) * math.log1p(-p) if p < 1.0 - 1.0 / math.e else 1.0
-    z = two_sided_z(p)
+    z = critical_z(p)   # cached: a caller's next calibration asks for the same p
     if kind is LOCAL_Z:
         return min_bf_local(z)
     if kind is SIMPLE_Z:
@@ -83,10 +79,9 @@ def min_bf(p: float, kind: CalibrationKind) -> float:
 def prior_prob_for_fpr(p: float, fpr: float, kind: CalibrationKind) -> float:
     """Upper bound on Pr(H0) such that the false positive risk stays at the
     given value for this p-value."""
-    _check_p(p)
+    bf = min_bf(p, kind)   # checks p, so a bad p is reported before a bad FPR
     if not (0.0 < fpr < 1.0):
         raise DataError(f"FPR must be in (0,1), got {fpr!r}")
-    bf = min_bf(p, kind)
     return 1.0 / (1.0 + (1.0 - fpr) / fpr * bf)
 
 

@@ -100,8 +100,11 @@ def pool(studies: list[Study]) -> MetaResult:
     if not studies:
         raise DataError("meta-analysis requires at least one study")
     ids = [s.id for s in studies]
-    if len(set(ids)) != len(ids):
-        raise DataError("study ids must be unique")
+    seen: set[str] = set()
+    for sid in ids:
+        if sid in seen:
+            raise DataError(f"study ids must be unique: {sid!r} is repeated")
+        seen.add(sid)
     theta, se = zip(*map(theta_se, studies))
     if not (all(map(math.isfinite, map(truediv, theta, se))) and all(map(math.isfinite, se))):
         for study in studies:

@@ -234,16 +234,19 @@ def read_study_table(path: str) -> list[Study]:
     try:
         # utf-8-sig drops the byte order mark that Excel's "CSV UTF-8" writes
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(reader := csv.reader(fh))
+            return _parse_studies(path, reader := csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:   # its position is within a block, not the file
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except csv.Error as exc:   # a field past csv.field_size_limit()
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not rows:
+
+
+def _parse_studies(path: str, reader) -> list[Study]:
+    if (first := next(reader, None)) is None:
         raise DataError(f"{path}: empty file (header row required)")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first]
     for names, parse, noun, make in _SCHEMAS:
         if header == names:
             break
@@ -251,7 +254,9 @@ def read_study_table(path: str) -> list[Study]:
         raise DataError(f"{path}: unrecognized header {header!r}; expected "
                         f"{_SCHEMAS[0][0]} or {_SCHEMAS[1][0]}")
     studies: list[Study] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    lines: dict[str, int] = {}   # study id -> its row's line
+    for row in reader:
+        lineno = reader.line_num   # the physical line the row ends on, as in csv.Error's
         if not any(map(str.strip, row)):
             continue
         if len(row) != len(names):
@@ -260,10 +265,11 @@ def read_study_table(path: str) -> list[Study]:
             cells = list(map(parse, row[1:]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {noun}: {exc}") from exc
-        studies.append(make(row[0].strip(), *cells))
+        study = make(row[0].strip(), *cells)
+        if (first_line := lines.setdefault(study.id, lineno)) != lineno:
+            raise DataError(f"{path}:{lineno}: duplicate study id {study.id!r}, "
+                            f"first on line {first_line}")
+        studies.append(study)
     if not studies:
         raise DataError(f"{path}: no data rows")
-    ids = [s.id for s in studies]
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate study ids")
     return studies

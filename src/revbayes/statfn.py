@@ -3,7 +3,8 @@ Lambert W on log x) and root finding used by the analysis modules.
 
 Everything here is a pure function of its arguments and safe to call from
 any number of threads. The one cache is critical_z's: a bounded
-functools.lru_cache over the few significance levels a process uses.
+functools.lru_cache over the few significance levels a process uses and
+the p-values fpr has just inverted, which each calibration asks for again.
 norm_quantile runs AS241 itself, so that no process imports the
 statistics module (with fractions and decimal behind it) for one function.
 """
@@ -17,6 +18,7 @@ import sys
 from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Largest t with exp(t) finite.
 LOG_MAX = math.log(sys.float_info.max)
 # Smallest normal float: a product below it keeps fewer than 53 bits.
@@ -38,7 +40,7 @@ PRINCIPAL, SECONDARY = Branch
 
 def norm_pdf(x: float) -> float:
     """Standard normal density."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return math.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 def norm_quantile(p: float) -> float:
@@ -122,7 +124,7 @@ def two_sided_z(alpha: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def critical_z(alpha: float) -> float:
-    """two_sided_z(alpha), memoised: callers ask for the same few levels again."""
+    """two_sided_z(alpha), memoised: callers ask for the same levels and p-values again."""
     return two_sided_z(alpha)
 
 
@@ -184,15 +186,17 @@ def lambert_w_log(log_x: float, branch: Branch = PRINCIPAL) -> float:
 
 
 def find_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float,
-              x0: float) -> float:
+              x0: float, f_lo: float | None = None, f_hi: float | None = None) -> float:
     """Bracketed Newton root finder; f(x) returns (f(x), f'(x)).
 
     Requires f(lo) and f(hi) of opposite sign (or zero), and lo <= x0 <= hi.
-    Newton steps from x0; each evaluation shrinks the bracket, and a step that
-    would leave it bisects instead. Stops once a step is within 2 ulp of x,
-    when the bracket is 4 ulp wide, or when f is exactly zero.
+    A caller that holds f(lo)[0] or f(hi)[0] passes it as f_lo or f_hi, and f
+    is not evaluated there. Newton steps from x0; each evaluation shrinks the
+    bracket, and a step that would leave it bisects instead. Stops once a step
+    is within 2 ulp of x, when the bracket is 4 ulp wide, or when f is exactly zero.
     """
-    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    f_lo = f(lo)[0] if f_lo is None else f_lo
+    f_hi = f(hi)[0] if f_hi is None else f_hi
     if f_lo * f_hi > 0.0:
         raise ValueError(f"find_root: interval [{lo}, {hi}] does not bracket a root "
                          f"(f(lo)={f_lo!r}, f(hi)={f_hi!r})")

@@ -404,22 +404,22 @@ class TestOracleSweep:
 
 class TestAdvocacySolveBudget:
     @pytest.fixture
-    def calls(self, monkeypatch):
-        """f calls per find_root call that bf makes."""
-        calls = []
+    def solves(self, monkeypatch):
+        """(lo, hi, the points f is evaluated at) per find_root call that bf makes."""
+        solves = []
 
-        def counted_find_root(f, lo, hi, x0):
-            calls.append(0)
+        def counted_find_root(f, lo, hi, x0, *ends):
+            solves.append((lo, hi, points := []))
 
             def counted(x):
-                calls[-1] += 1
+                points.append(x)
                 return f(x)
-            return statfn.find_root(counted, lo, hi, x0)
+            return statfn.find_root(counted, lo, hi, x0, *ends)
 
         monkeypatch.setattr(bf, "find_root", counted_find_root)
-        return calls
+        return solves
 
-    def test_evaluations_per_solve(self, calls):
+    def test_evaluations_per_solve(self, solves):
         # over a seeded sweep of the oracle range
         rng = random.Random(9)
         main, near_one = [], []
@@ -427,24 +427,32 @@ class TestAdvocacySolveBudget:
             se = 10.0 ** rng.uniform(-2.0, 2.0)
             est = EffectEstimate(rng.uniform(-40.0, 40.0) * se, se)
             if i % 4:
-                gamma, solves = 10.0 ** rng.uniform(-30.0, math.log10(0.95)), main
+                gamma, counts = 10.0 ** rng.uniform(-30.0, math.log10(0.95)), main
             else:
-                gamma, solves = 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.05)), near_one
-            calls.clear()
+                gamma, counts = 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.05)), near_one
+            solves.clear()
             try:
                 advocacy_for_gamma(est, gamma)
             except NonexistenceError:
                 pass
-            solves.extend(calls)
-        assert sum(main) / len(main) <= 7.0
+            counts.extend(len(points) for _, _, points in solves)
+            # every solve is given f at lo: p(0), h(0) and h_log(t_min); the small
+            # root's is also given h(m_min)
+            assert all(lo not in points for lo, _, points in solves)
+            if len(solves) > 1:
+                _, m_min, points = solves[1]
+                assert m_min not in points
+        # 5.27 while find_root evaluated both ends itself
+        assert sum(main) / len(main) <= 4.5
         assert max(main + near_one) <= 40
 
     @pytest.mark.parametrize("gamma", [1e-30, 0.1, 0.95, 1.0 - 1e-6, 1.0 - 1e-12])
-    def test_evaluations_at_huge_z(self, calls, gamma):
+    def test_evaluations_at_huge_z(self, solves, gamma):
         # z^2 is finite but z^2 q / d^2 would be inf / inf: Newton, not bisection
         for z in (1e80, 1e100, 1e130, 1e150, 1e154):
-            calls.clear()
+            solves.clear()
             sol = advocacy_for_gamma(EffectEstimate(z, 1.0), gamma)
             assert 0.0 < sol.m_small < 1.0 < sol.m_large
             # none where a = k cv^2 overflows and the limits are returned
-            assert sum(calls) <= 15, (z, calls)
+            counts = [len(points) for _, _, points in solves]
+            assert sum(counts) <= 15, (z, counts)

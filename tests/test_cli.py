@@ -110,8 +110,9 @@ class TestReadStudyTable:
 
     def test_duplicate_ids(self, tmp_path):
         f = tmp_path / "dup.csv"
-        f.write_text("id,estimate,se\nA,-0.5,0.2\nA,0.1,0.3\n")
-        with pytest.raises(DataError, match="duplicate"):
+        f.write_text("id,estimate,se\nA,-0.5,0.2\n\nB,0.2,0.1\nA,0.1,0.3\nB,0.3,0.2\n")
+        with pytest.raises(DataError,
+                           match=r"dup\.csv:5: duplicate study id 'A', first on line 2$"):
             read_study_table(str(f))
 
     def test_blank_rows_skipped(self, tmp_path):
@@ -126,7 +127,11 @@ class TestReadStudyTable:
         # a negative count on line 3 and a non-integer on line 5
         ("id,events_t,n_t,events_c,n_c\nA,2,7,2,12\nB,-1,7,2,12\n , , , , \nC,2.5,7,2,12\n",
          "study 'B': negative event count"),
-    ], ids=["cell-before-short-row", "short-row-before-cell", "count-before-non-integer"])
+        # a repeated id on line 3 and a bad cell on line 4
+        ("id,estimate,se\nA,-0.5,0.2\nA,0.1,0.3\nB,x,0.2\n",
+         r"bad\.csv:3: duplicate study id 'A'"),
+    ], ids=["cell-before-short-row", "short-row-before-cell", "count-before-non-integer",
+            "repeated-id-before-cell"])
     def test_first_bad_row_is_named(self, tmp_path, rows, message):
         f = tmp_path / "bad.csv"
         f.write_text(rows)
@@ -226,6 +231,15 @@ class TestMetaCommand:
         for argv in (["meta", str(f)], ["--json", "meta", str(f)]):
             assert run(argv) == 2
             assert capsys.readouterr().err == f"data error: study 'B': {message}\n"
+
+    def test_row_line_is_physical_line(self, capsys, tmp_path):
+        # the quoted id spans lines 2 and 3, so the bad cell sits on line 4
+        f = tmp_path / "ml.csv"
+        f.write_text('id,estimate,se\n"A\nA",0.1,0.2\nB,x,0.3\n')
+        for argv in (["meta", str(f)], ["--json", "meta", str(f)]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"data error: {f}:4: non-numeric value: could not convert string to float: 'x'\n")
 
     @pytest.mark.parametrize("content, message", [
         # a Latin-1 e-acute, as Excel's plain "CSV" saves it

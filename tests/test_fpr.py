@@ -5,9 +5,10 @@ import sys
 import mpmath
 import pytest
 
+from revbayes import fpr, statfn
 from revbayes.fpr import (CalibrationKind, min_bf, min_bf_els, min_bf_local,
                           prior_bound_fpr_equals_p, prior_prob_for_fpr)
-from revbayes.statfn import norm_quantile
+from revbayes.statfn import critical_z, norm_quantile, two_sided_z
 
 K = CalibrationKind
 ALL_KINDS = list(CalibrationKind)
@@ -105,6 +106,15 @@ class TestMinBf:
         with pytest.raises(ValueError):
             min_bf(1.0, K.LOCAL_Z)
 
+    def test_cached_z_has_the_bits_of_two_sided_z(self, monkeypatch):
+        # min_bf takes z from critical_z's cache, which each calibration of a
+        # p-value after the first hits
+        rng = random.Random(19)
+        ps = [5e-324] + [10.0 ** rng.uniform(-323.0, math.log10(0.99)) for _ in range(3000)]
+        cached = [min_bf(p, kind).hex() for p in ps for kind in ALL_KINDS]
+        monkeypatch.setattr(fpr, "critical_z", two_sided_z)
+        assert [min_bf(p, kind).hex() for p in ps for kind in ALL_KINDS] == cached
+
 
 class TestPriorProbForFpr:
     def test_published_values_at_p05_fpr5(self):
@@ -149,6 +159,24 @@ class TestPriorProbForFpr:
             prior_prob_for_fpr(0.05, 0.0, K.LOCAL_Z)
         with pytest.raises(ValueError):
             prior_prob_for_fpr(0.05, 1.0, K.LOCAL_Z)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bad_p_reported_before_bad_fpr(self, kind):
+        with pytest.raises(ValueError, match="p-value must be in"):
+            prior_prob_for_fpr(1.5, 0.0, kind)
+
+    def test_one_inverse_per_p(self, monkeypatch):
+        calls = []
+
+        def counted(alpha):
+            calls.append(alpha)
+            return two_sided_z(alpha)
+
+        monkeypatch.setattr(statfn, "two_sided_z", counted)
+        critical_z.cache_clear()
+        for kind in ALL_KINDS:
+            prior_prob_for_fpr(0.0123, 0.05, kind)
+        assert calls == [0.0123]
 
 
 class TestFprEqualsP:

@@ -141,6 +141,11 @@ class TestPool:
         with pytest.raises(DataError):
             pool([])
 
+    def test_repeated_id_is_named(self):
+        studies = [Study(sid, estimate=0.1, se=0.2) for sid in ("A", "B", "C", "B", "A")]
+        with pytest.raises(DataError, match="study ids must be unique: 'B' is repeated"):
+            pool(studies)
+
     def test_single_study(self):
         est = Study("only", estimate=0.4, se=0.2)
         result = pool([est])

@@ -4,7 +4,7 @@ import statistics
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from revbayes.statfn import (LOG_MAX, Branch, critical_ratio, critical_z,
                              exp_or_inf, find_root, lambert_w_log,
@@ -191,6 +191,14 @@ class TestExpOrInf:
         assert exp_or_inf(1e6) == math.inf
 
 
+# smooth f(x) - c with (value, slope), for the known-ends property
+_SMOOTH = {
+    "cubic": lambda c: lambda x: (x * x * x - c, 3.0 * x * x),
+    "exp": lambda c: lambda x: (math.exp(x) - c, math.exp(x)),
+    "atan": lambda c: lambda x: (math.atan(x - c), 1.0 / (1.0 + (x - c) * (x - c))),
+}
+
+
 class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: (x - 2.0, 1.0), 0.0, 5.0, 1.0) == pytest.approx(
@@ -244,3 +252,30 @@ class TestFindRoot:
     @pytest.mark.parametrize("lo, hi", [(2.0, 5.0), (0.0, 2.0)])
     def test_root_at_an_end(self, lo, hi):
         assert find_root(lambda x: (x - 2.0, 1.0), lo, hi, 0.5 * (lo + hi)) == 2.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.sampled_from(sorted(_SMOOTH)), c=st.floats(-5.0, 5.0),
+           points=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3, unique=True),
+           given_ends=st.sampled_from(["lo", "hi", "both"]))
+    def test_known_ends(self, shape, c, points, given_ends):
+        # f(lo) and f(hi) from the caller: the same bits, or the same error,
+        # and f is never evaluated at an end whose value was given
+        f = _SMOOTH[shape](c)
+        lo, x0, hi = sorted(points)
+        ends = {"f_lo": f(lo)[0], "f_hi": f(hi)[0]}
+        if given_ends != "both":
+            ends = {f"f_{given_ends}": ends[f"f_{given_ends}"]}
+        skipped = [x for name, x in (("f_lo", lo), ("f_hi", hi)) if name in ends]
+
+        def guarded(x):
+            assert x not in skipped
+            return f(x)
+
+        try:
+            expected = find_root(f, lo, hi, x0)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                find_root(guarded, lo, hi, x0, **ends)
+            assert str(got.value) == str(exc)
+        else:
+            assert find_root(guarded, lo, hi, x0, **ends).hex() == expected.hex()
