@@ -15,7 +15,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 from itertools import repeat
-from operator import is_, itemgetter
+from operator import is_, truediv
 
 from . import __version__
 from .errors import DataError, NonexistenceError
@@ -71,24 +71,25 @@ _JSON_SCALARS = {str: encode_basestring_ascii, float: _json_float, int: int.__re
 
 def render_json(value) -> str:
     """`value` as strict RFC 8259 JSON, with the bytes of
-    json.dumps(value, sort_keys=True, indent=2) for every finite value.
+    json.dumps(value, sort_keys=True, indent=2) for every finite value, a
+    _Table written as the list of its rows.
 
     json.dumps is not used: given an indent, the standard library drops its
     C encoder for a pure-Python generator chain, which spends most of a
-    10 000-study `meta` report. Dicts and scalars are written depth-first,
-    but a list's items of one layout take one flat %-template (`_layout`),
-    filled from a column per slot; numbers go in as themselves, and a float
-    column shared with an earlier one is formatted once (`_rows`). A list
-    goes in blocks of _BLOCK items, which write_json passes on as rendered.
-    A non-finite float becomes the string of its repr ("inf", "-inf" or
-    "nan"), where json.dumps would write the non-standard Infinity and NaN
-    tokens; null keeps its meaning of "not applicable". Anything but a dict,
-    list, tuple, str, int, float, bool or None raises TypeError, as in
-    json.dumps, and so does a non-str key.
+    10 000-study `meta` report. Dicts, lists and scalars are written
+    depth-first. A _Table declares its rows' layout and which slots share a
+    column, so neither is inferred from the rows (by their key sets and
+    lengths, and by the identity of their floats): the layout becomes one
+    %-template, built once, and the table is written _BLOCK rows at a time,
+    each column of a block formatted once, however many slots share it.
+    write_json passes each block on as rendered. A non-finite float becomes
+    the string of its repr ("inf", "-inf" or "nan"), where json.dumps would
+    write the non-standard Infinity and NaN tokens; null keeps its meaning
+    of "not applicable". Anything but a dict, list, tuple, _Table, str, int,
+    float, bool or None raises TypeError, as in json.dumps, and so does a
+    non-str key.
     """
-    chunks: list[str] = []
-    write_json(value, chunks.append)
-    return "".join(chunks)
+    return _text(value, "\n")
 
 
 def write_json(value, write) -> None:
@@ -96,37 +97,90 @@ def write_json(value, write) -> None:
     _render(value, "\n", write)
 
 
-# list items per _rows call: as fast as 256 items, but in 24 meta-large runs peak RSS
+class _Table:
+    """Rows of one layout, held as columns. `layout` is one row's dicts and
+    lists with a column index at each leaf; row i holds columns[k][i] at each
+    leaf k, and there are as many rows as columns[0] has items. It iterates
+    as the rows it stands for and compares equal by them."""
+
+    __slots__ = ("layout", "columns")
+
+    def __init__(self, layout, columns: list):
+        self.layout, self.columns = layout, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return map(functools.partial(_fill, self.layout), zip(*self.columns))
+
+    def __eq__(self, other):
+        return list(self) == other
+
+
+def _fill(layout, row: tuple):
+    if type(layout) is dict:
+        return {key: _fill(item, row) for key, item in layout.items()}
+    if type(layout) is list:
+        return [_fill(item, row) for item in layout]
+    return row[layout]
+
+
+# table rows per block: as fast as 256 rows, but in 24 meta-large runs peak RSS
 # stayed at 58.7-59.6 MB, where 256 reached ~68 MB in 3 of 20 runs
 _BLOCK = 128
 
 
+def _text(value, newline: str) -> str:
+    chunks: list[str] = []
+    _render(value, newline, chunks.append)
+    return "".join(chunks)
+
+
 def _render(value, newline: str, emit) -> None:
-    # a dict's scalar item is written in its loop, without a recursive call
+    # a scalar item of a dict or list is written in its loop, without a recursive call
     kind = type(value)
-    if kind is dict:
+    if kind is dict or kind is list or kind is tuple:
         if not value:
-            emit("{}")
+            emit("{}" if kind is dict else "[]")
             return
         inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
+        if kind is dict:
+            pairs = [(encode_basestring_ascii(key) + ": ", item)
+                     for key, item in sorted(value.items())]
+            sep, closer = "{" + inner, "}"
+        else:
+            pairs, sep, closer = zip(repeat(""), value), "[" + inner, "]"
+        for head, item in pairs:
             encode = _JSON_SCALARS.get(type(item))
             if encode is None:
-                emit(sep + encode_basestring_ascii(key) + ": ")
+                emit(sep + head)
                 _render(item, inner, emit)
             else:
-                emit(sep + encode_basestring_ascii(key) + ": " + encode(item))
+                emit(sep + head + encode(item))
             sep = "," + inner
-        emit(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
+        emit(newline + closer)
+    elif kind is _Table:
+        rows = len(value)
+        if not rows:
             emit("[]")
             return
         inner = newline + "  "
+        template, slots = _template(value.layout, inner)
         sep = "[" + inner
-        for start in range(0, len(value), _BLOCK):
-            emit(sep + ("," + inner).join(_rows(value[start:start + _BLOCK], inner)))
+        for start in range(0, rows, _BLOCK):
+            formatted: dict = {}   # column index, or (index, newline) for depth-bound texts
+            args = []
+            for index, depth in slots:
+                texts = formatted.get(index) or formatted.get((index, depth))
+                if texts is None:
+                    texts, nested = _column_texts(value.columns[index][start:start + _BLOCK],
+                                                  depth)
+                    formatted[(index, depth) if nested else index] = texts
+                args.append(texts)
+            block = (map(template.__mod__, zip(*args)) if args
+                     else [template % ()] * min(_BLOCK, rows - start))
+            emit(sep + ("," + inner).join(block))
             sep = "," + inner
         emit(newline + "]")
     else:
@@ -136,55 +190,46 @@ def _render(value, newline: str, emit) -> None:
         emit(encode(value))
 
 
-def _rows(values, newline: str):
-    """The JSON texts of `values`, all written at the depth of `newline`. A
-    float column of one object, or of the objects of an earlier float column
-    (by identity: 0.0 == -0.0), is formatted once; other numbers go to %s."""
-    template, columns = _layout(values, newline)
-    first = {}   # (id of the first item, id of the last) -> index and items of a float column
-    for i, column in enumerate(columns):
-        head, tail = column[0], column[-1]
-        if type(head) is float:
-            j, items = first.setdefault((id(head), id(tail)), (i, column))
-            if head is tail and all(map(is_, column, repeat(head))):
-                columns[i] = [float.__repr__(head)] * len(column)
-            elif j != i and all(map(is_, column, items)):
-                if columns[j] is items:
-                    columns[j] = list(map(float.__repr__, column))
-                columns[i] = columns[j]
-    return map(template.__mod__, zip(*columns)) if columns else [template] * len(values)
-
-
-def _layout(values, newline: str) -> tuple[str, list]:
-    """A %-template for each item of `values`, at the depth of `newline`, and
-    the columns for its slots: dicts with one key set and lists of one length
-    are inlined, finite floats and ints fill a slot as numbers, other scalars
-    as texts, and items of mixed types, key sets or lengths as rendered."""
-    kind = type(values[0]) if len(set(map(type, values))) == 1 else None
-    if kind is int or (kind is float and all(map(math.isfinite, values))):
-        return "%s", [values]
-    encode = _JSON_SCALARS.get(kind)
-    if encode is not None:
-        return "%s", [list(map(encode, values))]
+def _template(layout, newline: str) -> tuple[str, list]:
+    """A %-template for a row of `layout` at the depth of `newline`, keys
+    sorted and indented as _render writes them, and the (column index,
+    newline) of each of its slots."""
+    kind = type(layout)
+    if kind is dict:
+        keys = sorted(layout)
+        heads = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
+        parts, opener, closer = [layout[key] for key in keys], "{", "}"
+    elif kind is list:
+        heads, parts, opener, closer = [""] * len(layout), layout, "[", "]"
+    else:
+        return "%s", [(layout, newline)]
+    if not parts:
+        return opener + closer, []
     inner = newline + "  "
-    if kind is dict and all(map(values[0].keys().__eq__, map(dict.keys, values))):
-        keys = sorted(values[0])
-        opener, heads, closer = "{", [encode_basestring_ascii(key) + ": " for key in keys], "}"
-        parts = [_layout(list(map(itemgetter(key), values)), inner) for key in keys]
-    elif (kind is list or kind is tuple) and len(set(map(len, values))) == 1:
-        parts = [_layout(column, inner) for column in zip(*values)]
-        opener, heads, closer = "[", [""] * len(parts), "]"
-    else:   # mixed types, key sets or lengths
-        texts = []
-        for item in values:
-            chunks: list[str] = []
-            _render(item, newline, chunks.append)
-            texts.append("".join(chunks))
-        return "%s", [texts]
-    body = ("," + inner).join(head.replace("%", "%%") + part
-                              for head, (part, _) in zip(heads, parts))
-    return (opener + inner + body + newline + closer if parts else opener + closer,
-            [column for _, columns in parts for column in columns])
+    bodies, slots = [], []
+    for head, part in zip(heads, parts):
+        body, part_slots = _template(part, inner)
+        bodies.append(head + body)
+        slots += part_slots
+    return opener + inner + ("," + inner).join(bodies) + newline + closer, slots
+
+
+def _column_texts(items, newline: str) -> tuple[list, bool]:
+    """The JSON texts of a block of one column, at the depth of `newline`,
+    and whether they depend on that depth. A column of one object is
+    formatted once, and a column of strs, or of finite floats, by one map."""
+    head = items[0]
+    if head is items[-1] and all(map(is_, items, repeat(head))):
+        text = _text(head, newline)
+        return [text] * len(items), "\n" in text
+    encode = encode_basestring_ascii if type(head) is str else float.__repr__
+    try:
+        texts = list(map(encode, items))   # TypeError for an item of another type
+    except TypeError:
+        return [_text(item, newline) for item in items], True
+    if encode is float.__repr__ and not all(map(math.isfinite, items)):
+        texts = list(map(_json_float, items))
+    return texts, False
 
 
 def _fmt(x: float) -> str:
@@ -201,14 +246,23 @@ def _fmt_bf(bf: float) -> str:
     return f"{bf:.3g}"
 
 
+# the columns of an estimate block, in the order _estimate_columns returns them
+_LOG_OR, _SE, _Z, _P, _LO, _HI, _OR, _OR_LO, _OR_HI, _LEVEL = range(10)
+_ESTIMATE = {"log_or": _LOG_OR, "se": _SE, "z": _Z, "p": _P, "ci_log": [_LO, _HI],
+             "or": _OR, "ci_or": [_OR_LO, _OR_HI], "level": _LEVEL}
+
+
+def _estimate_columns(theta, se, level: float) -> list:
+    """The columns of _ESTIMATE for the estimates theta with standard errors se."""
+    lo, hi = zip(*map(interval, theta, se, repeat(level)))
+    z = list(map(truediv, theta, se))
+    return [theta, se, z, list(map(two_sided_p, z)), lo, hi, list(map(exp_or_inf, theta)),
+            list(map(exp_or_inf, lo)), list(map(exp_or_inf, hi)), [level] * len(theta)]
+
+
 def _estimate_payload(theta: float, se: float, level: float) -> dict:
-    lo, hi = interval(theta, se, level)
-    z = theta / se
-    return {
-        "log_or": theta, "se": se, "z": z, "p": two_sided_p(z),
-        "ci_log": [lo, hi], "or": exp_or_inf(theta),
-        "ci_or": [exp_or_inf(lo), exp_or_inf(hi)], "level": level,
-    }
+    (payload,) = _Table(_ESTIMATE, _estimate_columns([theta], [se], level))
+    return payload
 
 
 # ---------------------------------------------------------------- meta
@@ -225,19 +279,19 @@ def cmd_meta(args) -> dict:
     fsn = failsafe_n(result, args.level)
     pooled_est = result.pooled.as_estimate()
 
-    per_study = []
-    for sid, theta, se, loo_mean, loo_precision, t_box, p_box in zip(*result[1:]):
-        estimate = _estimate_payload(theta, se, args.level)
-        p_box = None if math.isnan(p_box) else p_box
-        per_study.append({
-            "id": sid,
-            "estimate": estimate,
-            "leave_one_out_prior": ({"mean": loo_mean, "precision": loo_precision}
-                                    if loo_precision > 0.0 else None),
-            "t_box": None if math.isnan(t_box) else t_box,
-            "p_box": p_box,
-            "forest_row": [sid, theta, *estimate["ci_log"], estimate["p"], p_box],
-        })
+    columns = _estimate_columns(result.theta, result.se, args.level)
+    sid, t_box, p_box, loo = range(len(columns), len(columns) + 4)
+    columns += [result.ids, _nan_as_none(result.t_box), _nan_as_none(result.p_box)]
+    if all(map((0.0).__lt__, result.loo_precision)):
+        loo_layout = {"mean": loo, "precision": loo + 1}
+        columns += [result.loo_mean, result.loo_precision]
+    else:   # a study that stands alone has a flat prior, written as null
+        loo_layout = loo
+        columns.append([{"mean": mean, "precision": precision} if precision > 0.0 else None
+                        for mean, precision in zip(result.loo_mean, result.loo_precision)])
+    per_study = _Table({"id": sid, "estimate": _ESTIMATE, "leave_one_out_prior": loo_layout,
+                        "t_box": t_box, "p_box": p_box,
+                        "forest_row": [sid, _LOG_OR, _LO, _HI, _P, p_box]}, columns)
 
     return {
         "command": "meta",
@@ -252,6 +306,10 @@ def cmd_meta(args) -> dict:
         "warnings": ([] if result.n_studies > 1 else
                      ["single-study table: fail-safe N refers to n=1"]),
     }
+
+
+def _nan_as_none(column) -> list:
+    return [None if math.isnan(x) else x for x in column]
 
 
 def _print_meta(report: dict, scale: str) -> None:
@@ -272,15 +330,12 @@ def _print_meta(report: dict, scale: str) -> None:
           f"{'loo mean':>10}{'loo prec':>10}{'t_box':>8}{'p_box':>8}")
     for row in res["per_study"]:
         est = row["estimate"]
-        loo = row["leave_one_out_prior"]
-        loo_mean = "-" if loo is None else f"{loo['mean']:.2f}"
-        loo_prec = "-" if loo is None else f"{loo['precision']:.1f}"
-        t_box = "-" if row["t_box"] is None else f"{row['t_box']:.2f}"
-        p_box = "-" if row["p_box"] is None else f"{row['p_box']:.2f}"
-        print(f"{row['id']:<16}{est['log_or']:>8.2f}{est['ci_log'][0]:>8.2f}"
-              f"{est['ci_log'][1]:>8.2f}{est['p']:>10.4f}"
-              f"{loo_mean:>10}{loo_prec:>10}"
-              f"{t_box:>8}{p_box:>8}")
+        loo = row["leave_one_out_prior"] or {}
+        print(f"{row['id']:<16}{_cell(est['log_or'], 8, '.2f')}"
+              f"{_cell(est['ci_log'][0], 8, '.2f')}{_cell(est['ci_log'][1], 8, '.2f')}"
+              f"{_cell(est['p'], 10, '.4f')}{_cell(loo.get('mean'), 10, '.2f')}"
+              f"{_cell(loo.get('precision'), 10, '.1f')}"
+              f"{_cell(row['t_box'], 8, '.2f')}{_cell(row['p_box'], 8, '.2f')}")
     fsn = res["fail_safe_n"]
     print()
     if fsn["significant"]:
@@ -289,6 +344,18 @@ def _print_meta(report: dict, scale: str) -> None:
         print(f"fail-safe N: 0 ({fsn['reason']})")
     for w in report["warnings"]:
         print(f"warning: {w}")
+
+
+def _cell(x: float | None, width: int, spec: str) -> str:
+    """x in `spec`, "-" for None, right-aligned to `width`. Where `spec`
+    would overflow the column, x is in g form with the most digits, up to 3,
+    that fit; one always fits, as -1e+308 takes 7 characters."""
+    text = "-" if x is None else format(x, spec)
+    digits = 3
+    while len(text) > width:
+        text = format(x, f".{digits}g")
+        digits -= 1
+    return text.rjust(width)
 
 
 # ---------------------------------------------------------------- ancred
@@ -483,11 +550,10 @@ def cmd_fpr(args) -> dict:
     if args.grid:
         n = 200
         lo, hi = math.log(1e-4), math.log(0.5)
-        grid = []
-        for i in range(n + 1):
-            p = math.exp(lo + (hi - lo) * i / n)
-            grid.extend([p, kind.value, bound(p, kind)] for kind in _GRID_KINDS)
-        results["grid"] = grid
+        ps = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1) for _ in _GRID_KINDS]
+        kinds = _GRID_KINDS * (n + 1)
+        results["grid"] = _Table([0, 1, 2], [ps, [kind.value for kind in kinds],
+                                             list(map(bound, ps, kinds))])
     return {
         "command": "fpr",
         "input_digest": _input_digest(args, {"p": args.p, "fpr": args.fpr,

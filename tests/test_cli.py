@@ -60,17 +60,26 @@ def run_json(capsys, argv):
     return strict_loads(out)
 
 
+def _table_rows(value):
+    """json.dumps's default hook: a declared table is the list of its rows."""
+    if type(value) is cli._Table:
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @pytest.fixture(autouse=True)
 def renders_as_json_dumps(monkeypatch):
     """The equality gate, on every report a test here renders: a finite
-    report comes out as json.dumps(report, sort_keys=True, indent=2). It
-    wraps write_json, which run streams each --json report through."""
+    report comes out as json.dumps(report, sort_keys=True, indent=2), a
+    declared table as the list of its rows. It wraps write_json, which run
+    streams each --json report through."""
     def checked(report, write):
         chunks = []
         write_json(report, chunks.append)
         text = "".join(chunks)
         try:
-            expected = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+            expected = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                                  default=_table_rows)
         except ValueError:   # non-finite floats, which json.dumps cannot write strictly
             expected = text
         assert text == expected
@@ -240,6 +249,33 @@ class TestMetaCommand:
             assert run(argv) == 2
             assert capsys.readouterr().err == (
                 f"data error: {f}:4: non-numeric value: could not convert string to float: 'x'\n")
+
+    @pytest.mark.parametrize("rows, nulls", [
+        # B's 1/se^2 underflows to 0: A's leave-one-out prior is flat, B's is not
+        ("A,0.1,1\nB,0.2,1e200", [True, False]),
+        ("A,0.1,1", [True]),
+    ], ids=["two-layouts", "one-study"])
+    def test_flat_leave_one_out_priors(self, capsys, tmp_path, rows, nulls):
+        f = tmp_path / "flat.csv"
+        f.write_text(f"id,estimate,se\n{rows}\n")
+        per_study = run_json(capsys, ["--json", "meta", str(f)])["results"]["per_study"]
+        assert [row["leave_one_out_prior"] is None for row in per_study] == nulls
+        assert [row["t_box"] is None for row in per_study] == nulls
+        assert [row["p_box"] is None for row in per_study] == nulls
+        assert run(["meta", str(f)]) == 0
+
+    def test_wide_cells_keep_their_columns(self, capsys, tmp_path):
+        # B's CI limits are +-1.96e200, 205 characters in fixed point, and
+        # C's -12657.25 and -12759.52 take 9 characters of an 8-wide column
+        f = tmp_path / "wide.csv"
+        f.write_text("id,estimate,se\nA,0.1,1\nB,0.2,1e200\nC,-12657.25,52.18\n")
+        assert run(["meta", str(f)]) == 0
+        rows = capsys.readouterr().out.splitlines()[4:7]
+        # a cell that fits keeps its fixed point, as A's loo mean does at full width
+        assert rows == [
+            "A                   0.10   -1.86    2.06    0.9203 -12657.25       0.0  242.53    0.00",
+            "B                   0.20 -2e+200  2e+200    1.0000     -4.55       1.0    0.00    1.00",
+            "C               -1.3e+04-1.3e+04-1.3e+04    0.0000      0.10       1.0 -242.53    0.00"]
 
     @pytest.mark.parametrize("content, message", [
         # a Latin-1 e-acute, as Excel's plain "CSV" saves it
@@ -472,8 +508,67 @@ _LAYOUTS = st.recursive(
 _TABLES = _LAYOUTS.flatmap(lambda row: st.lists(row, min_size=2, max_size=8))
 
 
+# Declared tables: a row layout with column indices at its leaves, which
+# repeat, over columns of floats (non-finite ones too), of any values
+# (None, mixed types, dicts and lists), or of one object throughout.
+_COLUMNS = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(1, 6),
+    st.recursive(st.integers(0, k - 1),
+                 lambda inner: st.lists(inner, max_size=4)
+                 | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=8)))
+_ITEMS = (st.floats(), st.one_of(_VALUES, st.floats()), None)
+
+
+@st.composite
+def _declared_tables(draw):
+    k, n, layout = draw(_COLUMNS)
+    columns = []
+    for _ in range(k):
+        items = draw(st.sampled_from(_ITEMS))
+        columns.append([draw(_VALUES)] * n if items is None
+                       else draw(st.lists(items, min_size=n, max_size=n)))
+    return cli._Table(layout, columns)
+
+
+def _declare(rows):
+    """rows of one layout as a declared table, with one column per leaf of
+    the first row; leaves whose items have the same types and reprs share a
+    column. Column 0 holds the rows themselves, so that a layout without
+    leaves keeps its rows."""
+    columns = [rows]
+    def layout(value, path):
+        if isinstance(value, dict):
+            return {key: layout(item, path + (key,)) for key, item in value.items()}
+        if isinstance(value, list):
+            return [layout(item, path + (i,)) for i, item in enumerate(value)]
+        column = []
+        for row in rows:
+            for key in path:
+                row = row[key]
+            column.append(row)
+        typed = [(type(item), repr(item)) for item in column]
+        for index, other in enumerate(columns):
+            if [(type(item), repr(item)) for item in other] == typed:
+                return index
+        columns.append(column)
+        return len(columns) - 1
+    table = cli._Table(layout(rows[0], ()), columns)
+    assert list(table) == rows
+    return table
+
+
 def _rows(n):
     return [{"id": f"s{i}", "x": i / 7.0, "row": [str(i), i * 0.5, None]} for i in range(n)]
+
+
+def _declared_rows(n):
+    """A declared table like _rows(n): its id and x columns fill two slots
+    each, x holds inf, row[2] is None but in the last row, and level holds
+    one object."""
+    xs = [i / 7.0 for i in range(n)]
+    xs[n // 2] = math.inf
+    return cli._Table({"id": 0, "x": 1, "row": [0, 1, 2], "level": 3},
+                      [[f"s{i}" for i in range(n)], xs, [None] * (n - 1) + [0.5], [_X] * n])
 
 
 def _counts_table(tmp_path, n):
@@ -490,7 +585,10 @@ def _counts_table(tmp_path, n):
 
 
 def _non_finite_as_strings(value):
-    """value with each non-finite float replaced by its repr, as render_json writes it."""
+    """value with each non-finite float replaced by its repr, as render_json
+    writes it, and each declared table by its rows."""
+    if isinstance(value, cli._Table):
+        value = list(value)
     if isinstance(value, dict):
         return {key: _non_finite_as_strings(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -508,7 +606,16 @@ class TestRenderJson:
 
     @given(_TABLES)
     def test_tables_same_bytes_as_json_dumps(self, value):
-        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        expected = json.dumps(value, sort_keys=True, indent=2)
+        assert render_json(value) == expected
+        assert render_json(_declare(value)) == expected
+
+    @given(_declared_tables())
+    def test_declared_tables(self, table):
+        expected = json.dumps(_non_finite_as_strings(table), sort_keys=True, indent=2)
+        assert render_json(table) == expected
+        assert render_json({"rows": [table]}) == json.dumps(
+            {"rows": [strict_loads(expected)]}, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [
         [{"%": 1.5, "%s": "a", "%%d": 0, '"': None, "\u00e9": [1, 2], "": True}] * 3,
@@ -546,13 +653,17 @@ class TestRenderJson:
         assert strict_loads(text) == expected
         assert text == json.dumps(expected, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize("n", [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
+    @pytest.mark.parametrize("n", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
                                    2 * cli._BLOCK + 1],
-                             ids=["block-1", "block", "block+1", "2block+1"])
+                             ids=["one", "block-1", "block", "block+1", "2block+1"])
     def test_block_boundaries(self, n):
         rows = _rows(n)
         for value in (rows, rows[:-1] + [None], {"per_study": rows}):
             assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        table = _declared_rows(n)
+        for value in (table, {"per_study": table}, [table, table]):
+            expected = json.dumps(_non_finite_as_strings(value), sort_keys=True, indent=2)
+            assert render_json(value) == expected
 
     def test_large_meta_report(self, capsys, tmp_path):
         # about a quarter of a meta-large table, through the equality gate
@@ -578,9 +689,10 @@ class TestRenderJson:
 
     def test_report_memory(self, monkeypatch, tmp_path):
         # A 10 000-study report, less its text in the captured stdout, peaks
-        # near 14 MB traced; joined into one string, with lists formatted
-        # 1 024 items a block, it took 22.2-22.6 MB. The bound leaves a 15 %
-        # margin to each. The gate would hold whole texts: the real seam runs.
+        # at 5.3-5.6 MB traced, its per-study rows written from pool's columns;
+        # built as 10 000 nested row dicts, it took 14.0-14.2 MB. The bound
+        # leaves a 15 % margin over 5.6 MB. The gate would hold whole texts:
+        # the real seam runs.
         monkeypatch.setattr(cli, "write_json", write_json)
         table = _counts_table(tmp_path, 10_000)
         out = io.StringIO()
@@ -591,7 +703,7 @@ class TestRenderJson:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - len(out.getvalue())) / 1e6 < 17.5
+        assert (peak - len(out.getvalue())) / 1e6 < 6.4
 
     @pytest.mark.parametrize("value", [{2: "a", 10: "b"}, {1.5: 0, -0.0: 1},
                                        {True: 0, False: 1}, {None: 0},
