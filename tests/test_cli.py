@@ -615,7 +615,7 @@ class TestRenderJson:
         expected = json.dumps(_non_finite_as_strings(table), sort_keys=True, indent=2)
         assert render_json(table) == expected
         assert render_json({"rows": [table]}) == json.dumps(
-            {"rows": [strict_loads(expected)]}, sort_keys=True, indent=2)
+            _non_finite_as_strings({"rows": [table]}), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [
         [{"%": 1.5, "%s": "a", "%%d": 0, '"': None, "\u00e9": [1, 2], "": True}] * 3,
