@@ -15,15 +15,15 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 from itertools import repeat
-from operator import is_, truediv
+from operator import add, is_, sub, truediv
 
 from . import __version__
 from .errors import DataError, NonexistenceError
-from .model import EffectEstimate, interval, read_study_table
+from .model import EffectEstimate, read_study_table
 # fpr, for the parser's --calibration choices; meta, ancred and bf load
 # with their subcommands, so a cold process loads only the one it runs
 from .fpr import CalibrationKind, min_bf, min_bf_els, min_bf_local, prior_prob_for_fpr
-from .statfn import exp_or_inf, two_sided_p
+from .statfn import critical_z, exp_or_inf, two_sided_p
 
 
 class UsageError(Exception):
@@ -254,7 +254,8 @@ _ESTIMATE = {"log_or": _LOG_OR, "se": _SE, "z": _Z, "p": _P, "ci_log": [_LO, _HI
 
 def _estimate_columns(theta, se, level: float) -> list:
     """The columns of _ESTIMATE for the estimates theta with standard errors se."""
-    lo, hi = zip(*map(interval, theta, se, repeat(level)))
+    half = list(map(critical_z(1.0 - level).__mul__, se))
+    lo, hi = list(map(sub, theta, half)), list(map(add, theta, half))
     z = list(map(truediv, theta, se))
     return [theta, se, z, list(map(two_sided_p, z)), lo, hi, list(map(exp_or_inf, theta)),
             list(map(exp_or_inf, lo)), list(map(exp_or_inf, hi)), [level] * len(theta)]
@@ -274,8 +275,7 @@ def cmd_meta(args) -> dict:
     global failsafe_n, pool
     if "pool" not in globals():
         from .meta import failsafe_n, pool
-    studies = read_study_table(args.file)
-    result = pool(studies)
+    result = pool(read_study_table(args.file))
     fsn = failsafe_n(result, args.level)
     pooled_est = result.pooled.as_estimate()
 
@@ -326,12 +326,14 @@ def _print_meta(report: dict, scale: str) -> None:
     print(f"posterior precision {res['pooled_precision']:.1f}"
           f" from {res['n_studies']} studies")
     print()
-    print(f"{'study':<16}{'logOR':>8}{'low':>8}{'high':>8}{'p':>10}"
+    rows = list(res["per_study"])
+    width = max(16, 1 + max(len(row["id"]) for row in rows))   # an id keeps a blank after it
+    print(f"{'study':<{width}}{'logOR':>8}{'low':>8}{'high':>8}{'p':>10}"
           f"{'loo mean':>10}{'loo prec':>10}{'t_box':>8}{'p_box':>8}")
-    for row in res["per_study"]:
+    for row in rows:
         est = row["estimate"]
         loo = row["leave_one_out_prior"] or {}
-        print(f"{row['id']:<16}{_cell(est['log_or'], 8, '.2f')}"
+        print(f"{row['id']:<{width}}{_cell(est['log_or'], 8, '.2f')}"
               f"{_cell(est['ci_log'][0], 8, '.2f')}{_cell(est['ci_log'][1], 8, '.2f')}"
               f"{_cell(est['p'], 10, '.4f')}{_cell(loo.get('mean'), 10, '.2f')}"
               f"{_cell(loo.get('precision'), 10, '.1f')}"
@@ -347,12 +349,12 @@ def _print_meta(report: dict, scale: str) -> None:
 
 
 def _cell(x: float | None, width: int, spec: str) -> str:
-    """x in `spec`, "-" for None, right-aligned to `width`. Where `spec`
-    would overflow the column, x is in g form with the most digits, up to 3,
-    that fit; one always fits, as -1e+308 takes 7 characters."""
+    """x in `spec`, "-" for None, right-aligned to `width` after a blank. Where
+    `spec` would fill the column, x is in g form with the most digits, up to
+    3, that leave the blank; one always does, as -1e+308 takes 7 characters."""
     text = "-" if x is None else format(x, spec)
     digits = 3
-    while len(text) > width:
+    while len(text) >= width:
         text = format(x, f".{digits}g")
         digits -= 1
     return text.rjust(width)
@@ -591,7 +593,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true",
                         help="emit the deterministic JSON report")
     parser.add_argument("--scale", choices=["log", "or"], default="log",
-                        help="display scale for effects (default log)")
+                        help="display scale for meta's effects (default log)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_meta = sub.add_parser("meta", help="fixed-effect meta-analysis of a study table")
@@ -637,6 +639,8 @@ def run(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         if not (0.0 < args.level < 1.0):
             raise UsageError(f"--level must be in (0,1), got {args.level!r}")
+        if args.scale == "or" and args.command != "meta":   # only meta prints an OR scale
+            raise UsageError(f"--scale or applies only to meta, not {args.command}")
         runner, printer = _RUNNERS[args.command]
         report = runner(args)
     except UsageError as exc:

@@ -8,7 +8,7 @@ from operator import truediv
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
-from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study, theta_se
+from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study, StudyTable, theta_se
 from .statfn import critical_ratio, two_sided_p
 
 
@@ -87,25 +87,27 @@ def reverse_update(posterior: PosteriorSummary,
     return PosteriorSummary(prior_mean, prior_precision)
 
 
-def pool(studies: list[Study]) -> MetaResult:
+def pool(studies: StudyTable | list[Study]) -> MetaResult:
     """Fixed-effect pooling by iterated forward updating from a flat prior.
 
     Each study's leave-one-out prior pools the studies before it (a forward
     pass) with the studies after it (a backward pass), so no study is
-    subtracted back out of the pooled posterior. The work runs on columns
-    of floats from theta_se, which never raises; if a z or se is not finite,
-    each study builds its estimate in table order, so the first bad one
-    raises the error that Study.effect_estimate gives it, naming it.
+    subtracted back out of the pooled posterior. The work runs on columns:
+    a StudyTable's own, or a list of Study transposed once, and the floats
+    that theta_se, which never raises, maps them to. If a z or se is not
+    finite, each study builds its estimate in table order, so the first bad
+    one raises the error that Study.effect_estimate gives it, naming it.
     """
-    if not studies:
+    columns = studies.columns if isinstance(studies, StudyTable) else tuple(zip(*studies))
+    if not columns:
         raise DataError("meta-analysis requires at least one study")
-    ids = [s.id for s in studies]
+    ids = columns[0]
     seen: set[str] = set()
     for sid in ids:
         if sid in seen:
             raise DataError(f"study ids must be unique: {sid!r} is repeated")
         seen.add(sid)
-    theta, se = zip(*map(theta_se, studies))
+    theta, se = zip(*map(theta_se, *columns[1:]))
     if not (all(map(math.isfinite, map(truediv, theta, se))) and all(map(math.isfinite, se))):
         for study in studies:
             study.effect_estimate()   # the first bad study raises its own error

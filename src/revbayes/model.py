@@ -8,12 +8,15 @@ values only appear at I/O boundaries via exp/log.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from operator import le
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
 from .statfn import critical_ratio, critical_z, two_sided_p
 
 DEFAULT_LEVEL = 0.95
+_TINY = 2.2250738585072014e-308   # the smallest normal float
 
 
 def _checked_make(cls, values):
@@ -119,6 +122,22 @@ class Study(NamedTuple("Study", [
             raise DataError(f"study {self.id!r}: {exc}") from None
 
 
+class StudyTable(Sequence):
+    """A read-only sequence of Study, held as one column per Study field (the
+    other schema's all None). Indexing builds the Study, and a slice the list
+    of them, so that reading and pooling a table build none."""
+
+    def __init__(self, columns: tuple):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        fields = [column[index] for column in self.columns]
+        return list(map(Study, *fields)) if isinstance(index, slice) else Study(*fields)
+
+
 class NormalPrior(NamedTuple("NormalPrior", [("mean", float), ("variance", float)])):
     """Normal prior on the log OR scale."""
 
@@ -174,36 +193,38 @@ def estimate_from_counts(study: Study) -> EffectEstimate:
     """
     if not study.has_counts:
         raise DataError(f"study {study.id!r} carries no counts")
-    theta, se = theta_se(study)
-    if math.isnan(se) or theta == math.inf:
-        cells = _cells(study)
-        if min(cells) <= 0:
-            raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
-                            "supply estimate and se directly instead")
-        # float() rejects ints from 2^1024 - 2^970 on; else (a/b)/(c/d) left the range
-        what = "counts are" if max(cells) >= 2 ** 1024 - 2 ** 970 else "odds ratio is"
-        raise NonexistenceError(f"study {study.id!r}: its {what} outside the "
+    theta, se = theta_se(*study[1:])
+    if math.isnan(theta):
+        raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
+                        "supply estimate and se directly instead")
+    if math.isnan(se):
+        raise NonexistenceError(f"study {study.id!r}: its counts are outside the "
                                 "floating-point range")
     return EffectEstimate(theta, se)
 
 
-def theta_se(study: Study) -> tuple[float, float]:
-    """(log OR, se) of a study's estimate and se, or of its counts. It never raises:
-    both are nan where a quotient fails, as at a zero cell, and the log OR is inf
-    where the odds ratio overflows; estimate_from_counts says which."""
-    if study.events_treatment is None:
-        return study.estimate, study.se
-    a, b, c, d = _cells(study)
-    try:
-        return math.log((a / b) / (c / d)), math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
-    except (OverflowError, ValueError, ZeroDivisionError):
+def theta_se(events_t, n_t, events_c, n_c, estimate, se) -> tuple[float, float]:
+    """(log OR, se) from one study's Study fields; pool maps it over columns.
+    From counts, each takes one correctly rounded quotient of exact integer
+    products: log1p((ad - bc)/bc) for an odds ratio within (1/2, 2), else
+    log(ad/bc), scaled by a power of two where it leaves the normal range,
+    and sqrt((ad(b + c) + bc(a + d))/(ad bc)). It never raises: both are nan
+    at a zero cell, and se where its square is not a normal float."""
+    if events_t is None:
+        return estimate, se
+    a, b, c, d = events_t, n_t - events_t, events_c, n_c - events_c
+    ad, bc = a * d, b * c
+    if not (ad and bc):
         return math.nan, math.nan
-
-
-def _cells(study: Study) -> tuple[int, int, int, int]:
-    """The 2x2 table: events and non-events of the treatment arm, then of control."""
-    a, c = study.events_treatment, study.events_control
-    return a, study.n_treatment - a, c, study.n_control - c
+    variance = (ad * (b + c) + bc * (a + d)) / (ad * bc)
+    se = math.sqrt(variance) if variance >= _TINY else math.nan
+    ratio = ad / bc if ad >> 1020 < bc else math.inf   # ad/bc < 2^1021, no OverflowError
+    if 0.5 < ratio < 2.0:
+        return math.log1p((ad - bc) / bc), se
+    if _TINY <= ratio < math.inf:
+        return math.log(ratio), se
+    k = ad.bit_length() - bc.bit_length()   # ad / (bc 2^k) is within (1/2, 2)
+    return math.log(ad / (bc << k) if k > 0 else (ad << -k) / bc) + k * math.log(2.0), se
 
 
 def interval(center: float, sd: float,
@@ -220,21 +241,25 @@ def ci_limits(estimate: EffectEstimate, level: float = DEFAULT_LEVEL) -> tuple[f
     return interval(estimate.theta_hat, estimate.se, level)
 
 
-# header -> (cell parser, error noun, Study constructor from id and cells)
+# header, cell parser, error noun, and the Study fields that the cells after the id fill
 _SCHEMAS = (
-    (["id", "events_t", "n_t", "events_c", "n_c"], int, "non-integer count", Study),
-    (["id", "estimate", "se"], float, "non-numeric value",
-     lambda sid, estimate, se: Study(sid, estimate=estimate, se=se)),
+    (["id", "events_t", "n_t", "events_c", "n_c"], int, "non-integer count", slice(1, 5)),
+    (["id", "estimate", "se"], float, "non-numeric value", slice(5, 7)),
 )
 
 
-def read_study_table(path: str) -> list[Study]:
-    """Parse a study CSV; the header selects the counts or estimate schema."""
+def read_study_table(path: str) -> StudyTable:
+    """Parse a study CSV; the header selects the counts or estimate schema.
+    The table is read and checked as columns; if a check fails, it is read
+    again row by row, which names the first bad row by its line."""
     import csv   # here, so that only `meta` pays for it in a cold process
     try:
         # utf-8-sig drops the byte order mark that Excel's "CSV UTF-8" writes
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return _parse_studies(path, reader := csv.reader(fh))
+            if (table := _read_columns(csv.reader(fh))) is None:
+                fh.seek(0)
+                table = StudyTable(tuple(zip(*_parse_studies(path, reader := csv.reader(fh)))))
+            return table
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:   # its position is within a block, not the file
@@ -243,11 +268,36 @@ def read_study_table(path: str) -> list[Study]:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
+def _read_columns(reader) -> StudyTable | None:
+    """The table, read and checked a column at a time. None where a row holds
+    only blanks or fails any check of _parse_studies or Study: _parse_studies,
+    reading row by row, then raises the first bad row's error."""
+    import csv
+    try:
+        header, *rows = reader
+        # a ValueError unless the header is one schema's
+        (names, parse, _, fields), = [s for s in _SCHEMAS if s[0] == [h.strip() for h in header]]
+        rows = list(filter(None, rows))   # empty lines, which _parse_studies skips too
+        if set(map(len, rows)) != {len(names)}:
+            return None
+        ids, *cells = zip(*rows)
+        cells = [list(map(parse, column)) for column in cells]
+    except (ValueError, csv.Error):   # UnicodeDecodeError is a ValueError
+        return None
+    columns = [list(map(str.strip, ids))] + [[None] * len(ids)] * (len(Study._fields) - 1)
+    columns[fields] = cells
+    valid = (not any(map((0.0).__ge__, cells[-1])) if parse is float   # se > 0
+             # events >= 0, arm sizes > 0 and events <= arm sizes
+             else min(map(min, cells[::2])) >= 0 and min(map(min, cells[1::2])) > 0
+             and all(map(le, cells[0] + cells[2], cells[1] + cells[3])))
+    return StudyTable(tuple(columns)) if valid and len(set(columns[0])) == len(ids) else None
+
+
 def _parse_studies(path: str, reader) -> list[Study]:
     if (first := next(reader, None)) is None:
         raise DataError(f"{path}: empty file (header row required)")
     header = [h.strip() for h in first]
-    for names, parse, noun, make in _SCHEMAS:
+    for names, parse, noun, fields in _SCHEMAS:
         if header == names:
             break
     else:
@@ -265,7 +315,7 @@ def _parse_studies(path: str, reader) -> list[Study]:
             cells = list(map(parse, row[1:]))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {noun}: {exc}") from exc
-        study = make(row[0].strip(), *cells)
+        study = Study(row[0].strip(), *[None] * (fields.start - 1), *cells)
         if (first_line := lines.setdefault(study.id, lineno)) != lineno:
             raise DataError(f"{path}:{lineno}: duplicate study id {study.id!r}, "
                             f"first on line {first_line}")

@@ -65,9 +65,11 @@ def record_pool(studies):
     return pooled, tuple(reversed(per_study))
 
 
-# rows of both schemas, some with a zero cell, a non-finite value or an se whose
-# precision or z leaves the float range
-_CELL = st.integers(min_value=0, max_value=2 ** 52)
+# rows of both schemas, some with a zero cell, counts past 2^53 or 1e308, a
+# non-finite value or an se whose precision or z leaves the float range
+_CELL = (st.integers(min_value=0, max_value=2 ** 52)
+         | st.integers(min_value=2 ** 53, max_value=2 ** 200)
+         | st.integers(min_value=10 ** 308, max_value=10 ** 330))
 _COUNTS_ROW = st.tuples(_CELL, _CELL, _CELL, _CELL).filter(
     lambda c: c[0] + c[1] > 0 and c[2] + c[3] > 0).map(
     lambda c: {"events_treatment": c[0], "n_treatment": c[0] + c[1],
@@ -208,8 +210,9 @@ class TestPool:
          "study '2': z = estimate / se overflows: 1e+308 / 1e-10"),
         ([("1", 0.1, 0.2), ("2", math.inf, 0.2), ("3", 0.1, 1e-200), ("4", 0.1, math.nan)],
          "study '2': estimate and se must be finite"),
-        # study '3's counts are past the float range, but study '2' comes first
-        ([("1", 2, 7, 2, 12), ("2", 1e308, 1e-10), ("3", 10 ** 400, 10 ** 401, 2, 12)],
+        # study '3's se is past the float range, but study '2' comes first
+        ([("1", 2, 7, 2, 12), ("2", 1e308, 1e-10),
+          ("3", 10 ** 400, 3 * 10 ** 400, 10 ** 400, 3 * 10 ** 400)],
          "study '2': z = estimate / se overflows"),
     ], ids=["zero-cell-first", "z-overflow-first", "non-finite-first",
             "z-overflow-before-huge-counts"])

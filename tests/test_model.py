@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +40,35 @@ class TestEstimateFromCounts:
         b = estimate_from_counts(Study("x", 13, 55, 7, 40))
         assert a.theta_hat == pytest.approx(-b.theta_hat, abs=1e-15)
         assert a.se == b.se
+
+    def test_last_digits_against_mpmath(self):
+        # seeded counts up to 1e300: the log OR within 3 ulp and se within 1
+        # ulp of mpmath at 60 digits, for odds ratios near 1, far from it and
+        # past the float range
+        rng = random.Random(2101)
+
+        def cells(kind):
+            if kind == "near":   # ad - bc is a few units of x y
+                x, y = (int(10 ** rng.uniform(0, 150)) + 1 for _ in range(2))
+                return x + rng.randint(0, 3), y, x, y + rng.randint(0, 3)
+            if kind == "past":   # ad / bc below 1e-308 or above 1e308
+                big = [int(10 ** rng.uniform(160, 300)) for _ in range(2)]
+                small = [rng.randint(1, 100) for _ in range(2)]
+                return ((big[0], *small, big[1]) if rng.random() < 0.5
+                        else (small[0], *big, small[1]))
+            return tuple(int(10 ** rng.uniform(0, rng.choice([3, 15, 300]))) + 1
+                         for _ in range(4))
+
+        with mpmath.workdps(60):
+            for kind in ["far", "near", "past"] * 700:
+                a, b, c, d = cells(kind)
+                est = estimate_from_counts(Study("s", a, a + b, c, c + d))
+                ad, bc = a * d, b * c
+                theta = (mpmath.log1p(mpmath.mpf(ad - bc) / bc) if 2 * abs(ad - bc) < bc
+                         else mpmath.log(mpmath.mpf(ad)) - mpmath.log(mpmath.mpf(bc)))
+                se = mpmath.sqrt(mpmath.fsum(1 / mpmath.mpf(x) for x in (a, b, c, d)))
+                assert abs(est.theta_hat - theta) <= 3 * math.ulp(float(theta)), (a, b, c, d)
+                assert abs(est.se - se) <= math.ulp(float(se)), (a, b, c, d)
 
 
 class TestStudyInvariants:
