@@ -102,11 +102,12 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
     if not columns:
         raise DataError("meta-analysis requires at least one study")
     ids = columns[0]
-    seen: set[str] = set()
-    for sid in ids:
-        if sid in seen:
-            raise DataError(f"study ids must be unique: {sid!r} is repeated")
-        seen.add(sid)
+    if not isinstance(studies, StudyTable):   # read_study_table has checked a table's ids
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise DataError(f"study ids must be unique: {sid!r} is repeated")
+            seen.add(sid)
     theta, se = zip(*map(theta_se, *columns[1:]))
     if not (all(map(math.isfinite, map(truediv, theta, se))) and all(map(math.isfinite, se))):
         for study in studies:

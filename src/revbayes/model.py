@@ -125,7 +125,9 @@ class Study(NamedTuple("Study", [
 class StudyTable(Sequence):
     """A read-only sequence of Study, held as one column per Study field (the
     other schema's all None). Indexing builds the Study, and a slice the list
-    of them, so that reading and pooling a table build none."""
+    of them, so that reading and pooling a table build none. read_study_table
+    makes it from rows that pass every check, unique ids included, and pool
+    relies on that."""
 
     def __init__(self, columns: tuple):
         self.columns = columns
@@ -274,10 +276,10 @@ def _read_columns(reader) -> StudyTable | None:
     reading row by row, then raises the first bad row's error."""
     import csv
     try:
-        header, *rows = reader
+        header = next(reader, [])
         # a ValueError unless the header is one schema's
         (names, parse, _, fields), = [s for s in _SCHEMAS if s[0] == [h.strip() for h in header]]
-        rows = list(filter(None, rows))   # empty lines, which _parse_studies skips too
+        rows = list(filter(None, reader))   # empty lines, which _parse_studies skips too
         if set(map(len, rows)) != {len(names)}:
             return None
         ids, *cells = zip(*rows)
@@ -289,7 +291,7 @@ def _read_columns(reader) -> StudyTable | None:
     valid = (not any(map((0.0).__ge__, cells[-1])) if parse is float   # se > 0
              # events >= 0, arm sizes > 0 and events <= arm sizes
              else min(map(min, cells[::2])) >= 0 and min(map(min, cells[1::2])) > 0
-             and all(map(le, cells[0] + cells[2], cells[1] + cells[3])))
+             and all(map(le, cells[0], cells[1])) and all(map(le, cells[2], cells[3])))
     return StudyTable(tuple(columns)) if valid and len(set(columns[0])) == len(ids) else None
 
 
