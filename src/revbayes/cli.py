@@ -76,25 +76,26 @@ def render_json(value) -> str:
 
     json.dumps is not used: given an indent, the standard library drops its
     C encoder for a pure-Python generator chain, which spends most of a
-    10 000-study `meta` report. Dicts, lists and scalars are written
-    depth-first. A _Table declares its rows' layout and which slots share a
-    column, so neither is inferred from the rows (by their key sets and
-    lengths, and by the identity of their floats): the layout becomes one
-    %-template, built once, and the table is written _BLOCK rows at a time,
+    10 000-study `meta` report. One walker, _texts, lays out the dicts and
+    lists of both the value and a _Table's row layout. A _Table declares
+    which slots of its rows share a column, so that is not inferred from the
+    rows' key sets, lengths and float identities: the walk over its layout
+    gives one %-template, and the table is written _BLOCK rows at a time,
     each column of a block formatted once, however many slots share it.
-    write_json passes each block on as rendered. A non-finite float becomes
-    the string of its repr ("inf", "-inf" or "nan"), where json.dumps would
-    write the non-standard Infinity and NaN tokens; null keeps its meaning
-    of "not applicable". Anything but a dict, list, tuple, _Table, str, int,
-    float, bool or None raises TypeError, as in json.dumps, and so does a
-    non-str key.
+    write_json writes each text as the walker yields it. A non-finite float
+    becomes the string of its repr ("inf", "-inf" or "nan"), where json.dumps
+    would write the non-standard Infinity and NaN tokens; null keeps its
+    meaning of "not applicable". Anything but a dict, list, tuple, _Table,
+    str, int, float, bool or None raises TypeError, as in json.dumps, and so
+    does a non-str key.
     """
-    return _text(value, "\n")
+    return "".join(_texts(value, "\n", _value_texts))
 
 
 def write_json(value, write) -> None:
     """Pass the text of render_json(value) to `write`, chunk by chunk."""
-    _render(value, "\n", write)
+    for text in _texts(value, "\n", _value_texts):
+        write(text)
 
 
 class _Table:
@@ -131,19 +132,17 @@ def _fill(layout, row: tuple):
 _BLOCK = 128
 
 
-def _text(value, newline: str) -> str:
-    chunks: list[str] = []
-    _render(value, newline, chunks.append)
-    return "".join(chunks)
-
-
-def _render(value, newline: str, emit) -> None:
-    # a scalar item of a dict or list is written in its loop, without a recursive call
+def _texts(value, newline: str, leaf):
+    """The JSON texts of `value` at the depth of `newline`, in the order and
+    layout of json.dumps(sort_keys=True, indent=2): its dicts, lists and
+    tuples are laid out here, and each other item is the texts of
+    leaf(item, newline)."""
     kind = type(value)
-    if kind is dict or kind is list or kind is tuple:
-        if not value:
-            emit("{}" if kind is dict else "[]")
-            return
+    if kind is not dict and kind is not list and kind is not tuple:
+        yield from leaf(value, newline)
+    elif not value:
+        yield "{}" if kind is dict else "[]"
+    else:
         inner = newline + "  "
         if kind is dict:
             pairs = [(encode_basestring_ascii(key) + ": ", item)
@@ -152,66 +151,46 @@ def _render(value, newline: str, emit) -> None:
         else:
             pairs, sep, closer = zip(repeat(""), value), "[" + inner, "]"
         for head, item in pairs:
-            encode = _JSON_SCALARS.get(type(item))
-            if encode is None:
-                emit(sep + head)
-                _render(item, inner, emit)
-            else:
-                emit(sep + head + encode(item))
+            yield sep + head
+            yield from _texts(item, inner, leaf)
             sep = "," + inner
-        emit(newline + closer)
-    elif kind is _Table:
-        rows = len(value)
-        if not rows:
-            emit("[]")
-            return
-        inner = newline + "  "
-        template, slots = _template(value.layout, inner)
-        sep = "[" + inner
-        for start in range(0, rows, _BLOCK):
-            formatted: dict = {}   # column index, or (index, newline) for depth-bound texts
-            args = []
-            for index, depth in slots:
-                texts = formatted.get(index) or formatted.get((index, depth))
-                if texts is None:
-                    texts, nested = _column_texts(value.columns[index][start:start + _BLOCK],
-                                                  depth)
-                    formatted[(index, depth) if nested else index] = texts
-                args.append(texts)
-            block = (map(template.__mod__, zip(*args)) if args
-                     else [template % ()] * min(_BLOCK, rows - start))
-            emit(sep + ("," + inner).join(block))
-            sep = "," + inner
-        emit(newline + "]")
-    else:
-        encode = _JSON_SCALARS.get(kind)
-        if encode is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        emit(encode(value))
+        yield newline + closer
 
 
-def _template(layout, newline: str) -> tuple[str, list]:
-    """A %-template for a row of `layout` at the depth of `newline`, keys
-    sorted and indented as _render writes them, and the (column index,
-    newline) of each of its slots."""
-    kind = type(layout)
-    if kind is dict:
-        keys = sorted(layout)
-        heads = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
-        parts, opener, closer = [layout[key] for key in keys], "{", "}"
-    elif kind is list:
-        heads, parts, opener, closer = [""] * len(layout), layout, "[", "]"
-    else:
-        return "%s", [(layout, newline)]
-    if not parts:
-        return opener + closer, []
-    inner = newline + "  "
-    bodies, slots = [], []
-    for head, part in zip(heads, parts):
-        body, part_slots = _template(part, inner)
-        bodies.append(head + body)
-        slots += part_slots
-    return opener + inner + ("," + inner).join(bodies) + newline + closer, slots
+def _value_texts(value, newline: str):
+    """The texts of a scalar, or of a _Table as the list of its blocks."""
+    kind = type(value)
+    if kind is _Table:
+        blocks = list(range(0, len(value), _BLOCK))
+        return _texts(blocks, newline, functools.partial(_block_texts, value, {}))
+    encode = _JSON_SCALARS.get(kind)
+    if encode is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return (encode(value),)
+
+
+def _block_texts(table: _Table, templates: dict, start: int, newline: str) -> tuple:
+    """The rows of `table` from `start` on, _BLOCK at most, at the depth of
+    `newline` and separated as _texts separates list items. A row is the
+    %-template of the layout at that depth: the walk over it with a NUL at
+    each slot, which encode_basestring_ascii escapes anywhere else."""
+    if newline not in templates:
+        slots: list = []   # (column index, newline) of each slot
+        text = "".join(_texts(table.layout, newline,
+                              lambda index, depth: slots.append((index, depth)) or "\0"))
+        templates[newline] = text.replace("%", "%%").replace("\0", "%s"), slots
+    template, slots = templates[newline]
+    formatted: dict = {}   # column index, or (index, newline) for depth-bound texts
+    args = []
+    for index, depth in slots:
+        texts = formatted.get(index) or formatted.get((index, depth))
+        if texts is None:
+            texts, nested = _column_texts(table.columns[index][start:start + _BLOCK], depth)
+            formatted[(index, depth) if nested else index] = texts
+        args.append(texts)
+    block = (map(template.__mod__, zip(*args)) if args
+             else [template % ()] * min(_BLOCK, len(table) - start))
+    return (("," + newline).join(block),)
 
 
 def _column_texts(items, newline: str) -> tuple[list, bool]:
@@ -220,13 +199,13 @@ def _column_texts(items, newline: str) -> tuple[list, bool]:
     formatted once, and a column of strs, or of finite floats, by one map."""
     head = items[0]
     if head is items[-1] and all(map(is_, items, repeat(head))):
-        text = _text(head, newline)
+        text = "".join(_texts(head, newline, _value_texts))
         return [text] * len(items), "\n" in text
     encode = encode_basestring_ascii if type(head) is str else float.__repr__
     try:
         texts = list(map(encode, items))   # TypeError for an item of another type
     except TypeError:
-        return [_text(item, newline) for item in items], True
+        return ["".join(_texts(item, newline, _value_texts)) for item in items], True
     if encode is float.__repr__ and not all(map(math.isfinite, items)):
         texts = list(map(_json_float, items))
     return texts, False
@@ -315,15 +294,14 @@ def _nan_as_none(column) -> list:
 def _print_meta(report: dict, scale: str) -> None:
     res = report["results"]
     pooled = res["pooled"]
-    if scale == "or":
-        lo, hi = pooled["ci_or"]
-        print(f"pooled OR {pooled['or']:.2f} [{_fmt(lo)}, {_fmt(hi)}]"
-              f" at level {pooled['level']:g}")
-    else:
-        lo, hi = pooled["ci_log"]
-        print(f"pooled log OR {_fmt(pooled['log_or'])} [{_fmt(lo)}, {_fmt(hi)}]"
-              f" at level {pooled['level']:g}")
-    print(f"posterior precision {res['pooled_precision']:.1f}"
+    # a summary number that would take 16 characters is in _cell's g form, so
+    # no line is longer than the table's header, which takes at least 86
+    num = lambda x, spec=".2f": _cell(x, 16, spec).lstrip()
+    key, ci, label = ("or", "ci_or", "OR") if scale == "or" else ("log_or", "ci_log", "log OR")
+    lo, hi = pooled[ci]
+    print(f"pooled {label} {num(pooled[key])} [{num(lo)}, {num(hi)}]"
+          f" at level {pooled['level']:g}")
+    print(f"posterior precision {num(res['pooled_precision'], '.1f')}"
           f" from {res['n_studies']} studies")
     print()
     rows = res["per_study"]   # a _Table: each pass builds its rows one at a time
@@ -341,7 +319,8 @@ def _print_meta(report: dict, scale: str) -> None:
     fsn = res["fail_safe_n"]
     print()
     if fsn["significant"]:
-        print(f"fail-safe N: {fsn['n_exact']:.1f} (round up to {fsn['n_integer']})")
+        print(f"fail-safe N: {num(fsn['n_exact'], '.1f')}"
+              f" (round up to {num(fsn['n_integer'], 'd')})")
     else:
         print(f"fail-safe N: 0 ({fsn['reason']})")
     for w in report["warnings"]:

@@ -304,13 +304,31 @@ class TestMetaCommand:
             "B                   0.20 -2e+200  2e+200    1.0000     -4.55       1.0    0.00    1.00",
             "C                 -1e+04  -1e+04  -1e+04    0.0000      0.10       1.0 -242.53    0.00"]
 
+    @pytest.mark.parametrize("rows, summary", [
+        ("A,0.1,1e-150\nB,0.2,1e-150", ["pooled log OR 0.15 [0.15, 0.15] at level 0.95",
+                                        "posterior precision 2e+300 from 2 studies",
+                                        "fail-safe N: 2.34e+298 (round up to 2.34e+298)"]),
+        ("A,1e150,1\nB,-2e149,1", ["pooled log OR 4e+149 [4e+149, 4e+149] at level 0.95",
+                                   "posterior precision 2.0 from 2 studies",
+                                   "fail-safe N: 1.67e+299 (round up to 1.67e+299)"]),
+    ], ids=["precision", "estimate"])
+    def test_summary_lines_keep_their_width(self, capsys, tmp_path, rows, summary):
+        # in fixed point, the first table's precision and fail-safe N lines took
+        # 338 and 628 characters, and the second's pooled line 492
+        f = tmp_path / "wide.csv"
+        f.write_text(f"id,estimate,se\n{rows}\n")
+        assert run(["meta", str(f)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [*lines[:2], lines[-1]] == summary
+        assert max(map(len, lines)) == len(lines[3]) == 86
+
     @given(st.lists(st.tuples(st.text(_ID_CHARS, min_size=1, max_size=40),
                               st.floats(min_value=-1e75, max_value=1e75),
                               st.floats(min_value=1e-75, max_value=1e75)),
                     min_size=1, max_size=8, unique_by=lambda row: row[0].strip()))
     def test_text_cells_are_separated_and_aligned(self, tmp_path_factory, rows):
         # every cell keeps a blank on its left, ids of any length included,
-        # and ends where its header label ends
+        # and ends where its header label ends; no line is wider than the header
         table = tmp_path_factory.mktemp("cells") / "table.csv"
         table.write_text("id,estimate,se\n" + "".join(
             f"{sid},{estimate!r},{se!r}\n" for sid, estimate, se in rows))
@@ -318,6 +336,7 @@ class TestMetaCommand:
         with contextlib.redirect_stdout(out):
             assert run(["meta", str(table)]) == 0
         header, *lines = out.getvalue().splitlines()[3:4 + len(rows)]
+        assert max(map(len, out.getvalue().splitlines())) == len(header)
         widths = [8, 8, 8, 10, 10, 10, 8, 8]
         id_width = len(header) - sum(widths)
         assert header[:id_width] == "study".ljust(id_width)
@@ -621,28 +640,27 @@ def _declared_tables(draw):
 
 
 def _declare(rows):
-    """rows of one layout as a declared table, with one column per leaf of
-    the first row; leaves whose items have the same types and reprs share a
-    column. Column 0 holds the rows themselves, so that a layout without
-    leaves keeps its rows."""
+    """rows as a declared table. Its layout follows the rows' dicts and lists
+    down to where they differ in type, key set or length, and each leaf is a
+    column; leaves whose items have the same types and reprs share a column.
+    Column 0 holds the rows themselves, so that a layout without leaves
+    keeps its rows, and rows of no shared shape are that one column."""
     columns = [rows]
-    def layout(value, path):
-        if isinstance(value, dict):
-            return {key: layout(item, path + (key,)) for key, item in value.items()}
-        if isinstance(value, list):
-            return [layout(item, path + (i,)) for i, item in enumerate(value)]
-        column = []
-        for row in rows:
-            for key in path:
-                row = row[key]
-            column.append(row)
+    def layout(column):
+        shapes = {(type(item), frozenset(item) if type(item) is dict else len(item))
+                  if type(item) in (dict, list) else None for item in column}
+        if len(shapes) == 1 and None not in shapes:
+            ((kind, keys),) = shapes
+            if kind is dict:
+                return {key: layout([item[key] for item in column]) for key in column[0]}
+            return [layout([item[i] for item in column]) for i in range(keys)]
         typed = [(type(item), repr(item)) for item in column]
         for index, other in enumerate(columns):
             if [(type(item), repr(item)) for item in other] == typed:
                 return index
         columns.append(column)
         return len(columns) - 1
-    table = cli._Table(layout(rows[0], ()), columns)
+    table = cli._Table(layout(rows), columns)
     assert list(table) == rows
     return table
 
@@ -708,7 +726,8 @@ class TestRenderJson:
             _non_finite_as_strings({"rows": [table]}), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [
-        [{"%": 1.5, "%s": "a", "%%d": 0, '"': None, "\u00e9": [1, 2], "": True}] * 3,
+        [{"%": 1.5, "%s": "a", "%%d": 0, '"': None, "\u00e9": [1, 2], "": True,
+          "\x00": "%s", "%%": "%%"}] * 3,
         [[1, 2], [1, 2, 3], [], [1]],
         [1.0, 1, "1", None, True, [1.0], {"a": 1}, ()],
         [{"a": 1, "b": 2.5}, {"b": 2.5, "a": 1}, {"b": 0.5, "a": "x"}],
@@ -718,7 +737,10 @@ class TestRenderJson:
     ], ids=["keys", "ragged", "mixed-types", "key-orders", "key-sets", "empty-dicts",
             "empty-lists", "lists-and-tuples", "nested-keys"])
     def test_column_layouts(self, value):
-        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        # as a declared table too, whose row template marks its slots with a NUL
+        expected = json.dumps(value, sort_keys=True, indent=2)
+        assert render_json(value) == expected
+        assert render_json(_declare(value)) == expected
 
     @pytest.mark.parametrize("value", [
         # the same float objects under two keys and at a list position
