@@ -1,5 +1,5 @@
-"""Command-line front end: subcommand dispatch, text rendering, and
-machine-readable reports.
+"""Command-line front end: subcommand dispatch and machine-readable reports.
+The text reports are in `text`.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical
 nonexistence (e.g. sceptical prior undefined). Any other exception is a bug.
@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 from itertools import repeat
 from operator import add, is_, sub, truediv
+
+try:   # the json package's C encoder, without the 2 ms import of the package
+    from _json import encode_basestring_ascii
+except ImportError:   # an interpreter built without _json
+    from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, read_study_table
-# fpr, for the parser's --calibration choices; meta, ancred and bf load
-# with their subcommands, so a cold process loads only the one it runs
-from .fpr import CalibrationKind, min_bf, min_bf_els, min_bf_local, prior_prob_for_fpr
+# meta, ancred, bf and fpr load with their subcommands, and text with a text
+# run, so a cold process loads only what it runs
 from .statfn import critical_z, exp_or_inf, two_sided_p
 
 
@@ -54,8 +56,12 @@ def _input_digest(args, fields: dict | None = None) -> str | None:
     if fields is None:
         with open(args.file, "rb") as fh:
             data = fh.read()
-    else:
-        data = json.dumps(fields, sort_keys=True).encode("utf-8")
+    else:   # json.dumps(fields, sort_keys=True) of the flat dict, NaN and Infinity too
+        texts = [encode_basestring_ascii(key) + ": " + (
+                     float.__repr__(value).replace("inf", "Infinity").replace("nan", "NaN")
+                     if type(value) is float else _JSON_SCALARS[type(value)](value))
+                 for key, value in sorted(fields.items())]
+        data = ("{" + ", ".join(texts) + "}").encode("utf-8")
     return sha256(data).hexdigest()
 
 
@@ -211,20 +217,6 @@ def _column_texts(items, newline: str) -> tuple[list, bool]:
     return texts, False
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
-def _fmt_bf(bf: float) -> str:
-    # 0 for a bf whose reciprocal overflows (bf <= 2^-1024), as the minimum
-    # BFs do at |z| beyond ~37.7
-    if bf <= 2.0 ** -1024:
-        return "0"
-    if bf < 1.0:
-        return f"1/{1.0 / bf:.3g}"
-    return f"{bf:.3g}"
-
-
 # the columns of an estimate block, in the order _estimate_columns returns them
 _LOG_OR, _SE, _Z, _P, _LO, _HI, _OR, _OR_LO, _OR_HI, _LEVEL = range(10)
 _ESTIMATE = {"log_or": _LOG_OR, "se": _SE, "z": _Z, "p": _P, "ci_log": [_LO, _HI],
@@ -289,54 +281,6 @@ def cmd_meta(args) -> dict:
 
 def _nan_as_none(column) -> list:
     return [None if math.isnan(x) else x for x in column]
-
-
-def _print_meta(report: dict, scale: str) -> None:
-    res = report["results"]
-    pooled = res["pooled"]
-    # a summary number that would take 16 characters is in _cell's g form, so
-    # no line is longer than the table's header, which takes at least 86
-    num = lambda x, spec=".2f": _cell(x, 16, spec).lstrip()
-    key, ci, label = ("or", "ci_or", "OR") if scale == "or" else ("log_or", "ci_log", "log OR")
-    lo, hi = pooled[ci]
-    print(f"pooled {label} {num(pooled[key])} [{num(lo)}, {num(hi)}]"
-          f" at level {pooled['level']:g}")
-    print(f"posterior precision {num(res['pooled_precision'], '.1f')}"
-          f" from {res['n_studies']} studies")
-    print()
-    rows = res["per_study"]   # a _Table: each pass builds its rows one at a time
-    width = max(16, 1 + max(len(row["id"]) for row in rows))   # an id keeps a blank after it
-    print(f"{'study':<{width}}{'logOR':>8}{'low':>8}{'high':>8}{'p':>10}"
-          f"{'loo mean':>10}{'loo prec':>10}{'t_box':>8}{'p_box':>8}")
-    for row in rows:
-        est = row["estimate"]
-        loo = row["leave_one_out_prior"] or {}
-        print(f"{row['id']:<{width}}{_cell(est['log_or'], 8, '.2f')}"
-              f"{_cell(est['ci_log'][0], 8, '.2f')}{_cell(est['ci_log'][1], 8, '.2f')}"
-              f"{_cell(est['p'], 10, '.4f')}{_cell(loo.get('mean'), 10, '.2f')}"
-              f"{_cell(loo.get('precision'), 10, '.1f')}"
-              f"{_cell(row['t_box'], 8, '.2f')}{_cell(row['p_box'], 8, '.2f')}")
-    fsn = res["fail_safe_n"]
-    print()
-    if fsn["significant"]:
-        print(f"fail-safe N: {num(fsn['n_exact'], '.1f')}"
-              f" (round up to {num(fsn['n_integer'], 'd')})")
-    else:
-        print(f"fail-safe N: 0 ({fsn['reason']})")
-    for w in report["warnings"]:
-        print(f"warning: {w}")
-
-
-def _cell(x: float | None, width: int, spec: str) -> str:
-    """x in `spec`, "-" for None, right-aligned to `width` after a blank. Where
-    `spec` would fill the column, x is in g form with the most digits, up to
-    3, that leave the blank; one always does, as -1e+308 takes 7 characters."""
-    text = "-" if x is None else format(x, spec)
-    digits = 3
-    while len(text) >= width:
-        text = format(x, f".{digits}g")
-        digits -= 1
-    return text.rjust(width)
 
 
 # ---------------------------------------------------------------- ancred
@@ -411,44 +355,6 @@ def _trial_payload(trial) -> dict:
     return payload
 
 
-def _print_ancred(report: dict, scale: str) -> None:
-    res = report["results"]
-    est = res["estimate"]
-    print(f"estimate log OR {_fmt(est['log_or'])} (se {est['se']:.3f}, "
-          f"p {est['p']:.4f})")
-    if res["mode"] == "sceptical":
-        sc = res["sceptical"]
-        lo, hi = sc["critical_interval_or"]
-        print(f"sceptical prior: g {sc['g']:.2f}, S {sc['scepticism_limit']:.2f}, "
-              f"critical OR interval ({lo:.2f}, {hi:.2f})")
-        print(f"credibility ratio {sc['credibility_ratio']:.2f}; intrinsically "
-              f"credible (prior) { sc['intrinsically_credible_prior']}, "
-              f"(predictive) {sc['intrinsically_credible_predictive']}")
-    else:
-        adv = res["advocacy"]
-        print(f"advocacy prior: m {adv['m']:.2f}, mu {_fmt(adv['mu'])}, "
-              f"tau {adv['tau']:.2f}")
-        print(f"advocacy limit {_fmt(adv['advocacy_limit'])} "
-              f"(OR {adv['advocacy_limit_or']:.2f})")
-    shared = res[res["mode"]]
-    print(f"p_IC {shared['p_intrinsic']:.4f}, p_rep {shared['p_rep']:.3f}")
-    _print_trial(shared["equivalent_trial"])
-
-
-def _print_trial(payload: dict) -> None:
-    if "treatment_arm" in payload:
-        t, c = payload["treatment_arm"], payload["control_arm"]
-        print(f"equivalent trial: {t['events']:.0f} events of {t['patients']:.0f} "
-              f"patients (treatment) vs {c['events']:.0f} of {c['patients']:.0f} "
-              f"(control)")
-    elif "patients_per_arm" in payload:
-        print(f"equivalent trial: {payload['events_per_arm']:.0f} events of "
-              f"{payload['patients_per_arm']:.0f} patients per arm")
-    else:
-        print(f"equivalent trial: {payload['events_per_arm']:.0f} events per arm "
-              f"(arbitrarily large arms)")
-
-
 # ---------------------------------------------------------------- bf
 
 
@@ -456,6 +362,7 @@ def cmd_bf(args) -> dict:
     from .bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                      bf12_sceptical_vs_optimistic, bf_intrinsic, sceptical_g_for_gamma,
                      z_gamma)
+    from .fpr import min_bf_els, min_bf_local
     est = EffectEstimate(args.estimate, args.se)
     z = est.z
     results: dict = {"estimate": _estimate_payload(*est, args.level),
@@ -484,37 +391,12 @@ def cmd_bf(args) -> dict:
     }
 
 
-def _print_bf(report: dict, scale: str) -> None:
-    res = report["results"]
-    print(f"z = {res['estimate']['z']:.3f}; minBF local {_fmt_bf(res['min_bf_local'])}, "
-          f"ELS bound {_fmt_bf(res['min_bf_els'])}")
-    if res["mode"] == "sceptical":
-        sc = res["sceptical"]
-        lo, hi = sc["prior_interval_or"]
-        print(f"gamma {_fmt_bf(sc['gamma'])}: g {sc['g_small']:.2f} (sceptical) "
-              f"or {sc['g_large']:.3g} (ignorance)")
-        print(f"sceptical prior 95% OR interval ({lo:.2f}, {hi:.2f})")
-        print(f"BF12 vs optimistic prior {_fmt_bf(sc['bf12_at_g_small'])}")
-    elif res["mode"] == "advocacy":
-        adv = res["advocacy"]
-        lo, hi = adv["prior_interval_or"]
-        print(f"gamma {_fmt_bf(adv['gamma'])}: z(gamma) {adv['z_gamma']:.2f}, "
-              f"CV {adv['cv']:.2f}")
-        print(f"advocacy m {adv['m_small']:.2f} (tau {adv['tau_small']:.2f}, "
-              f"recommended) or m {adv['m_large']:.2f} (tau {adv['tau_large']:.2f})")
-        print(f"advocacy prior OR interval ({lo:.2f}, {hi:.2f})")
-    else:
-        print(f"BF for intrinsic credibility {_fmt_bf(res['bf_intrinsic'])}")
-
-
 # ---------------------------------------------------------------- fpr
 
 
-_GRID_KINDS = [CalibrationKind.LOCAL_Z, CalibrationKind.SIMPLE_Z,
-               CalibrationKind.E_P_LOG_P, CalibrationKind.E_Q_LOG_Q]
-
-
 def cmd_fpr(args) -> dict:
+    # here and in cmd_bf, so that meta and ancred processes never load fpr
+    from .fpr import CalibrationKind, min_bf, prior_prob_for_fpr
     kinds = (list(CalibrationKind) if args.calibration == "all"
              else [CalibrationKind(args.calibration)])
 
@@ -531,8 +413,10 @@ def cmd_fpr(args) -> dict:
     if args.grid:
         n = 200
         lo, hi = math.log(1e-4), math.log(0.5)
-        ps = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1) for _ in _GRID_KINDS]
-        kinds = _GRID_KINDS * (n + 1)
+        grid_kinds = [CalibrationKind.LOCAL_Z, CalibrationKind.SIMPLE_Z,
+                      CalibrationKind.E_P_LOG_P, CalibrationKind.E_Q_LOG_Q]
+        ps = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1) for _ in grid_kinds]
+        kinds = grid_kinds * (n + 1)
         results["grid"] = _Table([0, 1, 2], [ps, [kind.value for kind in kinds],
                                              list(map(bound, ps, kinds))])
     return {
@@ -544,20 +428,6 @@ def cmd_fpr(args) -> dict:
         "results": results,
         "warnings": [],
     }
-
-
-def _print_fpr(report: dict, scale: str) -> None:
-    res = report["results"]
-    label = ("FPR = p" if res["fpr_equals_p"]
-             else f"FPR {res['fpr']:g}")
-    print(f"p {res['p']:g}, {label}: upper bound on Pr(H0)")
-    for kind, bound in res["prior_bound"].items():
-        print(f"  {kind:<16} minBF {_fmt_bf(res['min_bf'][kind])}  "
-              f"Pr(H0) <= {100.0 * bound:.1f}%")
-    if "grid" in res:
-        print("x,series,value")
-        for p, series, value in res["grid"]:
-            print(f"{p:.6g},{series},{value:.10g}")
 
 
 # ---------------------------------------------------------------- driver
@@ -599,8 +469,9 @@ def build_parser() -> _Parser:
     p_fpr.add_argument("--p", type=float, required=True, help="two-sided p-value")
     p_fpr.add_argument("--fpr", type=float, default=0.05,
                        help="target false positive risk (default 0.05)")
-    p_fpr.add_argument("--calibration", default="all",
-                       choices=["all"] + [k.value for k in CalibrationKind])
+    p_fpr.add_argument("--calibration", default="all",   # "all" and CalibrationKind's values
+                       choices=["all", "local_z", "simple_z", "e_p_log_p", "e_q_log_q",
+                                "els_all_priors"])
     p_fpr.add_argument("--fpr-equals-p", action="store_true",
                        help="bound Pr(H0) under the claim FPR = p")
     p_fpr.add_argument("--grid", action="store_true",
@@ -609,8 +480,9 @@ def build_parser() -> _Parser:
 
 
 _parser = functools.cache(build_parser)  # one per process: parse_args leaves it unchanged
-_RUNNERS = {"meta": (cmd_meta, _print_meta), "ancred": (cmd_ancred, _print_ancred),
-            "bf": (cmd_bf, _print_bf), "fpr": (cmd_fpr, _print_fpr)}
+# each subcommand's runner, and its printer's name in text, which only a text run imports
+_RUNNERS = {"meta": (cmd_meta, "_print_meta"), "ancred": (cmd_ancred, "_print_ancred"),
+            "bf": (cmd_bf, "_print_bf"), "fpr": (cmd_fpr, "_print_fpr")}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -635,7 +507,8 @@ def run(argv: list[str] | None = None) -> int:
         write_json(report, sys.stdout.write)
         print()
     else:
-        printer(report, args.scale)
+        from . import text
+        getattr(text, printer)(report, args.scale)
     return 0
 
 

@@ -283,7 +283,9 @@ def _read_columns(reader) -> StudyTable | None:
         if set(map(len, rows)) != {len(names)}:
             return None
         ids, *cells = zip(*rows)
-        cells = [list(map(parse, column)) for column in cells]
+        del rows   # the row lists, as each column's strings go once it is converted
+        for k in range(len(cells)):
+            cells[k] = list(map(parse, cells[k]))
     except (ValueError, csv.Error):   # UnicodeDecodeError is a ValueError
         return None
     columns = [list(map(str.strip, ids))] + [[None] * len(ids)] * (len(Study._fields) - 1)

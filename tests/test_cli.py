@@ -23,6 +23,7 @@ from revbayes import bundled_dataset_path, cli
 from revbayes.cli import read_study_table, render_json, run, write_json
 from revbayes.ancred import advocacy_prior, sceptical_analysis
 from revbayes.errors import DataError
+from revbayes.fpr import CalibrationKind
 from revbayes.model import EffectEstimate, Study
 
 DATA = str(bundled_dataset_path())
@@ -1006,10 +1007,10 @@ class TestPackage:
         assert proc.stdout.split() == ["False", "False"]
 
     def test_cli_import_loads_only_what_it_runs(self):
-        # norm_quantile runs AS241 itself; csv, meta, ancred and bf load with
-        # their subcommands
-        unloaded = ["statistics", "fractions", "decimal", "csv", "revbayes.meta",
-                    "revbayes.ancred", "revbayes.bf"]
+        # norm_quantile runs AS241 itself; the encoder is _json's; csv, meta,
+        # ancred, bf and fpr load with their subcommands
+        unloaded = ["statistics", "fractions", "decimal", "json", "csv", "revbayes.meta",
+                    "revbayes.ancred", "revbayes.bf", "revbayes.fpr"]
         proc = self.python("-c", "import sys; from revbayes.cli import main; "
                            f"print([m for m in {unloaded!r} if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
@@ -1024,45 +1025,76 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    # the package modules each subcommand loads, besides revbayes itself, the
-    # cli and what the cli imports for every subcommand
+    # the modules each subcommand loads, besides revbayes itself, the cli and
+    # what the cli imports for every subcommand
     _LOADS = {"meta": {"revbayes.meta", "csv"}, "ancred": {"revbayes.ancred"},
-              "bf": {"revbayes.bf"}, "fpr": set()}
+              "bf": {"revbayes.bf", "revbayes.fpr"}, "fpr": {"revbayes.fpr"}}
 
-    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
-    def test_subcommand_loads_only_its_modules(self, argv):
-        # a --json run, as cold-cli starts it; _hashlib is OpenSSL's libcrypto,
-        # which hashlib loads where the interpreter has no _sha256
-        watched = ["revbayes.meta", "revbayes.ancred", "revbayes.bf", "csv"]
+    def loaded_modules(self, argv) -> tuple[set, set]:
+        """The watched modules, and the package's, that a run of argv loads,
+        and the modules its subcommand is expected to load. _hashlib is
+        OpenSSL's libcrypto, which hashlib loads where the interpreter has no
+        _sha256; no run needs the json package."""
+        watched = ["revbayes.meta", "revbayes.ancred", "revbayes.bf", "revbayes.fpr",
+                   "revbayes.text", "csv", "json", "json.decoder", "json.scanner"]
         if importlib.util.find_spec("_sha256") is not None:
             watched.append("_hashlib")
         proc = self.python("-c", "import sys; from revbayes.cli import run; "
                            "code = run(sys.argv[1:]); "
                            f"print((code, [m for m in {watched!r} if m in sys.modules], "
                            "sorted(m for m in sys.modules if m.startswith('revbayes'))))",
-                           "--json", *argv)
+                           *argv)
         assert proc.returncode == 0, proc.stderr
         code, loaded, package = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert code == 0
         expected = self._LOADS[next(arg for arg in argv if arg in self._LOADS)]
-        assert (code, set(loaded)) == (0, expected)
         assert package == sorted(
-            {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.fpr", "revbayes.model",
-             "revbayes.statfn"} | {m for m in expected if m.startswith("revbayes.")})
+            {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.model",
+             "revbayes.statfn"} | {m for m in set(loaded) if m.startswith("revbayes.")})
+        return set(loaded), expected
 
-    @pytest.mark.parametrize("argv, fields", [
-        (["meta", DATA], None),
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_subcommand_loads_only_its_modules(self, argv):
+        # a --json run, as cold-cli starts it, which compiles no text printer
+        loaded, expected = self.loaded_modules(["--json", *argv])
+        assert loaded == expected
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_text_run_loads_its_printers(self, argv):
+        loaded, expected = self.loaded_modules(argv)
+        assert loaded == expected | {"revbayes.text"}
+
+    @pytest.mark.parametrize("argv, fields, pinned", [
+        (["meta", DATA], None,
+         "27facb938d8a5c2ccb01d744c7d9bb756dec70713d37144668da3d12ea9c5820"),
         (["bf", "--estimate", "-0.53", "--se", "0.145", "--mode", "ic"],
-         {"estimate": -0.53, "se": 0.145, "gamma": 0.1, "mode": "ic"}),
-    ], ids=["meta", "bf"])
+         {"estimate": -0.53, "se": 0.145, "gamma": 0.1, "mode": "ic"},
+         "9f005330524036b04155519ff58fd6fddb7679329acae1211d5b229fd48c415a"),
+        # canonical JSON writes the nan as NaN, where the report writes "nan"
+        (["fpr", "--p", "0.05", "--fpr", "nan", "--fpr-equals-p"],
+         {"p": 0.05, "fpr": math.nan, "calibration": "all", "fpr_equals_p": True,
+          "grid": False},
+         "a0ab33860b3e6d92fb5e7644a3aefa46016121d973d0437a6c995d3f49e3bc56"),
+    ], ids=["meta", "bf", "fpr-nan"])
     @pytest.mark.parametrize("sha256", ["_sha256", "hashlib"])
-    def test_input_digest_value(self, capsys, monkeypatch, argv, fields, sha256):
+    def test_input_digest_value(self, capsys, monkeypatch, argv, fields, pinned, sha256):
         # the sha256 of the study file's bytes, or of the inputs as canonical JSON,
-        # by either module
+        # by either module, and as earlier releases wrote it
         if sha256 == "hashlib":
             monkeypatch.setitem(sys.modules, "_sha256", None)   # its import fails
         data = (pathlib.Path(DATA).read_bytes() if fields is None
                 else json.dumps(fields, sort_keys=True).encode("utf-8"))
         digest = run_json(capsys, ["--json", *argv])["input_digest"]
+        assert digest == hashlib.sha256(data).hexdigest() == pinned
+
+    @given(st.dictionaries(st.text(), st.one_of(
+        st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+        st.integers(), st.booleans(), st.none(), st.text())))
+    def test_input_digest_is_canonical_json(self, fields):
+        # the digest hashes json.dumps(fields, sort_keys=True)'s bytes, written
+        # without the json package; st.text() draws non-ASCII and control characters
+        data = json.dumps(fields, sort_keys=True).encode("utf-8")
+        digest = cli._input_digest(types.SimpleNamespace(json=True), fields)
         assert digest == hashlib.sha256(data).hexdigest()
 
     def test_import_loads_no_submodule(self):
@@ -1184,6 +1216,13 @@ class TestDriver:
         assert run(["--scale", "or", *argv]) == 1
         assert capsys.readouterr() == (
             "", f"usage error: --scale or applies only to meta, not {command}\n")
+
+    def test_calibration_choices(self, capsys):
+        # a literal list, so that the parser loads no fpr; the help keeps its bytes
+        with pytest.raises(SystemExit):
+            run(["fpr", "-h"])
+        choices = ",".join(["all"] + [kind.value for kind in CalibrationKind])
+        assert f"--calibration {{{choices}}}" in capsys.readouterr().out
 
     def test_missing_file_exit_two(self, capsys):
         assert run(["meta", "/nonexistent/file.csv"]) == 2
