@@ -15,7 +15,7 @@ import sys
 from itertools import repeat
 from operator import add, is_, sub, truediv
 
-try:   # the json package's C encoder, without the 2 ms import of the package
+try:   # the json package's C encoder, without importing the package and its decoder
     from _json import encode_basestring_ascii
 except ImportError:   # an interpreter built without _json
     from json.encoder import encode_basestring_ascii

@@ -1031,10 +1031,11 @@ class TestPackage:
               "bf": {"revbayes.bf", "revbayes.fpr"}, "fpr": {"revbayes.fpr"}}
 
     def loaded_modules(self, argv) -> tuple[set, set]:
-        """The watched modules, and the package's, that a run of argv loads,
-        and the modules its subcommand is expected to load. _hashlib is
-        OpenSSL's libcrypto, which hashlib loads where the interpreter has no
-        _sha256; no run needs the json package."""
+        """The watched modules that a run of argv loads, and those its
+        subcommand is expected to load; of the package, only the cli's modules
+        and the watched ones may load. _hashlib is OpenSSL's libcrypto, which
+        hashlib loads where the interpreter has no _sha256; no run needs the
+        json package."""
         watched = ["revbayes.meta", "revbayes.ancred", "revbayes.bf", "revbayes.fpr",
                    "revbayes.text", "csv", "json", "json.decoder", "json.scanner"]
         if importlib.util.find_spec("_sha256") is not None:
@@ -1079,7 +1080,7 @@ class TestPackage:
     @pytest.mark.parametrize("sha256", ["_sha256", "hashlib"])
     def test_input_digest_value(self, capsys, monkeypatch, argv, fields, pinned, sha256):
         # the sha256 of the study file's bytes, or of the inputs as canonical JSON,
-        # by either module, and as earlier releases wrote it
+        # by either module, and pinned as earlier versions wrote it
         if sha256 == "hashlib":
             monkeypatch.setitem(sys.modules, "_sha256", None)   # its import fails
         data = (pathlib.Path(DATA).read_bytes() if fields is None
