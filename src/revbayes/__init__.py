@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("errors", "DataError NonexistenceError"),
     ("model", "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary Study "
-              "ci_limits estimate_from_counts read_study_table"),
+              "ci_limits estimate_from_counts"),
     ("meta", "FailSafeResult MetaResult StudyDiagnostics failsafe_n "
-             "forward_update pool reverse_update"),
+             "forward_update pool read_study_table reverse_update"),
     ("ancred", "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
                "advocacy_prior credibility_ratio credibility_ratio_bound "
                "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "

@@ -2,8 +2,6 @@
 credibility, replication-direction probability, and prior-to-data
 conversion into equivalent hypothetical trials."""
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -8,8 +8,6 @@ All Bayes factors are oriented as BF01 (null over alternative); display
 layers may invert to "1/x" strings.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

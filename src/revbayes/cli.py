@@ -5,8 +5,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical
 nonexistence (e.g. sceptical prior undefined). Any other exception is a bug.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import math
@@ -22,9 +20,8 @@ except ImportError:   # an interpreter built without _json
 
 from . import __version__
 from .errors import DataError, NonexistenceError
-from .model import EffectEstimate, read_study_table
-# meta, ancred, bf and fpr load with their subcommands, and text with a text
-# run, so a cold process loads only what it runs
+# model, meta, ancred, bf and fpr load with the subcommands that run them, and
+# text with a text run, so a cold process loads only what it runs
 from .statfn import critical_z, exp_or_inf, two_sided_p
 
 
@@ -241,11 +238,11 @@ def _estimate_payload(theta: float, se: float, level: float) -> dict:
 
 
 def cmd_meta(args) -> dict:
-    # bound once, in this module, so that what rebinds cli.pool or
-    # cli.failsafe_n (perfbench's tracer) is what later runs call
-    global failsafe_n, pool
+    # bound once, in this module, so that what rebinds cli.read_study_table,
+    # cli.pool or cli.failsafe_n (perfbench's tracer) is what later runs call
+    global failsafe_n, pool, read_study_table
     if "pool" not in globals():
-        from .meta import failsafe_n, pool
+        from .meta import failsafe_n, pool, read_study_table
     result = pool(read_study_table(args.file))
     fsn = failsafe_n(result, args.level)
     pooled_est = result.pooled.as_estimate()
@@ -290,6 +287,7 @@ def cmd_ancred(args) -> dict:
     # here, so that the other subcommands' cold processes never load ancred
     from .ancred import (advocacy_prior, credibility_ratio, equivalent_trial,
                          intrinsic_credibility, p_intrinsic, p_rep, sceptical_analysis)
+    from .model import EffectEstimate
     has_est = args.estimate is not None or args.se is not None
     has_ci = args.lower is not None or args.upper is not None
     if has_est == has_ci:
@@ -363,6 +361,7 @@ def cmd_bf(args) -> dict:
                      bf12_sceptical_vs_optimistic, bf_intrinsic, sceptical_g_for_gamma,
                      z_gamma)
     from .fpr import min_bf_els, min_bf_local
+    from .model import EffectEstimate
     est = EffectEstimate(args.estimate, args.se)
     z = est.z
     results: dict = {"estimate": _estimate_payload(*est, args.level),

@@ -7,8 +7,6 @@ All p-values are two-sided under the "p-equals" reading: the exact observed
 p-value is the data.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 

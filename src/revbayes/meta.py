@@ -1,14 +1,13 @@
-"""Fixed-effect meta-analysis with leave-one-out priors, prior-predictive
-conflict checks, and fail-safe N."""
-
-from __future__ import annotations
+"""The study-table reader, and fixed-effect meta-analysis of its tables with
+leave-one-out priors, prior-predictive conflict checks, and fail-safe N."""
 
 import math
-from operator import truediv
+from collections.abc import Sequence
+from operator import le, truediv
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
-from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study, StudyTable, theta_se
+from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study, theta_se
 from .statfn import critical_ratio, two_sided_p
 
 
@@ -87,6 +86,24 @@ def reverse_update(posterior: PosteriorSummary,
     return PosteriorSummary(prior_mean, prior_precision)
 
 
+class StudyTable(Sequence):
+    """A read-only sequence of Study, held as one column per Study field (the
+    other schema's all None). Indexing builds the Study, and a slice the list
+    of them, so that reading and pooling a table build none. read_study_table
+    makes it from rows that pass every check, unique ids included, and pool
+    relies on that."""
+
+    def __init__(self, columns: tuple):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        fields = [column[index] for column in self.columns]
+        return list(map(Study, *fields)) if isinstance(index, slice) else Study(*fields)
+
+
 def pool(studies: StudyTable | list[Study]) -> MetaResult:
     """Fixed-effect pooling by iterated forward updating from a flat prior.
 
@@ -156,3 +173,89 @@ def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult
             f"no fail-safe N: for pooled z = {pooled_z:.6g} it is outside "
             f"the floating-point range")
     return FailSafeResult(n_exact, math.ceil(n_exact), significant=True)
+
+
+# header, cell parser, error noun, and the Study fields that the cells after the id fill
+_SCHEMAS = (
+    (["id", "events_t", "n_t", "events_c", "n_c"], int, "non-integer count", slice(1, 5)),
+    (["id", "estimate", "se"], float, "non-numeric value", slice(5, 7)),
+)
+
+
+def read_study_table(path: str) -> StudyTable:
+    """Parse a study CSV; the header selects the counts or estimate schema.
+    The table is read and checked as columns; if a check fails, it is read
+    again row by row, which names the first bad row by its line."""
+    import csv   # here, so that only `meta` pays for it in a cold process
+    try:
+        # utf-8-sig drops the byte order mark that Excel's "CSV UTF-8" writes
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            if (table := _read_columns(csv.reader(fh))) is None:
+                fh.seek(0)
+                table = StudyTable(tuple(zip(*_parse_studies(path, reader := csv.reader(fh)))))
+            return table
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:   # its position is within a block, not the file
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:   # a field past csv.field_size_limit()
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _read_columns(reader) -> StudyTable | None:
+    """The table, read and checked a column at a time. None where a row holds
+    only blanks or fails any check of _parse_studies or Study: _parse_studies,
+    reading row by row, then raises the first bad row's error."""
+    import csv
+    try:
+        header = next(reader, [])
+        # a ValueError unless the header is one schema's
+        (names, parse, _, fields), = [s for s in _SCHEMAS if s[0] == [h.strip() for h in header]]
+        rows = list(filter(None, reader))   # empty lines, which _parse_studies skips too
+        if set(map(len, rows)) != {len(names)}:
+            return None
+        ids, *cells = zip(*rows)
+        del rows   # the row lists, as each column's strings go once it is converted
+        for k in range(len(cells)):
+            cells[k] = list(map(parse, cells[k]))
+    except (ValueError, csv.Error):   # UnicodeDecodeError is a ValueError
+        return None
+    columns = [list(map(str.strip, ids))] + [[None] * len(ids)] * (len(Study._fields) - 1)
+    columns[fields] = cells
+    valid = (not any(map((0.0).__ge__, cells[-1])) if parse is float   # se > 0
+             # events >= 0, arm sizes > 0 and events <= arm sizes
+             else min(map(min, cells[::2])) >= 0 and min(map(min, cells[1::2])) > 0
+             and all(map(le, cells[0], cells[1])) and all(map(le, cells[2], cells[3])))
+    return StudyTable(tuple(columns)) if valid and len(set(columns[0])) == len(ids) else None
+
+
+def _parse_studies(path: str, reader) -> list[Study]:
+    if (first := next(reader, None)) is None:
+        raise DataError(f"{path}: empty file (header row required)")
+    header = [h.strip() for h in first]
+    for names, parse, noun, fields in _SCHEMAS:
+        if header == names:
+            break
+    else:
+        raise DataError(f"{path}: unrecognized header {header!r}; expected "
+                        f"{_SCHEMAS[0][0]} or {_SCHEMAS[1][0]}")
+    studies: list[Study] = []
+    lines: dict[str, int] = {}   # study id -> its row's line
+    for row in reader:
+        lineno = reader.line_num   # the physical line the row ends on, as in csv.Error's
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) != len(names):
+            raise DataError(f"{path}:{lineno}: expected {len(names)} columns, got {len(row)}")
+        try:
+            cells = list(map(parse, row[1:]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {noun}: {exc}") from exc
+        study = Study(row[0].strip(), *[None] * (fields.start - 1), *cells)
+        if (first_line := lines.setdefault(study.id, lineno)) != lineno:
+            raise DataError(f"{path}:{lineno}: duplicate study id {study.id!r}, "
+                            f"first on line {first_line}")
+        studies.append(study)
+    if not studies:
+        raise DataError(f"{path}: no data rows")
+    return studies

@@ -9,8 +9,6 @@ norm_quantile runs AS241 itself, so that no process imports the
 statistics module (with fractions and decimal behind it) for one function.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import math

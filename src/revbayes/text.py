@@ -1,11 +1,10 @@
 """Text reports of the subcommands. Only a run without --json imports this
 module, so a --json process never compiles it."""
 
-from __future__ import annotations
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _num(x: float, spec: str = ".2f") -> str:
+    """x in `spec`, or in _cell's g form where that would take 16 characters."""
+    return _cell(x, 16, spec).lstrip()
 
 
 def _fmt_bf(bf: float) -> str:
@@ -21,14 +20,13 @@ def _fmt_bf(bf: float) -> str:
 def _print_meta(report: dict, scale: str) -> None:
     res = report["results"]
     pooled = res["pooled"]
-    # a summary number that would take 16 characters is in _cell's g form, so
-    # no line is longer than the table's header, which takes at least 86
-    num = lambda x, spec=".2f": _cell(x, 16, spec).lstrip()
+    # a summary number is at most 15 characters, so no line is longer than the
+    # table's header, which takes at least 86
     key, ci, label = ("or", "ci_or", "OR") if scale == "or" else ("log_or", "ci_log", "log OR")
     lo, hi = pooled[ci]
-    print(f"pooled {label} {num(pooled[key])} [{num(lo)}, {num(hi)}]"
+    print(f"pooled {label} {_num(pooled[key])} [{_num(lo)}, {_num(hi)}]"
           f" at level {pooled['level']:g}")
-    print(f"posterior precision {num(res['pooled_precision'], '.1f')}"
+    print(f"posterior precision {_num(res['pooled_precision'], '.1f')}"
           f" from {res['n_studies']} studies")
     print()
     rows = res["per_study"]   # a _Table: each pass builds its rows one at a time
@@ -46,8 +44,8 @@ def _print_meta(report: dict, scale: str) -> None:
     fsn = res["fail_safe_n"]
     print()
     if fsn["significant"]:
-        print(f"fail-safe N: {num(fsn['n_exact'], '.1f')}"
-              f" (round up to {num(fsn['n_integer'], 'd')})")
+        print(f"fail-safe N: {_num(fsn['n_exact'], '.1f')}"
+              f" (round up to {_num(fsn['n_integer'], 'd')})")
     else:
         print(f"fail-safe N: 0 ({fsn['reason']})")
     for w in report["warnings"]:
@@ -69,60 +67,61 @@ def _cell(x: float | None, width: int, spec: str) -> str:
 def _print_ancred(report: dict, scale: str) -> None:
     res = report["results"]
     est = res["estimate"]
-    print(f"estimate log OR {_fmt(est['log_or'])} (se {est['se']:.3f}, "
-          f"p {est['p']:.4f})")
+    print(f"estimate log OR {_num(est['log_or'])} (se {_num(est['se'], '.3f')}, "
+          f"p {_num(est['p'], '.4f')})")
     if res["mode"] == "sceptical":
         sc = res["sceptical"]
         lo, hi = sc["critical_interval_or"]
-        print(f"sceptical prior: g {sc['g']:.2f}, S {sc['scepticism_limit']:.2f}, "
-              f"critical OR interval ({lo:.2f}, {hi:.2f})")
-        print(f"credibility ratio {sc['credibility_ratio']:.2f}; intrinsically "
+        print(f"sceptical prior: g {_num(sc['g'])}, S {_num(sc['scepticism_limit'])}, "
+              f"critical OR interval ({_num(lo)}, {_num(hi)})")
+        print(f"credibility ratio {_num(sc['credibility_ratio'])}; intrinsically "
               f"credible (prior) { sc['intrinsically_credible_prior']}, "
               f"(predictive) {sc['intrinsically_credible_predictive']}")
     else:
         adv = res["advocacy"]
-        print(f"advocacy prior: m {adv['m']:.2f}, mu {_fmt(adv['mu'])}, "
-              f"tau {adv['tau']:.2f}")
-        print(f"advocacy limit {_fmt(adv['advocacy_limit'])} "
-              f"(OR {adv['advocacy_limit_or']:.2f})")
+        print(f"advocacy prior: m {_num(adv['m'])}, mu {_num(adv['mu'])}, "
+              f"tau {_num(adv['tau'])}")
+        print(f"advocacy limit {_num(adv['advocacy_limit'])} "
+              f"(OR {_num(adv['advocacy_limit_or'])})")
     shared = res[res["mode"]]
-    print(f"p_IC {shared['p_intrinsic']:.4f}, p_rep {shared['p_rep']:.3f}")
+    print(f"p_IC {_num(shared['p_intrinsic'], '.4f')}, p_rep {_num(shared['p_rep'], '.3f')}")
     _print_trial(shared["equivalent_trial"])
 
 
 def _print_trial(payload: dict) -> None:
     if "treatment_arm" in payload:
         t, c = payload["treatment_arm"], payload["control_arm"]
-        print(f"equivalent trial: {t['events']:.0f} events of {t['patients']:.0f} "
-              f"patients (treatment) vs {c['events']:.0f} of {c['patients']:.0f} "
-              f"(control)")
+        print(f"equivalent trial: {_num(t['events'], '.0f')} events of "
+              f"{_num(t['patients'], '.0f')} patients (treatment) vs "
+              f"{_num(c['events'], '.0f')} of {_num(c['patients'], '.0f')} (control)")
     elif "patients_per_arm" in payload:
-        print(f"equivalent trial: {payload['events_per_arm']:.0f} events of "
-              f"{payload['patients_per_arm']:.0f} patients per arm")
+        print(f"equivalent trial: {_num(payload['events_per_arm'], '.0f')} events of "
+              f"{_num(payload['patients_per_arm'], '.0f')} patients per arm")
     else:
-        print(f"equivalent trial: {payload['events_per_arm']:.0f} events per arm "
+        print(f"equivalent trial: {_num(payload['events_per_arm'], '.0f')} events per arm "
               f"(arbitrarily large arms)")
 
 
 def _print_bf(report: dict, scale: str) -> None:
     res = report["results"]
-    print(f"z = {res['estimate']['z']:.3f}; minBF local {_fmt_bf(res['min_bf_local'])}, "
+    print(f"z = {_num(res['estimate']['z'], '.3f')}; "
+          f"minBF local {_fmt_bf(res['min_bf_local'])}, "
           f"ELS bound {_fmt_bf(res['min_bf_els'])}")
     if res["mode"] == "sceptical":
         sc = res["sceptical"]
         lo, hi = sc["prior_interval_or"]
-        print(f"gamma {_fmt_bf(sc['gamma'])}: g {sc['g_small']:.2f} (sceptical) "
+        print(f"gamma {_fmt_bf(sc['gamma'])}: g {_num(sc['g_small'])} (sceptical) "
               f"or {sc['g_large']:.3g} (ignorance)")
-        print(f"sceptical prior 95% OR interval ({lo:.2f}, {hi:.2f})")
+        print(f"sceptical prior 95% OR interval ({_num(lo)}, {_num(hi)})")
         print(f"BF12 vs optimistic prior {_fmt_bf(sc['bf12_at_g_small'])}")
     elif res["mode"] == "advocacy":
         adv = res["advocacy"]
         lo, hi = adv["prior_interval_or"]
-        print(f"gamma {_fmt_bf(adv['gamma'])}: z(gamma) {adv['z_gamma']:.2f}, "
-              f"CV {adv['cv']:.2f}")
-        print(f"advocacy m {adv['m_small']:.2f} (tau {adv['tau_small']:.2f}, "
-              f"recommended) or m {adv['m_large']:.2f} (tau {adv['tau_large']:.2f})")
-        print(f"advocacy prior OR interval ({lo:.2f}, {hi:.2f})")
+        print(f"gamma {_fmt_bf(adv['gamma'])}: z(gamma) {_num(adv['z_gamma'])}, "
+              f"CV {_num(adv['cv'])}")
+        print(f"advocacy m {_num(adv['m_small'])} (tau {_num(adv['tau_small'])}, "
+              f"recommended) or m {_num(adv['m_large'])} (tau {_num(adv['tau_large'])})")
+        print(f"advocacy prior OR interval ({_num(lo)}, {_num(hi)})")
     else:
         print(f"BF for intrinsic credibility {_fmt_bf(res['bf_intrinsic'])}")
 

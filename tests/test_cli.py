@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -20,10 +21,11 @@ from hypothesis import given, strategies as st
 
 import revbayes
 from revbayes import bundled_dataset_path, cli
-from revbayes.cli import read_study_table, render_json, run, write_json
+from revbayes.cli import render_json, run, write_json
 from revbayes.ancred import advocacy_prior, sceptical_analysis
 from revbayes.errors import DataError
 from revbayes.fpr import CalibrationKind
+from revbayes.meta import read_study_table
 from revbayes.model import EffectEstimate, Study
 
 DATA = str(bundled_dataset_path())
@@ -375,7 +377,10 @@ class TestMetaCommand:
         assert run(["--json", "meta", DATA]) == 0
         from revbayes import meta, model
         assert (cli.read_study_table, cli.pool, cli.failsafe_n) == (
-            model.read_study_table, meta.pool, meta.failsafe_n)
+            meta.read_study_table, meta.pool, meta.failsafe_n)
+        # and it wraps this method where model defines it, so moving Study
+        # out of model would break its --trace 1 runs
+        assert callable(model.Study.effect_estimate)
         called = []
         for name in ("read_study_table", "pool", "failsafe_n"):
             def traced(*args, original=getattr(cli, name), name=name):
@@ -936,6 +941,10 @@ class TestFuzz:
             assert "Traceback" not in err, argv
             if code == 0 and "--json" in argv:
                 strict_loads(out)
+            elif code == 0 and "fpr" not in argv:
+                # an ancred or bf number that would take 16 characters is in g form
+                numbers = re.findall(r"[-.\d]+(?:e[-+]\d+)?", out)
+                assert max(map(len, numbers), default=0) < 16, (argv, out)
             codes.append(code)
         assert {0, 2, 3} <= set(codes)
 
@@ -969,9 +978,9 @@ class TestFuzz:
 _EXPORTED = {
     "errors": "DataError NonexistenceError",
     "model": "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary Study "
-             "ci_limits estimate_from_counts read_study_table",
+             "ci_limits estimate_from_counts",
     "meta": "FailSafeResult MetaResult StudyDiagnostics failsafe_n "
-            "forward_update pool reverse_update",
+            "forward_update pool read_study_table reverse_update",
     "ancred": "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
               "advocacy_prior credibility_ratio credibility_ratio_bound "
               "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
@@ -1007,10 +1016,12 @@ class TestPackage:
         assert proc.stdout.split() == ["False", "False"]
 
     def test_cli_import_loads_only_what_it_runs(self):
-        # norm_quantile runs AS241 itself; the encoder is _json's; csv, meta,
-        # ancred, bf and fpr load with their subcommands
-        unloaded = ["statistics", "fractions", "decimal", "json", "csv", "revbayes.meta",
-                    "revbayes.ancred", "revbayes.bf", "revbayes.fpr"]
+        # norm_quantile runs AS241 itself; the encoder is _json's; csv, model,
+        # meta, ancred, bf and fpr load with their subcommands; no module of
+        # the package imports __future__
+        unloaded = ["statistics", "fractions", "decimal", "json", "csv", "revbayes.model",
+                    "revbayes.meta", "revbayes.ancred", "revbayes.bf", "revbayes.fpr",
+                    "__future__"]
         proc = self.python("-c", "import sys; from revbayes.cli import main; "
                            f"print([m for m in {unloaded!r} if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
@@ -1027,17 +1038,19 @@ class TestPackage:
 
     # the modules each subcommand loads, besides revbayes itself, the cli and
     # what the cli imports for every subcommand
-    _LOADS = {"meta": {"revbayes.meta", "csv"}, "ancred": {"revbayes.ancred"},
-              "bf": {"revbayes.bf", "revbayes.fpr"}, "fpr": {"revbayes.fpr"}}
+    _LOADS = {"meta": {"revbayes.model", "revbayes.meta", "csv"},
+              "ancred": {"revbayes.model", "revbayes.ancred"},
+              "bf": {"revbayes.model", "revbayes.bf", "revbayes.fpr"}, "fpr": {"revbayes.fpr"}}
 
     def loaded_modules(self, argv) -> tuple[set, set]:
         """The watched modules that a run of argv loads, and those its
         subcommand is expected to load; of the package, only the cli's modules
         and the watched ones may load. _hashlib is OpenSSL's libcrypto, which
         hashlib loads where the interpreter has no _sha256; no run needs the
-        json package."""
-        watched = ["revbayes.meta", "revbayes.ancred", "revbayes.bf", "revbayes.fpr",
-                   "revbayes.text", "csv", "json", "json.decoder", "json.scanner"]
+        json package or __future__."""
+        watched = ["revbayes.model", "revbayes.meta", "revbayes.ancred", "revbayes.bf",
+                   "revbayes.fpr", "revbayes.text", "csv", "json", "json.decoder",
+                   "json.scanner", "__future__"]
         if importlib.util.find_spec("_sha256") is not None:
             watched.append("_hashlib")
         proc = self.python("-c", "import sys; from revbayes.cli import run; "
@@ -1050,8 +1063,8 @@ class TestPackage:
         assert code == 0
         expected = self._LOADS[next(arg for arg in argv if arg in self._LOADS)]
         assert package == sorted(
-            {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.model",
-             "revbayes.statfn"} | {m for m in set(loaded) if m.startswith("revbayes.")})
+            {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.statfn"}
+            | {m for m in set(loaded) if m.startswith("revbayes.")})
         return set(loaded), expected
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
@@ -1196,8 +1209,8 @@ class TestPackage:
         assert sorted(set(revbayes.__all__) - used) == []
 
     def test_one_table_reader(self):
-        import revbayes.cli
-        assert revbayes.read_study_table is revbayes.cli.read_study_table
+        import revbayes.meta
+        assert revbayes.read_study_table is revbayes.meta.read_study_table
 
 
 class TestDriver:
