@@ -210,8 +210,9 @@ def equivalent_trial(prior: NormalPrior,
     # Equal event counts e in both arms; non-event cells b (treatment) and
     # d (control) solve {log(d/b) = mu, 2/e + 1/b + 1/d = tau^2}. The
     # control rate e/(e+d) rises with e and equals the target at e_star, so
-    # the closest integer construction is one of its two neighbours.
-    def control_cells(e: float) -> float:
+    # the closest integer construction is one of its two neighbours. The
+    # annotations are strings, as in bf, so that a call does not evaluate them.
+    def control_cells(e: "float") -> "float":
         return (1.0 + allocation) / (tau2 - 2.0 / e)
 
     e_star = (2.0 + (1.0 + allocation) * event_rate / (1.0 - event_rate)) / tau2

@@ -143,19 +143,21 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
         m = 2.0 * (math.sqrt(2.0) - 1.0) * -log_gamma / abs(estimate.z) / abs(estimate.z)
         return BfAdvocacySolution(m, cv * m * theta, math.inf, math.inf, gamma, cv)
 
-    def p(m: float) -> tuple[float, float]:
+    # the closures' annotations are strings: evaluated, they would build three
+    # tuple[float, float] objects on every call
+    def p(m: "float") -> "tuple[float, float]":
         return ((a * m + k) * m + c) * m - 1.0, (3.0 * a * m + 2.0 * k) * m + c
 
     # h(m) = log BF01(m) - log gamma, with tau^2 / se^2 = k m^2, and its slope
     # dh/dm = z^2 p(m) / (1 + k m^2)^2.
-    def h(m: float) -> tuple[float, float]:
+    def h(m: "float") -> "tuple[float, float]":
         d = 1.0 + k * m * m
         return (0.5 * math.log1p(k * m * m) - 0.5 * z2 * m * (2.0 + (k - 1.0) * m) / d
                 - log_gamma, z2 * p(m)[0] / (d * d))
 
     # h and dh/dt in t = log m: h itself below m = 1, and from m = 1 on in
     # w = 1/m, where it stays finite for every t.
-    def h_log(t: float) -> tuple[float, float]:
+    def h_log(t: "float") -> "tuple[float, float]":
         if t < 0.0:
             value, slope = h(m := math.exp(t))
             return value, m * slope

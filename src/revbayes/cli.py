@@ -399,7 +399,7 @@ def cmd_fpr(args) -> dict:
     kinds = (list(CalibrationKind) if args.calibration == "all"
              else [CalibrationKind(args.calibration)])
 
-    def bound(p: float, kind: CalibrationKind) -> float:
+    def bound(p: "float", kind: "CalibrationKind") -> "float":
         return prior_prob_for_fpr(p, p if args.fpr_equals_p else args.fpr, kind)
 
     results: dict = {

@@ -1165,6 +1165,20 @@ class TestPackage:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == []
 
+    @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+    def test_closures_evaluate_no_annotations(self, module):
+        # no module defers annotations, so a def inside a function evaluates
+        # its annotations on every call unless they are strings
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        evaluated = [f"{module}:{inner.lineno}"
+                     for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+                     for inner in ast.walk(outer)
+                     if isinstance(inner, ast.FunctionDef) and inner is not outer
+                     for node in [inner.returns, *(a.annotation for a in ast.walk(inner.args)
+                                                   if isinstance(a, ast.arg))]
+                     if node is not None and not isinstance(node, ast.Constant)]
+        assert evaluated == []
+
     def test_errors_typed_where_raised(self):
         # an input check raises DataError, so run catches no bare ValueError:
         # any other exception is a bug, and the fuzz shows its traceback
