@@ -161,28 +161,28 @@ def _texts(value, newline: str, leaf):
 
 
 def _value_texts(value, newline: str):
-    """The texts of a scalar, or of a _Table as the list of its blocks."""
+    """The texts of a scalar, or of a _Table as the list of its blocks. A
+    row is the %-template of the table's layout at the blocks' depth: the
+    walk over it with a NUL at each slot, which encode_basestring_ascii
+    escapes anywhere else."""
     kind = type(value)
     if kind is _Table:
+        slots: list = []   # (column index, newline) of each slot
+        text = "".join(_texts(value.layout, newline + "  ",
+                              lambda index, depth: slots.append((index, depth)) or "\0"))
+        template = text.replace("%", "%%").replace("\0", "%s")
         blocks = list(range(0, len(value), _BLOCK))
-        return _texts(blocks, newline, functools.partial(_block_texts, value, {}))
+        return _texts(blocks, newline, functools.partial(_block_texts, value, template, slots))
     encode = _JSON_SCALARS.get(kind)
     if encode is None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return (encode(value),)
 
 
-def _block_texts(table: _Table, templates: dict, start: int, newline: str) -> tuple:
-    """The rows of `table` from `start` on, _BLOCK at most, at the depth of
-    `newline` and separated as _texts separates list items. A row is the
-    %-template of the layout at that depth: the walk over it with a NUL at
-    each slot, which encode_basestring_ascii escapes anywhere else."""
-    if newline not in templates:
-        slots: list = []   # (column index, newline) of each slot
-        text = "".join(_texts(table.layout, newline,
-                              lambda index, depth: slots.append((index, depth)) or "\0"))
-        templates[newline] = text.replace("%", "%%").replace("\0", "%s"), slots
-    template, slots = templates[newline]
+def _block_texts(table: _Table, template: str, slots: list, start: int, newline: str):
+    """The rows of `table` from `start` on, _BLOCK at most, by the row
+    template and its slots, separated as _texts separates list items at the
+    depth of `newline`."""
     formatted: dict = {}   # column index, or (index, newline) for depth-bound texts
     args = []
     for index, depth in slots:

@@ -68,8 +68,13 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
         if not (0.0 < level < 1.0):
             raise DataError(f"level must be in (0,1), got {level!r}")
         z_crit = critical_z(1.0 - level)
-        return cls(theta_hat=0.5 * (lower + upper),
-                   se=(upper - lower) / (2.0 * z_crit))
+        theta_hat, se = 0.5 * (lower + upper), (upper - lower) / (2.0 * z_crit)
+        if math.isinf(theta_hat) or math.isinf(se):   # halve first where a sum or se overflows
+            theta_hat, se = 0.5 * lower + 0.5 * upper, (0.5 * upper - 0.5 * lower) / z_crit
+        if math.isfinite(theta_hat) and not 0.0 < se < math.inf:
+            raise NonexistenceError(f"standard error of the interval ({lower!r}, {upper!r}) "
+                                    "is outside the floating-point range")
+        return cls(theta_hat, se)
 
 
 class Study(NamedTuple("Study", [

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import oracles
 from revbayes.ancred import (advocacy_prior, credibility_ratio,
                              credibility_ratio_bound, equivalent_trial,
                              intrinsic_boundary_p, p_intrinsic, p_rep,
@@ -255,26 +256,10 @@ class TestAcceptance:
             for p in ps if p < 1 / math.e)))
 
         # the closed-form local minimum matches a direct minimization over g
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def golden_min(f, a, b):
-            c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-            fc, fd = f(c), f(d)
-            while b - a > 1e-13 * max(1.0, abs(b)):
-                if fc < fd:
-                    b, d, fd = d, c, fc
-                    c = b - inv_phi * (b - a)
-                    fc = f(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + inv_phi * (b - a)
-                    fd = f(d)
-            return f((a + b) / 2)
-
         worst = 0.0
         for k in range(60):
             z = 1.05 + k * (6.0 - 1.05) / 59
-            direct = golden_min(lambda g: bf01_sceptical(z, g), 1e-9, 1e7)
+            _, direct = oracles.golden_minimize(lambda g: bf01_sceptical(z, g), 1e-9, 1e7)
             worst = max(worst, abs(direct - min_bf_local(z)) / direct)
         checks.append((f"minimizer identity (worst {worst:.2e})",
                        worst <= 1e-12))

@@ -1,9 +1,9 @@
 import math
 import random
 
-import mpmath
 import pytest
 
+import oracles
 from revbayes.ancred import (advocacy_prior,
                              credibility_ratio, credibility_ratio_bound,
                              equivalent_trial, intrinsic_boundary_p,
@@ -221,13 +221,11 @@ class TestIntrinsicCredibility:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.005])
     @pytest.mark.parametrize("flavor, factor", [
-        ("prior_based", (1 + mpmath.sqrt(5)) / 2), ("predictive_based", 2)])
+        ("prior_based", oracles.GOLDEN_RATIO), ("predictive_based", 2)])
     def test_boundary_closed_form(self, alpha, flavor, factor):
         # z^2 = phi z_crit^2 (prior flavour) or 2 z_crit^2 (predictive)
-        with mpmath.workdps(40):
-            z_crit = mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(alpha))
-            expected = float(mpmath.erfc(mpmath.sqrt(factor) * z_crit / mpmath.sqrt(2)))
-        assert intrinsic_boundary_p(alpha, flavor) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert intrinsic_boundary_p(alpha, flavor) == pytest.approx(
+            oracles.intrinsic_boundary_p(alpha, factor), rel=1e-12, abs=0)
 
 
 class TestCredibilityRatio:

@@ -1,11 +1,12 @@
+import functools
 import math
 import random
 import sys
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from revbayes import bf, statfn
 from revbayes.bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                          bf01_normal_prior, bf01_sceptical, bf12_sceptical_vs_optimistic,
@@ -13,47 +14,6 @@ from revbayes.bf import (advocacy_for_gamma, advocacy_prior_interval_or,
 from revbayes.errors import NonexistenceError
 from revbayes.fpr import min_bf_els, min_bf_local
 from revbayes.model import EffectEstimate, NormalPrior
-from revbayes.statfn import norm_pdf
-
-
-def golden_minimize(f, lo, hi, tol=1e-13):
-    """Oracle: golden-section minimizer, returns (x, f(x))."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol * max(1.0, abs(a), abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
-def bf01_quadrature(estimate, prior, n=20000):
-    """Oracle: BF01 by Simpson integration of the marginal likelihood."""
-    s = estimate.se
-    mu, tau = prior.mean, prior.sd
-    lo = min(estimate.theta_hat, mu) - 12 * max(s, tau)
-    hi = max(estimate.theta_hat, mu) + 12 * max(s, tau)
-    h = (hi - lo) / n
-
-    def integrand(theta):
-        return (norm_pdf((estimate.theta_hat - theta) / s) / s
-                * norm_pdf((theta - mu) / tau) / tau)
-
-    total = integrand(lo) + integrand(hi)
-    for k in range(1, n):
-        total += (4 if k % 2 else 2) * integrand(lo + k * h)
-    marginal = total * h / 3.0
-    null = norm_pdf(estimate.z) / s
-    return null / marginal
 
 
 class TestMinBf:
@@ -71,7 +31,7 @@ class TestMinBf:
         rng = random.Random(7)
         for _ in range(50):
             z = rng.uniform(1.05, 6.0) * rng.choice([-1, 1])
-            _, fmin = golden_minimize(lambda g: bf01_sceptical(z, g), 1e-8, 1e6)
+            _, fmin = oracles.golden_minimize(lambda g: bf01_sceptical(z, g), 1e-8, 1e6)
             assert min_bf_local(z) == pytest.approx(fmin, rel=1e-9)
 
     def test_els_below_local(self):
@@ -101,7 +61,7 @@ class TestBf01Sceptical:
         est = EffectEstimate(-0.7, 0.25)
         prior = NormalPrior(0.1, 0.3)
         assert bf01_normal_prior(est, prior) == pytest.approx(
-            bf01_quadrature(est, prior), rel=1e-8)
+            oracles.bf01_quadrature(est, prior), rel=1e-8)
 
     def test_zero_g_rejected(self):
         with pytest.raises(ValueError):
@@ -143,11 +103,7 @@ class TestScepticalGForGamma:
                                           (40.0, 0.1), (28.0, 1e-20)])
     def test_lambert_oracle(self, z, gamma):
         # e^(-z^2) underflows here; at (28, 1e-20) g_large is still finite
-        with mpmath.workdps(50):
-            zm, gm = mpmath.mpf(z), mpmath.mpf(gamma)
-            x = -zm ** 2 / gm ** 2 * mpmath.exp(-zm ** 2)
-            g_small, g_large = (-zm ** 2 / mpmath.lambertw(x, branch).real - 1
-                                for branch in (-1, 0))
+        g_small, g_large = oracles.sceptical_g(z, gamma)
         sol = sceptical_g_for_gamma(z, gamma)
         assert sol.g_small == pytest.approx(float(g_small), rel=1e-10, abs=0)
         if g_large > sys.float_info.max:
@@ -238,21 +194,11 @@ class TestAdvocacyForGamma:
     def test_roots_plug_back_in_log_space(self, z, gamma):
         # the large root passes the float range from |z| ~ 37.9 at gamma = 0.1
         sol = advocacy_for_gamma(EffectEstimate(z, 1.0), gamma)
-        with mpmath.workdps(50):
-            zm = mpmath.mpf(z)
-            cv = 1 / mpmath.sqrt(-2 * mpmath.log(mpmath.mpf(gamma)))
-
-            def log_bf01(m):
-                mu = mpmath.mpf(m) * zm
-                return (mpmath.log1p((cv * mu) ** 2)
-                        - zm ** 2 + (zm - mu) ** 2 / (1 + (cv * mu) ** 2)) / 2
-
-            log_gamma = mpmath.log(mpmath.mpf(gamma))
-            assert abs(log_bf01(sol.m_small) - log_gamma) <= 1e-10
-            if log_bf01(sys.float_info.max) < log_gamma:
-                assert sol.m_large == math.inf
-            else:
-                assert abs(log_bf01(sol.m_large) - log_gamma) <= 1e-10
+        assert abs(oracles.advocacy_log_bf01(z, gamma, sol.m_small)) <= 1e-10
+        if oracles.advocacy_log_bf01(z, gamma, sys.float_info.max) < 0:
+            assert sol.m_large == math.inf
+        else:
+            assert abs(oracles.advocacy_log_bf01(z, gamma, sol.m_large)) <= 1e-10
         assert sol.m_small < sol.m_large
 
 
@@ -267,8 +213,8 @@ class TestBf12:
         se = recovery.se
         sceptical = NormalPrior(0.0, g * se ** 2)
         optimistic = NormalPrior(recovery.theta_hat, se ** 2)
-        ratio = (bf01_quadrature(recovery, optimistic)
-                 / bf01_quadrature(recovery, sceptical))
+        ratio = (oracles.bf01_quadrature(recovery, optimistic)
+                 / oracles.bf01_quadrature(recovery, sceptical))
         assert bf12_sceptical_vs_optimistic(recovery.z, g) == pytest.approx(
             ratio, rel=1e-8)
 
@@ -303,12 +249,8 @@ class TestBfIntrinsic:
 
     @pytest.mark.parametrize("z", [3.655, 10.0, 12.0, 27.0, 30.0, 38.0, 40.0])
     def test_lambert_oracle(self, z):
-        with mpmath.workdps(50):
-            zm = mpmath.mpf(z)
-            v = -mpmath.lambertw(-zm ** 2 * mpmath.exp(-zm ** 2 / 2) / mpmath.sqrt(2), -1).real
-            g = zm ** 2 / v - 1
-            expected = float(mpmath.sqrt(1 + g) * mpmath.exp(-g / (1 + g) * zm ** 2 / 2))
-        assert bf_intrinsic(EffectEstimate(z, 1.0)) == pytest.approx(expected, rel=1e-10, abs=0)
+        assert bf_intrinsic(EffectEstimate(z, 1.0)) == pytest.approx(oracles.bf_intrinsic(z),
+                                                                     rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("z", [1.0 + 1e-5, 1.5, 2.0])
     def test_no_cutoff_between_one_and_two(self, z):
@@ -324,62 +266,36 @@ _ESTIMATES = st.builds(lambda z, log_se: EffectEstimate(z * 10.0 ** log_se, 10.0
                        st.floats(-40.0, 40.0), st.floats(-2.0, 2.0))
 
 
-def mp_bisect(f, lo, hi, steps=200):
-    """Oracle: plain bisection in the current mpmath precision."""
-    negative_at_lo = f(lo) < 0
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if (f(mid) < 0) == negative_at_lo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 class TestOracleSweep:
-    """|z| in [0, 40] and se in [1e-2, 1e2] against mpmath at 50 digits,
+    """|z| in [0, 40] and se in [1e-2, 1e2] against mpmath at 60 digits,
     with relative tolerances and no absolute one."""
 
     @settings(max_examples=200, deadline=None)
     @given(_ESTIMATES, _GAMMAS)
     def test_advocacy(self, est, gamma):
-        with mpmath.workdps(50):
-            zm, log_gamma = mpmath.mpf(est.z), mpmath.log(mpmath.mpf(gamma))
-            cv2 = -1 / (2 * log_gamma)
-            k = cv2 * zm ** 2
-
-            def h(m):  # log BF01 - log gamma at relative prior mean m
-                mu = mpmath.mpf(m) * zm
-                return (mpmath.log1p(cv2 * mu ** 2) - zm ** 2
-                        + (zm - mu) ** 2 / (1 + cv2 * mu ** 2)) / 2 - log_gamma
-
-            m_min = mp_bisect(lambda m: ((k * cv2 * m + k) * m + 1 + cv2 - k) * m - 1,
-                              mpmath.mpf(0), mpmath.mpf(1))
-            h_min = h(m_min)
-            try:
-                sol = advocacy_for_gamma(est, gamma)
-            except NonexistenceError:
-                assert h_min > -1e-10
-                return
-            assert h_min < 1e-10
-            tol = 1e-10 * max(1.0, abs(math.log(gamma)))
-            assert abs(h(sol.m_small)) <= tol
-            assert (sol.m_large == math.inf) == (h(sys.float_info.max) < 0)
-            if sol.m_large < math.inf:
-                assert abs(h(sol.m_large)) <= tol
+        # log BF01 - log gamma at relative prior mean m
+        h = functools.partial(oracles.advocacy_log_bf01, est.z, gamma)
+        h_min = oracles.advocacy_log_bf01_min(est.z, gamma)
+        try:
+            sol = advocacy_for_gamma(est, gamma)
+        except NonexistenceError:
+            assert h_min > -1e-10
+            return
+        assert h_min < 1e-10
+        tol = 1e-10 * max(1.0, abs(math.log(gamma)))
+        assert abs(h(sol.m_small)) <= tol
+        assert (sol.m_large == math.inf) == (h(sys.float_info.max) < 0)
+        if sol.m_large < math.inf:
+            assert abs(h(sol.m_large)) <= tol
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-40.0, 40.0), _GAMMAS)
     def test_sceptical_g(self, z, gamma):
-        with mpmath.workdps(50):
-            zm, gm = mpmath.mpf(z), mpmath.mpf(gamma)
-            x = zm ** 2 / gm ** 2 * mpmath.exp(-zm ** 2)
-            if abs(z) <= 1.0 or x > 1 / mpmath.e:
-                with pytest.raises(NonexistenceError):
-                    sceptical_g_for_gamma(z, gamma)
-                return
-            g_small, g_large = (-zm ** 2 / mpmath.lambertw(-x, branch).real - 1
-                                for branch in (-1, 0))
+        if (expected := oracles.sceptical_g(z, gamma)) is None:
+            with pytest.raises(NonexistenceError):
+                sceptical_g_for_gamma(z, gamma)
+            return
+        g_small, g_large = expected
         sol = sceptical_g_for_gamma(z, gamma)
         assert sol.g_small == pytest.approx(float(g_small), rel=1e-10, abs=0)
         if g_large > sys.float_info.max:
@@ -390,16 +306,11 @@ class TestOracleSweep:
     @settings(max_examples=300, deadline=None)
     @given(_ESTIMATES)
     def test_bf_intrinsic(self, est):
-        with mpmath.workdps(50):
-            zm = mpmath.mpf(est.z)
-            x = zm ** 2 * mpmath.exp(-zm ** 2 / 2) / mpmath.sqrt(2)
-            if abs(est.z) <= 1.0 or x > 1 / mpmath.e:
-                with pytest.raises(NonexistenceError):
-                    bf_intrinsic(est)
-                return
-            g = zm ** 2 / -mpmath.lambertw(-x, -1).real - 1
-            expected = mpmath.sqrt(1 + g) * mpmath.exp(-g / (1 + g) * zm ** 2 / 2)
-        assert bf_intrinsic(est) == pytest.approx(float(expected), rel=1e-10, abs=0)
+        if (expected := oracles.bf_intrinsic(est.z)) is None:
+            with pytest.raises(NonexistenceError):
+                bf_intrinsic(est)
+            return
+        assert bf_intrinsic(est) == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 class TestAdvocacySolveBudget:

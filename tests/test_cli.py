@@ -15,10 +15,10 @@ import sys
 import tracemalloc
 import types
 
-import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 import revbayes
 from revbayes import bundled_dataset_path, cli
 from revbayes.cli import render_json, run, write_json
@@ -238,9 +238,8 @@ class TestMetaCommand:
         estimate = run_json(capsys, ["--json", "meta", str(f)])["results"]["per_study"][-1][
             "estimate"]
         a, n_t, c, n_c = map(int, rows.rsplit(",", 4)[1:])
-        with mpmath.workdps(60):
-            log_or = mpmath.log(mpmath.mpf(a * (n_c - c))) - mpmath.log((n_t - a) * c)
-            assert abs(estimate["log_or"] - log_or) <= 3 * math.ulp(float(log_or))
+        log_or, _ = oracles.log_or_se(a, n_t - a, c, n_c - c)
+        assert abs(estimate["log_or"] - log_or) <= 3 * math.ulp(float(log_or))
         if a == 10 ** 399:
             assert estimate["or"] == pytest.approx(10 / 18, rel=1e-15)
 
@@ -872,7 +871,9 @@ def _fuzz_argv(rng):
                 rng.choice([f"--fpr={magnitude(-6, 0) * 0.999!r}", "--fpr-equals-p"])]
     elif kind == "ancred-ci":
         lower = estimate(1.0)
-        argv = ["ancred", f"--lower={lower!r}", f"--upper={lower + abs(estimate(1.0))!r}"]
+        # nonempty, also where lower + the width rounds to lower
+        upper = max(lower + abs(estimate(1.0)), math.nextafter(lower, math.inf))
+        argv = ["ancred", f"--lower={lower!r}", f"--upper={upper!r}"]
     else:
         se = 5e-324 if rng.random() < 0.05 else magnitude(-323, 3)
         argv = [f"--estimate={estimate(se)!r}", f"--se={se!r}"]
@@ -939,6 +940,9 @@ class TestFuzz:
             out, err = capsys.readouterr()
             assert code in (0, 1, 2, 3), argv
             assert "Traceback" not in err, argv
+            ci = [float(arg[8:]) for arg in argv if arg.startswith(("--lower=", "--upper="))]
+            if ci and all(map(math.isfinite, ci)):   # a finite interval is no bad input
+                assert not err.startswith("data error"), (argv, err)
             if code == 0 and "--json" in argv:
                 strict_loads(out)
             elif code == 0 and "fpr" not in argv:
@@ -1164,6 +1168,15 @@ class TestPackage:
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == []
+
+    def test_one_oracle_module(self):
+        # each mpmath reference is written once, in tests/oracles.py
+        importers = [path.name for path in sorted((ROOT / "tests").glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     and "mpmath" in {(getattr(node, "module", "") or "").split(".")[0],
+                                      *(a.name.split(".")[0] for a in node.names)}]
+        assert importers == ["oracles.py"]
 
     @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
     def test_closures_evaluate_no_annotations(self, module):

@@ -2,9 +2,9 @@ import math
 import random
 import sys
 
-import mpmath
 import pytest
 
+import oracles
 from revbayes import fpr, statfn
 from revbayes.fpr import (CalibrationKind, min_bf, min_bf_els, min_bf_local,
                           prior_bound_fpr_equals_p, prior_prob_for_fpr)
@@ -64,19 +64,9 @@ class TestMinBf:
         # 1 - p/2 rounds to 1 here, so |z| must come from the lower tail; at
         # 5e-324 p/2 rounds to 0 as well, and from 1e-323 the bounds are
         # subnormal, so each must be rounded once to pass
-        with mpmath.workdps(40):
-            log_p = mpmath.log(p)
-            z = mpmath.findroot(lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2))) - log_p,
-                                mpmath.sqrt(-2 * log_p))
-            half_z2 = z ** 2 / 2
-            expected = {
-                K.LOCAL_Z: z * mpmath.exp(-half_z2 + mpmath.mpf(1) / 2),
-                K.SIMPLE_Z: 2 * mpmath.exp(-half_z2) / (1 + mpmath.exp(-4 * half_z2)),
-                K.ELS_ALL_PRIORS: mpmath.exp(-half_z2),
-                K.E_Q_LOG_Q: -mpmath.e * (1 - mpmath.mpf(p)) * mpmath.log1p(-mpmath.mpf(p)),
-            }
-        for kind, value in expected.items():
-            assert min_bf(p, kind) == pytest.approx(float(value), rel=1e-10, abs=0)
+        expected = oracles.min_bf(p)
+        for kind in (K.LOCAL_Z, K.SIMPLE_Z, K.ELS_ALL_PRIORS, K.E_Q_LOG_Q):
+            assert min_bf(p, kind) == pytest.approx(expected[kind.value], rel=1e-10, abs=0)
 
     def test_grid_range_against_mpmath(self):
         # the p range of `fpr --grid`. exp(-z^2/2) turns a relative error d
@@ -84,21 +74,13 @@ class TestMinBf:
         # the quantile without the Newton step is up to 2.1 times over it.
         eps = sys.float_info.epsilon
         lo, hi = math.log(1e-4), math.log(0.5)
-        with mpmath.workdps(40):
-            for i in range(201):
-                p = math.exp(lo + (hi - lo) * i / 200)
-                z = mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(p))
-                half_z2 = z * z / 2
-                expected = {
-                    K.LOCAL_Z: 1 if z <= 1 else z * mpmath.exp(-half_z2 + mpmath.mpf(1) / 2),
-                    K.SIMPLE_Z: min(1, 2 * mpmath.exp(-half_z2)
-                                    / (1 + mpmath.exp(-4 * half_z2))),
-                    K.ELS_ALL_PRIORS: mpmath.exp(-half_z2),
-                }
-                rel_tol = 1.5 * (float(z * z) + 1.0) * eps
-                for kind, value in expected.items():
-                    assert min_bf(p, kind) == pytest.approx(
-                        float(value), rel=rel_tol, abs=0), (p, kind)
+        for i in range(201):
+            p = math.exp(lo + (hi - lo) * i / 200)
+            z, expected = oracles.two_sided_z(p), oracles.min_bf(p)
+            rel_tol = 1.5 * (float(z * z) + 1.0) * eps
+            for kind in (K.LOCAL_Z, K.SIMPLE_Z, K.ELS_ALL_PRIORS):
+                assert min_bf(p, kind) == pytest.approx(
+                    expected[kind.value], rel=rel_tol, abs=0), (p, kind)
 
     def test_bad_p(self):
         with pytest.raises(ValueError):

@@ -2,22 +2,15 @@ import math
 import random
 import re
 
-import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
+import oracles
 from revbayes.errors import DataError, NonexistenceError
 from revbayes.meta import (StudyDiagnostics, failsafe_n, forward_update, pool,
                            reverse_update)
 from revbayes.model import EffectEstimate, PosteriorSummary, Study
 from revbayes.statfn import critical_z, two_sided_p
-
-
-def closed_form_pool(estimates):
-    """Independent oracle: precision-weighted average in one shot."""
-    precision = sum(1.0 / e.se ** 2 for e in estimates)
-    mean = sum(e.theta_hat / e.se ** 2 for e in estimates) / precision
-    return mean, precision
 
 
 def record_pool(studies):
@@ -157,7 +150,7 @@ class TestPool:
     def test_two_study_closed_form(self):
         studies = [Study("a", estimate=0.5, se=0.2), Study("b", estimate=-0.1, se=0.4)]
         result = pool(studies)
-        mean, precision = closed_form_pool([s.effect_estimate() for s in studies])
+        mean, precision = oracles.pool([s.effect_estimate() for s in studies])
         assert result.pooled.mean == pytest.approx(mean, rel=1e-12)
         assert result.pooled.precision == pytest.approx(precision, rel=1e-12)
 
@@ -173,7 +166,7 @@ class TestPool:
                 base.pooled.precision, abs=1e-12)
 
     def test_closed_form_agreement(self, studies, meta_result):
-        mean, precision = closed_form_pool([s.effect_estimate() for s in studies])
+        mean, precision = oracles.pool([s.effect_estimate() for s in studies])
         assert meta_result.pooled.mean == pytest.approx(mean, abs=1e-12)
         assert meta_result.pooled.precision == pytest.approx(precision, abs=1e-12)
 
@@ -193,15 +186,12 @@ class TestPool:
         studies = [Study(str(i), estimate=theta, se=10.0 ** u)
                    for i, (theta, u) in enumerate(rows)]
         result = pool(studies)
-        with mpmath.workdps(50):
-            for i, diag in enumerate(result.per_study):
-                rest = studies[:i] + studies[i + 1:]
-                precision = mpmath.fsum(1 / mpmath.mpf(s.se) ** 2 for s in rest)
-                mean = mpmath.fsum(mpmath.mpf(s.estimate) / mpmath.mpf(s.se) ** 2
-                                   for s in rest) / precision
-                loo = diag.leave_one_out_prior
-                assert loo.precision == pytest.approx(float(precision), rel=1e-10, abs=0)
-                assert loo.mean == pytest.approx(float(mean), rel=1e-10, abs=0)
+        rows = [(s.estimate, s.se) for s in studies]
+        for i, diag in enumerate(result.per_study):
+            mean, precision = oracles.pool(rows[:i] + rows[i + 1:])
+            loo = diag.leave_one_out_prior
+            assert loo.precision == pytest.approx(precision, rel=1e-10, abs=0)
+            assert loo.mean == pytest.approx(mean, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("rows, message", [
         ([("1", 2, 7, 2, 12), ("2", 0, 10, 3, 11), ("3", 2, 7, 2, 12), ("4", 1e308, 1e-10)],

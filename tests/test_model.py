@@ -1,11 +1,11 @@
 import math
 import random
 
-import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from revbayes.errors import DataError
+import oracles
+from revbayes.errors import DataError, NonexistenceError
 from revbayes.model import (EffectEstimate, NormalPrior, PosteriorSummary,
                             Study, ci_limits, estimate_from_counts)
 
@@ -59,16 +59,12 @@ class TestEstimateFromCounts:
             return tuple(int(10 ** rng.uniform(0, rng.choice([3, 15, 300]))) + 1
                          for _ in range(4))
 
-        with mpmath.workdps(60):
-            for kind in ["far", "near", "past"] * 700:
-                a, b, c, d = cells(kind)
-                est = estimate_from_counts(Study("s", a, a + b, c, c + d))
-                ad, bc = a * d, b * c
-                theta = (mpmath.log1p(mpmath.mpf(ad - bc) / bc) if 2 * abs(ad - bc) < bc
-                         else mpmath.log(mpmath.mpf(ad)) - mpmath.log(mpmath.mpf(bc)))
-                se = mpmath.sqrt(mpmath.fsum(1 / mpmath.mpf(x) for x in (a, b, c, d)))
-                assert abs(est.theta_hat - theta) <= 3 * math.ulp(float(theta)), (a, b, c, d)
-                assert abs(est.se - se) <= math.ulp(float(se)), (a, b, c, d)
+        for kind in ["far", "near", "past"] * 700:
+            a, b, c, d = cells(kind)
+            est = estimate_from_counts(Study("s", a, a + b, c, c + d))
+            theta, se = oracles.log_or_se(a, b, c, d)
+            assert abs(est.theta_hat - theta) <= 3 * math.ulp(float(theta)), (a, b, c, d)
+            assert abs(est.se - se) <= math.ulp(float(se)), (a, b, c, d)
 
 
 class TestStudyInvariants:
@@ -168,6 +164,14 @@ class TestCiLimits:
         back = EffectEstimate.from_ci(lo, hi, level)
         assert back.theta_hat == pytest.approx(theta, abs=1e-12 * max(1, abs(theta)))
         assert back.se == pytest.approx(se, rel=1e-12)
+
+    def test_from_ci_near_the_float_limits(self):
+        # halves where lower + upper or upper - lower overflows; no se past the float range
+        assert EffectEstimate.from_ci(1e308, 1.7e308) == (1.35e308, 1.785747099236289e307)
+        assert EffectEstimate.from_ci(-1.7e308, 1.7e308) == (0.0, 8.673628767719118e307)
+        for lower, upper, level in [(0.0, 5e-324, 0.95), (-1e308, 1e308, 0.01)]:
+            with pytest.raises(NonexistenceError, match="standard error of the interval"):
+                EffectEstimate.from_ci(lower, upper, level)
 
 
 class TestSignificant:

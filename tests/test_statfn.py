@@ -2,42 +2,13 @@ import math
 import random
 import statistics
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from revbayes.statfn import (LOG_MAX, Branch, critical_ratio, critical_z,
                              exp_or_inf, find_root, lambert_w_log,
                              norm_quantile, two_sided_p)
-
-
-def phi_oracle(x):
-    """High-precision normal CDF, independent of the implementation."""
-    return float(mpmath.ncdf(x))
-
-
-def quantile_oracle(p):
-    """Phi^-1(p) to 40 digits; below the quartile it is solved on log erfc,
-    where 2p - 1 would round to -1 for tiny p."""
-    with mpmath.workdps(40):
-        p = mpmath.mpf(p)
-        if p >= 0.25:
-            return float(mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1))
-        return -float(mpmath.sqrt(2) * mpmath.findroot(
-            lambda x: mpmath.log(mpmath.erfc(x)) - mpmath.log(2 * p), 1))
-
-
-def bisect_oracle(f, lo, hi, iters=200):
-    """Plain bisection, the reference for root-type expected values."""
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) * flo <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = f(lo)
-    return 0.5 * (lo + hi)
 
 
 class TestNormQuantile:
@@ -52,7 +23,7 @@ class TestNormQuantile:
     def test_round_trip_grid(self):
         ps = [1e-8, 1e-5, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.77, 0.99, 1 - 1e-5, 1 - 1e-8]
         for p in ps:
-            assert phi_oracle(norm_quantile(p)) == pytest.approx(p, abs=1e-10)
+            assert oracles.phi(norm_quantile(p)) == pytest.approx(p, abs=1e-10)
 
     def test_rejects_boundaries(self):
         for p in (0.0, 1.0, -0.1, 1.1):
@@ -61,7 +32,7 @@ class TestNormQuantile:
 
     @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
     def test_against_mpmath(self, p):
-        assert norm_quantile(p) == pytest.approx(quantile_oracle(p), rel=1e-10, abs=0)
+        assert norm_quantile(p) == pytest.approx(oracles.norm_quantile(p), rel=1e-10, abs=0)
 
     def test_bits_of_statistics_inv_cdf(self):
         # the package runs AS241 itself, with the standard library's bits
@@ -82,18 +53,14 @@ class TestNormQuantile:
 class TestCriticalZ:
     @given(st.floats(min_value=1e-12, max_value=0.5))
     def test_against_mpmath(self, alpha):
-        # alpha / 2 is exact, so the oracle sees the level the code sees
-        assert critical_z(alpha) == pytest.approx(-quantile_oracle(alpha / 2),
+        assert critical_z(alpha) == pytest.approx(float(oracles.two_sided_z(alpha)),
                                                   rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e-323, 1e-300])
     def test_smallest_alpha(self, alpha):
-        # at 5e-324 alpha / 2 rounds to 0, so the oracle takes log(alpha / 2)
-        with mpmath.workdps(40):
-            log_half = mpmath.log(mpmath.mpf(alpha) / 2)
-            expected = mpmath.findroot(
-                lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2) - log_half, 38)
-        assert critical_z(alpha) == pytest.approx(float(expected), rel=4e-16, abs=0)
+        # at 5e-324 alpha / 2 rounds to 0, so the oracle solves from log alpha
+        assert critical_z(alpha) == pytest.approx(float(oracles.two_sided_z(alpha)),
+                                                  rel=4e-16, abs=0)
 
     def test_level_95_bits(self):
         # the bits every default-level output is built on
@@ -119,7 +86,7 @@ class TestCriticalRatio:
 class TestTwoSidedP:
     def test_box_scale_value(self):
         # 2*(1 - Phi(sqrt(1.545))) via the high-precision oracle
-        expected = 2.0 * (1.0 - phi_oracle(math.sqrt(1.545)))
+        expected = 2.0 * (1.0 - oracles.phi(math.sqrt(1.545)))
         assert two_sided_p(math.sqrt(1.545)) == pytest.approx(expected, abs=1e-14)
         assert two_sided_p(math.sqrt(1.545)) == pytest.approx(0.2139, abs=1e-4)
 
@@ -132,9 +99,8 @@ class TestLambertW:
     def test_against_mpmath(self, log_x, branch, k):
         # -37: W0 returns -x as it is; from -745 on, x = e^log_x underflows;
         # -1600 is e^(-z^2) at z = 40
-        with mpmath.workdps(50):
-            expected = mpmath.lambertw(-mpmath.exp(mpmath.mpf(log_x)), k).real
-        assert lambert_w_log(log_x, branch) == pytest.approx(float(expected), rel=1e-13, abs=0)
+        assert lambert_w_log(log_x, branch) == pytest.approx(oracles.lambert_w_log(log_x, k),
+                                                            rel=1e-13, abs=0)
 
     def test_zero(self):
         # W0(-x) = -x - x^2 - ... is -x once x < 2^-53, also where x is 0
@@ -147,7 +113,7 @@ class TestLambertW:
 
     def test_secondary_against_bisection_oracle(self):
         x = 0.0016507
-        expected = bisect_oracle(lambda w: w * math.exp(w) + x, -50.0, -1.0)
+        expected = oracles.bisect(lambda w: w * math.exp(w) + x, -50.0, -1.0)
         got = lambert_w_log(math.log(x), Branch.SECONDARY)
         assert got == pytest.approx(expected, rel=1e-10)
         assert got == pytest.approx(-8.55, abs=5e-3)
@@ -205,13 +171,13 @@ class TestFindRoot:
             2.0, abs=1e-12)
 
     def test_sqrt2_against_bisection(self):
-        expected = bisect_oracle(lambda x: x * x - 2.0, 0.0, 2.0)
+        expected = oracles.bisect(lambda x: x * x - 2.0, 0.0, 2.0)
         got = find_root(lambda x: (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1.0)
         assert got == pytest.approx(expected, abs=1e-10)
         assert got == pytest.approx(1.4142136, abs=1e-7)
 
     def test_cosine(self):
-        expected = bisect_oracle(math.cos, 1.0, 2.0)
+        expected = oracles.bisect(math.cos, 1.0, 2.0)
         got = find_root(lambda x: (math.cos(x), -math.sin(x)), 1.0, 2.0, 1.0)
         assert got == pytest.approx(expected, abs=1e-10)
         assert got == pytest.approx(1.5707963, abs=1e-7)
