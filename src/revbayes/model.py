@@ -69,7 +69,7 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
             raise DataError(f"level must be in (0,1), got {level!r}")
         z_crit = critical_z(1.0 - level)
         theta_hat, se = 0.5 * (lower + upper), (upper - lower) / (2.0 * z_crit)
-        if math.isinf(theta_hat) or math.isinf(se):   # halve first where a sum or se overflows
+        if math.isinf(theta_hat) or math.isinf(se):   # halves only on overflow: they round if subnormal
             theta_hat, se = 0.5 * lower + 0.5 * upper, (0.5 * upper - 0.5 * lower) / z_crit
         if math.isfinite(theta_hat) and not 0.0 < se < math.inf:
             raise NonexistenceError(f"standard error of the interval ({lower!r}, {upper!r}) "

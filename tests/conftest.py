@@ -1,6 +1,6 @@
 import pytest
 
-from revbayes import Study, bundled_dataset_path, pool, read_study_table
+from revbayes import bundled_dataset_path, pool, read_study_table
 
 
 @pytest.fixture(scope="session")

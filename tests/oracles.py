@@ -2,7 +2,6 @@
 at 60 digits, set here for the session so that arithmetic on the mpfs these
 return keeps them, and float bisection, golden section and Simpson's rule."""
 
-import functools
 import math
 from statistics import NormalDist
 
@@ -56,7 +55,6 @@ def phi(x) -> float:
     return float(mpmath.ncdf(x))
 
 
-@functools.lru_cache(maxsize=None)
 def two_sided_z(p):
     """The z >= 0 whose two-sided p-value erfc(z / sqrt 2) is p, as an mpf,
     solved on log erfc from log p: p / 2 may underflow as a float."""

@@ -9,8 +9,6 @@ randomized property checks at exact tolerances.
 import math
 import random
 
-import pytest
-
 import oracles
 from revbayes.ancred import (advocacy_prior, credibility_ratio,
                              credibility_ratio_bound, equivalent_trial,
@@ -24,8 +22,7 @@ from revbayes.errors import NonexistenceError
 from revbayes.fpr import (CalibrationKind, min_bf, min_bf_els, min_bf_local,
                           prior_bound_fpr_equals_p, prior_prob_for_fpr)
 from revbayes.meta import (failsafe_n, forward_update, pool, reverse_update)
-from revbayes.model import (EffectEstimate, NormalPrior, PosteriorSummary,
-                            Study, ci_limits)
+from revbayes.model import EffectEstimate, NormalPrior, Study, ci_limits
 
 
 def _report(num, label, checks):

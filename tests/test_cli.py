@@ -941,7 +941,7 @@ class TestFuzz:
             assert code in (0, 1, 2, 3), argv
             assert "Traceback" not in err, argv
             ci = [float(arg[8:]) for arg in argv if arg.startswith(("--lower=", "--upper="))]
-            if ci and all(map(math.isfinite, ci)):   # a finite interval is no bad input
+            if ci and all(map(math.isfinite, ci)):   # a finite, nonempty interval is no bad input
                 assert not err.startswith("data error"), (argv, err)
             if code == 0 and "--json" in argv:
                 strict_loads(out)

@@ -169,6 +169,11 @@ class TestCiLimits:
         # halves where lower + upper or upper - lower overflows; no se past the float range
         assert EffectEstimate.from_ci(1e308, 1.7e308) == (1.35e308, 1.785747099236289e307)
         assert EffectEstimate.from_ci(-1.7e308, 1.7e308) == (0.0, 8.673628767719118e307)
+        # but the sum where it is finite: halves of subnormal limits round (to 1e-323 here)
+        assert EffectEstimate.from_ci(5e-324, 2.5e-323) == (1.5e-323, 5e-324)
+        for lower, upper in [(1.0, 1.0), (1.0, 0.0)]:
+            with pytest.raises(DataError, match="need lower < upper"):
+                EffectEstimate.from_ci(lower, upper)
         for lower, upper, level in [(0.0, 5e-324, 0.95), (-1e308, 1e308, 0.01)]:
             with pytest.raises(NonexistenceError, match="standard error of the interval"):
                 EffectEstimate.from_ci(lower, upper, level)
