@@ -42,12 +42,22 @@ def quick_start_block() -> str:
     return section.split("```python", 1)[1].split("```", 1)[0]
 
 
+def readme_cli_block() -> list[tuple[list[str], int | None, str]]:
+    """Each `$ revbayes` line of the README's CLI block: its argv, the n of
+    a `| head -n` after it (None without one), and the text shown under it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```console\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for command, shown in re.findall(r"^\$ revbayes (.*)\n((?:(?!\$ ).*\n)*)", block, re.M):
+        command, _, head = command.partition(" | head -")
+        examples.append((shlex.split(command, comments=True), int(head) if head else None,
+                         shown))
+    return examples
+
+
 def readme_examples() -> list[list[str]]:
     """The argv of each `revbayes` line of the README's CLI block."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    return [shlex.split(line, comments=True)[1:]
-            for line in block.splitlines() if line.startswith("revbayes ")]
+    return [argv for argv, _, _ in readme_cli_block()]
 
 
 def _reject_constant(token):
@@ -1334,12 +1344,14 @@ class TestDriver:
 
 class TestReadme:
     def test_cli_examples_run(self, capsys, monkeypatch):
-        examples = readme_examples()
-        assert examples
+        # each prints, byte for byte, what the README shows under it
+        examples = readme_cli_block()
+        assert len(examples) == 8
         monkeypatch.chdir(ROOT)  # the examples name the bundled table by its path
-        for argv in examples:
+        for argv, head, shown in examples:
             assert run(argv) == 0, argv
-            capsys.readouterr()
+            out = capsys.readouterr().out
+            assert ("".join(out.splitlines(keepends=True)[:head]) if head else out) == shown, argv
             run(["--json"] + argv)
             first = capsys.readouterr().out
             run(["--json"] + argv)
