@@ -6,10 +6,8 @@ import math
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
-from .model import DEFAULT_LEVEL, EffectEstimate, NormalPrior
-from .statfn import LOG_MAX, critical_ratio, critical_z, exp_or_inf, two_sided_p
-
-DEFAULT_ALPHA = 1.0 - DEFAULT_LEVEL
+from .model import EffectEstimate, NormalPrior
+from .statfn import DEFAULT_ALPHA, LOG_MAX, critical_excess, critical_z, exp_or_inf, two_sided_p
 
 
 class ScepticalAnalysis(NamedTuple):
@@ -58,12 +56,12 @@ class EquivalentTrial(NamedTuple):
 def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float:
     """Relative variance g of the sceptical prior pulling a significant
     finding back to the credibility boundary."""
-    ratio = critical_ratio(z, alpha)
-    if ratio <= 1.0:
+    excess = critical_excess(z, alpha)
+    if excess <= 0.0:
         raise NonexistenceError(
             f"sufficiently sceptical prior undefined: finding not significant "
             f"at alpha={alpha} (z={z:.4g})")
-    return 1.0 / (ratio - 1.0)
+    return 1.0 / excess
 
 
 def scepticism_limit(lower: float, upper: float) -> float:
@@ -91,13 +89,13 @@ def advocacy_prior(estimate: EffectEstimate,
     The prior's quantile nearer zero sits exactly at zero, so its
     coefficient of variation is fixed at 1/z_crit.
     """
-    ratio = critical_ratio(estimate.z, alpha)
-    if ratio >= 1.0:
-        raise NonexistenceError(
-            f"advocacy prior undefined: finding significant at alpha={alpha}")
+    excess = critical_excess(estimate.z, alpha)
+    if excess >= 0.0:
+        raise NonexistenceError("advocacy prior undefined: finding " + (
+            "significant" if excess else "on the significance boundary") + f" at alpha={alpha}")
     if estimate.theta_hat == 0.0:
         raise NonexistenceError("advocacy prior undefined for a zero point estimate")
-    m = 2.0 / (1.0 - ratio)
+    m = -2.0 / excess
     mu = m * estimate.theta_hat
     z_crit = critical_z(alpha)
     tau = abs(mu) / z_crit
@@ -120,10 +118,10 @@ def intrinsic_credibility(estimate: EffectEstimate,
     probability of the estimate must fall below alpha.
     """
     factor = _INTRINSIC_FACTOR[flavor]
-    ratio = critical_ratio(estimate.z, alpha)
-    if ratio <= 1.0:
+    excess = critical_excess(estimate.z, alpha)
+    if excess <= 0.0:
         return CredibilityVerdict(False, "not significant at this level")
-    return CredibilityVerdict(ratio > factor)
+    return CredibilityVerdict(excess > factor - 1.0)   # exact: factor is in [1, 2]
 
 
 def intrinsic_boundary_p(alpha: float = DEFAULT_ALPHA,

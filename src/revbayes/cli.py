@@ -1,13 +1,14 @@
 """Command-line front end: subcommand dispatch and machine-readable reports.
 The text reports are in `text`.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical
-nonexistence (e.g. sceptical prior undefined). Any other exception is a bug.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical nonexistence
+(e.g. sceptical prior undefined), 141 stdout closed. Any other exception is a bug.
 """
 
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from itertools import repeat
@@ -22,7 +23,7 @@ from . import __version__
 from .errors import DataError, NonexistenceError
 # model, meta, ancred, bf and fpr load with the subcommands that run them, and
 # text with a text run, so a cold process loads only what it runs
-from .statfn import critical_z, exp_or_inf, two_sided_p
+from .statfn import DEFAULT_LEVEL, alpha_for_level, critical_z, exp_or_inf, two_sided_p
 
 
 class UsageError(Exception):
@@ -222,7 +223,7 @@ _ESTIMATE = {"log_or": _LOG_OR, "se": _SE, "z": _Z, "p": _P, "ci_log": [_LO, _HI
 
 def _estimate_columns(theta, se, level: float) -> list:
     """The columns of _ESTIMATE for the estimates theta with standard errors se."""
-    half = list(map(critical_z(1.0 - level).__mul__, se))
+    half = list(map(critical_z(alpha_for_level(level)).__mul__, se))
     lo, hi = list(map(sub, theta, half)), list(map(add, theta, half))
     z = list(map(truediv, theta, se))
     return [theta, se, z, list(map(two_sided_p, z)), lo, hi, list(map(exp_or_inf, theta)),
@@ -301,7 +302,7 @@ def cmd_ancred(args) -> dict:
             raise UsageError("--lower and --upper must be given together")
         est = EffectEstimate.from_ci(args.lower, args.upper, args.level)
 
-    alpha = 1.0 - args.level
+    alpha = alpha_for_level(args.level)
     results: dict = {"estimate": _estimate_payload(*est, args.level)}
     if est.significant(alpha):
         mode, analysis = "sceptical", sceptical_analysis(est, alpha)
@@ -436,8 +437,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="revbayes",
                      description="Reverse-Bayes evidence assessment toolkit")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--level", type=float, default=0.95,
-                        help="confidence/credibility level (default 0.95)")
+    parser.add_argument("--level", type=float, default=DEFAULT_LEVEL,
+                        help="confidence/credibility level (default %(default)s)")
     parser.add_argument("--json", action="store_true",
                         help="emit the deterministic JSON report")
     parser.add_argument("--scale", choices=["log", "or"], default="log",
@@ -512,7 +513,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+    except BrokenPipeError:   # as in `revbayes ... | head`; the signal module documents this idiom
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # exit's flush then passes
+        code = 141   # what the shell reports for a process that SIGPIPE ended
+    sys.exit(code)
 
 
 if __name__ == "__main__":

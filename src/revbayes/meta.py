@@ -7,8 +7,8 @@ from operator import le, truediv
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
-from .model import DEFAULT_LEVEL, EffectEstimate, PosteriorSummary, Study, theta_se
-from .statfn import critical_ratio, two_sided_p
+from .model import EffectEstimate, PosteriorSummary, Study, theta_se
+from .statfn import DEFAULT_LEVEL, alpha_for_level, critical_excess, two_sided_p
 
 
 class StudyDiagnostics(NamedTuple):
@@ -163,11 +163,11 @@ def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult
     """Number of unpublished average-precision null studies needed to make
     the pooled estimate non-significant at the level."""
     pooled_z = meta.pooled.mean * math.sqrt(meta.pooled.precision)
-    ratio = critical_ratio(pooled_z, 1.0 - level)
-    if ratio <= 1.0:
+    excess = critical_excess(pooled_z, alpha_for_level(level))
+    if excess <= 0.0:
         return FailSafeResult(0.0, 0, significant=False,
                               reason="pooled estimate not significant at this level")
-    n_exact = meta.n_studies * (ratio - 1.0)
+    n_exact = meta.n_studies * excess
     if not math.isfinite(n_exact):
         raise NonexistenceError(
             f"no fail-safe N: for pooled z = {pooled_z:.6g} it is outside "

@@ -9,10 +9,8 @@ import math
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
-from .statfn import critical_ratio, critical_z, two_sided_p
-
-DEFAULT_LEVEL = 0.95
-_TINY = 2.2250738585072014e-308   # the smallest normal float
+from .statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, FLOAT_MIN, alpha_for_level,
+                     critical_excess, critical_z, two_sided_p)
 
 
 def _checked_make(cls, values):
@@ -56,8 +54,8 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
     def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
         return ci_limits(self, level)
 
-    def significant(self, alpha: float = 1.0 - DEFAULT_LEVEL) -> bool:
-        return critical_ratio(self.z, alpha) > 1.0
+    def significant(self, alpha: float = DEFAULT_ALPHA) -> bool:
+        return critical_excess(self.z, alpha) > 0.0
 
     @classmethod
     def from_ci(cls, lower: float, upper: float,
@@ -65,9 +63,7 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
         """Reconstruct an estimate from a symmetric confidence interval."""
         if upper <= lower:
             raise DataError(f"need lower < upper, got ({lower!r}, {upper!r})")
-        if not (0.0 < level < 1.0):
-            raise DataError(f"level must be in (0,1), got {level!r}")
-        z_crit = critical_z(1.0 - level)
+        z_crit = critical_z(alpha_for_level(level))
         theta_hat, se = 0.5 * (lower + upper), (upper - lower) / (2.0 * z_crit)
         if math.isinf(theta_hat) or math.isinf(se):   # halves only on overflow: they round if subnormal
             theta_hat, se = 0.5 * lower + 0.5 * upper, (0.5 * upper - 0.5 * lower) / z_crit
@@ -202,11 +198,11 @@ def theta_se(events_t, n_t, events_c, n_c, estimate, se) -> tuple[float, float]:
     if not (ad and bc):
         return math.nan, math.nan
     variance = (ad * (b + c) + bc * (a + d)) / (ad * bc)
-    se = math.sqrt(variance) if variance >= _TINY else math.nan
+    se = math.sqrt(variance) if variance >= FLOAT_MIN else math.nan
     ratio = ad / bc if ad >> 1020 < bc else math.inf   # ad/bc < 2^1021, no OverflowError
     if 0.5 < ratio < 2.0:
         return math.log1p((ad - bc) / bc), se
-    if _TINY <= ratio < math.inf:
+    if FLOAT_MIN <= ratio < math.inf:
         return math.log(ratio), se
     k = ad.bit_length() - bc.bit_length()   # ad / (bc 2^k) is within (1/2, 2)
     return math.log(ad / (bc << k) if k > 0 else (ad << -k) / bc) + k * math.log(2.0), se
@@ -215,9 +211,7 @@ def theta_se(events_t, n_t, events_c, n_c, estimate, se) -> tuple[float, float]:
 def interval(center: float, sd: float,
              level: float = DEFAULT_LEVEL) -> tuple[float, float]:
     """Symmetric normal interval center -/+ z_crit * sd at the given level."""
-    if not (0.0 < level < 1.0):
-        raise DataError(f"level must be in (0,1), got {level!r}")
-    half = critical_z(1.0 - level) * sd
+    half = critical_z(alpha_for_level(level)) * sd
     return center - half, center + half
 
 

@@ -2,9 +2,9 @@
 Lambert W on log x) and root finding used by the analysis modules.
 
 Everything here is a pure function of its arguments and safe to call from
-any number of threads. The one cache is critical_z's: a bounded
-functools.lru_cache over the few significance levels a process uses and
-the p-values fpr has just inverted, which each calibration asks for again.
+any number of threads. The caches are alpha_for_level's and critical_z's:
+bounded functools.lru_caches over the few levels a process uses, their alphas,
+and the p-values fpr has just inverted, which each calibration asks for again.
 norm_quantile runs AS241 itself, so that no process imports the
 statistics module (with fractions and decimal behind it) for one function.
 """
@@ -15,6 +15,8 @@ import math
 import sys
 from typing import Callable
 
+from .errors import DataError
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Largest t with exp(t) finite.
@@ -23,6 +25,7 @@ LOG_MAX = math.log(sys.float_info.max)
 FLOAT_MIN = sys.float_info.min
 # Cap on find_root's steps; from the package's starts Newton needs far fewer.
 _FIND_ROOT_MAX_ITER = 200
+DEFAULT_LEVEL, DEFAULT_ALPHA = 0.95, 0.05   # the alpha is alpha_for_level(DEFAULT_LEVEL)
 
 
 class Branch(enum.Enum):
@@ -126,11 +129,23 @@ def critical_z(alpha: float) -> float:
     return two_sided_z(alpha)
 
 
-def critical_ratio(z: float, alpha: float) -> float:
-    """r = z^2 / z_crit^2. Significant iff r > 1; sceptical g = 1/(r - 1),
-    advocacy m = 2/(1 - r) and fail-safe N = n (r - 1) are closed forms of r."""
+@functools.lru_cache(maxsize=16)
+def alpha_for_level(level: float) -> float:
+    """1 - level for the decimal m / 10^k of the level's shortest repr, as it was written, as
+    (10^k - m) / 10^k in one rounding: 0.05 for 0.95, whose float is 0.9499999999999999556."""
+    mantissa, _, exponent = repr(float(level)).partition("e")
+    scale = 10 ** (len(mantissa.partition(".")[2]) - int(exponent or 0))
+    alpha = (scale - int(mantissa.replace(".", ""))) / scale if 0.0 < level < 1.0 else 1.0
+    if alpha < 1.0:
+        return alpha
+    raise DataError(f"level must be in (0,1), with 1 - level a float below 1, got {level!r}")
+
+
+def critical_excess(z: float, alpha: float) -> float:
+    """r - 1 for r = z^2/z_crit^2, from |z| - z_crit, exact near r = 1 (Sterbenz). Significant
+    iff positive; sceptical g = 1/(r - 1), advocacy m = 2/(1 - r), fail-safe N = n (r - 1)."""
     z_crit = critical_z(alpha)
-    return z * z / (z_crit * z_crit)
+    return (abs(z) - z_crit) / z_crit * ((abs(z) + z_crit) / z_crit)
 
 
 def exp_or_inf(x: float) -> float:

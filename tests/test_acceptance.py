@@ -272,7 +272,7 @@ class TestAcceptance:
             return (mean * math.sqrt(precision)) ** 2 > z_crit ** 2
 
         from revbayes.statfn import critical_z
-        z_crit = critical_z(1.0 - 0.95)   # the alpha of failsafe_n's default level
+        z_crit = critical_z(0.05)   # the alpha of failsafe_n's default level, 0.95
         done = 0
         ok = True
         while done < 100:

@@ -11,9 +11,9 @@ from revbayes.ancred import (advocacy_prior,
                              sceptical_analysis, sceptical_relative_variance,
                              scepticism_limit)
 from revbayes.errors import NonexistenceError
-from revbayes.meta import forward_update
-from revbayes.model import EffectEstimate, NormalPrior, ci_limits
-from revbayes.statfn import norm_quantile, two_sided_p
+from revbayes.meta import failsafe_n, forward_update, pool
+from revbayes.model import EffectEstimate, NormalPrior, Study, ci_limits
+from revbayes.statfn import alpha_for_level, critical_z, norm_quantile, two_sided_p
 
 
 def implied_log_or_stats(a, b, c, d):
@@ -52,6 +52,49 @@ class TestScepticalRelativeVariance:
     def test_boundary_rejected(self):
         with pytest.raises(NonexistenceError, match="undefined"):
             sceptical_relative_variance(norm_quantile(0.975), 0.05)
+
+
+class TestSignificanceBoundary:
+    """Near |z| = z_crit, where r - 1 would cancel, on both sides."""
+
+    def test_last_digits_against_mpmath(self):
+        # g, tau^2, S and the fail-safe N (r > 1), and m (r < 1), within 4 ulp
+        # of mpmath for |r - 1| from 1e-15 to 0.2, taking the package's z_crit
+        # as input: it is itself within half an ulp, which moves g by up to
+        # about 1/(r - 1) ulp. se is a power of two, so z = (z se) / se exactly
+        rng = random.Random(31)
+        worst = dict.fromkeys(["g", "tau2", "limit", "n", "m"], 0.0)
+        for _ in range(4000):
+            level = rng.choice([0.8, 0.95, 0.99, 0.999999])
+            alpha, se = alpha_for_level(level), 2.0 ** rng.randint(-30, 30)
+            z_crit = critical_z(alpha)
+            target = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, math.log10(0.2))
+            z = rng.choice([-1.0, 1.0]) * z_crit * math.sqrt(1.0 + target)
+            expected = oracles.ancred_fields(z, z_crit, se)
+            if abs(expected["n"]) < 1e-15:
+                continue
+            estimate = EffectEstimate(z * se, se)
+            fsn = failsafe_n(pool([Study("s", estimate=z * se, se=se)]), level)
+            assert fsn.significant == (expected["n"] > 0) == estimate.significant(alpha)
+            if fsn.significant:
+                sceptical = sceptical_analysis(estimate, alpha)
+                got = {"g": sceptical.g, "tau2": sceptical.tau2, "limit": sceptical.limit,
+                       "n": fsn.n_exact}
+            else:
+                got = {"m": advocacy_prior(estimate, alpha).m}
+            for name, value in got.items():
+                worst[name] = max(worst[name], oracles.ulps(value, expected[name]))
+        assert max(worst.values()) <= 4.0, worst
+
+    def test_messages_at_the_boundary_agree(self):
+        # |z| == z_crit is not significant; neither prior exists, and the
+        # advocacy message says why without calling the finding significant
+        estimate = EffectEstimate(critical_z(0.05), 1.0)
+        assert not estimate.significant(0.05)
+        with pytest.raises(NonexistenceError, match="finding not significant"):
+            sceptical_analysis(estimate, 0.05)
+        with pytest.raises(NonexistenceError, match="finding on the significance boundary"):
+            advocacy_prior(estimate, 0.05)
 
 
 class TestScepticismLimit:

@@ -1249,6 +1249,35 @@ class TestPackage:
         import revbayes.meta
         assert revbayes.read_study_table is revbayes.meta.read_study_table
 
+    def test_one_level_and_boundary_decision(self):
+        # statfn alone turns a level into alpha (alpha_for_level) and decides
+        # the side of the critical z (critical_excess): no other module
+        # subtracts a level from 1, and critical_ratio does not come back
+        subtractions = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+                        if path.name != "statfn.py"
+                        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                        and isinstance(node.left, ast.Constant) and node.left.value == 1
+                        and "level" in ast.unparse(node.right).lower()]
+        assert subtractions == []
+        assert [path.name for path in sorted(SRC.glob("*.py"))
+                if "critical_ratio" in path.read_text(encoding="utf-8")] == []
+
+    @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, json_flag):
+        # a 5 000-study report, past a pipe's buffer, whose reader closes after one
+        # line: exit 141, as for a process that SIGPIPE ends, and no traceback
+        table = tmp_path / "large.csv"
+        table.write_text("id,estimate,se\n" + "".join(f"S{i},-0.{i % 9 + 1},0.5\n"
+                                                      for i in range(5000)))
+        proc = subprocess.Popen([sys.executable, "-m", "revbayes", *json_flag, "meta", str(table)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
+                                env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        with proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+
 
 class TestDriver:
     def test_usage_errors_exit_one(self, capsys):
@@ -1333,6 +1362,17 @@ class TestDriver:
                 "log_or"] == float(value)
         assert run(["ancred", "--estimate", "-e5", "--se", "1"]) == 1
         assert "expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level, code", [("1e-17", 2), ("0.9999999999", 0), ("5e-324", 2)])
+    def test_extreme_levels(self, capsys, level, code):
+        # below about 1.1e-16, 1 - level rounds to 1: a data error, not a traceback
+        for argv in (["meta", DATA], ["ancred", "--estimate", "-0.53", "--se", "0.145"],
+                     ["ancred", "--lower", "-0.96", "--upper", "0.29"],
+                     ["bf", "--estimate", "-0.53", "--se", "0.145"]):
+            assert run(["--level", level, *argv]) == code, argv
+            assert capsys.readouterr().err == ("" if code == 0 else
+                                               "data error: level must be in (0,1), with "
+                                               f"1 - level a float below 1, got {level}\n")
 
     def test_level_flag_changes_interval(self, capsys):
         wide = run_json(capsys, ["--json", "--level", "0.99", "meta", DATA])

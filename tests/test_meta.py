@@ -286,14 +286,14 @@ class TestFailSafeN:
         # pooled z exactly at the critical value failsafe_n compares with at
         # level 0.95: not significant (se is a power of two, so the
         # arithmetic is exact and r = 1)
-        z_crit = critical_z(1.0 - 0.95)
+        z_crit = critical_z(0.05)
         result = failsafe_n(pool([Study("edge", estimate=z_crit * 0.25, se=0.25)]))
         assert not result.significant
         above = math.nextafter(z_crit, math.inf) * 0.25
         assert failsafe_n(pool([Study("edge", estimate=above, se=0.25)])).significant
 
     def test_rejects_impossible_level(self, meta_result):
-        with pytest.raises(ValueError, match="alpha must be in"):
+        with pytest.raises(DataError, match=r"level must be in \(0,1\).* got -0.5"):
             failsafe_n(meta_result, level=-0.5)
 
     def test_brute_force_augmentation(self, meta_result):

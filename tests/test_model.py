@@ -166,9 +166,10 @@ class TestCiLimits:
         assert back.se == pytest.approx(se, rel=1e-12)
 
     def test_from_ci_near_the_float_limits(self):
-        # halves where lower + upper or upper - lower overflows; no se past the float range
-        assert EffectEstimate.from_ci(1e308, 1.7e308) == (1.35e308, 1.785747099236289e307)
-        assert EffectEstimate.from_ci(-1.7e308, 1.7e308) == (0.0, 8.673628767719118e307)
+        # halves where lower + upper or upper - lower overflows; no se past the float range.
+        # The se bits are those of the default level's alpha, 0.05
+        assert EffectEstimate.from_ci(1e308, 1.7e308) == (1.35e308, 1.7857470992362882e307)
+        assert EffectEstimate.from_ci(-1.7e308, 1.7e308) == (0.0, 8.673628767719115e307)
         # but the sum where it is finite: halves of subnormal limits round (to 1e-323 here)
         assert EffectEstimate.from_ci(5e-324, 2.5e-323) == (1.5e-323, 5e-324)
         for lower, upper in [(1.0, 1.0), (1.0, 0.0)]:

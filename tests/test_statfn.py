@@ -1,14 +1,16 @@
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from revbayes.statfn import (LOG_MAX, Branch, critical_ratio, critical_z,
-                             exp_or_inf, find_root, lambert_w_log,
-                             norm_quantile, two_sided_p)
+from revbayes.errors import DataError
+from revbayes.statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, LOG_MAX, Branch, alpha_for_level,
+                             critical_excess, critical_z, exp_or_inf, find_root,
+                             lambert_w_log, norm_quantile, two_sided_p)
 
 
 class TestNormQuantile:
@@ -75,12 +77,43 @@ class TestCriticalZ:
             critical_z(alpha)
 
 
-class TestCriticalRatio:
+class TestCriticalExcess:
     @given(st.floats(min_value=-40, max_value=40),
            st.sampled_from([0.5, 0.2, 0.1, 0.05, 0.01, 0.005]))
     def test_decides_significance_like_the_squares(self, z, alpha):
-        # for positive floats a > b exactly when fl(a / b) > 1
-        assert (critical_ratio(z, alpha) > 1.0) == (z ** 2 > critical_z(alpha) ** 2)
+        # |z| - z_crit rounds to 0 only where it is 0, and never changes sign
+        assert (critical_excess(z, alpha) > 0.0) == (z ** 2 > critical_z(alpha) ** 2)
+
+
+# decimal texts in (0, 1) of up to 15 significant digits, each its float's
+# shortest repr, and the shortest reprs (up to 17 digits) of floats in (0, 1)
+_LEVEL_TEXTS = st.one_of(
+    st.integers(1, 15).flatmap(lambda k: st.integers(1, 10 ** k - 1).map(
+        lambda m: f"0.{m:0{k}d}")),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr))
+
+
+class TestAlphaForLevel:
+    @given(_LEVEL_TEXTS)
+    def test_one_minus_the_decimal_rounded_once(self, text):
+        expected = float(1 - Fraction(text))
+        if expected < 1.0:
+            assert alpha_for_level(float(text)) == expected
+        else:   # 1 - level rounds to 1: no alpha
+            with pytest.raises(DataError, match="level must be in"):
+                alpha_for_level(float(text))
+
+    def test_default(self):
+        assert DEFAULT_ALPHA == alpha_for_level(DEFAULT_LEVEL) == 0.05
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, 1e300, math.inf, math.nan,
+                                       1e-17, 5e-324])
+    def test_rejects_levels_without_an_alpha(self, level):
+        with pytest.raises(DataError, match="level must be in"):
+            alpha_for_level(level)
+
+    def test_cache_is_bounded(self):
+        assert alpha_for_level.cache_info().maxsize is not None
 
 
 class TestTwoSidedP:
