@@ -148,15 +148,15 @@ def pool(rows):
     return float(mean), float(precision)
 
 
-def ancred_fields(z, z_crit, se=1.0, n=1) -> dict:
+def ancred_fields(z, z_crit, se=1.0) -> dict:
     """The sceptical g, tau^2 = g se^2 and limit S = z_crit tau, the advocacy
-    m and the fail-safe N of a finding z, as mpfs, from r - 1 = (z/z_crit)^2 - 1
-    with z and z_crit taken as exact."""
+    m and the fail-safe N of one study (r - 1) of a finding z, as mpfs, from
+    r - 1 = (z/z_crit)^2 - 1 with z and z_crit taken as exact."""
     z_crit = mpmath.mpf(z_crit)
     excess = (mpmath.mpf(z) / z_crit) ** 2 - 1
     tau2 = mpmath.mpf(se) ** 2 / excess
     return {"g": 1 / excess, "tau2": tau2, "limit": z_crit * mpmath.sqrt(tau2),
-            "m": -2 / excess, "n": n * excess}
+            "m": -2 / excess, "n": excess}
 
 
 def ulps(x: float, reference) -> float:

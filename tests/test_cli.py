@@ -1276,7 +1276,11 @@ class TestPackage:
         with proc:
             assert proc.stdout.readline()
             proc.stdout.close()
-            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+            try:
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()   # a no-op once it has exited
+            assert (code, proc.stderr.read()) == (141, b"")
 
 
 class TestDriver:
