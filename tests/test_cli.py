@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import pins
 import revbayes
 from revbayes import bundled_dataset_path, cli
 from revbayes.cli import render_json, run, write_json
@@ -101,6 +102,42 @@ def renders_as_json_dumps(monkeypatch):
         assert text == expected
         write(text)
     monkeypatch.setattr(cli, "write_json", checked)
+
+
+_PINS = pins.load()
+
+
+@pytest.fixture(autouse=True)
+def pinned_outputs(request, monkeypatch):
+    """The output pins, on each test that pins.PATH names: every command the
+    test runs through `run` is hashed as it runs, and after the test the
+    digests are checked against the file, or handed to repin.py's recorder."""
+    name = request.node.nodeid.split("::", 1)[1]
+    if name not in _PINS["tests"]:
+        yield
+        return
+    tmp = str(request.getfixturevalue("tmp_path"))
+    runs = []
+
+    def recorded(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        sys.stdout.write(out.getvalue())
+        sys.stderr.write(err.getvalue())
+        command, *texts = (text.replace(tmp, pins.TMP)
+                           for text in (shlex.join(argv), out.getvalue(), err.getvalue()))
+        runs.append((command, pins.digest(command, code, *texts)))
+        return code
+
+    monkeypatch.setattr(request.module, "run", recorded)
+    yield
+    recorders = [plugin for plugin in request.config.pluginmanager.get_plugins()
+                 if isinstance(plugin, pins.Recorder)]
+    if recorders:
+        recorders[0].runs[name] = runs
+    elif failure := pins.check(name, runs, _PINS):
+        pytest.fail(failure, pytrace=False)
 
 
 class TestReadStudyTable:
