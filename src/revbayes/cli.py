@@ -11,7 +11,7 @@ import math
 import os
 import re
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, is_, sub, truediv
 
 try:   # the json package's C encoder, without importing the package and its decoder
@@ -84,8 +84,9 @@ def render_json(value) -> str:
     lists of both the value and a _Table's row layout. A _Table declares
     which slots of its rows share a column, so that is not inferred from the
     rows' key sets, lengths and float identities: the walk over its layout
-    gives one %-template, and the table is written _BLOCK rows at a time,
-    each column of a block formatted once, however many slots share it.
+    gives the literal pieces between its slots, and the table is written
+    _BLOCK rows at a time, each column of a block formatted once, however
+    many slots share it, and each block joined once from pieces and columns.
     write_json writes each text as the walker yields it. A non-finite float
     becomes the string of its repr ("inf", "-inf" or "nan"), where json.dumps
     would write the non-standard Infinity and NaN tokens; null keeps its
@@ -162,39 +163,38 @@ def _texts(value, newline: str, leaf):
 
 
 def _value_texts(value, newline: str):
-    """The texts of a scalar, or of a _Table as the list of its blocks. A
-    row is the %-template of the table's layout at the blocks' depth: the
-    walk over it with a NUL at each slot, which encode_basestring_ascii
-    escapes anywhere else."""
+    """The texts of a scalar, or of a _Table as the list of its blocks. Its
+    row layout is walked once at the blocks' depth with a NUL at each slot,
+    which encode_basestring_ascii escapes anywhere else, and split there."""
     kind = type(value)
     if kind is _Table:
         slots: list = []   # (column index, newline) of each slot
         text = "".join(_texts(value.layout, newline + "  ",
                               lambda index, depth: slots.append((index, depth)) or "\0"))
-        template = text.replace("%", "%%").replace("\0", "%s")
         blocks = list(range(0, len(value), _BLOCK))
-        return _texts(blocks, newline, functools.partial(_block_texts, value, template, slots))
+        return _texts(blocks, newline, functools.partial(_block_texts, value,
+                                                         text.split("\0"), slots))
     encode = _JSON_SCALARS.get(kind)
     if encode is None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return (encode(value),)
 
 
-def _block_texts(table: _Table, template: str, slots: list, start: int, newline: str):
-    """The rows of `table` from `start` on, _BLOCK at most, by the row
-    template and its slots, separated as _texts separates list items at the
-    depth of `newline`."""
+def _block_texts(table: _Table, pieces: list, slots: list, start: int, newline: str):
+    """The rows of `table` from `start` on, _BLOCK at most, as one text: the
+    pieces of the row layout interleaved with the slots' column texts, and
+    each row after the first led by "," and `newline`, as _texts separates
+    list items at that depth."""
+    rows = min(_BLOCK, len(table) - start)
     formatted: dict = {}   # column index, or (index, newline) for depth-bound texts
-    args = []
-    for index, depth in slots:
+    parts = [[pieces[0]] + ["," + newline + pieces[0]] * (rows - 1)]
+    for (index, depth), piece in zip(slots, pieces[1:]):
         texts = formatted.get(index) or formatted.get((index, depth))
         if texts is None:
             texts, nested = _column_texts(table.columns[index][start:start + _BLOCK], depth)
             formatted[(index, depth) if nested else index] = texts
-        args.append(texts)
-    block = (map(template.__mod__, zip(*args)) if args
-             else [template % ()] * min(_BLOCK, len(table) - start))
-    return (("," + newline).join(block),)
+        parts += (texts, repeat(piece))
+    return ("".join(chain.from_iterable(zip(*parts))),)
 
 
 def _column_texts(items, newline: str) -> tuple[list, bool]:

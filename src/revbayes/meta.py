@@ -137,21 +137,41 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
             f"precision 1/se^2 is outside the floating-point range")
     precisions = [1.0 / (s * s) for s in se]
 
-    before = [(0.0, 0.0)]
-    for t, precision in zip(theta, precisions):
-        before.append(_combine(*before[-1], t, precision))
-    if not 0.0 < before[-1][1] < math.inf:   # 0 where every se * se overflows
+    # Both passes are _combine written out on floats, its branches and order
+    # of operations kept: a call and a tuple per study cost most of their time.
+    mean = precision = 0.0
+    before_mean, before_precision = [], []   # the pool of the studies before each
+    for t, w in zip(theta, precisions):
+        before_mean.append(mean)
+        before_precision.append(precision)
+        if precision == 0.0:
+            mean, precision = t, w
+        elif w != 0.0:
+            mean, precision = (mean * precision + t * w) / (precision + w), precision + w
+    if not 0.0 < precision < math.inf:   # 0 where every se * se overflows
         raise NonexistenceError(
             f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
             f"{len(studies)} studies, is outside the floating-point range")
-    pooled = PosteriorSummary(*before.pop())
+    pooled = PosteriorSummary(mean, precision)
 
-    loo = []
-    after = (0.0, 0.0)
-    for t, precision, prefix in zip(reversed(theta), reversed(precisions), reversed(before)):
-        loo.append(_combine(*prefix, *after))
-        after = _combine(*after, t, precision)
-    loo_mean, loo_precision = zip(*reversed(loo))
+    loo_mean, loo_precision = [], []
+    mean = precision = 0.0   # the pool of the studies after each
+    for t, w, m, k in zip(reversed(theta), reversed(precisions),
+                          reversed(before_mean), reversed(before_precision)):
+        if k == 0.0:
+            loo_mean.append(mean)
+            loo_precision.append(precision)
+        elif precision == 0.0:
+            loo_mean.append(m)
+            loo_precision.append(k)
+        else:
+            loo_mean.append((m * k + mean * precision) / (k + precision))
+            loo_precision.append(k + precision)
+        if precision == 0.0:
+            mean, precision = t, w
+        elif w != 0.0:
+            mean, precision = (mean * precision + t * w) / (precision + w), precision + w
+    loo_mean, loo_precision = tuple(reversed(loo_mean)), tuple(reversed(loo_precision))
     # the prior-predictive conflict check of each study against its leave-one-out prior
     t_box = tuple((t - m) / math.sqrt(s * s + 1.0 / k) if k > 0.0 else math.nan
                   for t, s, m, k in zip(theta, se, loo_mean, loo_precision))

@@ -853,11 +853,12 @@ class TestRenderJson:
 
     def test_report_memory(self, monkeypatch, tmp_path):
         # A 10 000-study report, less its text in the captured stdout, peaks
-        # at 5.27-5.34 MB traced, its per-study rows written from pool's
-        # columns; built as 10 000 nested row dicts, it took 14.0-14.2 MB. The
-        # peak is in the rendering, after the study table is freed. The bound
-        # leaves a 15 % margin over 5.34 MB. The gate would hold whole texts:
-        # the real seam runs.
+        # at 5.21-5.28 MB traced, its per-study rows joined from pool's
+        # columns a block at a time (5.27-5.34 MB when each row was a
+        # %-format); built as 10 000 nested row dicts, it took 14.0-14.2 MB.
+        # The peak is in the rendering, after the study table is freed. The
+        # bound leaves a 15 % margin over 5.34 MB. The gate would hold whole
+        # texts: the real seam runs.
         monkeypatch.setattr(cli, "write_json", write_json)
         table = _counts_table(tmp_path, 10_000)
         out = io.StringIO()

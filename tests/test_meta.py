@@ -220,6 +220,17 @@ class TestPool:
               {"estimate": 0.2, "se": 1e-200}])
     # se * se overflows, so 1/se^2 and the pooled precision are 0
     @example([{"estimate": 0.0, "se": 1.3407807929942597e+154}])
+    # a study of precision 1/se^2 = 0.0 first, in the middle and last, and a
+    # table whose only positive precision is its last study's: each takes
+    # one of the passes' zero-precision branches
+    @example([{"estimate": 0.3, "se": 1e300}, {"estimate": 0.1, "se": 0.2},
+              {"estimate": -0.2, "se": 0.5}])
+    @example([{"estimate": 0.1, "se": 0.2}, {"estimate": 0.3, "se": 1e300},
+              {"estimate": -0.2, "se": 0.5}])
+    @example([{"estimate": 0.1, "se": 0.2}, {"estimate": -0.2, "se": 0.5},
+              {"estimate": 0.3, "se": 1e300}])
+    @example([{"estimate": 0.3, "se": 1e300}, {"estimate": -0.4, "se": 1e301},
+              {"estimate": 0.1, "se": 0.2}])
     def test_same_as_record_by_record(self, rows):
         # the error of the first bad study, or every column bit for bit
         studies = [Study(str(i), **row) for i, row in enumerate(rows)]
