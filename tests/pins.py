@@ -15,8 +15,6 @@ import platform
 
 PATH = pathlib.Path(__file__).with_name("pinned_outputs.json")
 TMP = "<tmp>"
-# the name under which repin.py registers its recorder with pytest
-RECORDER = "revbayes-repin"
 
 
 def here() -> dict:
@@ -55,10 +53,12 @@ def check(name: str, runs: list, pins: dict) -> str | None:
     lines = moved(runs, pins["tests"][name])
     if not lines:
         return None
-    shown = lines[:20] + ([f"... and {len(lines) - 20} more"] if len(lines) > 20 else [])
-    return "\n".join(list(filter(None, [platform_change(pins)]))
-                     + [f"{len(lines)} of {len(runs)} commands of {name} moved from "
-                        f"{PATH.name} (rewrite it with python tests/repin.py):"] + shown)
+    head = [f"{len(lines)} of {len(runs)} commands of {name} moved from {PATH.name} "
+            f"(rewrite it with python tests/repin.py):"]
+    if change := platform_change(pins):
+        head.insert(0, change)
+    more = [f"... and {len(lines) - 20} more"] if len(lines) > 20 else []
+    return "\n".join(head + lines[:20] + more)
 
 
 class Recorder:
