@@ -77,13 +77,11 @@ def reverse_update(posterior: PosteriorSummary,
                    estimate: EffectEstimate) -> PosteriorSummary:
     """Invert one updating step: the prior that produced this posterior."""
     kappa = estimate.precision
-    prior_precision = posterior.precision - kappa
-    if prior_precision <= 0.0:
+    if posterior.precision - kappa <= 0.0:   # _combine divides by that sum
         raise NonexistenceError(
             "posterior precision not greater than observational precision")
-    prior_mean = (posterior.mean * posterior.precision
-                  - estimate.theta_hat * kappa) / prior_precision
-    return PosteriorSummary(prior_mean, prior_precision)
+    return PosteriorSummary(*_combine(posterior.mean, posterior.precision,
+                                      estimate.theta_hat, -kappa))
 
 
 class StudyTable(Sequence):

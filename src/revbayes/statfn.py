@@ -5,8 +5,9 @@ Everything here is a pure function of its arguments and safe to call from
 any number of threads. The caches are alpha_for_level's and critical_z's:
 bounded functools.lru_caches over the few levels a process uses, their alphas,
 and the p-values fpr has just inverted, which each calibration asks for again.
-norm_quantile runs AS241 itself, so that no process imports the
-statistics module (with fractions and decimal behind it) for one function.
+norm_quantile calls the standard library's C AS241 from _statistics, so that
+no process imports the statistics module (with fractions and decimal behind
+it) for one function.
 """
 
 import enum
@@ -16,6 +17,11 @@ import sys
 from typing import Callable
 
 from .errors import DataError
+
+try:   # the C AS241 behind NormalDist().inv_cdf, without importing statistics
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:   # an interpreter built without _statistics, such as PyPy
+    from statistics import _normal_dist_inv_cdf
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -46,68 +52,11 @@ def norm_pdf(x: float) -> float:
 
 def norm_quantile(p: float) -> float:
     """Inverse standard normal CDF, by Wichura's AS241 (Appl. Stat. 37:477,
-    1988): the statistics module's rational approximations with its
-    operations in the same order, so the bits are NormalDist().inv_cdf's."""
-    if not (0.0 < p < 1.0):
+    1988): the standard library's own routine, so the bits are
+    NormalDist().inv_cdf's."""
+    if not (0.0 < p < 1.0):   # the C routine checks nothing: nan in, nan out
         raise ValueError(f"norm_quantile requires 0 < p < 1, got {p!r}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.50908_09287_30122_6727e+3 * r +
-                     3.34305_75583_58812_8105e+4) * r +
-                     6.72657_70927_00870_0853e+4) * r +
-                     4.59219_53931_54987_1457e+4) * r +
-                     1.37316_93765_50946_1125e+4) * r +
-                     1.97159_09503_06551_4427e+3) * r +
-                     1.33141_66789_17843_7745e+2) * r +
-                     3.38713_28727_96366_6080e+0) * q
-        den = (((((((5.22649_52788_52854_5610e+3 * r +
-                     2.87290_85735_72194_2674e+4) * r +
-                     3.93078_95800_09271_0610e+4) * r +
-                     2.12137_94301_58659_5867e+4) * r +
-                     5.39419_60214_24751_1077e+3) * r +
-                     6.87187_00749_20579_0830e+2) * r +
-                     4.23133_30701_60091_1252e+1) * r +
-                     1.0)
-        return num / den
-    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
-    if r <= 5.0:
-        r = r - 1.6
-        num = (((((((7.74545_01427_83414_07640e-4 * r +
-                     2.27238_44989_26918_45833e-2) * r +
-                     2.41780_72517_74506_11770e-1) * r +
-                     1.27045_82524_52368_38258e+0) * r +
-                     3.64784_83247_63204_60504e+0) * r +
-                     5.76949_72214_60691_40550e+0) * r +
-                     4.63033_78461_56545_29590e+0) * r +
-                     1.42343_71107_49683_57734e+0)
-        den = (((((((1.05075_00716_44416_84324e-9 * r +
-                     5.47593_80849_95344_94600e-4) * r +
-                     1.51986_66563_61645_71966e-2) * r +
-                     1.48103_97642_74800_74590e-1) * r +
-                     6.89767_33498_51000_04550e-1) * r +
-                     1.67638_48301_83803_84940e+0) * r +
-                     2.05319_16266_37758_82187e+0) * r +
-                     1.0)
-    else:
-        r = r - 5.0
-        num = (((((((2.01033_43992_92288_13265e-7 * r +
-                     2.71155_55687_43487_57815e-5) * r +
-                     1.24266_09473_88078_43860e-3) * r +
-                     2.65321_89526_57612_30930e-2) * r +
-                     2.96560_57182_85048_91230e-1) * r +
-                     1.78482_65399_17291_33580e+0) * r +
-                     5.46378_49111_64114_36990e+0) * r +
-                     6.65790_46435_01103_77720e+0)
-        den = (((((((2.04426_31033_89939_78564e-15 * r +
-                     1.42151_17583_16445_88870e-7) * r +
-                     1.84631_83175_10054_68180e-5) * r +
-                     7.86869_13114_56132_59100e-4) * r +
-                     1.48753_61290_85061_48525e-2) * r +
-                     1.36929_88092_27358_05310e-1) * r +
-                     5.99832_20655_58879_37690e-1) * r +
-                     1.0)
-    return -(num / den) if q < 0.0 else num / den
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def two_sided_z(alpha: float) -> float:

@@ -1068,9 +1068,9 @@ class TestPackage:
         assert proc.stdout.split() == ["False", "False"]
 
     def test_cli_import_loads_only_what_it_runs(self):
-        # norm_quantile runs AS241 itself; the encoder is _json's; csv, model,
-        # meta, ancred, bf and fpr load with their subcommands; no module of
-        # the package imports __future__
+        # norm_quantile calls _statistics' C AS241, not statistics; the encoder
+        # is _json's; csv, model, meta, ancred, bf and fpr load with their
+        # subcommands; no module of the package imports __future__
         unloaded = ["statistics", "fractions", "decimal", "json", "csv", "revbayes.model",
                     "revbayes.meta", "revbayes.ancred", "revbayes.bf", "revbayes.fpr",
                     "__future__"]

@@ -125,6 +125,14 @@ class TestReverseUpdate:
         with pytest.raises(NonexistenceError, match="posterior precision"):
             reverse_update(post, est)
 
+    @pytest.mark.parametrize("mean, precision", [(-0.004464116353255812, 1.2822559176797582e42),
+                                                 (-6.47251827704208e275, 1.265911604008668e80)])
+    def test_flat_study_leaves_the_posterior(self, mean, precision):
+        # se = 1e300 has precision 0.0, which forward_update's pool skips; so does its inverse,
+        # where mean * precision / precision would be off by an ulp or overflow
+        est = EffectEstimate(0.1, 1e300)
+        assert reverse_update(PosteriorSummary(mean, precision), est) == (mean, precision)
+
     @pytest.mark.parametrize("se", [1e-200, 1e-160])
     def test_precision_past_the_float_range(self, se):
         with pytest.raises(NonexistenceError, match="precision 1/se"):

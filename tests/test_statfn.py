@@ -1,17 +1,27 @@
 import math
+import os
+import pathlib
 import random
 import statistics
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import revbayes
 from revbayes.errors import DataError
 from revbayes.statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, LOG_MAX, Branch, alpha_for_level,
                              critical_excess, critical_z, exp_or_inf, find_root,
                              lambert_w_log, norm_quantile, two_sided_p)
 
+# AS241's branch edges: q = p - 1/2 = -/+0.425, r = sqrt(-log p) = 5, the extremes; each
+# with its neighbours one ulp away, inside (0, 1)
+_EDGE_PS = [x for e in (0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0), 2.0 ** -1074,
+                        1.0 - 2.0 ** -53)
+            for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)) if 0.0 < x < 1.0]
 
 class TestNormQuantile:
     def test_median(self):
@@ -28,7 +38,8 @@ class TestNormQuantile:
             assert oracles.phi(norm_quantile(p)) == pytest.approx(p, abs=1e-10)
 
     def test_rejects_boundaries(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        # the C routine checks nothing, and gives nan for nan
+        for p in (0.0, 1.0, -0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
                 norm_quantile(p)
 
@@ -37,19 +48,29 @@ class TestNormQuantile:
         assert norm_quantile(p) == pytest.approx(oracles.norm_quantile(p), rel=1e-10, abs=0)
 
     def test_bits_of_statistics_inv_cdf(self):
-        # the package runs AS241 itself, with the standard library's bits
+        # the reference: norm_quantile gives NormalDist().inv_cdf's bits
         inv_cdf = statistics.NormalDist().inv_cdf
         rng = random.Random(241)
         ps = [rng.random() for _ in range(40_000)]
         ps += [math.exp(rng.uniform(math.log(5e-324), 0.0)) for _ in range(40_000)]
         ps += [1.0 - math.exp(rng.uniform(math.log(1e-16), 0.0)) for _ in range(40_000)]
-        # branch edges: q = p - 1/2 = -/+0.425, r = sqrt(-log p) = 5, the extremes
-        edges = [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0), 2.0 ** -1074,
-                 1.0 - 2.0 ** -53]
-        ps += [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))]
+        ps += _EDGE_PS
         ps = [p for p in ps if 0.0 < p < 1.0]
         assert len(ps) >= 100_000
         assert [p for p in ps if norm_quantile(p) != inv_cdf(p)] == []
+
+    def test_fallback_without_the_extension(self):
+        # an interpreter without _statistics, such as PyPy, takes statistics' Python AS241
+        code = ("import sys; sys.modules['_statistics'] = None; "
+                "from revbayes import statfn; "
+                "print(statfn._normal_dist_inv_cdf.__module__); "
+                f"print([statfn.norm_quantile(p).hex() for p in {_EDGE_PS!r}])")
+        src = pathlib.Path(revbayes.__file__).parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "statistics", repr([norm_quantile(p).hex() for p in _EDGE_PS])]
 
 
 class TestCriticalZ:
