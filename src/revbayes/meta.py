@@ -3,6 +3,7 @@ leave-one-out priors, prior-predictive conflict checks, and fail-safe N."""
 
 import math
 from collections.abc import Sequence
+from itertools import repeat
 from operator import le, truediv
 from typing import NamedTuple
 
@@ -53,15 +54,33 @@ class FailSafeResult(NamedTuple):
     reason: str | None = None
 
 
-def _combine(mean_a: float, precision_a: float,
-             mean_b: float, precision_b: float) -> tuple[float, float]:
-    """Precision-weighted pool of two normal summaries; zero precision is flat."""
-    if precision_a == 0.0:
-        return mean_b, precision_b
-    if precision_b == 0.0:
-        return mean_a, precision_a
-    precision = precision_a + precision_b
-    return (mean_a * precision_a + mean_b * precision_b) / precision, precision
+def _running_pool(theta, precisions, prior_mean=None, prior_precision=None,
+                  start=(0.0, 0.0)):
+    """Precision-weighted pooling of the studies' columns, in order, into a
+    running (mean, precision) from the start summary; precision 0.0 is flat.
+    Returns, for each study, the running pool before it pooled with its prior
+    from the prior columns (flat by default), and then the pool of all the
+    studies. It runs on local floats: a call and a tuple per study would cost
+    most of its time."""
+    if prior_mean is None:
+        prior_mean = prior_precision = repeat(0.0)
+    mean, precision = start
+    out_mean, out_precision = [], []
+    for t, w, m, k in zip(theta, precisions, prior_mean, prior_precision):
+        if k == 0.0:
+            out_mean.append(mean)
+            out_precision.append(precision)
+        elif precision == 0.0:
+            out_mean.append(m)
+            out_precision.append(k)
+        else:
+            out_mean.append((m * k + mean * precision) / (k + precision))
+            out_precision.append(k + precision)
+        if precision == 0.0:
+            mean, precision = t, w
+        elif w != 0.0:
+            mean, precision = (mean * precision + t * w) / (precision + w), precision + w
+    return out_mean, out_precision, mean, precision
 
 
 def forward_update(prior_mean: float, prior_precision: float,
@@ -69,19 +88,19 @@ def forward_update(prior_mean: float, prior_precision: float,
     """One step of conjugate normal updating; zero precision is a flat prior."""
     if prior_precision < 0.0:
         raise DataError(f"prior precision must be nonnegative, got {prior_precision!r}")
-    return PosteriorSummary(*_combine(prior_mean, prior_precision,
-                                      estimate.theta_hat, estimate.precision))
+    return PosteriorSummary(*_running_pool((estimate.theta_hat,), (estimate.precision,),
+                                           start=(prior_mean, prior_precision))[2:])
 
 
 def reverse_update(posterior: PosteriorSummary,
                    estimate: EffectEstimate) -> PosteriorSummary:
     """Invert one updating step: the prior that produced this posterior."""
     kappa = estimate.precision
-    if posterior.precision - kappa <= 0.0:   # _combine divides by that sum
+    if posterior.precision - kappa <= 0.0:   # the pool divides by that sum
         raise NonexistenceError(
             "posterior precision not greater than observational precision")
-    return PosteriorSummary(*_combine(posterior.mean, posterior.precision,
-                                      estimate.theta_hat, -kappa))
+    return PosteriorSummary(*_running_pool((estimate.theta_hat,), (-kappa,),
+                                           start=posterior)[2:])
 
 
 class StudyTable(Sequence):
@@ -105,13 +124,14 @@ class StudyTable(Sequence):
 def pool(studies: StudyTable | list[Study]) -> MetaResult:
     """Fixed-effect pooling by iterated forward updating from a flat prior.
 
-    Each study's leave-one-out prior pools the studies before it (a forward
-    pass) with the studies after it (a backward pass), so no study is
-    subtracted back out of the pooled posterior. The work runs on columns:
-    a StudyTable's own, or a list of Study transposed once, and the floats
-    that theta_se, which never raises, maps them to. If a z or se is not
-    finite, each study builds its estimate in table order, so the first bad
-    one raises the error that Study.effect_estimate gives it, naming it.
+    _running_pool runs forward, for the pooled posterior and the pool of the
+    studies before each study, then backward with those pools as priors: each
+    study's leave-one-out prior pools the studies before it with those after
+    it, so no study is subtracted back out of the pooled posterior. The work
+    runs on columns: a StudyTable's own, or a list of Study transposed once,
+    and the floats that theta_se, which never raises, maps them to. If a z or
+    se is not finite, each study builds its estimate in table order, so the
+    first bad one raises the error that Study.effect_estimate gives it, naming it.
     """
     columns = studies.columns if isinstance(studies, StudyTable) else tuple(zip(*studies))
     if not columns:
@@ -135,40 +155,15 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
             f"precision 1/se^2 is outside the floating-point range")
     precisions = [1.0 / (s * s) for s in se]
 
-    # Both passes are _combine written out on floats, its branches and order
-    # of operations kept: a call and a tuple per study cost most of their time.
-    mean = precision = 0.0
-    before_mean, before_precision = [], []   # the pool of the studies before each
-    for t, w in zip(theta, precisions):
-        before_mean.append(mean)
-        before_precision.append(precision)
-        if precision == 0.0:
-            mean, precision = t, w
-        elif w != 0.0:
-            mean, precision = (mean * precision + t * w) / (precision + w), precision + w
+    before_mean, before_precision, mean, precision = _running_pool(theta, precisions)
     if not 0.0 < precision < math.inf:   # 0 where every se * se overflows
         raise NonexistenceError(
             f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
             f"{len(studies)} studies, is outside the floating-point range")
     pooled = PosteriorSummary(mean, precision)
-
-    loo_mean, loo_precision = [], []
-    mean = precision = 0.0   # the pool of the studies after each
-    for t, w, m, k in zip(reversed(theta), reversed(precisions),
-                          reversed(before_mean), reversed(before_precision)):
-        if k == 0.0:
-            loo_mean.append(mean)
-            loo_precision.append(precision)
-        elif precision == 0.0:
-            loo_mean.append(m)
-            loo_precision.append(k)
-        else:
-            loo_mean.append((m * k + mean * precision) / (k + precision))
-            loo_precision.append(k + precision)
-        if precision == 0.0:
-            mean, precision = t, w
-        elif w != 0.0:
-            mean, precision = (mean * precision + t * w) / (precision + w), precision + w
+    loo_mean, loo_precision, _, _ = _running_pool(reversed(theta), reversed(precisions),
+                                                  reversed(before_mean),
+                                                  reversed(before_precision))
     loo_mean, loo_precision = tuple(reversed(loo_mean)), tuple(reversed(loo_precision))
     # the prior-predictive conflict check of each study against its leave-one-out prior
     t_box = tuple((t - m) / math.sqrt(s * s + 1.0 / k) if k > 0.0 else math.nan

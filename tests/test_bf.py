@@ -11,7 +11,7 @@ from revbayes import bf, statfn
 from revbayes.bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                          bf01_normal_prior, bf01_sceptical, bf12_sceptical_vs_optimistic,
                          bf_intrinsic, sceptical_g_for_gamma, z_gamma)
-from revbayes.errors import NonexistenceError
+from revbayes.errors import DataError, NonexistenceError
 from revbayes.fpr import min_bf_els, min_bf_local
 from revbayes.model import EffectEstimate, NormalPrior
 
@@ -166,6 +166,11 @@ class TestAdvocacyForGamma:
     def test_zero_estimate(self):
         with pytest.raises(NonexistenceError):
             advocacy_for_gamma(EffectEstimate(0.0, 1.0), 0.5)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, math.nan])
+    def test_bad_gamma(self, cape_covid, gamma):
+        with pytest.raises(DataError, match=r"gamma must be in \(0,1\)"):
+            advocacy_for_gamma(cape_covid, gamma)
 
     @pytest.mark.parametrize("z", [2.29605, -2.29605])
     def test_shallow_minimum_just_below_cutoff(self, z):

@@ -192,8 +192,12 @@ class TestReadStudyTable:
         # a repeated id on line 3 and a bad cell on line 4
         ("id,estimate,se\nA,-0.5,0.2\nA,0.1,0.3\nB,x,0.2\n",
          r"bad\.csv:3: duplicate study id 'A'"),
+        # no header, and a header with no row or only blank ones after it
+        ("", r"bad\.csv: empty file \(header row required\)$"),
+        ("id,estimate,se\n", r"bad\.csv: no data rows$"),
+        ("id,estimate,se\n\n,,\n", r"bad\.csv: no data rows$"),
     ], ids=["cell-before-short-row", "short-row-before-cell", "count-before-non-integer",
-            "repeated-id-before-cell"])
+            "repeated-id-before-cell", "empty-file", "header-only", "blank-rows-only"])
     def test_first_bad_row_is_named(self, tmp_path, rows, message):
         f = tmp_path / "bad.csv"
         f.write_text(rows)
@@ -444,7 +448,10 @@ class TestMetaCommand:
          ": not UTF-8 text: invalid continuation byte"),
         (b"id,estimate,se\nA,0.1,0.2\n" + b"B" * 131073 + b",0.1,0.2\n",
          ":3: field larger than field limit (131072)"),
-    ], ids=["latin-1", "field-limit"])
+        (b"", ": empty file (header row required)"),
+        (b"id,estimate,se\n", ": no data rows"),
+        (b"id,estimate,se\n\n,,\n", ": no data rows"),
+    ], ids=["latin-1", "field-limit", "empty-file", "header-only", "blank-rows-only"])
     def test_unreadable_table_is_a_data_error(self, capsys, tmp_path, content, message):
         f = tmp_path / "bad.csv"
         f.write_bytes(content)
@@ -500,7 +507,13 @@ class TestAncredCommand:
         assert run(["ancred", "--estimate", "-0.5", "--se", "0.2",
                     "--lower", "-1", "--upper", "0"]) == 1
         assert run(["ancred"]) == 1
+        capsys.readouterr()
         assert run(["ancred", "--estimate", "-0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --estimate and --se must be given together\n")
+        assert run(["ancred", "--lower", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --lower and --upper must be given together\n")
 
     def test_human_output(self, capsys):
         assert run(["ancred", "--estimate", "-0.53", "--se", "0.145"]) == 0
@@ -611,6 +624,11 @@ class TestFprCommand:
         out = capsys.readouterr().out
         assert "inf" not in out
         assert "local_z          minBF 0 " in out
+
+    def test_bf_of_one_text(self, capsys):
+        # at p = 0.9, |z| is below 1 and the local-z bound is 1, printed plainly
+        assert run(["fpr", "--p", "0.9"]) == 0
+        assert "local_z          minBF 1 " in capsys.readouterr().out
 
 
 class TestOddsRatioOverflow:
@@ -1300,6 +1318,28 @@ class TestPackage:
         assert subtractions == []
         assert [path.name for path in sorted(SRC.glob("*.py"))
                 if "critical_ratio" in path.read_text(encoding="utf-8")] == []
+
+    def test_one_pooling_routine(self):
+        # meta._running_pool alone pools normal summaries: no module defines
+        # _combine again, and meta writes no weighted mean (a*b + c*d)/(...)
+        # outside it, where a change to the pooling step would miss a copy
+        def weighted_means(tree):
+            return [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+                    and all(isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+                            for term in (node.left.left, node.left.right))]
+
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(SRC.glob("*.py"))}
+        assert [f"{name}:{node.lineno}" for name, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_combine"] == []
+        routine, = [node for node in trees["meta.py"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_running_pool"]
+        assert len(weighted_means(routine)) == 2   # merging the prior, and the step
+        routine.body = []
+        assert weighted_means(trees["meta.py"]) == []
 
     @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
     def test_closed_stdout_ends_quietly(self, tmp_path, json_flag):
