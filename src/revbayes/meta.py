@@ -1,11 +1,14 @@
 """The study-table reader, and fixed-effect meta-analysis of its tables with
 leave-one-out priors, prior-predictive conflict checks, and fail-safe N."""
 
+import io
 import math
 from collections.abc import Sequence
 from itertools import repeat
 from operator import le, truediv
 from typing import NamedTuple
+
+from _csv import field_size_limit   # csv's own; csv loads only for a table that needs it
 
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, PosteriorSummary, Study, theta_se
@@ -88,8 +91,12 @@ def forward_update(prior_mean: float, prior_precision: float,
     """One step of conjugate normal updating; zero precision is a flat prior."""
     if prior_precision < 0.0:
         raise DataError(f"prior precision must be nonnegative, got {prior_precision!r}")
-    return PosteriorSummary(*_running_pool((estimate.theta_hat,), (estimate.precision,),
-                                           start=(prior_mean, prior_precision))[2:])
+    mean, precision = _running_pool((estimate.theta_hat,), (estimate.precision,),
+                                    start=(prior_mean, prior_precision))[2:]
+    if precision == 0.0:   # a flat prior, and a study whose 1/se^2 underflows to 0
+        raise NonexistenceError(f"posterior is flat: the prior is flat and 1/se^2 is 0.0 "
+                                f"for se = {estimate.se!r}")
+    return PosteriorSummary(mean, precision)
 
 
 def reverse_update(posterior: PosteriorSummary,
@@ -129,9 +136,10 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
     study's leave-one-out prior pools the studies before it with those after
     it, so no study is subtracted back out of the pooled posterior. The work
     runs on columns: a StudyTable's own, or a list of Study transposed once,
-    and the floats that theta_se, which never raises, maps them to. If a z or
-    se is not finite, each study builds its estimate in table order, so the
-    first bad one raises the error that Study.effect_estimate gives it, naming it.
+    and the log OR and se columns that theta_se, which never raises, makes of
+    them. If a z or se is not finite, each study builds its estimate in table
+    order, so the first bad one raises the error that Study.effect_estimate
+    gives it, naming it.
     """
     columns = studies.columns if isinstance(studies, StudyTable) else tuple(zip(*studies))
     if not columns:
@@ -143,7 +151,7 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
             if sid in seen:
                 raise DataError(f"study ids must be unique: {sid!r} is repeated")
             seen.add(sid)
-    theta, se = zip(*map(theta_se, *columns[1:]))
+    theta, se = map(tuple, theta_se(*columns[1:]))
     if not (all(map(math.isfinite, map(truediv, theta, se))) and all(map(math.isfinite, se))):
         for study in studies:
             study.effect_estimate()   # the first bad study raises its own error
@@ -197,49 +205,68 @@ _SCHEMAS = (
 
 def read_study_table(path: str) -> StudyTable:
     """Parse a study CSV; the header selects the counts or estimate schema.
-    The table is read and checked as columns; if a check fails, it is read
-    again row by row, which names the first bad row by its line."""
-    import csv   # here, so that only `meta` pays for it in a cold process
+    The table is read and checked as columns; if a check fails, or the text
+    needs csv's rules, it is read again row by row, which names the first bad
+    row by its line."""
     try:
         # utf-8-sig drops the byte order mark that Excel's "CSV UTF-8" writes
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            if (table := _read_columns(csv.reader(fh))) is None:
-                fh.seek(0)
-                table = StudyTable(tuple(zip(*_parse_studies(path, reader := csv.reader(fh)))))
-            return table
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:   # its position is within a block, not the file
+    except UnicodeDecodeError as exc:   # its position leaves out a byte order mark
         raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    if (table := _read_columns(text)) is not None:
+        return table
+    import csv   # here, so that only a table that the column pass cannot read pays for it
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return StudyTable(tuple(zip(*_parse_studies(path, reader))))
     except csv.Error as exc:   # a field past csv.field_size_limit()
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
-def _read_columns(reader) -> StudyTable | None:
-    """The table, read and checked a column at a time. None where a row holds
-    only blanks or fails any check of _parse_studies or Study: _parse_studies,
-    reading row by row, then raises the first bad row's error."""
-    import csv
-    try:
-        header = next(reader, [])
-        # a ValueError unless the header is one schema's
-        (names, parse, _, fields), = [s for s in _SCHEMAS if s[0] == [h.strip() for h in header]]
-        rows = list(filter(None, reader))   # empty lines, which _parse_studies skips too
-        if set(map(len, rows)) != {len(names)}:
-            return None
-        ids, *cells = zip(*rows)
-        del rows   # the row lists, as each column's strings go once it is converted
-        for k in range(len(cells)):
-            cells[k] = list(map(parse, cells[k]))
-    except (ValueError, csv.Error):   # UnicodeDecodeError is a ValueError
+def _read_columns(text: str) -> StudyTable | None:
+    """The table, read and checked a column at a time, with no object per row:
+    the rows are joined and split at their commas at once. None where csv would
+    read the text otherwise (a quote, a NUL, a CR outside a CRLF, or a line
+    past its field size limit), or where a row has another number of cells
+    than the header, holds only blanks or fails any check of _parse_studies
+    or Study: _parse_studies, reading row by row, then gives the table or
+    raises the first bad row's error."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
         return None
-    columns = [list(map(str.strip, ids))] + [[None] * len(ids)] * (len(Study._fields) - 1)
+    lines = text.split("\n")
+    if max(map(len, lines)) > field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    rows = list(filter(None, lines[1:]))   # empty lines, which _parse_studies skips too
+    del lines
+    if (schema := next((s for s in _SCHEMAS if s[0] == header), None)) is None:
+        return None
+    _, parse, _, fields = schema
+    # with a "\n" cell between rows, every row has len(header) cells exactly when
+    # those fall at every step-th cell
+    cells, step = ",\n,".join(rows).split(","), len(header) + 1
+    if len(cells) != len(rows) * step - 1 or cells[step - 1::step].count("\n") != len(rows) - 1:
+        return None
+    del rows
+    ids, *cells = [cells[k::step] for k in range(len(header))]
+    try:
+        for k in range(len(cells)):   # each column's strings go once it is converted
+            cells[k] = list(map(parse, cells[k]))
+    except ValueError:
+        return None
+    ids = list(map(str.strip, ids))
+    columns = [ids] + [[None] * len(ids)] * (len(Study._fields) - 1)
     columns[fields] = cells
     valid = (not any(map((0.0).__ge__, cells[-1])) if parse is float   # se > 0
              # events >= 0, arm sizes > 0 and events <= arm sizes
              else min(map(min, cells[::2])) >= 0 and min(map(min, cells[1::2])) > 0
              and all(map(le, cells[0], cells[1])) and all(map(le, cells[2], cells[3])))
-    return StudyTable(tuple(columns)) if valid and len(set(columns[0])) == len(ids) else None
+    return StudyTable(tuple(columns)) if valid and len(set(ids)) == len(ids) else None
 
 
 def _parse_studies(path: str, reader) -> list[Study]:

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -21,12 +22,12 @@ from hypothesis import given, strategies as st
 import oracles
 import pins
 import revbayes
-from revbayes import bundled_dataset_path, cli
+from revbayes import bundled_dataset_path, cli, meta
 from revbayes.cli import render_json, run, write_json
 from revbayes.ancred import advocacy_prior, sceptical_analysis
 from revbayes.errors import DataError
 from revbayes.fpr import CalibrationKind
-from revbayes.meta import read_study_table
+from revbayes.meta import StudyTable, read_study_table
 from revbayes.model import EffectEstimate, Study
 
 DATA = str(bundled_dataset_path())
@@ -203,6 +204,74 @@ class TestReadStudyTable:
         f.write_text(rows)
         with pytest.raises(DataError, match=message):
             read_study_table(str(f))
+
+    @staticmethod
+    def outcome(read, path):
+        """The columns of the table that read gives, or its DataError's message."""
+        try:
+            return tuple(map(tuple, read(path).columns))
+        except DataError as exc:
+            return str(exc)
+
+    @staticmethod
+    def row_parser(path):
+        """The table that _parse_studies alone reads from the file."""
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                return StudyTable(tuple(zip(*meta._parse_studies(path, reader))))
+            except csv.Error as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+
+    def test_forms_of_one_table(self, tmp_path):
+        # LF, CRLF, a byte order mark and no final newline take the column
+        # pass; a quoted id and whitespace-only rows take the row parser
+        lines = ["id,events_t,n_t,events_c,n_c", "A,2,7,2,12", "B b,69,128,76,128",
+                 "C,95,324,283,683"]
+        forms = {"lf": "\n".join(lines) + "\n", "crlf": "\r\n".join(lines) + "\r\n",
+                 "bom": "\ufeff" + "\n".join(lines) + "\n",
+                 "quoted-id": "\n".join(lines).replace("B b,", '"B b",') + "\n",
+                 "blank-rows": "\n".join([lines[0], "", lines[1], " , , , , ", lines[2], "\t",
+                                          "", lines[3]]) + "\n\n",
+                 "no-final-newline": "\n".join(lines)}
+        tables = {}
+        for name, text in forms.items():
+            f = tmp_path / f"{name}.csv"
+            f.write_bytes(text.encode())
+            tables[name] = self.outcome(read_study_table, str(f))
+            assert (meta._read_columns(text.removeprefix("\ufeff")) is None) == (
+                name in ("quoted-id", "blank-rows")), name
+        assert tables["lf"][0] == ("A", "B b", "C")
+        assert all(table == tables["lf"] for table in tables.values()), tables
+
+    @pytest.mark.parametrize("text, expected", [
+        ('id,estimate,se\nA,0.1,0.2\n"B,1",0.2,0.3\n', ("A", "B,1")),
+        ("id,estimate,se\nA\0,0.1,0.2\nB,0.2,0.3\n", None),
+        ("id,estimate,se\rA,0.1,0.2\rB,0.2,0.3\r", ("A", "B")),
+        ("id,estimate,se\nA,0.1,0.2\nB\rC,0.2,0.3\n", ":3: expected 3 columns, got 1"),
+        ("id,estimate,se\nA,0.1,0.2\n" + "B" * 131073 + ",0.1,0.2\n",
+         ":3: field larger than field limit (131072)"),
+        # the line is past the limit, but none of its fields
+        ("id,estimate,se\nA,0.1,0.2\nB,0." + "1" * 70000 + ",0." + "2" * 70000 + "\n",
+         ("A", "B")),
+        ("id,estimate,se\nA,0.1,0.2\nB,0.2,0.3,\n", ":3: expected 3 columns, got 4"),
+        ("id,estimate,se\nA,0.1,0.2\nB,0.2\nC,x,0.3\n", ":3: expected 3 columns, got 2"),
+        # one too many and one too few: as many cells as two rows of three
+        ("id,estimate,se\nA,0.1,0.2,0.3\n0.2,0.3\n", ":2: expected 3 columns, got 4"),
+    ], ids=["quote", "nul", "cr-line-ends", "cr-in-a-row", "field-past-the-limit",
+            "line-past-the-limit", "comma-too-many", "comma-too-few", "commas-that-cancel"])
+    def test_fallback_is_the_row_parser(self, tmp_path, text, expected):
+        # text that csv would read otherwise, and rows whose comma count is not
+        # the header's, leave the column pass for the row parser's table or message
+        assert meta._read_columns(text) is None
+        f = tmp_path / "t.csv"
+        f.write_bytes(text.encode())
+        got = self.outcome(read_study_table, str(f))
+        assert got == self.outcome(self.row_parser, str(f))
+        if isinstance(expected, tuple):
+            assert got[0] == expected
+        elif expected is not None:
+            assert got == f"{f}{expected}"
 
     def test_byte_order_mark(self, capsys, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a UTF-8 BOM
@@ -425,7 +494,7 @@ class TestMetaCommand:
     def test_cli_binds_the_traced_names(self, capsys, monkeypatch):
         # perfbench/tracing.py times these layers by rebinding them in cli
         assert run(["--json", "meta", DATA]) == 0
-        from revbayes import meta, model
+        from revbayes import model
         assert (cli.read_study_table, cli.pool, cli.failsafe_n) == (
             meta.read_study_table, meta.pool, meta.failsafe_n)
         # and it wraps this method where model defines it, so moving Study
@@ -1087,8 +1156,9 @@ class TestPackage:
 
     def test_cli_import_loads_only_what_it_runs(self):
         # norm_quantile calls _statistics' C AS241, not statistics; the encoder
-        # is _json's; csv, model, meta, ancred, bf and fpr load with their
-        # subcommands; no module of the package imports __future__
+        # is _json's; model, meta, ancred, bf and fpr load with their
+        # subcommands, and csv with a table that needs it; no module of the
+        # package imports __future__
         unloaded = ["statistics", "fractions", "decimal", "json", "csv", "revbayes.model",
                     "revbayes.meta", "revbayes.ancred", "revbayes.bf", "revbayes.fpr",
                     "__future__"]
@@ -1108,7 +1178,7 @@ class TestPackage:
 
     # the modules each subcommand loads, besides revbayes itself, the cli and
     # what the cli imports for every subcommand
-    _LOADS = {"meta": {"revbayes.model", "revbayes.meta", "csv"},
+    _LOADS = {"meta": {"revbayes.model", "revbayes.meta"},
               "ancred": {"revbayes.model", "revbayes.ancred"},
               "bf": {"revbayes.model", "revbayes.bf", "revbayes.fpr"}, "fpr": {"revbayes.fpr"}}
 
@@ -1147,6 +1217,13 @@ class TestPackage:
     def test_text_run_loads_its_printers(self, argv):
         loaded, expected = self.loaded_modules(argv)
         assert loaded == expected | {"revbayes.text"}
+
+    def test_quoted_table_loads_csv(self, tmp_path):
+        # a table that the column pass cannot read is read by csv's row parser
+        f = tmp_path / "quoted.csv"
+        f.write_text('id,estimate,se\n"A, the first",0.1,0.2\n')
+        loaded, expected = self.loaded_modules(["--json", "meta", str(f)])
+        assert "csv" not in expected and loaded == expected | {"csv"}
 
     @pytest.mark.parametrize("argv, fields, pinned", [
         (["meta", DATA], None,

@@ -101,6 +101,12 @@ class TestForwardUpdate:
         with pytest.raises(NonexistenceError, match="precision 1/se"):
             forward_update(0.0, 1.0, EffectEstimate(0.1, se))
 
+    def test_flat_posterior(self):
+        # a flat prior and a study whose precision 1/se^2 underflows to 0.0
+        with pytest.raises(NonexistenceError,
+                           match=r"^posterior is flat: .* for se = 1e\+300$"):
+            forward_update(0.0, 0.0, EffectEstimate(0.1, 1e300))
+
 
 class TestReverseUpdate:
     def test_recovery_leave_one_out(self, meta_result, recovery):

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from revbayes.errors import DataError, NonexistenceError
+from revbayes.meta import StudyTable, pool
 from revbayes.model import (EffectEstimate, NormalPrior, PosteriorSummary,
-                            Study, ci_limits, estimate_from_counts)
+                            Study, ci_limits, estimate_from_counts, theta_se)
 
 
 class TestEstimateFromCounts:
@@ -44,7 +45,7 @@ class TestEstimateFromCounts:
     def test_last_digits_against_mpmath(self):
         # seeded counts up to 1e300: the log OR within 3 ulp and se within 1
         # ulp of mpmath at 60 digits, for odds ratios near 1, far from it and
-        # past the float range
+        # past the float range, study by study and as the columns of one table
         rng = random.Random(2101)
 
         def cells(kind):
@@ -59,12 +60,26 @@ class TestEstimateFromCounts:
             return tuple(int(10 ** rng.uniform(0, rng.choice([3, 15, 300]))) + 1
                          for _ in range(4))
 
-        for kind in ["far", "near", "past"] * 700:
-            a, b, c, d = cells(kind)
-            est = estimate_from_counts(Study("s", a, a + b, c, c + d))
-            theta, se = oracles.log_or_se(a, b, c, d)
-            assert abs(est.theta_hat - theta) <= 3 * math.ulp(float(theta)), (a, b, c, d)
-            assert abs(est.se - se) <= math.ulp(float(se)), (a, b, c, d)
+        rows = [cells(kind) for kind in ["far", "near", "past"] * 700]
+        references = [oracles.log_or_se(*row) for row in rows]
+        # the same cells as one table of 2 100 studies, through pool's columns
+        counts = [(a, a + b, c, c + d) for a, b, c, d in rows]
+        table = StudyTable((list(map(str, range(len(rows)))), *map(list, zip(*counts)),
+                            [None] * len(rows), [None] * len(rows)))
+        result = pool(table)
+        for i, ((a, n_t, c, n_c), (theta, se)) in enumerate(zip(counts, references)):
+            est = estimate_from_counts(Study("s", a, n_t, c, n_c))
+            for got_theta, got_se in [est, (result.theta[i], result.se[i])]:
+                assert abs(got_theta - theta) <= 3 * math.ulp(float(theta)), (a, n_t, c, n_c)
+                assert abs(got_se - se) <= math.ulp(float(se)), (a, n_t, c, n_c)
+        # a zero cell in the table: nan in its row alone, and pool names its study
+        columns = [[*column[:1000], cell, *column[1000:]]
+                   for column, cell in zip(table.columns, ["zero", 0, 5, 3, 4, None, None])]
+        theta, se = theta_se(*columns[1:])
+        assert math.isnan(theta.pop(1000)) and math.isnan(se.pop(1000))
+        assert (tuple(theta), tuple(se)) == (result.theta, result.se)
+        with pytest.raises(DataError, match=r"^study 'zero': zero cell"):
+            pool(StudyTable(tuple(columns)))
 
 
 class TestStudyInvariants:
