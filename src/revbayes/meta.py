@@ -205,57 +205,59 @@ _SCHEMAS = (
 
 def read_study_table(path: str) -> StudyTable:
     """Parse a study CSV; the header selects the counts or estimate schema.
-    The table is read and checked as columns; if a check fails, or the text
-    needs csv's rules, it is read again row by row, which names the first bad
-    row by its line."""
+    The table is read and checked as columns; if a check fails, it is read
+    again row by row, which names the first bad row by its line."""
     try:
         # utf-8-sig drops the byte order mark that Excel's "CSV UTF-8" writes
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:   # row by row, a bad row before the bad byte is named
+                fh.seek(0)
+                return _read_rows(path, fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:   # its position leaves out a byte order mark
-        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if (table := _read_columns(text)) is not None:
         return table
-    import csv   # here, so that only a table that the column pass cannot read pays for it
-    reader = csv.reader(io.StringIO(text, newline=""))
+    return _read_rows(path, io.StringIO(text, newline=""))
+
+
+def _read_rows(path: str, fh) -> StudyTable:
+    """The table that _parse_studies reads from fh row by row, or the first
+    bad row's error, naming its line."""
+    import csv   # here, so that only a table that the comma split cannot read pays for it
     try:
-        return StudyTable(tuple(zip(*_parse_studies(path, reader))))
+        return StudyTable(tuple(zip(*_parse_studies(path, reader := csv.reader(fh)))))
+    except UnicodeDecodeError as exc:   # its position is within a block, not the file
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except csv.Error as exc:   # a field past csv.field_size_limit()
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _read_columns(text: str) -> StudyTable | None:
-    """The table, read and checked a column at a time, with no object per row:
-    the rows are joined and split at their commas at once. None where csv would
-    read the text otherwise (a quote, a NUL, a CR outside a CRLF, or a line
-    past its field size limit), or where a row has another number of cells
-    than the header, holds only blanks or fails any check of _parse_studies
-    or Study: _parse_studies, reading row by row, then gives the table or
-    raises the first bad row's error."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if '"' in text or "\0" in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    if max(map(len, lines)) > field_size_limit():
-        return None
-    header = [h.strip() for h in lines[0].split(",")]
-    rows = list(filter(None, lines[1:]))   # empty lines, which _parse_studies skips too
-    del lines
-    if (schema := next((s for s in _SCHEMAS if s[0] == header), None)) is None:
+    """The table, read and checked a column at a time: split at its commas if
+    _split_columns can, else by csv's reader. None where a row has another
+    number of cells than the header, holds only blanks or fails any check of
+    _parse_studies or Study: _parse_studies, reading row by row, then raises
+    the first bad row's error."""
+    if (split := _split_columns(text)) is None:
+        import csv
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header, rows = next(reader, []), list(filter(None, reader))   # [] is an empty line
+        except csv.Error:
+            return None
+        split = header, (list(zip(*rows)) if set(map(len, rows)) == {len(header)} else None)
+        del rows
+    header, columns = split
+    schema = next((s for s in _SCHEMAS if s[0] == [h.strip() for h in header]), None)
+    if schema is None or columns is None:
         return None
     _, parse, _, fields = schema
-    # with a "\n" cell between rows, every row has len(header) cells exactly when
-    # those fall at every step-th cell
-    cells, step = ",\n,".join(rows).split(","), len(header) + 1
-    if len(cells) != len(rows) * step - 1 or cells[step - 1::step].count("\n") != len(rows) - 1:
-        return None
-    del rows
-    ids, *cells = [cells[k::step] for k in range(len(header))]
+    ids, *cells = columns
+    del split, columns   # so that each column's strings go once it is converted
     try:
-        for k in range(len(cells)):   # each column's strings go once it is converted
+        for k in range(len(cells)):
             cells[k] = list(map(parse, cells[k]))
     except ValueError:
         return None
@@ -267,6 +269,31 @@ def _read_columns(text: str) -> StudyTable | None:
              else min(map(min, cells[::2])) >= 0 and min(map(min, cells[1::2])) > 0
              and all(map(le, cells[0], cells[1])) and all(map(le, cells[2], cells[3])))
     return StudyTable(tuple(columns)) if valid and len(set(ids)) == len(ids) else None
+
+
+def _split_columns(text: str) -> tuple[list[str], list[list[str]] | None] | None:
+    """The header and the cell columns of the text, with no object per row:
+    the rows are joined and split at their commas at once. The columns are
+    None where a row has another number of cells than the header. None where
+    csv would read the text otherwise: a quote, a NUL, a CR outside a CRLF,
+    or a line past its field size limit."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > field_size_limit():
+        return None
+    header = lines[0].split(",")
+    rows = list(filter(None, lines[1:]))   # empty lines, which _parse_studies skips too
+    del lines
+    # with a "\n" cell between rows, every row has len(header) cells exactly when
+    # those fall at every step-th cell
+    cells, step = ",\n,".join(rows).split(","), len(header) + 1
+    if len(cells) != len(rows) * step - 1 or cells[step - 1::step].count("\n") != len(rows) - 1:
+        return header, None
+    del rows
+    return header, [cells[k::step] for k in range(len(header))]
 
 
 def _parse_studies(path: str, reader) -> list[Study]:

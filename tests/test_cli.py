@@ -224,8 +224,9 @@ class TestReadStudyTable:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
 
     def test_forms_of_one_table(self, tmp_path):
-        # LF, CRLF, a byte order mark and no final newline take the column
-        # pass; a quoted id and whitespace-only rows take the row parser
+        # LF, CRLF, a byte order mark and no final newline are split at the
+        # commas, a quoted id by csv's reader, and whitespace-only rows take
+        # the row parser
         lines = ["id,events_t,n_t,events_c,n_c", "A,2,7,2,12", "B b,69,128,76,128",
                  "C,95,324,283,683"]
         forms = {"lf": "\n".join(lines) + "\n", "crlf": "\r\n".join(lines) + "\r\n",
@@ -239,14 +240,16 @@ class TestReadStudyTable:
             f = tmp_path / f"{name}.csv"
             f.write_bytes(text.encode())
             tables[name] = self.outcome(read_study_table, str(f))
-            assert (meta._read_columns(text.removeprefix("\ufeff")) is None) == (
-                name in ("quoted-id", "blank-rows")), name
+            text = text.removeprefix("\ufeff")
+            assert (meta._split_columns(text) is None) == (name == "quoted-id"), name
+            assert (meta._read_columns(text) is None) == (name == "blank-rows"), name
         assert tables["lf"][0] == ("A", "B b", "C")
         assert all(table == tables["lf"] for table in tables.values()), tables
 
     @pytest.mark.parametrize("text, expected", [
-        ('id,estimate,se\nA,0.1,0.2\n"B,1",0.2,0.3\n', ("A", "B,1")),
-        ("id,estimate,se\nA\0,0.1,0.2\nB,0.2,0.3\n", None),
+        # R's write.csv quotes the header and every id
+        ('"id","estimate","se"\n"A",0.1,0.2\n"B,1",0.2,0.3\n', ("A", "B,1")),
+        ("id,estimate,se\nA\0,0.1,0.2\nB,0.2,0.3\n", ("A\0", "B")),
         ("id,estimate,se\rA,0.1,0.2\rB,0.2,0.3\r", ("A", "B")),
         ("id,estimate,se\nA,0.1,0.2\nB\rC,0.2,0.3\n", ":3: expected 3 columns, got 1"),
         ("id,estimate,se\nA,0.1,0.2\n" + "B" * 131073 + ",0.1,0.2\n",
@@ -260,17 +263,20 @@ class TestReadStudyTable:
         ("id,estimate,se\nA,0.1,0.2,0.3\n0.2,0.3\n", ":2: expected 3 columns, got 4"),
     ], ids=["quote", "nul", "cr-line-ends", "cr-in-a-row", "field-past-the-limit",
             "line-past-the-limit", "comma-too-many", "comma-too-few", "commas-that-cancel"])
-    def test_fallback_is_the_row_parser(self, tmp_path, text, expected):
-        # text that csv would read otherwise, and rows whose comma count is not
-        # the header's, leave the column pass for the row parser's table or message
-        assert meta._read_columns(text) is None
+    def test_fallbacks_agree_with_the_row_parser(self, tmp_path, text, expected):
+        # text that csv would read otherwise leaves the comma split for csv's
+        # reader, and a bad row leaves the column pass for the row parser;
+        # either way the table or message is the row parser's
+        needs_csv = '"' in text or "\0" in text or "\r" in text or len(text) > 131072
+        assert (meta._split_columns(text) is None) == needs_csv
+        assert (meta._read_columns(text) is None) == (not isinstance(expected, tuple))
         f = tmp_path / "t.csv"
         f.write_bytes(text.encode())
         got = self.outcome(read_study_table, str(f))
         assert got == self.outcome(self.row_parser, str(f))
         if isinstance(expected, tuple):
             assert got[0] == expected
-        elif expected is not None:
+        else:
             assert got == f"{f}{expected}"
 
     def test_byte_order_mark(self, capsys, tmp_path):
@@ -515,12 +521,17 @@ class TestMetaCommand:
         # a Latin-1 e-acute, as Excel's plain "CSV" saves it
         (b"id,estimate,se\nA\xe9,0.1,0.2\n",
          ": not UTF-8 text: invalid continuation byte"),
+        # a bad row on line 2, read before the decoder reaches the block of the
+        # Latin-1 byte on line 1003
+        (b"id,estimate,se\nA,x,0.2\n" + b"B,0.1,0.2\n" * 1000 + b"C\xe9,0.1,0.2\n",
+         ":2: non-numeric value: could not convert string to float: 'x'"),
         (b"id,estimate,se\nA,0.1,0.2\n" + b"B" * 131073 + b",0.1,0.2\n",
          ":3: field larger than field limit (131072)"),
         (b"", ": empty file (header row required)"),
         (b"id,estimate,se\n", ": no data rows"),
         (b"id,estimate,se\n\n,,\n", ": no data rows"),
-    ], ids=["latin-1", "field-limit", "empty-file", "header-only", "blank-rows-only"])
+    ], ids=["latin-1", "bad-row-before-latin-1", "field-limit", "empty-file", "header-only",
+          "blank-rows-only"])
     def test_unreadable_table_is_a_data_error(self, capsys, tmp_path, content, message):
         f = tmp_path / "bad.csv"
         f.write_bytes(content)
