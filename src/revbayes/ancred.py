@@ -51,6 +51,9 @@ class EquivalentTrial(NamedTuple):
     allocation_ratio: float = 1.0
     # ((events, patients) treatment, (events, patients) control), unrounded
     per_arm_detail: tuple[tuple[float, float], tuple[float, float]] | None = None
+    # ((events, non-events) treatment, (events, non-events) control), unrounded:
+    # the cells b and d that e + b and e + d lose where they are far below e
+    per_arm_cells: tuple[tuple[float, float], tuple[float, float]] | None = None
 
 
 def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float:
@@ -227,4 +230,5 @@ def equivalent_trial(prior: NormalPrior,
         events_per_arm=e,
         allocation_ratio=allocation,
         per_arm_detail=((e, e + b), (e, e + d)),
+        per_arm_cells=((e, b), (e, d)),
     )

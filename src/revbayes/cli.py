@@ -11,8 +11,8 @@ import math
 import os
 import re
 import sys
-from itertools import chain, repeat
-from operator import add, is_, sub, truediv
+from itertools import repeat
+from operator import add, is_, mul, sub, truediv
 
 try:   # the json package's C encoder, without importing the package and its decoder
     from _json import encode_basestring_ascii
@@ -23,7 +23,8 @@ from . import __version__
 from .errors import DataError, NonexistenceError
 # model, meta, ancred, bf and fpr load with the subcommands that run them, and
 # text with a text run, so a cold process loads only what it runs
-from .statfn import DEFAULT_LEVEL, alpha_for_level, critical_z, exp_or_inf, two_sided_p
+from .statfn import (DEFAULT_LEVEL, alpha_for_level, critical_z, exp_or_inf,
+                     exp_or_inf_column, two_sided_p_column)
 
 
 class UsageError(Exception):
@@ -43,13 +44,17 @@ class _Parser(argparse.ArgumentParser):
 def _input_digest(args, fields: dict | None = None) -> str | None:
     """sha256 of the study file, or of fields as canonical JSON. Only --json
     prints it, so a text run never computes it. The standard library's own
-    _sha256 hashes it, as `random` takes _sha512, since hashlib would load
-    OpenSSL's libcrypto to hash a few bytes."""
+    module hashes it, _sha2 from Python 3.12 and _sha256 before, as `random`
+    takes _sha512, since hashlib would load OpenSSL's libcrypto to hash a few
+    bytes."""
     if not args.json:
         return None
     try:
-        from _sha256 import sha256
-    except ImportError:   # an interpreter built without it, or Python 3.12+
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:   # an interpreter built without it
         from hashlib import sha256
     if fields is None:
         with open(args.file, "rb") as fh:
@@ -86,7 +91,9 @@ def render_json(value) -> str:
     rows' key sets, lengths and float identities: the walk over its layout
     gives the literal pieces between its slots, and the table is written
     _BLOCK rows at a time, each column of a block formatted once, however
-    many slots share it, and each block joined once from pieces and columns.
+    many slots share it. A block is one list of texts, the row layout's
+    pieces repeated for each row, into which each slot's column texts go by
+    one strided slice assignment, and one join: no tuple or call per row.
     write_json writes each text as the walker yields it. A non-finite float
     becomes the string of its repr ("inf", "-inf" or "nan"), where json.dumps
     would write the non-standard Infinity and NaN tokens; null keeps its
@@ -181,26 +188,34 @@ def _value_texts(value, newline: str):
 
 
 def _block_texts(table: _Table, pieces: list, slots: list, start: int, newline: str):
-    """The rows of `table` from `start` on, _BLOCK at most, as one text: the
-    pieces of the row layout interleaved with the slots' column texts, and
-    each row after the first led by "," and `newline`, as _texts separates
-    list items at that depth."""
-    rows = min(_BLOCK, len(table) - start)
+    """The rows of `table` from `start` on, _BLOCK at most, as one text. Its
+    texts are one list, a row of width 2 * len(slots) + 1 after another: the
+    pieces of the row layout at the even places, the row led by "," and
+    `newline` after the first row, as _texts separates list items at that
+    depth, and slot j's column texts at place 2j + 1 of every row, written
+    by one slice assignment with the row width as its step."""
+    rows, width = min(_BLOCK, len(table) - start), 2 * len(slots) + 1
+    row = [""] * width
+    row[::2] = pieces
+    row[0] = "," + newline + pieces[0]
+    out = row * rows
+    out[0] = pieces[0]
     formatted: dict = {}   # column index, or (index, newline) for depth-bound texts
-    parts = [[pieces[0]] + ["," + newline + pieces[0]] * (rows - 1)]
-    for (index, depth), piece in zip(slots, pieces[1:]):
+    for place, (index, depth) in enumerate(slots):
         texts = formatted.get(index) or formatted.get((index, depth))
         if texts is None:
             texts, nested = _column_texts(table.columns[index][start:start + _BLOCK], depth)
             formatted[(index, depth) if nested else index] = texts
-        parts += (texts, repeat(piece))
-    return ("".join(chain.from_iterable(zip(*parts))),)
+        out[2 * place + 1::width] = texts
+    return ("".join(out),)
 
 
 def _column_texts(items, newline: str) -> tuple[list, bool]:
     """The JSON texts of a block of one column, at the depth of `newline`,
     and whether they depend on that depth. A column of one object is
-    formatted once, and a column of strs, or of finite floats, by one map."""
+    formatted once, and a column of strs, or of finite floats, by one map:
+    floats whose sum is finite are all finite, and a block whose sum is not,
+    as where finite floats overflow it, takes _json_float item by item."""
     head = items[0]
     if head is items[-1] and all(map(is_, items, repeat(head))):
         text = "".join(_texts(head, newline, _value_texts))
@@ -210,7 +225,7 @@ def _column_texts(items, newline: str) -> tuple[list, bool]:
         texts = list(map(encode, items))   # TypeError for an item of another type
     except TypeError:
         return ["".join(_texts(item, newline, _value_texts)) for item in items], True
-    if encode is float.__repr__ and not all(map(math.isfinite, items)):
+    if encode is float.__repr__ and not math.isfinite(sum(items)):
         texts = list(map(_json_float, items))
     return texts, False
 
@@ -223,11 +238,11 @@ _ESTIMATE = {"log_or": _LOG_OR, "se": _SE, "z": _Z, "p": _P, "ci_log": [_LO, _HI
 
 def _estimate_columns(theta, se, level: float) -> list:
     """The columns of _ESTIMATE for the estimates theta with standard errors se."""
-    half = list(map(critical_z(alpha_for_level(level)).__mul__, se))
+    half = list(map(mul, se, repeat(critical_z(alpha_for_level(level)))))
     lo, hi = list(map(sub, theta, half)), list(map(add, theta, half))
     z = list(map(truediv, theta, se))
-    return [theta, se, z, list(map(two_sided_p, z)), lo, hi, list(map(exp_or_inf, theta)),
-            list(map(exp_or_inf, lo)), list(map(exp_or_inf, hi)), [level] * len(theta)]
+    return [theta, se, z, two_sided_p_column(z), lo, hi, exp_or_inf_column(theta),
+            exp_or_inf_column(lo), exp_or_inf_column(hi), [level] * len(theta)]
 
 
 def _estimate_payload(theta: float, se: float, level: float) -> dict:
@@ -251,7 +266,7 @@ def cmd_meta(args) -> dict:
     columns = _estimate_columns(result.theta, result.se, args.level)
     sid, t_box, p_box, loo = range(len(columns), len(columns) + 4)
     columns += [result.ids, _nan_as_none(result.t_box), _nan_as_none(result.p_box)]
-    if all(map((0.0).__lt__, result.loo_precision)):
+    if min(result.loo_precision) > 0.0:
         loo_layout = {"mean": loo, "precision": loo + 1}
         columns += [result.loo_mean, result.loo_precision]
     else:   # a study that stands alone has a flat prior, written as null
@@ -277,7 +292,10 @@ def cmd_meta(args) -> dict:
     }
 
 
-def _nan_as_none(column) -> list:
+def _nan_as_none(column):
+    """The column with None for each nan; a column with no nan, whose sum is not nan, as it is."""
+    if not math.isnan(sum(column)):
+        return column
     return [None if math.isnan(x) else x for x in column]
 
 

@@ -12,7 +12,7 @@ from _csv import field_size_limit   # csv's own; csv loads only for a table that
 
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, PosteriorSummary, Study, theta_se
-from .statfn import DEFAULT_LEVEL, alpha_for_level, critical_excess, two_sided_p
+from .statfn import DEFAULT_LEVEL, alpha_for_level, critical_excess, two_sided_p_column
 
 
 class StudyDiagnostics(NamedTuple):
@@ -96,6 +96,10 @@ def forward_update(prior_mean: float, prior_precision: float,
     if precision == 0.0:   # a flat prior, and a study whose 1/se^2 underflows to 0
         raise NonexistenceError(f"posterior is flat: the prior is flat and 1/se^2 is 0.0 "
                                 f"for se = {estimate.se!r}")
+    if precision == math.inf:
+        raise NonexistenceError(f"the posterior precision, prior {prior_precision!r} plus "
+                                f"1/se^2 = {estimate.precision!r}, is outside the "
+                                f"floating-point range")
     return PosteriorSummary(mean, precision)
 
 
@@ -177,7 +181,7 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
     t_box = tuple((t - m) / math.sqrt(s * s + 1.0 / k) if k > 0.0 else math.nan
                   for t, s, m, k in zip(theta, se, loo_mean, loo_precision))
     return MetaResult(pooled, tuple(ids), theta, se, loo_mean, loo_precision,
-                      t_box, tuple(map(two_sided_p, t_box)))
+                      t_box, tuple(two_sided_p_column(t_box)))
 
 
 def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult:

@@ -355,6 +355,19 @@ class TestEquivalentTrial:
                 assert mean == pytest.approx(prior.mean, abs=1e-6)
                 assert var == pytest.approx(tau2, rel=1e-6)
 
+    @pytest.mark.parametrize("z", [1.80, 1.85, 1.91, 1.95])
+    def test_cells_reproduce_the_advocacy_prior(self, z):
+        # Just below z_crit the events e dwarf the non-event cells b and d, so
+        # patients e + b lose b: rebuilt from them, the variance is 6e-8 off
+        # at z = 1.91 and b is 0.0 at z = 1.95. The carried cells keep it.
+        prior = advocacy_prior(EffectEstimate(z * 0.3, 0.3), 0.05).prior()
+        trial = equivalent_trial(prior, event_rate=0.3)
+        (e, b), (e2, d) = trial.per_arm_cells
+        assert e == e2 and b > 0.0 and d > 0.0
+        assert trial.per_arm_detail == ((e, e + b), (e, e + d))
+        assert 2.0 / e + 1.0 / b + 1.0 / d == pytest.approx(prior.variance, rel=1e-12, abs=0)
+        assert math.log(d / b) == pytest.approx(prior.mean, rel=1e-12, abs=0)
+
     def test_tiny_variance_hits_rate(self):
         # e* = (2 + (1 + e^mu) r / (1 - r)) / tau^2 is about 2.3e8 events
         trial = equivalent_trial(NormalPrior(0.3, 1e-7), event_rate=0.9)

@@ -33,6 +33,8 @@ from revbayes.model import EffectEstimate, Study
 DATA = str(bundled_dataset_path())
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "revbayes"
+# the standard library's own sha256 module, which cli._input_digest imports
+_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 # printable ASCII but the comma and quote, so that an id is one csv field
 _ID_CHARS = st.characters(min_codepoint=0x20, max_codepoint=0x7e, blacklist_characters=',"')
 
@@ -822,11 +824,16 @@ def _rows(n):
 def _declared_rows(n):
     """A declared table like _rows(n): its id and x columns fill two slots
     each, x holds inf, row[2] is None but in the last row, and level holds
-    one object."""
+    one object. big's finite floats fill two slots too, and a block of two
+    or more rows of them sums past the float range; odd cycles through inf,
+    nan, -inf and 0.25; obj holds dicts and None, at two depths."""
     xs = [i / 7.0 for i in range(n)]
     xs[n // 2] = math.inf
-    return cli._Table({"id": 0, "x": 1, "row": [0, 1, 2], "level": 3},
-                      [[f"s{i}" for i in range(n)], xs, [None] * (n - 1) + [0.5], [_X] * n])
+    return cli._Table({"id": 0, "x": 1, "row": [0, 1, 2], "level": 3, "big": 4,
+                       "odd": [5, 4], "nested": {"obj": 6}, "obj": 6},
+                      [[f"s{i}" for i in range(n)], xs, [None] * (n - 1) + [0.5], [_X] * n,
+                       [1e308] * n, [[math.inf, math.nan, -math.inf, 0.25][i % 4] for i in range(n)],
+                       [{"m": i / 3.0} if i % 3 else None for i in range(n)]])
 
 
 def _counts_table(tmp_path, n):
@@ -916,8 +923,8 @@ class TestRenderJson:
         assert text == json.dumps(expected, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("n", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
-                                   2 * cli._BLOCK + 1],
-                             ids=["one", "block-1", "block", "block+1", "2block+1"])
+                                   2 * cli._BLOCK + 1, 2 * cli._BLOCK + 3],
+                             ids=["one", "block-1", "block", "block+1", "2block+1", "2block+3"])
     def test_block_boundaries(self, n):
         rows = _rows(n)
         for value in (rows, rows[:-1] + [None], {"per_study": rows}):
@@ -1182,7 +1189,7 @@ class TestPackage:
         # only --json prints input_digest, so a text run loads no hash at all
         proc = self.python("-c", "import sys; from revbayes.cli import run; "
                            "run(['ancred', '--estimate', '-0.5', '--se', '0.2']); "
-                           "print([m for m in ('hashlib', '_hashlib', '_sha256') "
+                           "print([m for m in ('hashlib', '_hashlib', '_sha2', '_sha256') "
                            "if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
@@ -1197,12 +1204,12 @@ class TestPackage:
         """The watched modules that a run of argv loads, and those its
         subcommand is expected to load; of the package, only the cli's modules
         and the watched ones may load. _hashlib is OpenSSL's libcrypto, which
-        hashlib loads where the interpreter has no _sha256; no run needs the
+        hashlib loads where the interpreter has no _SHA256; no run needs the
         json package or __future__."""
         watched = ["revbayes.model", "revbayes.meta", "revbayes.ancred", "revbayes.bf",
                    "revbayes.fpr", "revbayes.text", "csv", "json", "json.decoder",
                    "json.scanner", "__future__"]
-        if importlib.util.find_spec("_sha256") is not None:
+        if importlib.util.find_spec(_SHA256) is not None:
             watched.append("_hashlib")
         proc = self.python("-c", "import sys; from revbayes.cli import run; "
                            "code = run(sys.argv[1:]); "
@@ -1248,12 +1255,12 @@ class TestPackage:
           "grid": False},
          "a0ab33860b3e6d92fb5e7644a3aefa46016121d973d0437a6c995d3f49e3bc56"),
     ], ids=["meta", "bf", "fpr-nan"])
-    @pytest.mark.parametrize("sha256", ["_sha256", "hashlib"])
+    @pytest.mark.parametrize("sha256", [_SHA256, "hashlib"])
     def test_input_digest_value(self, capsys, monkeypatch, argv, fields, pinned, sha256):
         # the sha256 of the study file's bytes, or of the inputs as canonical JSON,
         # by either module, and pinned as earlier versions wrote it
         if sha256 == "hashlib":
-            monkeypatch.setitem(sys.modules, "_sha256", None)   # its import fails
+            monkeypatch.setitem(sys.modules, _SHA256, None)   # its import fails
         data = (pathlib.Path(DATA).read_bytes() if fields is None
                 else json.dumps(fields, sort_keys=True).encode("utf-8"))
         digest = run_json(capsys, ["--json", *argv])["input_digest"]
@@ -1369,7 +1376,10 @@ class TestPackage:
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
                     modules.add(node.module.split(".")[0])
         assert "math" in modules
-        assert sorted(modules - sys.stdlib_module_names) == []
+        # cli._input_digest imports sha256 from _sha2 on Python 3.12 and later and
+        # from _sha256 before; each interpreter lists only its own
+        assert sorted(modules - sys.stdlib_module_names - {"_sha2", "_sha256"}) == []
+        assert _SHA256 in sys.stdlib_module_names
 
     def test_every_export_has_a_caller(self):
         # a public name stays only while the package, the acceptance tests or

@@ -107,6 +107,14 @@ class TestForwardUpdate:
                            match=r"^posterior is flat: .* for se = 1e\+300$"):
             forward_update(0.0, 0.0, EffectEstimate(0.1, 1e300))
 
+    @pytest.mark.parametrize("prior_precision", [1.7e308, math.inf])
+    def test_posterior_precision_past_the_float_range(self, prior_precision):
+        # the sum of two finite precisions overflows, where the mean would be nan
+        with pytest.raises(NonexistenceError,
+                           match=r"^the posterior precision, prior .* plus 1/se\^2 = 1e\+308, "
+                                 r"is outside the floating-point range$"):
+            forward_update(2.0, prior_precision, EffectEstimate(1.0, 1e-154))
+
 
 class TestReverseUpdate:
     def test_recovery_leave_one_out(self, meta_result, recovery):

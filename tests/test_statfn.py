@@ -3,6 +3,7 @@ import os
 import pathlib
 import random
 import statistics
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,8 +15,9 @@ import oracles
 import revbayes
 from revbayes.errors import DataError
 from revbayes.statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, LOG_MAX, Branch, alpha_for_level,
-                             critical_excess, critical_z, exp_or_inf, find_root,
-                             lambert_w_log, norm_quantile, two_sided_p)
+                             critical_excess, critical_z, exp_or_inf, exp_or_inf_column,
+                             find_root, lambert_w_log, norm_quantile, two_sided_p,
+                             two_sided_p_column)
 
 # AS241's branch edges: q = p - 1/2 = -/+0.425, r = sqrt(-log p) = 5, the extremes; each
 # with its neighbours one ulp away, inside (0, 1)
@@ -209,6 +211,42 @@ class TestExpOrInf:
     def test_inf_past_the_range(self):
         assert exp_or_inf(math.nextafter(LOG_MAX, math.inf)) == math.inf
         assert exp_or_inf(1e6) == math.inf
+
+
+_COLUMN_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -37.5,
+                 -745.2, -800.0, math.nextafter(LOG_MAX, 0.0), LOG_MAX, -LOG_MAX,
+                 math.nextafter(LOG_MAX, math.inf), 1e308, -1e308, math.inf, -math.inf,
+                 math.nan]
+_IN_RANGE = [x for x in _COLUMN_EDGES if x <= LOG_MAX]
+
+
+def _bits(column) -> list[bytes]:
+    """Each float's bits, so that -0.0 differs from 0.0 and nan equals nan."""
+    return [struct.pack("<d", x) for x in column]
+
+
+class TestColumnKernels:
+    """exp_or_inf_column and two_sided_p_column against maps of the scalars."""
+
+    @pytest.mark.parametrize("column", [
+        [], [0.0], _IN_RANGE, _IN_RANGE[::-1], _COLUMN_EDGES, _COLUMN_EDGES[::-1],
+        [1.0, math.nan], [-1.0, math.nan, 2.0], [math.nan, 1.0], [-math.inf, math.nan],
+        [math.nextafter(LOG_MAX, math.inf), 0.5], [0.5, math.inf], (0.5, -0.0, LOG_MAX),
+    ], ids=["empty", "zero", "in-range", "in-range-reversed", "edges", "edges-reversed",
+            "nan-after-finite", "nan-inside", "nan-first", "nan-after-minus-inf",
+            "past-log-max-first", "inf-last", "tuple"])
+    def test_same_bits_as_the_scalar_maps(self, column):
+        assert _bits(exp_or_inf_column(column)) == _bits(map(exp_or_inf, column))
+        assert _bits(two_sided_p_column(column)) == _bits(map(two_sided_p, column))
+
+    def test_nan_after_a_number_is_inf(self):
+        # max([1.0, nan]) is 1.0, within the range; exp_or_inf(nan) is inf
+        assert exp_or_inf_column([1.0, math.nan]) == [math.e, math.inf]
+
+    @given(st.lists(st.floats() | st.sampled_from(_COLUMN_EDGES), max_size=40))
+    def test_drawn_columns(self, column):
+        assert _bits(exp_or_inf_column(column)) == _bits(map(exp_or_inf, column))
+        assert _bits(two_sided_p_column(column)) == _bits(map(two_sided_p, column))
 
 
 # smooth f(x) - c with (value, slope), for the known-ends property
