@@ -293,7 +293,8 @@ def cmd_meta(args) -> dict:
 
 
 def _nan_as_none(column):
-    """The column with None for each nan; a column with no nan, whose sum is not nan, as it is."""
+    """The column with None for each nan; the column itself where its sum is not nan, as
+    then no item is."""
     if not math.isnan(sum(column)):
         return column
     return [None if math.isnan(x) else x for x in column]

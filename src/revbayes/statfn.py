@@ -1,5 +1,6 @@
 """Scalar special functions (the normal quantile, both real branches of
-Lambert W on log x) and root finding used by the analysis modules.
+Lambert W on log x), column forms of two of them, and root finding used by
+the analysis modules.
 
 Everything here is a pure function of its arguments and safe to call from
 any number of threads. The caches are alpha_for_level's and critical_z's:
