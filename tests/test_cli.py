@@ -829,11 +829,11 @@ def _declared_rows(n):
     nan, -inf and 0.25; obj holds dicts and None, at two depths."""
     xs = [i / 7.0 for i in range(n)]
     xs[n // 2] = math.inf
+    odd = [[math.inf, math.nan, -math.inf, 0.25][i % 4] for i in range(n)]
     return cli._Table({"id": 0, "x": 1, "row": [0, 1, 2], "level": 3, "big": 4,
                        "odd": [5, 4], "nested": {"obj": 6}, "obj": 6},
                       [[f"s{i}" for i in range(n)], xs, [None] * (n - 1) + [0.5], [_X] * n,
-                       [1e308] * n, [[math.inf, math.nan, -math.inf, 0.25][i % 4] for i in range(n)],
-                       [{"m": i / 3.0} if i % 3 else None for i in range(n)]])
+                       [1e308] * n, odd, [{"m": i / 3.0} if i % 3 else None for i in range(n)]])
 
 
 def _counts_table(tmp_path, n):
