@@ -185,7 +185,13 @@ def equivalent_trial(prior: NormalPrior,
 
     if mu == 0.0:
         if event_rate is not None:
-            n = 2.0 / (tau2 * event_rate * (1.0 - event_rate))
+            information = tau2 * event_rate * (1.0 - event_rate)   # 2/n, which can underflow
+            n = 2.0 / information if information > 0.0 else math.inf
+            if n == math.inf:
+                raise NonexistenceError(
+                    f"no equivalent trial: its patients per arm are outside the "
+                    f"floating-point range (prior variance {tau2:.6g}, event rate "
+                    f"{event_rate:.6g})")
             return EquivalentTrial(events_per_arm=event_rate * n, patients_per_arm=n)
         if patients_per_arm is not None:
             # events e per arm of N patients: 2/e + 2/(N-e) = tau^2
@@ -222,10 +228,18 @@ def equivalent_trial(prior: NormalPrior,
             f"no equivalent trial: its event count is outside the "
             f"floating-point range (prior variance {tau2:.6g})")
     e_floor = math.floor(e_star)
+    # Far past 2^53 both neighbours are one float, and 2/e can round to tau^2,
+    # which leaves the non-event cells no room; or the cells overflow.
     feasible = [float(e) for e in (e_floor, e_floor + 1) if e > 0 and tau2 - 2.0 / e > 0.0]
-    e = min(feasible, key=lambda e: abs(e / (e + control_cells(e)) - event_rate))
-    d = control_cells(e)
-    b = (1.0 + 1.0 / allocation) / (tau2 - 2.0 / e)
+    if feasible:
+        e = min(feasible, key=lambda e: abs(e / (e + control_cells(e)) - event_rate))
+        d = control_cells(e)
+        b = (1.0 + 1.0 / allocation) / (tau2 - 2.0 / e)
+    if not feasible or e + max(b, d) == math.inf:
+        raise NonexistenceError(
+            f"no equivalent trial: its patients per arm are outside the floating-point "
+            f"range (prior variance {tau2:.6g}, event count {e_star:.6g}, event rate "
+            f"{event_rate:.6g})")
     return EquivalentTrial(
         events_per_arm=e,
         allocation_ratio=allocation,

@@ -174,10 +174,10 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
                                -1.0))
     m_min = math.exp(t_min)
     h_min = h(m_min)[0]
-    if h_min > 0.0:
+    if h_min > 0.0:   # the minimum, gamma e^h_min, is at most 1 where e^h_min overflows
         raise NonexistenceError(
             f"no advocacy prior reaches BF01 = {gamma:.4g}: the family's "
-            f"minimum is {gamma * math.exp(h_min):.4g} (at m = {m_min:.4g})")
+            f"minimum is {math.exp(log_gamma + h_min):.4g} (at m = {m_min:.4g})")
 
     # h(0) = -log gamma > 0 with slope -z^2: the small root starts where that
     # tangent meets 0. log BF01 >= log m + log(k)/2 - z^2/2 for every m, so

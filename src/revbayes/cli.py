@@ -5,11 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical nonexistence
 (e.g. sceptical prior undefined), 141 stdout closed. Any other exception is a bug.
 """
 
-import argparse
 import functools
 import math
 import os
-import re
 import sys
 from itertools import repeat
 from operator import add, is_, mul, sub, truediv
@@ -19,26 +17,12 @@ try:   # the json package's C encoder, without importing the package and its dec
 except ImportError:   # an interpreter built without _json
     from json.encoder import encode_basestring_ascii
 
-from . import __version__
 from .errors import DataError, NonexistenceError
+from .options import UsageError, parse_args
 # model, meta, ancred, bf and fpr load with the subcommands that run them, and
 # text with a text run, so a cold process loads only what it runs
-from .statfn import (DEFAULT_LEVEL, alpha_for_level, critical_z, exp_or_inf,
-                     exp_or_inf_column, two_sided_p_column)
-
-
-class UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse would take -1e-05 for an option, not a negative number
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-    def error(self, message):  # exit 1 on usage errors, not argparse's 2
-        raise UsageError(message)
+from .statfn import (alpha_for_level, critical_z, exp_or_inf, exp_or_inf_column,
+                     two_sided_p_column)
 
 
 def _input_digest(args, fields: dict | None = None) -> str | None:
@@ -452,53 +436,6 @@ def cmd_fpr(args) -> dict:
 # ---------------------------------------------------------------- driver
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="revbayes",
-                     description="Reverse-Bayes evidence assessment toolkit")
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--level", type=float, default=DEFAULT_LEVEL,
-                        help="confidence/credibility level (default %(default)s)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the deterministic JSON report")
-    parser.add_argument("--scale", choices=["log", "or"], default="log",
-                        help="display scale for meta's effects (default log)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_meta = sub.add_parser("meta", help="fixed-effect meta-analysis of a study table")
-    p_meta.add_argument("file", help="CSV with header id,events_t,n_t,events_c,n_c "
-                                     "or id,estimate,se")
-
-    p_ancred = sub.add_parser("ancred", help="Analysis of Credibility")
-    p_ancred.add_argument("--estimate", type=float, help="log OR point estimate")
-    p_ancred.add_argument("--se", type=float, help="standard error")
-    p_ancred.add_argument("--lower", type=float, help="CI lower limit (log OR)")
-    p_ancred.add_argument("--upper", type=float, help="CI upper limit (log OR)")
-    p_ancred.add_argument("--rate", type=float, default=None,
-                          help="event rate for the equivalent prior trial")
-
-    p_bf = sub.add_parser("bf", help="Bayes-factor credibility analysis")
-    p_bf.add_argument("--estimate", type=float, required=True)
-    p_bf.add_argument("--se", type=float, required=True)
-    p_bf.add_argument("--gamma", type=float, default=1.0 / 10.0,
-                      help="Bayes factor cut-off (default 1/10)")
-    p_bf.add_argument("--mode", choices=["sceptical", "advocacy", "ic"],
-                      default="sceptical")
-
-    p_fpr = sub.add_parser("fpr", help="false positive risk bounds")
-    p_fpr.add_argument("--p", type=float, required=True, help="two-sided p-value")
-    p_fpr.add_argument("--fpr", type=float, default=0.05,
-                       help="target false positive risk (default 0.05)")
-    p_fpr.add_argument("--calibration", default="all",   # "all" and CalibrationKind's values
-                       choices=["all", "local_z", "simple_z", "e_p_log_p", "e_q_log_q",
-                                "els_all_priors"])
-    p_fpr.add_argument("--fpr-equals-p", action="store_true",
-                       help="bound Pr(H0) under the claim FPR = p")
-    p_fpr.add_argument("--grid", action="store_true",
-                       help="also emit plot data over a log-spaced p grid")
-    return parser
-
-
-_parser = functools.cache(build_parser)  # one per process: parse_args leaves it unchanged
 # each subcommand's runner, and its printer's name in text, which only a text run imports
 _RUNNERS = {"meta": (cmd_meta, "_print_meta"), "ancred": (cmd_ancred, "_print_ancred"),
             "bf": (cmd_bf, "_print_bf"), "fpr": (cmd_fpr, "_print_fpr")}
@@ -506,7 +443,7 @@ _RUNNERS = {"meta": (cmd_meta, "_print_meta"), "ancred": (cmd_ancred, "_print_an
 
 def run(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if not (0.0 < args.level < 1.0):
             raise UsageError(f"--level must be in (0,1), got {args.level!r}")
         if args.scale == "or" and args.command != "meta":   # only meta prints an OR scale

@@ -385,6 +385,19 @@ class TestEquivalentTrial:
         with pytest.raises(NonexistenceError, match="event count"):
             equivalent_trial(NormalPrior(1.0, 1e-320), event_rate=0.3)
 
+    @pytest.mark.parametrize("mu, tau2, rate", [
+        (0.0, 0.0085, 5e-324),   # tau^2 r (1 - r) underflows to 0
+        (0.0, 0.0085, 1e-310),   # n = 2 / (tau^2 r (1 - r)) overflows, and r n with it
+        (1.0, 1e-34, 5e-324),    # the neighbours of e* are one float, and 2/e rounds to tau^2
+        (1.0, 1e-17, 1e-30),
+        (1.0, 1e-300, 1e-12),    # 2/e is below tau^2, and the cells overflow
+    ])
+    def test_patients_outside_float_range(self, mu, tau2, rate):
+        # a ZeroDivisionError, inf events of about 235, an empty min(), and
+        # inf patients before
+        with pytest.raises(NonexistenceError, match="its patients per arm are outside"):
+            equivalent_trial(NormalPrior(mu, tau2), event_rate=rate)
+
     def test_mean_zero_rate_hits_rate_exactly(self):
         trial = equivalent_trial(NormalPrior(0.0, 0.3), event_rate=0.25)
         assert trial.events_per_arm / trial.patients_per_arm == pytest.approx(

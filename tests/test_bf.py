@@ -163,6 +163,14 @@ class TestAdvocacyForGamma:
         with pytest.raises(NonexistenceError, match="advocacy prior"):
             advocacy_for_gamma(cape_covid, 1e-6)
 
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-310, 5e-324])
+    def test_unreachable_cutoff_past_the_float_range(self, gamma):
+        # below gamma ~ 1e-308, h_min = log(minimum / gamma) passes LOG_MAX, and
+        # gamma e^h_min overflowed in the message; the minimum itself is below 1
+        with pytest.raises(NonexistenceError,
+                           match=r"the family's minimum is 0\.8826 \(at m = 0\.9993\)"):
+            advocacy_for_gamma(EffectEstimate(0.5, 1.0), gamma)
+
     def test_zero_estimate(self):
         with pytest.raises(NonexistenceError):
             advocacy_for_gamma(EffectEstimate(0.0, 1.0), 0.5)

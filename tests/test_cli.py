@@ -37,6 +37,10 @@ SRC = ROOT / "src" / "revbayes"
 _SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 # printable ASCII but the comma and quote, so that an id is one csv field
 _ID_CHARS = st.characters(min_codepoint=0x20, max_codepoint=0x7e, blacklist_characters=',"')
+# the number spellings a float option takes: decimal, or inf, infinity or nan,
+# ASCII only, in any case
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|infinity|nan)",
+                     re.ASCII | re.IGNORECASE)
 
 
 def quick_start_block() -> str:
@@ -952,7 +956,7 @@ class TestRenderJson:
         monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
         assert run(argv) == 0
         (report,) = calls
-        assert report == cli.cmd_meta(cli.build_parser().parse_args(argv))
+        assert report == cli.cmd_meta(cli.parse_args(argv))
         assert "".join(writes) == render_json(report) + "\n"
         assert len(writes) > 2500 // cli._BLOCK
 
@@ -1152,6 +1156,77 @@ _EXPORTED = {
 }
 
 
+# the help of the top level and of each subcommand, as argparse laid it out at
+# 80 columns
+_HELP = {
+    "": """\
+usage: revbayes [-h] [--version] [--level LEVEL] [--json] [--scale {log,or}]
+                {meta,ancred,bf,fpr} ...
+
+Reverse-Bayes evidence assessment toolkit
+
+positional arguments:
+  {meta,ancred,bf,fpr}
+    meta                fixed-effect meta-analysis of a study table
+    ancred              Analysis of Credibility
+    bf                  Bayes-factor credibility analysis
+    fpr                 false positive risk bounds
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+  --level LEVEL         confidence/credibility level (default 0.95)
+  --json                emit the deterministic JSON report
+  --scale {log,or}      display scale for meta's effects (default log)
+""",
+    "meta": """\
+usage: revbayes meta [-h] file
+
+positional arguments:
+  file        CSV with header id,events_t,n_t,events_c,n_c or id,estimate,se
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "ancred": """\
+usage: revbayes ancred [-h] [--estimate ESTIMATE] [--se SE] [--lower LOWER]
+                       [--upper UPPER] [--rate RATE]
+
+options:
+  -h, --help           show this help message and exit
+  --estimate ESTIMATE  log OR point estimate
+  --se SE              standard error
+  --lower LOWER        CI lower limit (log OR)
+  --upper UPPER        CI upper limit (log OR)
+  --rate RATE          event rate for the equivalent prior trial
+""",
+    "bf": """\
+usage: revbayes bf [-h] --estimate ESTIMATE --se SE [--gamma GAMMA]
+                   [--mode {sceptical,advocacy,ic}]
+
+options:
+  -h, --help            show this help message and exit
+  --estimate ESTIMATE
+  --se SE
+  --gamma GAMMA         Bayes factor cut-off (default 1/10)
+  --mode {sceptical,advocacy,ic}
+""",
+    "fpr": """\
+usage: revbayes fpr [-h] --p P [--fpr FPR]
+                    [--calibration {all,local_z,simple_z,e_p_log_p,e_q_log_q,els_all_priors}]
+                    [--fpr-equals-p] [--grid]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 two-sided p-value
+  --fpr FPR             target false positive risk (default 0.05)
+  --calibration {all,local_z,simple_z,e_p_log_p,e_q_log_q,els_all_priors}
+  --fpr-equals-p        bound Pr(H0) under the claim FPR = p
+  --grid                also emit plot data over a log-spaced p grid
+""",
+}
+
+
 class TestPackage:
     # fresh interpreters, so the checks see what importing the package loads
     def python(self, *args):
@@ -1205,10 +1280,12 @@ class TestPackage:
         subcommand is expected to load; of the package, only the cli's modules
         and the watched ones may load. _hashlib is OpenSSL's libcrypto, which
         hashlib loads where the interpreter has no _SHA256; no run needs the
-        json package or __future__."""
+        json package or __future__, nor argparse, gettext and locale, which
+        the command line's own parser replaced, nor the help's renderer."""
         watched = ["revbayes.model", "revbayes.meta", "revbayes.ancred", "revbayes.bf",
-                   "revbayes.fpr", "revbayes.text", "csv", "json", "json.decoder",
-                   "json.scanner", "__future__"]
+                   "revbayes.fpr", "revbayes.text", "revbayes.usage", "csv", "json",
+                   "json.decoder", "json.scanner", "__future__", "argparse", "gettext",
+                   "locale"]
         if importlib.util.find_spec(_SHA256) is not None:
             watched.append("_hashlib")
         proc = self.python("-c", "import sys; from revbayes.cli import run; "
@@ -1221,8 +1298,8 @@ class TestPackage:
         assert code == 0
         expected = self._LOADS[next(arg for arg in argv if arg in self._LOADS)]
         assert package == sorted(
-            {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.statfn"}
-            | {m for m in set(loaded) if m.startswith("revbayes.")})
+            {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.options",
+             "revbayes.statfn"} | {m for m in set(loaded) if m.startswith("revbayes.")})
         return set(loaded), expected
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
@@ -1316,6 +1393,11 @@ class TestPackage:
         proc = self.python(*args, "--version")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, revbayes.__version__ + "\n", "")
+
+    @pytest.mark.parametrize("command", list(_HELP), ids=lambda c: c or "top")
+    def test_help(self, command):
+        proc = self.python("-m", "revbayes", *command.split(), "-h")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, _HELP[command], "")
 
     @pytest.mark.parametrize("module", sorted(
         p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
@@ -1512,6 +1594,21 @@ class TestDriver:
         assert "Traceback" not in err
         assert named in err
 
+    @pytest.mark.parametrize("argv, named", [
+        ("bf --estimate 0.5 --se 1 --gamma 1e-310 --mode advocacy",
+         "the family's minimum is 0.8826"),
+        ("ancred --estimate -0.53 --se 0.145 --rate 5e-324", "its patients per arm"),
+        ("ancred --estimate -0.53 --se 0.145 --rate 1e-310", "its patients per arm"),
+        ("ancred --estimate 1e-17 --se 3.7 --rate 5e-324", "its patients per arm"),
+    ], ids=["bf-gamma", "ancred-rate-underflow", "ancred-patients-overflow",
+            "ancred-event-count"])
+    def test_extreme_cutoffs_and_rates(self, capsys, argv, named):
+        # an OverflowError, a ZeroDivisionError, "inf events of inf patients"
+        # and an empty min() before
+        assert run(shlex.split(argv)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("nonexistence: ") and named in err
+
     def test_overflowing_z_is_named(self, capsys):
         # z = 1.4e154 / 2.6e-162 overflows; the error names it, not the
         # prior variance that would underflow to 0 from it
@@ -1543,6 +1640,20 @@ class TestDriver:
         assert run(["ancred", "--estimate", "-e5", "--se", "1"]) == 1
         assert "expected one argument" in capsys.readouterr().err
 
+    @given(st.text() | st.from_regex(_NUMBER, fullmatch=True)
+           | st.text(alphabet="+-.0123456789eEinfatyINFATY_ \u0661", max_size=12))
+    def test_number_check_is_the_pattern(self, text):
+        # the float options' check, written without re, takes what the pattern
+        # takes; what it refuses is a usage error, where float() took some
+        from revbayes.options import _is_number
+        assert _is_number(text) == bool(_NUMBER.fullmatch(text))
+
+    @pytest.mark.parametrize("value", ["1_0", " 1", "1 ", "\u0661", "0x10", "1e", ".", "--1"])
+    def test_float_spellings_beyond_the_pattern(self, capsys, value):
+        assert run(["fpr", f"--p={value}"]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument --p: invalid float value: {value!r}\n")
+
     @pytest.mark.parametrize("level, code", [("1e-17", 2), ("0.9999999999", 0), ("5e-324", 2)])
     def test_extreme_levels(self, capsys, level, code):
         # below about 1.1e-16, 1 - level rounds to 1: a data error, not a traceback
@@ -1560,6 +1671,99 @@ class TestDriver:
         w_lo, w_hi = wide["results"]["pooled"]["ci_log"]
         n_lo, n_hi = narrow["results"]["pooled"]["ci_log"]
         assert w_hi - w_lo > n_hi - n_lo
+
+
+def _argv_ids(cases) -> list[str]:
+    return [shlex.join(argv) or "(none)" for argv, _ in cases]
+
+
+_USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["--json"], "the following arguments are required: command"),
+    (["foo"], "argument command: invalid choice: 'foo' "
+              "(choose from 'meta', 'ancred', 'bf', 'fpr')"),
+    (["meta"], "the following arguments are required: file"),
+    (["meta", "a.csv", "b.csv"], "unrecognized arguments: b.csv"),
+    (["meta", "a.csv", "--json"], "unrecognized arguments: --json"),
+    (["--level", "x", "meta", "a.csv"], "argument --level: invalid float value: 'x'"),
+    (["--level"], "argument --level: expected one argument"),
+    (["--scale", "xx", "meta", "a.csv"],
+     "argument --scale: invalid choice: 'xx' (choose from 'log', 'or')"),
+    (["--json=1", "fpr", "--p", "0.05"], "argument --json: ignored explicit argument '1'"),
+    (["ancred", "--estimate", "--se", "1"], "argument --estimate: expected one argument"),
+    (["ancred", "--estimate", "-inf", "--se", "1"],
+     "argument --estimate: expected one argument"),
+    (["ancred", "--foo", "1"], "unrecognized arguments: --foo 1"),
+    (["ancred", "-x"], "unrecognized arguments: -x"),
+    (["bf"], "the following arguments are required: --estimate, --se"),
+    (["bf", "--estimate", "1", "--se", "1", "--mode", "foo"],
+     "argument --mode: invalid choice: 'foo' (choose from 'sceptical', 'advocacy', 'ic')"),
+    (["fpr", "--p", "0.05", "--f", "0.1"],
+     "ambiguous option: --f could match --fpr, --fpr-equals-p"),
+    (["fpr", "--p", "0.05", "--grid=1"], "argument --grid: ignored explicit argument '1'"),
+    (["fpr", "--p", "0.05", "extra"], "unrecognized arguments: extra"),
+]
+# abbreviations, a negative value as its own item, and the last of a repeated
+# option, each with the command written in full
+_FORMS = [
+    (["ancred", "--e", "1", "--se", "1"], ["ancred", "--estimate", "1", "--se", "1"]),
+    (["--lev", "0.9", "--j", "fpr", "--p", "0.05"],
+     ["--level", "0.9", "--json", "fpr", "--p", "0.05"]),
+    (["ancred", "--se", "1", "--estimate", "-.5"], ["ancred", "--estimate=-0.5", "--se=1"]),
+    (["fpr", "--p", "0.05", "--fpr", "0.1", "--fpr", "0.2"],
+     ["fpr", "--p", "0.05", "--fpr", "0.2"]),
+]
+# values that parse, and that the data checks then refuse
+_DATA_ERRORS = [
+    (["ancred", "--estimate=-inf", "--se", "1"], "estimate and se must be finite"),
+    (["fpr", "--p", "nan"], "p-value must be in (0,1), got nan"),
+]
+
+
+class TestCommandLine:
+    # what the command line parses to, through run alone: the exit code and
+    # stderr of each malformed command, as argparse wrote them, and the forms
+    # a well-formed command may take
+    @pytest.mark.parametrize("argv, message", _USAGE_ERRORS, ids=_argv_ids(_USAGE_ERRORS))
+    def test_usage_errors(self, capsys, argv, message):
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv, full", _FORMS, ids=_argv_ids(_FORMS))
+    def test_forms_of_one_command(self, capsys, argv, full):
+        assert run(full) == 0
+        written = capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr() == written
+
+    @pytest.mark.parametrize("argv, message", _DATA_ERRORS, ids=_argv_ids(_DATA_ERRORS))
+    def test_values_reach_the_data_checks(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"data error: {message}\n")
+
+    @given(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324]))
+    def test_float_reprs_parse(self, x):
+        # the repr of any float is a value, and parses to that float: the
+        # report echoes the FPR target, and the data check names it by repr
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["--json", "fpr", "--p", "0.05", f"--fpr={x!r}"])
+        if 0.0 < x < 1.0:
+            assert (code, err.getvalue()) == (0, "")
+            assert strict_loads(out.getvalue())["results"]["fpr"] == x
+        else:
+            assert (code, err.getvalue()) == (2, f"data error: FPR must be in (0,1), got {x!r}\n")
+
+    @given(st.from_regex(_NUMBER, fullmatch=True))
+    def test_number_spellings_are_floats(self, text):
+        # every spelling the pattern takes is one that float() takes
+        assert text.isascii()
+        x = float(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["fpr", "--p", "0.05", f"--fpr={text}"])
+        assert code in (0, 2)
+        assert code == 0 or err.getvalue() == f"data error: FPR must be in (0,1), got {x!r}\n"
 
 
 class TestReadme:
