@@ -1,5 +1,5 @@
 """Command-line front end: subcommand dispatch and machine-readable reports.
-The text reports are in `text`.
+The command line is parsed in `options`, and the text reports are in `text`.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical nonexistence
 (e.g. sceptical prior undefined), 141 stdout closed. Any other exception is a bug.

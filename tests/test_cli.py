@@ -1640,6 +1640,32 @@ class TestDriver:
         assert run(["ancred", "--estimate", "-e5", "--se", "1"]) == 1
         assert "expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["ancred", "1", "--foo"], 1, "usage error: unrecognized arguments: 1 --foo"),
+        (["--jsonx", "fpr", "--p", "0.05", "extra"], 1,
+         "usage error: unrecognized arguments: --jsonx extra"),
+        (["bf", "x"], 1, "usage error: the following arguments are required: --estimate, --se"),
+        (["ancred", "--", "x"], 1, "usage error: unrecognized arguments: -- x"),
+        (["fpr", "--p", "0.05", "--", "--grid"], 1,
+         "usage error: unrecognized arguments: -- --grid"),
+        (["fpr", "--p", "--", "0.05"], 1, "usage error: argument --p: expected one argument"),
+        (["--", "fpr"], 1, "usage error: argument command: invalid choice: '--' "
+                           "(choose from 'meta', 'ancred', 'bf', 'fpr')"),
+        (["meta", "x", "--", "y"], 1, "usage error: unrecognized arguments: y"),
+        (["meta", "--", "-x"], 2, "data error: cannot read -x: [Errno 2] No such file or "
+                                  "directory: '-x'"),
+        (["meta", "-.5"], 2, "data error: cannot read -.5: [Errno 2] No such file or "
+                             "directory: '-.5'"),
+        (["fpr", "--p=0.05", "--fpr-e=", "--grid"], 1,
+         "usage error: argument --fpr-equals-p: ignored explicit argument ''"),
+        (["-h=1"], 1, "usage error: argument -h/--help: ignored explicit argument '1'"),
+    ], ids=lambda v: shlex.join(v) if type(v) is list else None)
+    def test_argparse_corners(self, capsys, argv, code, err):
+        # surplus items in argv order, after the required check; a `--` ends
+        # a subcommand's options and is surplus where no positional follows
+        assert run(argv) == code
+        assert capsys.readouterr() == ("", err + "\n")
+
     @given(st.text() | st.from_regex(_NUMBER, fullmatch=True)
            | st.text(alphabet="+-.0123456789eEinfatyINFATY_ \u0661", max_size=12))
     def test_number_check_is_the_pattern(self, text):
