@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 # export name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("errors", "DataError NonexistenceError"),
-    ("model", "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary Study "
-              "ci_limits estimate_from_counts"),
-    ("meta", "FailSafeResult MetaResult StudyDiagnostics failsafe_n "
-             "forward_update pool read_study_table reverse_update"),
+    ("model", "DEFAULT_LEVEL EffectEstimate NormalPrior Study ci_limits"),
+    ("meta", "FailSafeResult MetaResult PosteriorSummary StudyDiagnostics "
+             "estimate_from_counts failsafe_n forward_update pool read_study_table "
+             "reverse_update"),
     ("ancred", "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
                "advocacy_prior credibility_ratio credibility_ratio_bound "
                "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "

@@ -7,7 +7,8 @@ from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, NormalPrior
-from .statfn import DEFAULT_ALPHA, LOG_MAX, critical_excess, critical_z, exp_or_inf, two_sided_p
+from .statfn import (DEFAULT_ALPHA, LOG_MAX, alpha_for_level, critical_excess, critical_z,
+                     exp_or_inf, two_sided_p)
 
 
 class ScepticalAnalysis(NamedTuple):
@@ -246,3 +247,76 @@ def equivalent_trial(prior: NormalPrior,
         per_arm_detail=((e, e + b), (e, e + d)),
         per_arm_cells=((e, b), (e, d)),
     )
+
+
+# ---------------------------------------------------------------- the ancred subcommand
+
+
+def cmd_ancred(args) -> dict:
+    # the cli's runner, here so that no other subcommand's process compiles it;
+    # it imports the cli here, so that importing ancred loads no cli
+    from .cli import _estimate_payload, _input_digest
+    from .options import UsageError
+    has_est = args.estimate is not None or args.se is not None
+    has_ci = args.lower is not None or args.upper is not None
+    if has_est == has_ci:
+        raise UsageError("supply exactly one of --estimate/--se or --lower/--upper")
+    if has_est:
+        if args.estimate is None or args.se is None:
+            raise UsageError("--estimate and --se must be given together")
+        est = EffectEstimate(args.estimate, args.se)
+    else:
+        if args.lower is None or args.upper is None:
+            raise UsageError("--lower and --upper must be given together")
+        est = EffectEstimate.from_ci(args.lower, args.upper, args.level)
+
+    alpha = alpha_for_level(args.level)
+    results: dict = {"estimate": _estimate_payload(*est, args.level)}
+    if est.significant(alpha):
+        mode, analysis = "sceptical", sceptical_analysis(est, alpha)
+        tau2 = analysis.tau2
+    else:
+        mode, analysis = "advocacy", advocacy_prior(est, alpha)
+        tau2 = analysis.tau * analysis.tau
+    # tau^2 = g se^2 or (mu / z_crit)^2 can leave the float range from finite
+    # input, as at g = 0, the sceptical limit once z * z overflows
+    if not 0.0 < tau2 < math.inf:
+        raise NonexistenceError(f"the {mode} prior variance tau^2 is outside the "
+                                f"floating-point range (it computes as {tau2!r})")
+    payload = analysis._asdict()
+    if mode == "sceptical":
+        lo, hi = results["estimate"]["ci_log"]
+        payload.update(
+            scepticism_limit=payload.pop("limit"),
+            credibility_ratio=credibility_ratio(lo, hi),
+            intrinsically_credible_prior=bool(
+                intrinsic_credibility(est, alpha, "prior_based")),
+            intrinsically_credible_predictive=bool(
+                intrinsic_credibility(est, alpha, "predictive_based")))
+    else:
+        payload.update(advocacy_limit=payload.pop("limit"),
+                       advocacy_limit_or=exp_or_inf(analysis.limit))
+    payload.update(p_intrinsic=p_intrinsic(est.z), p_rep=p_rep(est.z),
+                   equivalent_trial=_trial_payload(equivalent_trial(analysis.prior(),
+                                                                    args.rate)))
+    results["mode"] = mode
+    results[mode] = payload
+    return {
+        "command": "ancred",
+        "input_digest": _input_digest(args, {"estimate": est.theta_hat, "se": est.se,
+                                             "level": args.level, "rate": args.rate}),
+        "results": results,
+        "warnings": [],
+    }
+
+
+def _trial_payload(trial) -> dict:
+    payload = {"events_per_arm": trial.events_per_arm,
+               "allocation_ratio": trial.allocation_ratio}
+    if trial.patients_per_arm is not None:
+        payload["patients_per_arm"] = trial.patients_per_arm
+    if trial.per_arm_detail is not None:
+        (et, nt), (ec, nc) = trial.per_arm_detail
+        payload["treatment_arm"] = {"events": et, "patients": nt}
+        payload["control_arm"] = {"events": ec, "patients": nc}
+    return payload

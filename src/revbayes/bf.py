@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
-from .fpr import min_bf_local
+from .fpr import min_bf_els, min_bf_local
 from .model import EffectEstimate, NormalPrior, interval
 from .statfn import LOG_MAX, PRINCIPAL, SECONDARY, exp_or_inf, find_root, lambert_w_log
 
@@ -234,3 +234,38 @@ def bf_intrinsic(estimate: EffectEstimate) -> float:
         raise NonexistenceError("no admissible cut-off for intrinsic credibility")
     v = -lambert_w_log(log_x, SECONDARY)
     return bf01_sceptical(z, z * z / v - 1.0)
+
+
+# ---------------------------------------------------------------- the bf subcommand
+
+
+def cmd_bf(args) -> dict:
+    # the cli's runner, as in ancred
+    from .cli import _estimate_payload, _input_digest
+    from .options import UsageError
+    est = EffectEstimate(args.estimate, args.se)
+    z = est.z
+    results: dict = {"estimate": _estimate_payload(*est, args.level),
+                     "min_bf_local": min_bf_local(z),
+                     "min_bf_els": min_bf_els(z),
+                     "mode": args.mode}
+    if args.mode == "sceptical":
+        sol = sceptical_g_for_gamma(z, args.gamma, est.se)
+        results["sceptical"] = dict(
+            sol._asdict(), bf12_at_g_small=bf12_sceptical_vs_optimistic(z, sol.g_small))
+    elif args.mode == "advocacy":
+        sol = advocacy_for_gamma(est, args.gamma)
+        results["advocacy"] = dict(
+            sol._asdict(), z_gamma=z_gamma(args.gamma), recommended_m=sol.recommended_m,
+            prior_interval_or=advocacy_prior_interval_or(est, sol.m_small, args.gamma))
+    elif args.mode == "ic":
+        results["bf_intrinsic"] = bf_intrinsic(est)
+    else:
+        raise UsageError(f"unknown mode {args.mode!r}")
+    return {
+        "command": "bf",
+        "input_digest": _input_digest(args, {"estimate": est.theta_hat, "se": est.se,
+                                             "gamma": args.gamma, "mode": args.mode}),
+        "results": results,
+        "warnings": [],
+    }

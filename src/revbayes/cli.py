@@ -1,11 +1,15 @@
-"""Command-line front end: subcommand dispatch and machine-readable reports.
-The command line is parsed in `options`, and the text reports are in `text`.
+"""Command-line front end: subcommand dispatch, machine-readable reports and
+the meta report. The ancred, bf and fpr reports are built by the cmd_ function
+at the end of their own modules, so that a process compiles only its own
+subcommand's. The command line is parsed in `options`, and the text reports
+are in `text`.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical nonexistence
 (e.g. sceptical prior undefined), 141 stdout closed. Any other exception is a bug.
 """
 
 import functools
+import importlib
 import math
 import os
 import sys
@@ -21,8 +25,7 @@ from .errors import DataError, NonexistenceError
 from .options import UsageError, parse_args
 # model, meta, ancred, bf and fpr load with the subcommands that run them, and
 # text with a text run, so a cold process loads only what it runs
-from .statfn import (alpha_for_level, critical_z, exp_or_inf, exp_or_inf_column,
-                     two_sided_p_column)
+from .statfn import alpha_for_level, critical_z, exp_or_inf_column, two_sided_p_column
 
 
 def _input_digest(args, fields: dict | None = None) -> str | None:
@@ -284,161 +287,13 @@ def _nan_as_none(column):
     return [None if math.isnan(x) else x for x in column]
 
 
-# ---------------------------------------------------------------- ancred
-
-
-def cmd_ancred(args) -> dict:
-    # here, so that the other subcommands' cold processes never load ancred
-    from .ancred import (advocacy_prior, credibility_ratio, equivalent_trial,
-                         intrinsic_credibility, p_intrinsic, p_rep, sceptical_analysis)
-    from .model import EffectEstimate
-    has_est = args.estimate is not None or args.se is not None
-    has_ci = args.lower is not None or args.upper is not None
-    if has_est == has_ci:
-        raise UsageError("supply exactly one of --estimate/--se or --lower/--upper")
-    if has_est:
-        if args.estimate is None or args.se is None:
-            raise UsageError("--estimate and --se must be given together")
-        est = EffectEstimate(args.estimate, args.se)
-    else:
-        if args.lower is None or args.upper is None:
-            raise UsageError("--lower and --upper must be given together")
-        est = EffectEstimate.from_ci(args.lower, args.upper, args.level)
-
-    alpha = alpha_for_level(args.level)
-    results: dict = {"estimate": _estimate_payload(*est, args.level)}
-    if est.significant(alpha):
-        mode, analysis = "sceptical", sceptical_analysis(est, alpha)
-        tau2 = analysis.tau2
-    else:
-        mode, analysis = "advocacy", advocacy_prior(est, alpha)
-        tau2 = analysis.tau * analysis.tau
-    # tau^2 = g se^2 or (mu / z_crit)^2 can leave the float range from finite
-    # input, as at g = 0, the sceptical limit once z * z overflows
-    if not 0.0 < tau2 < math.inf:
-        raise NonexistenceError(f"the {mode} prior variance tau^2 is outside the "
-                                f"floating-point range (it computes as {tau2!r})")
-    payload = analysis._asdict()
-    if mode == "sceptical":
-        lo, hi = results["estimate"]["ci_log"]
-        payload.update(
-            scepticism_limit=payload.pop("limit"),
-            credibility_ratio=credibility_ratio(lo, hi),
-            intrinsically_credible_prior=bool(
-                intrinsic_credibility(est, alpha, "prior_based")),
-            intrinsically_credible_predictive=bool(
-                intrinsic_credibility(est, alpha, "predictive_based")))
-    else:
-        payload.update(advocacy_limit=payload.pop("limit"),
-                       advocacy_limit_or=exp_or_inf(analysis.limit))
-    payload.update(p_intrinsic=p_intrinsic(est.z), p_rep=p_rep(est.z),
-                   equivalent_trial=_trial_payload(equivalent_trial(analysis.prior(),
-                                                                    args.rate)))
-    results["mode"] = mode
-    results[mode] = payload
-    return {
-        "command": "ancred",
-        "input_digest": _input_digest(args, {"estimate": est.theta_hat, "se": est.se,
-                                             "level": args.level, "rate": args.rate}),
-        "results": results,
-        "warnings": [],
-    }
-
-
-def _trial_payload(trial) -> dict:
-    payload = {"events_per_arm": trial.events_per_arm,
-               "allocation_ratio": trial.allocation_ratio}
-    if trial.patients_per_arm is not None:
-        payload["patients_per_arm"] = trial.patients_per_arm
-    if trial.per_arm_detail is not None:
-        (et, nt), (ec, nc) = trial.per_arm_detail
-        payload["treatment_arm"] = {"events": et, "patients": nt}
-        payload["control_arm"] = {"events": ec, "patients": nc}
-    return payload
-
-
-# ---------------------------------------------------------------- bf
-
-
-def cmd_bf(args) -> dict:
-    from .bf import (advocacy_for_gamma, advocacy_prior_interval_or,
-                     bf12_sceptical_vs_optimistic, bf_intrinsic, sceptical_g_for_gamma,
-                     z_gamma)
-    from .fpr import min_bf_els, min_bf_local
-    from .model import EffectEstimate
-    est = EffectEstimate(args.estimate, args.se)
-    z = est.z
-    results: dict = {"estimate": _estimate_payload(*est, args.level),
-                     "min_bf_local": min_bf_local(z),
-                     "min_bf_els": min_bf_els(z),
-                     "mode": args.mode}
-    if args.mode == "sceptical":
-        sol = sceptical_g_for_gamma(z, args.gamma, est.se)
-        results["sceptical"] = dict(
-            sol._asdict(), bf12_at_g_small=bf12_sceptical_vs_optimistic(z, sol.g_small))
-    elif args.mode == "advocacy":
-        sol = advocacy_for_gamma(est, args.gamma)
-        results["advocacy"] = dict(
-            sol._asdict(), z_gamma=z_gamma(args.gamma), recommended_m=sol.recommended_m,
-            prior_interval_or=advocacy_prior_interval_or(est, sol.m_small, args.gamma))
-    elif args.mode == "ic":
-        results["bf_intrinsic"] = bf_intrinsic(est)
-    else:
-        raise UsageError(f"unknown mode {args.mode!r}")
-    return {
-        "command": "bf",
-        "input_digest": _input_digest(args, {"estimate": est.theta_hat, "se": est.se,
-                                             "gamma": args.gamma, "mode": args.mode}),
-        "results": results,
-        "warnings": [],
-    }
-
-
-# ---------------------------------------------------------------- fpr
-
-
-def cmd_fpr(args) -> dict:
-    # here and in cmd_bf, so that meta and ancred processes never load fpr
-    from .fpr import CalibrationKind, min_bf, prior_prob_for_fpr
-    kinds = (list(CalibrationKind) if args.calibration == "all"
-             else [CalibrationKind(args.calibration)])
-
-    def bound(p: "float", kind: "CalibrationKind") -> "float":
-        return prior_prob_for_fpr(p, p if args.fpr_equals_p else args.fpr, kind)
-
-    results: dict = {
-        "p": args.p,
-        "fpr": args.p if args.fpr_equals_p else args.fpr,
-        "fpr_equals_p": args.fpr_equals_p,
-        "min_bf": {k.value: min_bf(args.p, k) for k in kinds},
-        "prior_bound": {k.value: bound(args.p, k) for k in kinds},
-    }
-    if args.grid:
-        n = 200
-        lo, hi = math.log(1e-4), math.log(0.5)
-        grid_kinds = [CalibrationKind.LOCAL_Z, CalibrationKind.SIMPLE_Z,
-                      CalibrationKind.E_P_LOG_P, CalibrationKind.E_Q_LOG_Q]
-        ps = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1) for _ in grid_kinds]
-        kinds = grid_kinds * (n + 1)
-        results["grid"] = _Table([0, 1, 2], [ps, [kind.value for kind in kinds],
-                                             list(map(bound, ps, kinds))])
-    return {
-        "command": "fpr",
-        "input_digest": _input_digest(args, {"p": args.p, "fpr": args.fpr,
-                                             "calibration": args.calibration,
-                                             "fpr_equals_p": args.fpr_equals_p,
-                                             "grid": args.grid}),
-        "results": results,
-        "warnings": [],
-    }
-
-
 # ---------------------------------------------------------------- driver
 
 
-# each subcommand's runner, and its printer's name in text, which only a text run imports
-_RUNNERS = {"meta": (cmd_meta, "_print_meta"), "ancred": (cmd_ancred, "_print_ancred"),
-            "bf": (cmd_bf, "_print_bf"), "fpr": (cmd_fpr, "_print_fpr")}
+# each subcommand's runner, or the module whose cmd_<subcommand> runs it, and its
+# printer's name in text, which only a text run imports
+_RUNNERS = {"meta": (cmd_meta, "_print_meta"), "ancred": ("ancred", "_print_ancred"),
+            "bf": ("bf", "_print_bf"), "fpr": ("fpr", "_print_fpr")}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -449,6 +304,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.scale == "or" and args.command != "meta":   # only meta prints an OR scale
             raise UsageError(f"--scale or applies only to meta, not {args.command}")
         runner, printer = _RUNNERS[args.command]
+        if type(runner) is str:
+            runner = getattr(importlib.import_module("." + runner, __package__),
+                             "cmd_" + args.command)
         report = runner(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

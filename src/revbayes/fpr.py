@@ -86,3 +86,42 @@ def prior_prob_for_fpr(p: float, fpr: float, kind: CalibrationKind) -> float:
 def prior_bound_fpr_equals_p(p: float, kind: CalibrationKind) -> float:
     """Upper bound on Pr(H0) under the claim that the FPR equals the p-value."""
     return prior_prob_for_fpr(p, p, kind)
+
+
+# ---------------------------------------------------------------- the fpr subcommand
+
+
+def cmd_fpr(args) -> dict:
+    # the cli's runner, as in ancred
+    from .cli import _Table, _input_digest
+    kinds = (list(CalibrationKind) if args.calibration == "all"
+             else [CalibrationKind(args.calibration)])
+
+    def bound(p: "float", kind: "CalibrationKind") -> "float":
+        return prior_prob_for_fpr(p, p if args.fpr_equals_p else args.fpr, kind)
+
+    results: dict = {
+        "p": args.p,
+        "fpr": args.p if args.fpr_equals_p else args.fpr,
+        "fpr_equals_p": args.fpr_equals_p,
+        "min_bf": {k.value: min_bf(args.p, k) for k in kinds},
+        "prior_bound": {k.value: bound(args.p, k) for k in kinds},
+    }
+    if args.grid:
+        n = 200
+        lo, hi = math.log(1e-4), math.log(0.5)
+        grid_kinds = [CalibrationKind.LOCAL_Z, CalibrationKind.SIMPLE_Z,
+                      CalibrationKind.E_P_LOG_P, CalibrationKind.E_Q_LOG_Q]
+        ps = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1) for _ in grid_kinds]
+        kinds = grid_kinds * (n + 1)
+        results["grid"] = _Table([0, 1, 2], [ps, [kind.value for kind in kinds],
+                                             list(map(bound, ps, kinds))])
+    return {
+        "command": "fpr",
+        "input_digest": _input_digest(args, {"p": args.p, "fpr": args.fpr,
+                                             "calibration": args.calibration,
+                                             "fpr_equals_p": args.fpr_equals_p,
+                                             "grid": args.grid}),
+        "results": results,
+        "warnings": [],
+    }

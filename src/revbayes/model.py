@@ -1,18 +1,17 @@
-"""Core domain types: studies, effect estimates, normal priors and posteriors.
-The study-table reader is in `meta`, beside `pool`, its only consumer.
+"""Core domain types: studies, effect estimates and normal priors. The
+posterior summary, the log OR from 2x2 counts and the study-table reader are
+in `meta`, beside `pool`, so that only a meta process compiles them.
 
 Effects live on the log odds ratio scale throughout; odds-ratio-scale
 values only appear at I/O boundaries via exp/log.
 """
 
 import math
-from itertools import repeat
-from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
-from .statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, FLOAT_MIN, alpha_for_level,
-                     critical_excess, critical_z, two_sided_p)
+from .statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, alpha_for_level, critical_excess,
+                     critical_z, two_sided_p)
 
 
 def _checked_make(cls, values):
@@ -114,6 +113,7 @@ class Study(NamedTuple("Study", [
 
     def effect_estimate(self) -> EffectEstimate:
         if self.has_counts:
+            from .meta import estimate_from_counts   # here, so that only meta compiles it
             return estimate_from_counts(self)
         try:
             return EffectEstimate(self.estimate, self.se)
@@ -143,90 +143,6 @@ class NormalPrior(NamedTuple("NormalPrior", [("mean", float), ("variance", float
 
     def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
         return interval(self.mean, self.sd, level)
-
-
-class PosteriorSummary(NamedTuple("PosteriorSummary", [("mean", float), ("precision", float)])):
-    """Posterior mean and precision from forward normal updating."""
-
-    __slots__ = ()
-    _make = classmethod(_checked_make)
-
-    def __new__(cls, mean: float, precision: float):
-        self = super().__new__(cls, mean, precision)
-        if self.precision <= 0.0:
-            raise DataError(f"posterior precision must be positive, got {self.precision!r}")
-        return self
-
-    @property
-    def sd(self) -> float:
-        return 1.0 / math.sqrt(self.precision)
-
-    def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
-        return interval(self.mean, self.sd, level)
-
-    def as_estimate(self) -> EffectEstimate:
-        return EffectEstimate(self.mean, self.sd)
-
-
-def estimate_from_counts(study: Study) -> EffectEstimate:
-    """Log odds ratio and its standard error from 2x2 counts.
-
-    All four cells must be positive; continuity corrections are deliberately
-    not applied, so zero-cell studies must supply estimate+se directly.
-    """
-    if not study.has_counts:
-        raise DataError(f"study {study.id!r} carries no counts")
-    (theta,), (se,) = theta_se(*zip(study[1:]))
-    if math.isnan(theta):
-        raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
-                        "supply estimate and se directly instead")
-    if math.isnan(se):
-        raise NonexistenceError(f"study {study.id!r}: its counts are outside the "
-                                "floating-point range")
-    return EffectEstimate(theta, se)
-
-
-def theta_se(events_t, n_t, events_c, n_c, estimate, se) -> tuple:
-    """(log OR, se) columns from the columns of a table's Study fields: pool
-    passes a table's, and estimate_from_counts one study's. From counts, each
-    takes one correctly rounded quotient of exact integer products:
-    log1p((ad - bc)/bc) for an odds ratio within (1/2, 2), else log(ad/bc),
-    scaled by a power of two where it leaves the normal range, and
-    sqrt((ad(b + c) + bc(a + d))/(ad bc)). Each step is a map or a
-    comprehension over the count columns, so no call or tuple is made per
-    study. It never raises: both are nan at a zero cell, and se where its
-    square is not a normal float. Estimate columns pass as they are; in a list
-    of Study that mixes the schemas, each counts row is taken alone."""
-    if None in events_t:   # the estimate schema, or a list of Study that mixes the two
-        if events_t.count(None) == len(events_t):
-            return estimate, se
-        theta, se = list(estimate), list(se)
-        for i, cells in enumerate(zip(events_t, n_t, events_c, n_c)):
-            if cells[0] is not None:
-                (theta[i],), (se[i],) = theta_se(*zip(cells), (), ())
-        return theta, se
-    a, c = events_t, events_c
-    b, d = list(map(sub, n_t, a)), list(map(sub, n_c, c))
-    ad, bc = list(map(mul, a, d)), list(map(mul, b, c))
-    numerator = map(add, map(mul, ad, map(add, b, c)), map(mul, bc, map(add, a, d)))
-    denominator = list(map(mul, ad, bc))
-    if not all(denominator):   # a zero cell: 0/1 makes its variance 0.0, so its se nan
-        numerator = map(mul, numerator, map(bool, denominator))
-        denominator = map(max, denominator, repeat(1))
-    variance = list(map(truediv, numerator, denominator))
-    se = list(map(math.sqrt, variance))
-    if min(variance, default=FLOAT_MIN) < FLOAT_MIN:
-        se = [s if v >= FLOAT_MIN else math.nan for s, v in zip(se, variance)]
-    # the odds ratio r = ad/bc is below 2^1021 where ad >> 1020 < bc, so it raises no
-    # OverflowError, and a zero cell's is 0.0 or inf; past the normal range,
-    # ad / (bc 2^k) is within (1/2, 2)
-    theta = [math.log1p((x - y) / y) if 0.5 < (r := x / y if x >> 1020 < y else math.inf) < 2.0
-             else math.log(r) if FLOAT_MIN <= r < math.inf
-             else math.nan if not (x and y)
-             else math.log(x / (y << k) if (k := x.bit_length() - y.bit_length()) > 0
-                           else (x << -k) / y) + k * math.log(2.0)
-             for x, y in zip(ad, bc)]
-    return theta, se
 
 
 def interval(center: float, sd: float,

@@ -17,6 +17,11 @@ def _fmt_bf(bf: float) -> str:
     return f"{bf:.3g}"
 
 
+def _fmt_gamma(gamma: float) -> str:
+    # the cut-off is an input, so it is named where _fmt_bf would write 0
+    return _fmt_bf(gamma) if gamma > 2.0 ** -1024 else f"{gamma:.3g}"
+
+
 def _print_meta(report: dict, scale: str) -> None:
     res = report["results"]
     pooled = res["pooled"]
@@ -110,14 +115,14 @@ def _print_bf(report: dict, scale: str) -> None:
     if res["mode"] == "sceptical":
         sc = res["sceptical"]
         lo, hi = sc["prior_interval_or"]
-        print(f"gamma {_fmt_bf(sc['gamma'])}: g {_num(sc['g_small'])} (sceptical) "
+        print(f"gamma {_fmt_gamma(sc['gamma'])}: g {_num(sc['g_small'])} (sceptical) "
               f"or {sc['g_large']:.3g} (ignorance)")
         print(f"sceptical prior 95% OR interval ({_num(lo)}, {_num(hi)})")
         print(f"BF12 vs optimistic prior {_fmt_bf(sc['bf12_at_g_small'])}")
     elif res["mode"] == "advocacy":
         adv = res["advocacy"]
         lo, hi = adv["prior_interval_or"]
-        print(f"gamma {_fmt_bf(adv['gamma'])}: z(gamma) {_num(adv['z_gamma'])}, "
+        print(f"gamma {_fmt_gamma(adv['gamma'])}: z(gamma) {_num(adv['z_gamma'])}, "
               f"CV {_num(adv['cv'])}")
         print(f"advocacy m {_num(adv['m_small'])} (tau {_num(adv['tau_small'])}, "
               f"recommended) or m {_num(adv['m_large'])} (tau {_num(adv['tau_large'])})")

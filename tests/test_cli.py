@@ -21,6 +21,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import pins
+from readme import readme_cli_block
 import revbayes
 from revbayes import bundled_dataset_path, cli, meta
 from revbayes.cli import render_json, run, write_json
@@ -48,19 +49,6 @@ def quick_start_block() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quick start", 1)[1]
     return section.split("```python", 1)[1].split("```", 1)[0]
-
-
-def readme_cli_block() -> list[tuple[list[str], int | None, str]]:
-    """Each `$ revbayes` line of the README's CLI block: its argv, the n of
-    a `| head -n` after it (None without one), and the text shown under it."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI", 1)[1].split("```console\n", 1)[1].split("```", 1)[0]
-    examples = []
-    for command, shown in re.findall(r"^\$ revbayes (.*)\n((?:(?!\$ ).*\n)*)", block, re.M):
-        command, _, head = command.partition(" | head -")
-        examples.append((shlex.split(command, comments=True), int(head) if head else None,
-                         shown))
-    return examples
 
 
 def readme_examples() -> list[list[str]]:
@@ -660,6 +648,16 @@ class TestBfCommand:
         # z = 1e155, where z * z overflows: the limits of the roots
         run_json(capsys, ["--json", "bf", "--estimate", "1e155", "--se", "1", "--mode", mode])
 
+    @pytest.mark.parametrize("mode", ["sceptical", "advocacy"])
+    def test_tiny_gamma_header(self, capsys, mode):
+        # the cut-off is an input: at or below 2^-1024, where its reciprocal
+        # overflows, it is written as given, and the minimum BFs stay 0
+        assert run(["bf", "--estimate", "1", "--se", "2.2e-308", "--gamma", "1e-310",
+                    "--mode", mode]) == 0
+        first, second = capsys.readouterr().out.splitlines()[:2]
+        assert first.endswith("minBF local 0, ELS bound 0")
+        assert second.startswith("gamma 1e-310: ")
+
 
 class TestFprCommand:
     def test_point_values(self, capsys):
@@ -1138,10 +1136,10 @@ class TestFuzz:
 # the names `revbayes` exports, by the module that defines them
 _EXPORTED = {
     "errors": "DataError NonexistenceError",
-    "model": "DEFAULT_LEVEL EffectEstimate NormalPrior PosteriorSummary Study "
-             "ci_limits estimate_from_counts",
-    "meta": "FailSafeResult MetaResult StudyDiagnostics failsafe_n "
-            "forward_update pool read_study_table reverse_update",
+    "model": "DEFAULT_LEVEL EffectEstimate NormalPrior Study ci_limits",
+    "meta": "FailSafeResult MetaResult PosteriorSummary StudyDiagnostics "
+            "estimate_from_counts failsafe_n forward_update pool read_study_table "
+            "reverse_update",
     "ancred": "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
               "advocacy_prior credibility_ratio credibility_ratio_bound "
               "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
@@ -1312,6 +1310,34 @@ class TestPackage:
     def test_text_run_loads_its_printers(self, argv):
         loaded, expected = self.loaded_modules(argv)
         assert loaded == expected | {"revbayes.text"}
+
+    # the runners and the counts code that a run of each subcommand compiles: cli
+    # keeps cmd_meta, and bf loads fpr for the minimum Bayes factors
+    _COMPILES = {"meta": {"cmd_meta", "theta_se", "estimate_from_counts"},
+                 "ancred": {"cmd_meta", "cmd_ancred"},
+                 "bf": {"cmd_meta", "cmd_bf", "cmd_fpr"}, "fpr": {"cmd_meta", "cmd_fpr"}}
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_subcommand_compiles_only_its_code(self, argv, tmp_path):
+        # the package modules of each compile audit event, in a process with no
+        # bytecode to read, as in a benchmark run
+        script = ("import sys; compiled = []; sys.addaudithook(lambda event, args: "
+                  "event == 'compile' and compiled.append(args[1])); "
+                  "from revbayes.cli import run; code = run(sys.argv[1:]); "
+                  "print((code, compiled))")
+        proc = subprocess.run([sys.executable, "-c", script, "--json", *argv],
+                              capture_output=True, text=True, cwd=ROOT,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                   "PYTHONPYCACHEPREFIX": str(tmp_path),
+                                   "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        code, compiled = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert code == 0
+        functions = {node.name for path in compiled if pathlib.Path(path).parent == SRC
+                     for node in ast.walk(ast.parse(pathlib.Path(path).read_bytes()))
+                     if isinstance(node, ast.FunctionDef)}
+        watched = set().union(*self._COMPILES.values())
+        assert functions & watched == self._COMPILES[next(a for a in argv if a in self._COMPILES)]
 
     def test_quoted_table_loads_csv(self, tmp_path):
         # a table that the column pass cannot read is read by csv's row parser

@@ -7,9 +7,9 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from revbayes.errors import DataError, NonexistenceError
-from revbayes.meta import (StudyDiagnostics, failsafe_n, forward_update, pool,
-                           reverse_update)
-from revbayes.model import EffectEstimate, PosteriorSummary, Study
+from revbayes.meta import (PosteriorSummary, StudyDiagnostics, failsafe_n, forward_update,
+                           pool, reverse_update)
+from revbayes.model import EffectEstimate, Study
 from revbayes.statfn import critical_z, two_sided_p
 
 

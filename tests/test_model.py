@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from revbayes.errors import DataError, NonexistenceError
-from revbayes.meta import StudyTable, pool
-from revbayes.model import (EffectEstimate, NormalPrior, PosteriorSummary,
-                            Study, ci_limits, estimate_from_counts, theta_se)
+from revbayes.meta import PosteriorSummary, StudyTable, estimate_from_counts, pool, theta_se
+from revbayes.model import EffectEstimate, NormalPrior, Study, ci_limits
 
 
 class TestEstimateFromCounts:

@@ -25,6 +25,51 @@ _EDGE_PS = [x for e in (0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0), 2.0 *
                         1.0 - 2.0 ** -53)
             for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)) if 0.0 < x < 1.0]
 
+# norm_quantile(p).hex() on Python 3.11.7 (the C AS241 of _statistics) at p in
+# each of AS241's three branches and at _EDGE_PS, so that another interpreter's
+# run compares its bits with these, not with its own statistics module
+_AS241_BITS = {
+    # |p - 1/2| <= 0.425
+    0.08: "-0x1.67b2c51011cedp+0", 0.1: "-0x1.4813c36e26d34p+0",
+    0.125: "-0x1.267d4c07b0566p+0", 0.2: "-0x1.aee8fa73a1333p-1",
+    0.25: "-0x1.5956b87528a49p-1", 0.3: "-0x1.0c7e39582c5fap-1",
+    0.4: "-0x1.036d6c4a04b5ap-2", 0.45: "-0x1.015abc78e92cfp-3",
+    0.49: "-0x1.9aba9f4786911p-6", 0.5: "0x0.0p+0", 0.51: "0x1.9aba9f4786911p-6",
+    0.6: "0x1.036d6c4a04b5ap-2", 0.7: "0x1.0c7e39582c5fap-1", 0.75: "0x1.5956b87528a49p-1",
+    0.8: "0x1.aee8fa73a1335p-1", 0.875: "0x1.267d4c07b0566p+0", 0.9: "0x1.4813c36e26d34p+0",
+    0.92: "0x1.67b2c51011cefp+0",
+    # r = sqrt(-log min(p, 1 - p)) <= 5
+    0.07: "-0x1.79cd70d9c27f0p+0", 0.05: "-0x1.a515209676abdp+0",
+    0.025: "-0x1.f5c0331eeff83p+0", 0.01: "-0x1.29c5c4630ff0ep+1",
+    0.001: "-0x1.8b8cbb7204470p+1", 0.0001: "-0x1.dc08bb712893ap+1",
+    1e-06: "-0x1.30381a9799f7ep+2", 1e-08: "-0x1.672b074435e3ep+2",
+    1e-10: "-0x1.97203597a2154p+2", 2e-11: "-0x1.a6a9350dc279bp+2",
+    0.93: "0x1.79cd70d9c27f3p+0", 0.95: "0x1.a515209676ab8p+0",
+    0.975: "0x1.f5c0331eeff82p+0", 0.99: "0x1.29c5c4630ff0ep+1",
+    0.999: "0x1.8b8cbb7204470p+1", 0.999999: "0x1.30381a97985f1p+2",
+    0.99999999: "0x1.672b074346f17p+2",
+    # r > 5
+    1e-11: "-0x1.ad2f7bbec4805p+2", 1e-15: "-0x1.fc3f007789667p+2",
+    1e-20: "-0x1.2865170b43a4bp+3", 1e-50: "-0x1.dddde6ad81776p+3",
+    1e-100: "-0x1.546010d75521fp+4", 1e-200: "-0x1.e34a1d1f58ae0p+4",
+    1e-300: "-0x1.286074064c26ep+5", 2.2250738585072014e-308: "-0x1.2c27b05bf1a0bp+5",
+    1e-320: "-0x1.32272b3016ccdp+5", 0.99999999999: "0x1.ad2f7bb1cbde9p+2",
+    0.9999999999999: "0x1.d651fe903ae47p+2", 0.999999999999999: "0x1.fc40a0611cdeep+2",
+    0.9999999999999999: "0x1.06b48528cea51p+3",
+    # the branch edges of _EDGE_PS
+    0.07499999999999998: "-0x1.7085226d3e522p+0", 0.075: "-0x1.7085226d3e523p+0",
+    0.07500000000000001: "-0x1.7085226d3e523p+0",
+    0.9249999999999999: "0x1.7085226d3e521p+0", 0.925: "0x1.7085226d3e524p+0",
+    0.9250000000000002: "0x1.7085226d3e528p+0",
+    1.388794386496402e-11: "-0x1.aa1b1c13ee525p+2",
+    1.3887943864964021e-11: "-0x1.aa1b1c13ee525p+2",
+    1.3887943864964023e-11: "-0x1.aa1b1c13ee525p+2",
+    0.999999999986112: "0x1.aa1b1980bc89cp+2", 0.9999999999861121: "0x1.aa1b1e6eab81fp+2",
+    0.9999999999861122: "0x1.aa1b235c9d013p+2", 5e-324: "-0x1.33bd3f27fcd02p+5",
+    1e-323: "-0x1.33985c2232ebfp+5", 0.9999999999999998: "0x1.04074bdbf8864p+3",
+}
+
+
 class TestNormQuantile:
     def test_median(self):
         assert norm_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
@@ -60,6 +105,10 @@ class TestNormQuantile:
         ps = [p for p in ps if 0.0 < p < 1.0]
         assert len(ps) >= 100_000
         assert [p for p in ps if norm_quantile(p) != inv_cdf(p)] == []
+
+    def test_pinned_bits(self):
+        assert set(_EDGE_PS) <= set(_AS241_BITS)
+        assert {p: norm_quantile(p).hex() for p in _AS241_BITS} == _AS241_BITS
 
     def test_fallback_without_the_extension(self):
         # an interpreter without _statistics, such as PyPy, takes statistics' Python AS241
