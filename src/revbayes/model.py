@@ -113,7 +113,7 @@ class Study(NamedTuple("Study", [
 
     def effect_estimate(self) -> EffectEstimate:
         if self.has_counts:
-            from .meta import estimate_from_counts   # here, so that only meta compiles it
+            from .meta import estimate_from_counts   # here, so that only meta processes compile it
             return estimate_from_counts(self)
         try:
             return EffectEstimate(self.estimate, self.se)
