@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -19,6 +20,82 @@ from revbayes.statfn import alpha_for_level, critical_z, norm_quantile, two_side
 def implied_log_or_stats(a, b, c, d):
     """Oracle: mean and variance of the log OR implied by a 2x2 table."""
     return math.log((a / b) / (c / d)), 1 / a + 1 / b + 1 / c + 1 / d
+
+
+# equivalent_trial(NormalPrior(mu, tau2), event_rate=rate): the .hex() of the
+# events e, the allocation ratio, both arms' patients and the non-event cells b and
+# d, or the NonexistenceError's text; each neighbour of e* wins somewhere
+_TRIAL_BITS = {
+    # floor(e*) + 1 is nearer the target rate
+    (0.59, 0.35, 0.32): (
+        "0x1.4000000000000p+3", "0x1.cdd22f4e7f250p+0", "0x1.45cb7f3f019ecp+4",
+        "0x1.cb1793b60a4f8p+4", "0x1.4b96fe7e033d8p+3", "0x1.2b1793b60a4f8p+4"),
+    (0.3, 1e-07, 0.9): (
+        "0x1.b986e7a000000p+27", "0x1.599058c8c1a96p+0", "0x1.ddded53d57ca5p+27",
+        "0x1.ea95e4e96daf2p+27", "0x1.22bf6ceabe52ap+24", "0x1.8877ea4b6d78ep+24"),
+    (3.0, 0.08, 0.95): (
+        "0x1.3a90000000000p+12", "0x1.415e5bf6fb106p+4", "0x1.3b63016a01697p+12",
+        "0x1.4b1e28c3dc4b3p+12", "0x1.a602d402d2dd3p+3", "0x1.08e28c3dc4b2bp+8"),
+    (0.2, 3.0, 0.99): (
+        "0x1.2800000000000p+6", "0x1.38add9e58ac8dp+0", "0x1.2a726fdfb13b6p+6",
+        "0x1.2afd21c36cb17p+6", "0x1.3937efd89daedp-1", "0x1.7e90e1b658b5ap-1"),
+    (-0.7, 0.5, 0.5): (
+        "0x1.c000000000000p+2", "0x1.fc80db9dd5542p-2", "0x1.5106e0e01258ep+4",
+        "0x1.bf7d755c59c6ep+3", "0x1.c20dc1c024b1dp+3", "0x1.befaeab8b38ddp+2"),
+    # floor(e*) is nearer
+    (-0.4, 0.2, 0.375): (
+        "0x1.e000000000000p+3", "0x1.57343067270eep-1", "0x1.a304dace601f0p+5",
+        "0x1.40703b582d277p+5", "0x1.2b04dace601f0p+5", "0x1.90e076b05a4eep+4"),
+    (0.7, 0.5, 0.5): (
+        "0x1.4000000000000p+3", "0x1.01c2a61268987p+1", "0x1.dfa2c18b1b8e2p+3",
+        "0x1.40bbc532563f8p+4", "0x1.3f458316371c3p+2", "0x1.41778a64ac7f1p+3"),
+    (0.01, 0.02, 0.05): (
+        "0x1.a400000000000p+6", "0x1.0292a5d2f2226p+0", "0x1.1251aca664e25p+11",
+        "0x1.14f1af8466a48p+11", "0x1.0531aca664e25p+11", "0x1.07d1af8466a48p+11"),
+    # a tie, at e* ~ 3.5e307: floor(e*)
+    (709.0, 1.0, 0.3): (
+        "0x1.91426b7e99885p+1021", "0x1.d422d2be5dc9bp+1022", "0x1.91426b7e99885p+1021",
+        "0x1.4e62043ed546fp+1023", "0x1.0000000000000p+0", "0x1.d422d2be5dc9bp+1022"),
+    # floor(e*) = 0 is infeasible
+    (1.0, 5.0, 0.3): (
+        "0x1.0000000000000p+0", "0x1.5bf0a8b145769p+1", "0x1.74b9c8483be9ap+0",
+        "0x1.1ea58d906c7cep+1", "0x1.d2e72120efa68p-2", "0x1.3d4b1b20d8f9bp+0"),
+    (-2.0, 2.5, 0.2): (
+        "0x1.0000000000000p+0", "0x1.152aaa3bf81ccp-3", "0x1.1c7325c6a6ed6p+4",
+        "0x1.a2a555477f03ap+1", "0x1.0c7325c6a6ed6p+4", "0x1.22a555477f03ap+1"),
+    (-0.2, 3.0, 0.001): (
+        "0x1.0000000000000p+0", "0x1.a330ad6166159p-1", "0x1.9c56ecf2c5646p+1",
+        "0x1.68cc2b5859856p+1", "0x1.1c56ecf2c5646p+1", "0x1.d19856b0b30acp+0"),
+    # floor(e*) >= 1 is infeasible: 2/e >= tau^2
+    (1.0, 1.9, 0.01): (
+        "0x1.0000000000000p+1", "0x1.5bf0a8b145769p+1", "0x1.c28af87863dacp+1",
+        "0x1.886941460a257p+2", "0x1.8515f0f0c7b57p+0", "0x1.086941460a257p+2"),
+    (-3.0, 0.5, 0.01): (
+        "0x1.4000000000000p+2", "0x1.97db0ccceb0afp-5", "0x1.afb5f2f4b9d49p+7",
+        "0x1.efee8e80012e8p+3", "0x1.a5b5f2f4b9d49p+7", "0x1.4fee8e80012e8p+3"),
+    # feasible, but the non-event cells overflow
+    (-709.0, 1.0, 0.3):
+        "no equivalent trial: its patients per arm are outside the floating-point range "
+        "(prior variance 1, event count 2.42857, event rate 0.3)",
+    (1.0, 1e-300, 1e-12):
+        "no equivalent trial: its patients per arm are outside the floating-point range "
+        "(prior variance 1e-300, event count 2e+300, event rate 1e-12)",
+    # both infeasible: 2/e rounds to tau^2
+    (1.0, 1e-34, 5e-324):
+        "no equivalent trial: its patients per arm are outside the floating-point range "
+        "(prior variance 1e-34, event count 2e+34, event rate 4.94066e-324)",
+    (1.0, 1e-17, 1e-30):
+        "no equivalent trial: its patients per arm are outside the floating-point range "
+        "(prior variance 1e-17, event count 2e+17, event rate 1e-30)",
+    # e* itself past the float range
+    (1.0, 1e-320, 0.3):
+        "no equivalent trial: its event count is outside the floating-point range "
+        "(prior variance 9.99989e-321)",
+    # the allocation ratio past the float range
+    (800.0, 1.0, 0.3):
+        "no equivalent trial: the allocation ratio exp(800) "
+        "is outside the floating-point range",
+}
 
 
 def _assert_verdict_flips(alpha, flavor, factor):
@@ -419,6 +496,56 @@ class TestEquivalentTrial:
         with pytest.raises(ValueError, match="patients_per_arm"):
             equivalent_trial(NormalPrior(0.0, 0.01), event_rate=0.3,
                              patients_per_arm=100)
+
+    def test_pinned_bits(self):
+        def outcome(mu, tau2, rate):
+            try:
+                trial = equivalent_trial(NormalPrior(mu, tau2), event_rate=rate)
+            except NonexistenceError as exc:
+                return str(exc)
+            (et, nt), (ec, nc) = trial.per_arm_detail
+            (e, b), (e_control, d) = trial.per_arm_cells
+            assert trial.patients_per_arm is None
+            assert et == ec == e == e_control == trial.events_per_arm
+            return tuple(x.hex() for x in (e, trial.allocation_ratio, nt, nc, b, d))
+
+        assert {key: outcome(*key) for key in _TRIAL_BITS} == _TRIAL_BITS
+
+    def test_nearest_feasible_neighbour(self):
+        # e is the one of floor(e*) and floor(e*) + 1 that is feasible (2/e < tau^2)
+        # and whose control rate e/(e + d) is nearest the target, the lower on a
+        # tie. Every other target is the midpoint of two neighbours' rates, where
+        # the two distances often tie exactly.
+        rng = random.Random(34)
+        seen = collections.Counter()
+        for i in range(2000):
+            mu = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 3.0)
+            tau2 = 10.0 ** rng.uniform(-3.0, 1.0)
+            allocation = math.exp(mu)
+
+            def control_rate(e):
+                return e / (e + (1.0 + allocation) / (tau2 - 2.0 / e))
+
+            if i % 2:
+                rate = rng.uniform(0.01, 0.99)
+            else:
+                e0 = float(math.floor(2.0 / tau2) + rng.randint(1, 50))
+                rate = 0.5 * (control_rate(e0) + control_rate(e0 + 1.0))
+            e_star = (2.0 + (1.0 + allocation) * rate / (1.0 - rate)) / tau2
+            lower, upper = float(math.floor(e_star)), float(math.floor(e_star)) + 1.0
+            trial = equivalent_trial(NormalPrior(mu, tau2), event_rate=rate)
+            distance = {e: abs(control_rate(e) - rate) for e in (lower, upper)
+                        if e > 0.0 and tau2 - 2.0 / e > 0.0}
+            if lower not in distance:
+                seen["lower infeasible"] += 1
+                assert trial.events_per_arm == upper
+            elif distance[upper] < distance[lower]:
+                seen["upper"] += 1
+                assert trial.events_per_arm == upper
+            else:
+                seen["tie" if distance[upper] == distance[lower] else "lower"] += 1
+                assert trial.events_per_arm == lower
+        assert min(seen[k] for k in ("lower infeasible", "upper", "lower", "tie")) >= 50, seen
 
 
 class TestSignEquivariance:

@@ -16,6 +16,84 @@ from revbayes.fpr import min_bf_els, min_bf_local
 from revbayes.model import EffectEstimate, NormalPrior
 
 
+# advocacy_for_gamma(EffectEstimate(theta_hat, se), gamma): every field's .hex(), or
+# the NonexistenceError's text, so that a change to the solves that moves one bit
+# of an answer shows
+_ADVOCACY_BITS = {
+    # the README's CAPE COVID numbers, and gamma = 1/3 exactly
+    (-0.79, 0.42, 0.3333): (
+        "0x1.7d620126ad5fdp-2", "0x1.968029faa067dp-3", "0x1.434f1cc491133p+0",
+        "0x1.589a240aa7876p-1", "0x1.554c985f06f69p-2", "0x1.59647e709434bp-1"),
+    (-0.79, 0.42, 0.3333333333333333): (
+        "0x1.7d53ec4946b34p-2", "0x1.9675e403b9c2cp-3", "0x1.4354ddb4d6088p+0",
+        "0x1.58a449ec12712p-1", "0x1.5555555555555p-2", "0x1.596884a9163e6p-1"),
+    # no prior reaches the cut-off
+    (-0.79, 0.42, 0.1):
+        "no advocacy prior reaches BF01 = 0.1: "
+        "the family's minimum is 0.218 (at m = 0.8313)",
+    (-0.79, 0.42, 1e-06):
+        "no advocacy prior reaches BF01 = 1e-06: "
+        "the family's minimum is 0.1807 (at m = 0.9652)",
+    # gamma -> 1
+    (-0.79, 0.42, 0.999999999999): (
+        "0x1.13766f7d9d2f8p-42", "0x1.258045dc4c510p-23", "0x1.12ba87ebb7c8fp-18",
+        "0x1.24b8104559c0ap+1", "0x1.fffffffffdcd1p-1", "0x1.59455347e31eep+19"),
+    (3.0, 1.0, 0.9999999999999999): (
+        "0x1.7f5a778ff9ad0p-57", "0x1.1f83d9abfb41cp-29", "0x1.dfcb7dbe407f6p-22",
+        "0x1.67d89e4eb05f8p+6", "0x1.fffffffffffffp-1", "0x1.0000000000000p+26"),
+    (0.05, 1.0, 0.999):
+        "no advocacy prior reaches BF01 = 0.999: "
+        "the family's minimum is 1 (at m = 0.002002)",
+    # a minimum within 1e-5 below gamma
+    (2.29605, 1.0, 0.1): (
+        "0x1.a84f022dfa633p-1", "0x1.c5fbdaad02c8dp-1", "0x1.ad628f2baeacep-1",
+        "0x1.cb6a4ae5a2cd2p-1", "0x1.999999999999ap-4", "0x1.dd2ca3eba2429p-2"),
+    (-2.29605, 1.0, 0.1): (
+        "0x1.a84f022dfa633p-1", "0x1.c5fbdaad02c8dp-1", "0x1.ad628f2baeacep-1",
+        "0x1.cb6a4ae5a2cd2p-1", "0x1.999999999999ap-4", "0x1.dd2ca3eba2429p-2"),
+    # large roots far past m = 1
+    (-26.54441044525013, 1.0, 0.7298948576118643): (
+        "0x1.84596675fc374p-12", "0x1.95f3e1c14eb02p-7", "0x1.39ae823bd2716p+502",
+        "0x1.47e68885fa916p+507", "0x1.75b4c75dec4e3p-1", "0x1.429aa326b14bcp+0"),
+    (-24.91093919016628, 1.0, 3.434118871566747e-30): (
+        "0x1.8e27207431fa3p-4", "0x1.a9bc49ccd2d98p-3", "0x1.b896eaed0ef5dp+250",
+        "0x1.d71caf7228600p+251", "0x1.169bdbc79e4e2p-98", "0x1.5fa21a65c18aap-4"),
+    # |z| = 38: the large root is past the float range at gamma = 0.1
+    (38.0, 1.0, 0.1): (
+        "0x1.5aa6c8ce1f02ep-10", "0x1.7fa61887d82ebp-6", "inf", "inf", "0x1.999999999999ap-4",
+        "0x1.dd2ca3eba2429p-2"),
+    (-38.0, 1.0, 0.1): (
+        "0x1.5aa6c8ce1f02ep-10", "0x1.7fa61887d82ebp-6", "inf", "inf", "0x1.999999999999ap-4",
+        "0x1.dd2ca3eba2429p-2"),
+    (38.0, 1.0, 1e-30): (
+        "0x1.4e49bb6445106p-5", "0x1.0e2f50470450fp-3", "0x1.88b2db1a7dedcp+840",
+        "0x1.3d65054f3ba44p+842", "0x1.4484bfeebc2a0p-100", "0x1.5c7a98bab41b9p-4"),
+    # z = 1e100, and z^2 near and past the float range
+    (1e+100, 1.0, 0.1): (
+        "0x1.75ca1bf9731bfp-664", "0x1.8e2d3250fc5e6p-333", "inf", "inf",
+        "0x1.999999999999ap-4", "0x1.dd2ca3eba2429p-2"),
+    (-1e+100, 1.0, 1e-30): (
+        "0x1.5e6d7a39dbea2p-659", "0x1.109ce38df95bfp-330", "inf", "inf",
+        "0x1.4484bfeebc2a0p-100", "0x1.5c7a98bab41b9p-4"),
+    (1e+100, 1.0, 0.999999999999): (
+        "0x1.64f84c1aedd26p-705", "0x1.132555753fa27p-353", "inf", "inf",
+        "0x1.fffffffffdcd1p-1", "0x1.59455347e31eep+19"),
+    (1e+154, 1.0, 0.1): (
+        "0x0.db7712f7ef4aap-1022", "0x1.311a15a792704p-512", "inf", "inf",
+        "0x1.999999999999ap-4", "0x1.dd2ca3eba2429p-2"),
+    (1e+155, 1.0, 0.1): (
+        "0x0.0231d4ab70791p-1022", "0x1.e829bc3f50bfdp-516", "inf", "inf",
+        "0x1.999999999999ap-4", "0x1.dd2ca3eba2429p-2"),
+    # gamma e^h_min past the float range
+    (0.5, 1.0, 1e-310):
+        "no advocacy prior reaches BF01 = 1e-310: "
+        "the family's minimum is 0.8826 (at m = 0.9993)",
+    (1.3, 0.2, 5e-324):
+        "no advocacy prior reaches BF01 = 4.941e-324: "
+        "the family's minimum is 6.786e-10 (at m = 0.9993)",
+}
+
+
 class TestMinBf:
     def test_recovery_local(self, recovery):
         assert 1.0 / min_bf_local(recovery.z) == pytest.approx(148.9, abs=0.5)
@@ -170,6 +248,16 @@ class TestAdvocacyForGamma:
         with pytest.raises(NonexistenceError,
                            match=r"the family's minimum is 0\.8826 \(at m = 0\.9993\)"):
             advocacy_for_gamma(EffectEstimate(0.5, 1.0), gamma)
+
+    def test_pinned_bits(self):
+        def outcome(theta_hat, se, gamma):
+            try:
+                sol = advocacy_for_gamma(EffectEstimate(theta_hat, se), gamma)
+            except NonexistenceError as exc:
+                return str(exc)
+            return tuple(x.hex() for x in sol)
+
+        assert {key: outcome(*key) for key in _ADVOCACY_BITS} == _ADVOCACY_BITS
 
     def test_zero_estimate(self):
         with pytest.raises(NonexistenceError):
