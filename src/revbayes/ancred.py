@@ -82,8 +82,7 @@ def sceptical_analysis(estimate: EffectEstimate,
     g = sceptical_relative_variance(estimate.z, alpha)
     tau2 = g * (estimate.se * estimate.se)
     limit = critical_z(alpha) * math.sqrt(tau2)
-    return ScepticalAnalysis(g=g, tau2=tau2, limit=limit,
-                             critical_interval_or=(exp_or_inf(-limit), exp_or_inf(limit)))
+    return ScepticalAnalysis(g, tau2, limit, (exp_or_inf(-limit), exp_or_inf(limit)))
 
 
 def advocacy_prior(estimate: EffectEstimate,
@@ -103,7 +102,7 @@ def advocacy_prior(estimate: EffectEstimate,
     mu = m * estimate.theta_hat
     z_crit = critical_z(alpha)
     tau = abs(mu) / z_crit
-    return AdvocacyAnalysis(m=m, mu=mu, tau=tau, limit=2.0 * mu, cv=1.0 / z_crit)
+    return AdvocacyAnalysis(m, mu, tau, 2.0 * mu, 1.0 / z_crit)
 
 
 # Intrinsic credibility is r = z^2/z_crit^2 > factor: with the sceptical g = 1/(r - 1),
@@ -193,7 +192,7 @@ def equivalent_trial(prior: NormalPrior,
                     f"no equivalent trial: its patients per arm are outside the "
                     f"floating-point range (prior variance {tau2:.6g}, event rate "
                     f"{event_rate:.6g})")
-            return EquivalentTrial(events_per_arm=event_rate * n, patients_per_arm=n)
+            return EquivalentTrial(event_rate * n, n)
         if patients_per_arm is not None:
             # events e per arm of N patients: 2/e + 2/(N-e) = tau^2
             n = float(patients_per_arm)
@@ -202,9 +201,8 @@ def equivalent_trial(prior: NormalPrior,
                 raise DataError(
                     f"no trial with {patients_per_arm} patients per arm carries "
                     f"as little information as variance {tau2:.4g}")
-            return EquivalentTrial(events_per_arm=0.5 * (n - math.sqrt(disc)),
-                                   patients_per_arm=n)
-        return EquivalentTrial(events_per_arm=2.0 / tau2)
+            return EquivalentTrial(0.5 * (n - math.sqrt(disc)), n)
+        return EquivalentTrial(2.0 / tau2)
 
     if abs(mu) > LOG_MAX:
         raise NonexistenceError(
@@ -213,16 +211,13 @@ def equivalent_trial(prior: NormalPrior,
     allocation = math.exp(mu)
     if event_rate is None:
         # large-arm limit: non-event cells contribute nothing to the variance
-        return EquivalentTrial(events_per_arm=2.0 / tau2, allocation_ratio=allocation)
+        return EquivalentTrial(2.0 / tau2, None, allocation)
 
     # Equal event counts e in both arms; non-event cells b (treatment) and
     # d (control) solve {log(d/b) = mu, 2/e + 1/b + 1/d = tau^2}. The
     # control rate e/(e+d) rises with e and equals the target at e_star, so
-    # the closest integer construction is one of its two neighbours. The
-    # annotations are strings, as in bf, so that a call does not evaluate them.
-    def control_cells(e: "float") -> "float":
-        return (1.0 + allocation) / (tau2 - 2.0 / e)
-
+    # the closest integer construction is one of its two neighbours, the lower
+    # on a tie.
     e_star = (2.0 + (1.0 + allocation) * event_rate / (1.0 - event_rate)) / tau2
     if math.isinf(e_star):
         raise NonexistenceError(
@@ -231,22 +226,21 @@ def equivalent_trial(prior: NormalPrior,
     e_floor = math.floor(e_star)
     # Far past 2^53 both neighbours are one float, and 2/e can round to tau^2,
     # which leaves the non-event cells no room; or the cells overflow.
-    feasible = [float(e) for e in (e_floor, e_floor + 1) if e > 0 and tau2 - 2.0 / e > 0.0]
-    if feasible:
-        e = min(feasible, key=lambda e: abs(e / (e + control_cells(e)) - event_rate))
-        d = control_cells(e)
-        b = (1.0 + 1.0 / allocation) / (tau2 - 2.0 / e)
-    if not feasible or e + max(b, d) == math.inf:
+    e = None
+    for n in (float(e_floor), float(e_floor + 1)):
+        if n > 0.0 and (room := tau2 - 2.0 / n) > 0.0:
+            d_n = (1.0 + allocation) / room
+            miss = abs(n / (n + d_n) - event_rate)
+            if e is None or miss < e_miss:
+                e, d, e_miss, e_room = n, d_n, miss, room
+    if e is not None:
+        b = (1.0 + 1.0 / allocation) / e_room
+    if e is None or e + max(b, d) == math.inf:
         raise NonexistenceError(
             f"no equivalent trial: its patients per arm are outside the floating-point "
             f"range (prior variance {tau2:.6g}, event count {e_star:.6g}, event rate "
             f"{event_rate:.6g})")
-    return EquivalentTrial(
-        events_per_arm=e,
-        allocation_ratio=allocation,
-        per_arm_detail=((e, e + b), (e, e + d)),
-        per_arm_cells=((e, b), (e, d)),
-    )
+    return EquivalentTrial(e, None, allocation, ((e, e + b), (e, e + d)), ((e, b), (e, d)))
 
 
 # ---------------------------------------------------------------- the ancred subcommand

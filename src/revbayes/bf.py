@@ -94,8 +94,7 @@ def sceptical_g_for_gamma(z: float, gamma: float,
     if se is not None:
         lo, hi = interval(0.0, math.sqrt(g_small) * se)
         interval_or = (exp_or_inf(lo), exp_or_inf(hi))
-    return BfScepticalSolution(g_small=g_small, g_large=g_large, gamma=gamma,
-                               prior_interval_or=interval_or)
+    return BfScepticalSolution(g_small, g_large, gamma, interval_or)
 
 
 def bf01_normal_prior(estimate: EffectEstimate, prior: NormalPrior) -> float:
@@ -126,13 +125,12 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     """
     if not (0.0 < gamma < 1.0):
         raise DataError(f"gamma must be in (0,1), got {gamma!r}")
-    if estimate.theta_hat == 0.0:
-        raise NonexistenceError("advocacy prior undefined for a zero point estimate")
-    cv = 1.0 / z_gamma(gamma)
-    z2 = estimate.z * estimate.z
-    k = (cv * estimate.z) * (cv * estimate.z)
-    log_gamma = math.log(gamma)
     theta = abs(estimate.theta_hat)
+    if theta == 0.0:
+        raise NonexistenceError("advocacy prior undefined for a zero point estimate")
+    cv, z = 1.0 / z_gamma(gamma), estimate.z
+    z2, k = z * z, (cv * z) * (cv * z)
+    log_gamma = math.log(gamma)
     # dBF01/dm = 0 is z^2 p(m) = 0 with p(m) = a m^3 + k m^2 + c m - 1, convex
     # on m > 0. Its coefficients change sign once, so it has one positive
     # root m_min, and p(0) = -1 < 0 < p(1) = cv^2 (k + 1).
@@ -140,7 +138,7 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     if max(z2, a) == math.inf:
         # Past the float range the limits hold: as z -> inf, t_far -> inf and
         # h(x / z^2) (below) -> -log gamma - x - cv^2 x^2 / 2, cv^2 = -1/(2 log gamma).
-        m = 2.0 * (math.sqrt(2.0) - 1.0) * -log_gamma / abs(estimate.z) / abs(estimate.z)
+        m = 2.0 * (math.sqrt(2.0) - 1.0) * -log_gamma / abs(z) / abs(z)
         return BfAdvocacySolution(m, cv * m * theta, math.inf, math.inf, gamma, cv)
 
     # the closures' annotations are strings: evaluated, they would build three
@@ -168,10 +166,11 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
 
     # p(m) = k m s(m) + (1 + cv^2) m - 1 with s(m) = cv^2 m^2 + m - 1, so p >= 0
     # at the positive root of s, and Newton from there falls monotonically to
-    # m_min. m_min = exp(log m_min), so that h and h_log agree on h_min. The solves
-    # are given the ends' values held: p(0) = -1, h(0) = -log gamma, h(m_min) = h_min.
+    # m_min. m_min = exp(log m_min), so that h and h_log agree on h_min. find_root
+    # reads only the ends' signs, and is given each: p(0) = -1, p(1) > 0 (above),
+    # h(0) = -log gamma, h(m_min) = h_min, and h_log(t_hi + 1) >= 1 (below).
     t_min = math.log(find_root(p, 0.0, 1.0, 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * (cv * cv))),
-                               -1.0))
+                               -1.0, 1.0))
     m_min = math.exp(t_min)
     h_min = h(m_min)[0]
     if h_min > 0.0:   # the minimum, gamma e^h_min, is at most 1 where e^h_min overflows
@@ -189,11 +188,10 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     t_hi = 0.5 * z2 + log_gamma - 0.5 * math.log(k)
     t_far, t_mirror = t_hi + log_gamma, math.log(2.0 * m_min - m_small)
     m_large = exp_or_inf(find_root(h_log, t_min, t_hi + 1.0,
-                                   max(t_far, t_mirror) if t_far > 0.0 else t_mirror, h_min))
-    return BfAdvocacySolution(
-        m_small=m_small, tau_small=cv * m_small * theta,
-        m_large=m_large, tau_large=cv * m_large * theta,
-        gamma=gamma, cv=cv)
+                                   max(t_far, t_mirror) if t_far > 0.0 else t_mirror,
+                                   h_min, 1.0))
+    return BfAdvocacySolution(m_small, cv * m_small * theta, m_large, cv * m_large * theta,
+                              gamma, cv)
 
 
 def advocacy_prior_interval_or(estimate: EffectEstimate, m: float,

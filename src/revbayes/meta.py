@@ -24,10 +24,9 @@ class PosteriorSummary(NamedTuple("PosteriorSummary", [("mean", float), ("precis
     _make = classmethod(_checked_make)
 
     def __new__(cls, mean: float, precision: float):
-        self = super().__new__(cls, mean, precision)
-        if self.precision <= 0.0:
-            raise DataError(f"posterior precision must be positive, got {self.precision!r}")
-        return self
+        if precision <= 0.0:
+            raise DataError(f"posterior precision must be positive, got {precision!r}")
+        return tuple.__new__(cls, (mean, precision))
 
     @property
     def sd(self) -> float:

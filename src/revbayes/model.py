@@ -26,14 +26,14 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
     _make = classmethod(_checked_make)
 
     def __new__(cls, theta_hat: float, se: float):
-        self = super().__new__(cls, theta_hat, se)
-        if not (math.isfinite(self.theta_hat) and math.isfinite(self.se)):
+        if not (math.isfinite(theta_hat) and math.isfinite(se)):
             raise DataError("estimate and se must be finite")
-        if self.se <= 0.0:
-            raise DataError(f"standard error must be positive, got {self.se!r}")
-        if math.isinf(self.theta_hat / self.se):
-            raise DataError(f"z = estimate / se overflows: {self.theta_hat!r} / {self.se!r}")
-        return self
+        if se <= 0.0:
+            raise DataError(f"standard error must be positive, got {se!r}")
+        if math.isinf(theta_hat / se):
+            raise DataError(f"z = estimate / se overflows: {theta_hat!r} / {se!r}")
+        # tuple's own __new__: namedtuple's would add a Python call
+        return tuple.__new__(cls, (theta_hat, se))
 
     @property
     def z(self) -> float:
@@ -85,8 +85,8 @@ class Study(NamedTuple("Study", [
 
     def __new__(cls, id, events_treatment=None, n_treatment=None, events_control=None,
                 n_control=None, estimate=None, se=None):
-        self = super().__new__(cls, id, events_treatment, n_treatment,
-                               events_control, n_control, estimate, se)
+        self = tuple.__new__(cls, (id, events_treatment, n_treatment,
+                                   events_control, n_control, estimate, se))
         if self[1:5].count(None) not in (0, 4):
             raise DataError(f"study {self.id!r}: supply all four counts or none")
         has_counts = None not in self[1:5]
@@ -128,10 +128,9 @@ class NormalPrior(NamedTuple("NormalPrior", [("mean", float), ("variance", float
     _make = classmethod(_checked_make)
 
     def __new__(cls, mean: float, variance: float):
-        self = super().__new__(cls, mean, variance)
-        if self.variance <= 0.0 or not math.isfinite(self.variance):
-            raise DataError(f"prior variance must be positive, got {self.variance!r}")
-        return self
+        if variance <= 0.0 or not math.isfinite(variance):
+            raise DataError(f"prior variance must be positive, got {variance!r}")
+        return tuple.__new__(cls, (mean, variance))
 
     @property
     def precision(self) -> float:

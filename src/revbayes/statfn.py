@@ -168,15 +168,15 @@ def find_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float,
               x0: float, f_lo: float | None = None, f_hi: float | None = None) -> float:
     """Bracketed Newton root finder; f(x) returns (f(x), f'(x)).
 
-    Requires f(lo) and f(hi) of opposite sign (or zero), and lo <= x0 <= hi.
-    A caller that holds f(lo)[0] or f(hi)[0] passes it as f_lo or f_hi, and f
-    is not evaluated there. Newton steps from x0; each evaluation shrinks the
-    bracket, and a step that would leave it bisects instead. Stops once a step
-    is within 2 ulp of x, when the bracket is 4 ulp wide, or when f is exactly zero.
+    Requires f(lo), f(hi) of opposite sign (or zero) and lo <= x0 <= hi. A caller that knows
+    the sign of f(lo) or f(hi) passes any number of it as f_lo or f_hi (only the sign is read,
+    and the number is printed if the ends do not bracket), and f is not evaluated there. Newton
+    steps from x0; each evaluation shrinks the bracket, and a step leaving it bisects instead.
+    Stops once a step is within 2 ulp of x, when the bracket is 4 ulp wide, or f is exactly 0.
     """
     f_lo = f(lo)[0] if f_lo is None else f_lo
     f_hi = f(hi)[0] if f_hi is None else f_hi
-    if f_lo * f_hi > 0.0:
+    if f_lo > 0.0 < f_hi or f_lo < 0.0 > f_hi:   # f_lo * f_hi can underflow to 0
         raise ValueError(f"find_root: interval [{lo}, {hi}] does not bracket a root "
                          f"(f(lo)={f_lo!r}, f(hi)={f_hi!r})")
     if f_lo == 0.0 or f_hi == 0.0:

@@ -338,6 +338,12 @@ class TestFindRoot:
         with pytest.raises(ValueError):
             find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("end", [1e-300, -1e-300, 5e-324])
+    def test_rejects_tiny_ends_of_one_sign(self, end):
+        # their product underflows to 0, which let them pass as a bracket
+        with pytest.raises(ValueError, match="does not bracket a root"):
+            find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 0.5, end, end)
+
     def test_deterministic_bits(self):
         f = lambda x: (math.exp(x) - 3.0 * x, math.exp(x) - 3.0)
         first = find_root(f, 0.0, 1.0, 0.5)
@@ -363,15 +369,19 @@ class TestFindRoot:
     @settings(max_examples=300, deadline=None)
     @given(shape=st.sampled_from(sorted(_SMOOTH)), c=st.floats(-5.0, 5.0),
            points=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3, unique=True),
-           given_ends=st.sampled_from(["lo", "hi", "both"]))
-    def test_known_ends(self, shape, c, points, given_ends):
+           given_ends=st.sampled_from(["lo", "hi", "both"]),
+           magnitude=st.sampled_from([1e-300, 1.0, 1e300]))
+    def test_known_ends(self, shape, c, points, given_ends, magnitude):
         # f(lo) and f(hi) from the caller: the same bits, or the same error,
-        # and f is never evaluated at an end whose value was given
+        # and f is never evaluated at an end whose value was given. Only their
+        # signs are read, so any number of the same sign gives the same bits,
+        # or an error that prints the numbers given
         f = _SMOOTH[shape](c)
         lo, x0, hi = sorted(points)
         ends = {"f_lo": f(lo)[0], "f_hi": f(hi)[0]}
         if given_ends != "both":
             ends = {f"f_{given_ends}": ends[f"f_{given_ends}"]}
+        signs = {name: math.copysign(magnitude, v) if v else v for name, v in ends.items()}
         skipped = [x for name, x in (("f_lo", lo), ("f_hi", hi)) if name in ends]
 
         def guarded(x):
@@ -384,5 +394,8 @@ class TestFindRoot:
             with pytest.raises(ValueError) as got:
                 find_root(guarded, lo, hi, x0, **ends)
             assert str(got.value) == str(exc)
+            with pytest.raises(ValueError, match="does not bracket a root"):
+                find_root(guarded, lo, hi, x0, **signs)
         else:
             assert find_root(guarded, lo, hi, x0, **ends).hex() == expected.hex()
+            assert find_root(guarded, lo, hi, x0, **signs).hex() == expected.hex()
