@@ -340,7 +340,7 @@ class TestFindRoot:
 
     @pytest.mark.parametrize("end", [1e-300, -1e-300, 5e-324])
     def test_rejects_tiny_ends_of_one_sign(self, end):
-        # their product underflows to 0, which let them pass as a bracket
+        # their product underflows to 0, so only a test of the signs rejects them
         with pytest.raises(ValueError, match="does not bracket a root"):
             find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 0.5, end, end)
 
