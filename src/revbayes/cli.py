@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical nonexistence
 """
 
 import functools
+import gc
 import importlib
 import math
 import os
@@ -328,11 +329,20 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     try:
-        code = run()
+        try:
+            code = run()
+        except SystemExit as exc:   # -h, --help and --version, once printed
+            code = exc.code
         sys.stdout.flush()   # a closed pipe raises here, not at exit
     except BrokenPipeError:   # as in `revbayes ... | head`; the signal module documents this idiom
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # exit's flush then passes
         code = 141   # what the shell reports for a process that SIGPIPE ended
+    # At exit the interpreter's finalizer runs full collections over every
+    # tracked object, the standard library's too: about 11 800 in a --json
+    # ancred process, 3-7 ms that free nothing. Frozen objects are not walked.
+    # gc.disable() would not do: the finalizer's collections ignore it.
+    # os._exit would skip the atexit handlers, which others register.
+    gc.freeze()
     sys.exit(code)
 
 

@@ -1227,10 +1227,16 @@ options:
 
 class TestPackage:
     # fresh interpreters, so the checks see what importing the package loads
+    @staticmethod
+    def env(**changes) -> dict:
+        """os.environ with the package on PYTHONPATH and each of changes set,
+        or unset where its value is None."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **changes}
+        return {name: value for name, value in env.items() if value is not None}
+
     def python(self, *args):
         return subprocess.run([sys.executable, *args], capture_output=True,
-                              text=True, cwd=ROOT,
-                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                              text=True, cwd=ROOT, env=self.env())
 
     def test_import_leaves_cli_unloaded(self):
         proc = self.python("-c", "import sys, revbayes; "
@@ -1327,9 +1333,8 @@ class TestPackage:
                   "print((code, compiled))")
         proc = subprocess.run([sys.executable, "-c", script, "--json", *argv],
                               capture_output=True, text=True, cwd=ROOT,
-                              env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
-                                   "PYTHONPYCACHEPREFIX": str(tmp_path),
-                                   "PYTHONDONTWRITEBYTECODE": "1"})
+                              env=self.env(PYTHONPYCACHEPREFIX=str(tmp_path),
+                                           PYTHONDONTWRITEBYTECODE="1"))
         assert proc.returncode == 0, proc.stderr
         code, compiled = ast.literal_eval(proc.stdout.splitlines()[-1])
         assert code == 0
@@ -1547,16 +1552,18 @@ class TestPackage:
         routine.body = []
         assert weighted_means(trees["meta.py"]) == []
 
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
-    def test_closed_stdout_ends_quietly(self, tmp_path, json_flag):
+    def test_closed_stdout_ends_quietly(self, tmp_path, json_flag, unbuffered):
         # a 5 000-study report, past a pipe's buffer, whose reader closes after one
-        # line: exit 141, as for a process that SIGPIPE ends, and no traceback
+        # line: exit 141, as for a process that SIGPIPE ends, and no traceback;
+        # with stdout unbuffered and with its default buffer
         table = tmp_path / "large.csv"
         table.write_text("id,estimate,se\n" + "".join(f"S{i},-0.{i % 9 + 1},0.5\n"
                                                       for i in range(5000)))
         proc = subprocess.Popen([sys.executable, "-m", "revbayes", *json_flag, "meta", str(table)],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
-                                env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                                env=self.env(PYTHONUNBUFFERED=unbuffered))
         with proc:
             assert proc.stdout.readline()
             proc.stdout.close()
@@ -1565,6 +1572,65 @@ class TestPackage:
             finally:
                 proc.kill()   # a no-op once it has exited
             assert (code, proc.stderr.read()) == (141, b"")
+
+    def closed_stdout(self, script: list[str], env: dict) -> subprocess.CompletedProcess:
+        """A child interpreter running `script` whose stdout is a pipe that no
+        process reads from: its first write to the pipe fails."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run([sys.executable, *script], stdout=write,
+                                  stderr=subprocess.PIPE, cwd=ROOT, env=env, timeout=60)
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--version"], ["ancred", "-h"],
+                                      ["--json", "ancred", "--estimate", "-0.5", "--se", "0.2"]],
+                             ids=" ".join)
+    def test_closed_stdout_after_help_ends_quietly(self, argv):
+        # with stdout buffered, -h and --version print into the buffer and end
+        # parse_args; the write to the pipe comes after, at main's flush
+        proc = self.closed_stdout(["-m", "revbayes", *argv], self.env(PYTHONUNBUFFERED=None))
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    # an argv for each of main's exits, and its exit code
+    _EXITS = {"success": (["--json", "ancred", "--estimate", "-0.5", "--se", "0.2"], 0),
+              "usage": (["--level", "2", "ancred", "--estimate", "-0.5", "--se", "0.2"], 1),
+              "data": (["ancred", "--estimate", "1.4e154", "--se", "2.6e-162"], 2),
+              "nonexistence": (["bf", "--estimate", "-0.1", "--se", "0.2", "--gamma", "0.01"], 3),
+              "help": (["-h"], 0), "closed": (["--json", "fpr", "--p", "0.005", "--grid"], 141)}
+
+    @pytest.mark.parametrize("case", list(_EXITS))
+    def test_exit_freezes_the_heap(self, case, tmp_path, capsys):
+        # an atexit hook registered before main records whether the collector's
+        # heap was frozen by the time the interpreter exits; main's output is
+        # run's, in process, byte for byte
+        argv, expected = self._EXITS[case]
+        flag = tmp_path / "frozen"
+        script = ["-c", "import atexit, gc, sys; flag = sys.argv.pop(1); "
+                  "atexit.register(lambda: open(flag, 'w').write(str(gc.get_freeze_count() > 0))); "
+                  "from revbayes.cli import main; main()", str(flag), *argv]
+        if case == "closed":
+            proc = self.closed_stdout(script, self.env(PYTHONUNBUFFERED=None))
+            assert (proc.returncode, proc.stderr) == (141, b"")
+        else:
+            try:
+                assert run(argv) == expected
+            except SystemExit as exc:   # the help
+                assert exc.code == expected
+            out, err = capsys.readouterr()
+            proc = subprocess.run([sys.executable, *script], capture_output=True, text=True,
+                                  cwd=ROOT, env=self.env(), timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (expected, out, err)
+        assert flag.read_text() == "True"
+
+    def test_run_leaves_the_collector(self):
+        # in-process callers keep their collector, whatever run returns
+        argvs = [self._EXITS[case][0] for case in ("success", "usage", "data", "nonexistence")]
+        proc = self.python("-c", "import gc, sys; from revbayes.cli import run; "
+                           f"codes = [run(argv) for argv in {argvs!r}]; "
+                           "print((codes, gc.get_freeze_count(), gc.isenabled()))")
+        assert ast.literal_eval(proc.stdout.splitlines()[-1]) == ([0, 1, 2, 3], 0, True)
 
 
 class TestDriver:
