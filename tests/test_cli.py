@@ -1552,8 +1552,9 @@ class TestPackage:
         routine.body = []
         assert weighted_means(trees["meta.py"]) == []
 
-    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
+    @pytest.mark.parametrize(("json_flag", "unbuffered"),
+                             [(["--json"], "1"), ([], "1"), (["--json"], None), ([], None)],
+                             ids=["json", "text", "json-buffered", "text-buffered"])
     def test_closed_stdout_ends_quietly(self, tmp_path, json_flag, unbuffered):
         # a 5 000-study report, past a pipe's buffer, whose reader closes after one
         # line: exit 141, as for a process that SIGPIPE ends, and no traceback;
@@ -1584,8 +1585,7 @@ class TestPackage:
         finally:
             os.close(write)
 
-    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--version"], ["ancred", "-h"],
-                                      ["--json", "ancred", "--estimate", "-0.5", "--se", "0.2"]],
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--version"], ["ancred", "-h"]],
                              ids=" ".join)
     def test_closed_stdout_after_help_ends_quietly(self, argv):
         # with stdout buffered, -h and --version print into the buffer and end
@@ -1602,13 +1602,15 @@ class TestPackage:
 
     @pytest.mark.parametrize("case", list(_EXITS))
     def test_exit_freezes_the_heap(self, case, tmp_path, capsys):
-        # an atexit hook registered before main records whether the collector's
-        # heap was frozen by the time the interpreter exits; main's output is
-        # run's, in process, byte for byte
+        # an atexit hook registered before main records whether the collector
+        # froze more objects by the time the interpreter exits (Python 3.12.1
+        # starts with 375 frozen); main's output is run's, in process, byte
+        # for byte
         argv, expected = self._EXITS[case]
         flag = tmp_path / "frozen"
         script = ["-c", "import atexit, gc, sys; flag = sys.argv.pop(1); "
-                  "atexit.register(lambda: open(flag, 'w').write(str(gc.get_freeze_count() > 0))); "
+                  "before = gc.get_freeze_count(); atexit.register(lambda: "
+                  "open(flag, 'w').write(str(gc.get_freeze_count() > before))); "
                   "from revbayes.cli import main; main()", str(flag), *argv]
         if case == "closed":
             proc = self.closed_stdout(script, self.env(PYTHONUNBUFFERED=None))
@@ -1627,9 +1629,10 @@ class TestPackage:
     def test_run_leaves_the_collector(self):
         # in-process callers keep their collector, whatever run returns
         argvs = [self._EXITS[case][0] for case in ("success", "usage", "data", "nonexistence")]
-        proc = self.python("-c", "import gc, sys; from revbayes.cli import run; "
+        proc = self.python("-c", "import gc; from revbayes.cli import run; "
+                           "before = gc.get_freeze_count(); "
                            f"codes = [run(argv) for argv in {argvs!r}]; "
-                           "print((codes, gc.get_freeze_count(), gc.isenabled()))")
+                           "print((codes, gc.get_freeze_count() - before, gc.isenabled()))")
         assert ast.literal_eval(proc.stdout.splitlines()[-1]) == ([0, 1, 2, 3], 0, True)
 
 
