@@ -246,10 +246,10 @@ def equivalent_trial(prior: NormalPrior,
 # ---------------------------------------------------------------- the ancred subcommand
 
 
-def cmd_ancred(args) -> dict:
+def cmd_ancred(args) -> tuple:
     # the cli's runner, here so that no other subcommand's process compiles it;
-    # it imports the cli here, so that importing ancred loads no cli
-    from .cli import _estimate_payload, _input_digest
+    # it imports report here, so that importing ancred loads no report
+    from .report import estimate_payload
     from .options import UsageError
     has_est = args.estimate is not None or args.se is not None
     has_ci = args.lower is not None or args.upper is not None
@@ -265,7 +265,7 @@ def cmd_ancred(args) -> dict:
         est = EffectEstimate.from_ci(args.lower, args.upper, args.level)
 
     alpha = alpha_for_level(args.level)
-    results: dict = {"estimate": _estimate_payload(*est, args.level)}
+    results: dict = {"estimate": estimate_payload(*est, args.level)}
     if est.significant(alpha):
         mode, analysis = "sceptical", sceptical_analysis(est, alpha)
         tau2 = analysis.tau2
@@ -295,13 +295,8 @@ def cmd_ancred(args) -> dict:
                                                                     args.rate)))
     results["mode"] = mode
     results[mode] = payload
-    return {
-        "command": "ancred",
-        "input_digest": _input_digest(args, {"estimate": est.theta_hat, "se": est.se,
-                                             "level": args.level, "rate": args.rate}),
-        "results": results,
-        "warnings": [],
-    }
+    return results, {"estimate": est.theta_hat, "se": est.se, "level": args.level,
+                     "rate": args.rate}, []
 
 
 def _trial_payload(trial) -> dict:

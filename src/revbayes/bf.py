@@ -237,13 +237,13 @@ def bf_intrinsic(estimate: EffectEstimate) -> float:
 # ---------------------------------------------------------------- the bf subcommand
 
 
-def cmd_bf(args) -> dict:
-    # the cli's runner, as in ancred
-    from .cli import _estimate_payload, _input_digest
+def cmd_bf(args) -> tuple:
+    # the cli's runner, as in ancred, with the report's estimate block
+    from .report import estimate_payload
     from .options import UsageError
     est = EffectEstimate(args.estimate, args.se)
     z = est.z
-    results: dict = {"estimate": _estimate_payload(*est, args.level),
+    results: dict = {"estimate": estimate_payload(*est, args.level),
                      "min_bf_local": min_bf_local(z),
                      "min_bf_els": min_bf_els(z),
                      "mode": args.mode}
@@ -260,10 +260,5 @@ def cmd_bf(args) -> dict:
         results["bf_intrinsic"] = bf_intrinsic(est)
     else:
         raise UsageError(f"unknown mode {args.mode!r}")
-    return {
-        "command": "bf",
-        "input_digest": _input_digest(args, {"estimate": est.theta_hat, "se": est.se,
-                                             "gamma": args.gamma, "mode": args.mode}),
-        "results": results,
-        "warnings": [],
-    }
+    return results, {"estimate": est.theta_hat, "se": est.se, "gamma": args.gamma,
+                     "mode": args.mode}, []

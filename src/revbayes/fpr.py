@@ -91,9 +91,9 @@ def prior_bound_fpr_equals_p(p: float, kind: CalibrationKind) -> float:
 # ---------------------------------------------------------------- the fpr subcommand
 
 
-def cmd_fpr(args) -> dict:
-    # the cli's runner, as in ancred
-    from .cli import _Table, _input_digest
+def cmd_fpr(args) -> tuple:
+    # the cli's runner, as in ancred, with the report's Table for the grid
+    from .report import Table
     kinds = (list(CalibrationKind) if args.calibration == "all"
              else [CalibrationKind(args.calibration)])
 
@@ -114,14 +114,7 @@ def cmd_fpr(args) -> dict:
                       CalibrationKind.E_P_LOG_P, CalibrationKind.E_Q_LOG_Q]
         ps = [math.exp(lo + (hi - lo) * i / n) for i in range(n + 1) for _ in grid_kinds]
         kinds = grid_kinds * (n + 1)
-        results["grid"] = _Table([0, 1, 2], [ps, [kind.value for kind in kinds],
-                                             list(map(bound, ps, kinds))])
-    return {
-        "command": "fpr",
-        "input_digest": _input_digest(args, {"p": args.p, "fpr": args.fpr,
-                                             "calibration": args.calibration,
-                                             "fpr_equals_p": args.fpr_equals_p,
-                                             "grid": args.grid}),
-        "results": results,
-        "warnings": [],
-    }
+        results["grid"] = Table([0, 1, 2], [ps, [kind.value for kind in kinds],
+                                            list(map(bound, ps, kinds))])
+    return results, {"p": args.p, "fpr": args.fpr, "calibration": args.calibration,
+                     "fpr_equals_p": args.fpr_equals_p, "grid": args.grid}, []

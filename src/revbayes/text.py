@@ -34,7 +34,7 @@ def _print_meta(report: dict, scale: str) -> None:
     print(f"posterior precision {_num(res['pooled_precision'], '.1f')}"
           f" from {res['n_studies']} studies")
     print()
-    rows = res["per_study"]   # a _Table: each pass builds its rows one at a time
+    rows = res["per_study"]   # a report.Table: each pass builds its rows one at a time
     width = max(16, 1 + max(len(row["id"]) for row in rows))   # an id keeps a blank after it
     print(f"{'study':<{width}}{'logOR':>8}{'low':>8}{'high':>8}{'p':>10}"
           f"{'loo mean':>10}{'loo prec':>10}{'t_box':>8}{'p_box':>8}")

@@ -23,8 +23,9 @@ import oracles
 import pins
 from readme import readme_cli_block
 import revbayes
-from revbayes import bundled_dataset_path, cli, meta
-from revbayes.cli import render_json, run, write_json
+from revbayes import bundled_dataset_path, cli, meta, report
+from revbayes.cli import run
+from revbayes.report import render_json, write_json
 from revbayes.ancred import advocacy_prior, sceptical_analysis
 from revbayes.errors import DataError
 from revbayes.fpr import CalibrationKind
@@ -34,7 +35,7 @@ from revbayes.model import EffectEstimate, Study
 DATA = str(bundled_dataset_path())
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "revbayes"
-# the standard library's own sha256 module, which cli._input_digest imports
+# the standard library's own sha256 module, which report._input_digest imports
 _SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 # printable ASCII but the comma and quote, so that an id is one csv field
 _ID_CHARS = st.characters(min_codepoint=0x20, max_codepoint=0x7e, blacklist_characters=',"')
@@ -74,7 +75,7 @@ def run_json(capsys, argv):
 
 def _table_rows(value):
     """json.dumps's default hook: a declared table is the list of its rows."""
-    if type(value) is cli._Table:
+    if type(value) is report.Table:
         return list(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -83,8 +84,8 @@ def _table_rows(value):
 def renders_as_json_dumps(monkeypatch):
     """The equality gate, on every report a test here renders: a finite
     report comes out as json.dumps(report, sort_keys=True, indent=2), a
-    declared table as the list of its rows. It wraps write_json, which run
-    streams each --json report through."""
+    declared table as the list of its rows. It wraps report's write_json
+    where the cli binds it, as run streams each --json report through it."""
     def checked(report, write):
         chunks = []
         write_json(report, chunks.append)
@@ -790,7 +791,7 @@ def _declared_tables(draw):
         items = draw(st.sampled_from(_ITEMS))
         columns.append([draw(_VALUES)] * n if items is None
                        else draw(st.lists(items, min_size=n, max_size=n)))
-    return cli._Table(layout, columns)
+    return report.Table(layout, columns)
 
 
 def _declare(rows):
@@ -814,7 +815,7 @@ def _declare(rows):
                 return index
         columns.append(column)
         return len(columns) - 1
-    table = cli._Table(layout(rows), columns)
+    table = report.Table(layout(rows), columns)
     assert list(table) == rows
     return table
 
@@ -832,10 +833,11 @@ def _declared_rows(n):
     xs = [i / 7.0 for i in range(n)]
     xs[n // 2] = math.inf
     odd = [[math.inf, math.nan, -math.inf, 0.25][i % 4] for i in range(n)]
-    return cli._Table({"id": 0, "x": 1, "row": [0, 1, 2], "level": 3, "big": 4,
-                       "odd": [5, 4], "nested": {"obj": 6}, "obj": 6},
-                      [[f"s{i}" for i in range(n)], xs, [None] * (n - 1) + [0.5], [_X] * n,
-                       [1e308] * n, odd, [{"m": i / 3.0} if i % 3 else None for i in range(n)]])
+    return report.Table({"id": 0, "x": 1, "row": [0, 1, 2], "level": 3, "big": 4,
+                         "odd": [5, 4], "nested": {"obj": 6}, "obj": 6},
+                        [[f"s{i}" for i in range(n)], xs, [None] * (n - 1) + [0.5], [_X] * n,
+                         [1e308] * n, odd,
+                         [{"m": i / 3.0} if i % 3 else None for i in range(n)]])
 
 
 def _counts_table(tmp_path, n):
@@ -854,7 +856,7 @@ def _counts_table(tmp_path, n):
 def _non_finite_as_strings(value):
     """value with each non-finite float replaced by its repr, as render_json
     writes it, and each declared table by its rows."""
-    if isinstance(value, cli._Table):
+    if isinstance(value, report.Table):
         value = list(value)
     if isinstance(value, dict):
         return {key: _non_finite_as_strings(item) for key, item in value.items()}
@@ -924,8 +926,8 @@ class TestRenderJson:
         assert strict_loads(text) == expected
         assert text == json.dumps(expected, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize("n", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1,
-                                   2 * cli._BLOCK + 1, 2 * cli._BLOCK + 3],
+    @pytest.mark.parametrize("n", [1, report._BLOCK - 1, report._BLOCK, report._BLOCK + 1,
+                                   2 * report._BLOCK + 1, 2 * report._BLOCK + 3],
                              ids=["one", "block-1", "block", "block+1", "2block+1", "2block+3"])
     def test_block_boundaries(self, n):
         rows = _rows(n)
@@ -953,10 +955,11 @@ class TestRenderJson:
         monkeypatch.setattr(cli, "write_json", spy)
         monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
         assert run(argv) == 0
-        (report,) = calls
-        assert report == cli.cmd_meta(cli.parse_args(argv))
-        assert "".join(writes) == render_json(report) + "\n"
-        assert len(writes) > 2500 // cli._BLOCK
+        (written,) = calls
+        args = cli.parse_args(argv)
+        assert written == report.envelope(args, *cli.cmd_meta(args))
+        assert "".join(writes) == render_json(written) + "\n"
+        assert len(writes) > 2500 // report._BLOCK
 
     def test_report_memory(self, monkeypatch, tmp_path):
         # A 10 000-study report, less its text in the captured stdout, peaks
@@ -1303,7 +1306,7 @@ class TestPackage:
         expected = self._LOADS[next(arg for arg in argv if arg in self._LOADS)]
         assert package == sorted(
             {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.options",
-             "revbayes.statfn"} | {m for m in set(loaded) if m.startswith("revbayes.")})
+             "revbayes.report", "revbayes.statfn"} | {m for m in set(loaded) if m.startswith("revbayes.")})
         return set(loaded), expected
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
@@ -1381,7 +1384,7 @@ class TestPackage:
         # the digest hashes json.dumps(fields, sort_keys=True)'s bytes, written
         # without the json package; st.text() draws non-ASCII and control characters
         data = json.dumps(fields, sort_keys=True).encode("utf-8")
-        digest = cli._input_digest(types.SimpleNamespace(json=True), fields)
+        digest = report._input_digest(types.SimpleNamespace(json=True), fields)
         assert digest == hashlib.sha256(data).hexdigest()
 
     def test_import_loads_no_submodule(self):
@@ -1443,6 +1446,26 @@ class TestPackage:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == []
 
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in SRC.glob("*.py") if p.name != "__main__.py"))
+    def test_no_module_imports_the_cli(self, module):
+        # the package imports without the command line, which only __main__
+        # starts: each import's module and names, by their full dotted names
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        importers = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["revbayes" if node.level else None,
+                                              node.module]))
+                names = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            if "revbayes.cli" in names:
+                importers.append(f"{module}:{node.lineno}")
+        assert importers == []
+
     def test_one_oracle_module(self):
         # each mpmath reference is written once, in tests/oracles.py
         importers = [path.name for path in sorted((ROOT / "tests").glob("*.py"))
@@ -1489,7 +1512,7 @@ class TestPackage:
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
                     modules.add(node.module.split(".")[0])
         assert "math" in modules
-        # cli._input_digest imports sha256 from _sha2 on Python 3.12 and later and
+        # report._input_digest imports sha256 from _sha2 on Python 3.12 and later and
         # from _sha256 before; each interpreter lists only its own
         assert sorted(modules - sys.stdlib_module_names - {"_sha2", "_sha256"}) == []
         assert _SHA256 in sys.stdlib_module_names
