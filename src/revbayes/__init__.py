@@ -25,12 +25,12 @@ _EXPORTS = {name: module for module, names in (
                "advocacy_prior credibility_ratio credibility_ratio_bound "
                "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
                "p_rep sceptical_analysis sceptical_relative_variance scepticism_limit"),
-    ("bf", "BfAdvocacySolution BfScepticalSolution advocacy_for_gamma "
+    ("bf", "BfAdvocacySolution BfScepticalSolution Branch advocacy_for_gamma "
            "advocacy_prior_interval_or bf01_normal_prior bf01_sceptical "
-           "bf12_sceptical_vs_optimistic bf_intrinsic sceptical_g_for_gamma z_gamma"),
-    ("fpr", "CalibrationKind min_bf min_bf_els min_bf_local prior_bound_fpr_equals_p "
-            "prior_prob_for_fpr"),
-    ("statfn", "Branch find_root lambert_w_log norm_quantile two_sided_p"),
+           "bf12_sceptical_vs_optimistic bf_intrinsic find_root lambert_w_log "
+           "sceptical_g_for_gamma z_gamma"),
+    ("fpr", "CalibrationKind min_bf prior_bound_fpr_equals_p prior_prob_for_fpr"),
+    ("statfn", "min_bf_els min_bf_local norm_quantile two_sided_p"),
 ) for name in names.split()}
 
 __all__ = [*_EXPORTS, "bundled_dataset_path"]

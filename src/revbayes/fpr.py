@@ -1,7 +1,7 @@
-"""False-positive-risk analysis: the minimum Bayes factors of a z-value,
-p-value-to-minimum-Bayes-factor calibrations, and Reverse-Bayes bounds on
-the prior probability of the null. `bf` takes min_bf_local from here, so a
-process that runs fpr never loads bf.
+"""False-positive-risk analysis: p-value-to-minimum-Bayes-factor calibrations
+and Reverse-Bayes bounds on the prior probability of the null. Like bf, it takes
+the minimum Bayes factors of a z-value from statfn, so a process that runs fpr
+never loads bf, and one that runs bf never loads fpr.
 
 All p-values are two-sided under the "p-equals" reading: the exact observed
 p-value is the data.
@@ -11,7 +11,7 @@ import enum
 import math
 
 from .errors import DataError
-from .statfn import FLOAT_MIN, critical_z
+from .statfn import FLOAT_MIN, critical_z, min_bf_els, min_bf_local
 
 
 class CalibrationKind(enum.Enum):
@@ -24,26 +24,6 @@ class CalibrationKind(enum.Enum):
 
 # the members as globals: on Python 3.11 CalibrationKind.X costs ~100 ns a lookup
 LOCAL_Z, SIMPLE_Z, E_P_LOG_P, E_Q_LOG_Q, ELS_ALL_PRIORS = CalibrationKind
-
-
-def min_bf_local(z: float) -> float:
-    """Minimum BF01 over all mean-zero normal alternatives."""
-    if not math.isfinite(z):
-        raise DataError(f"z must be finite, got {z!r}")
-    if abs(z) <= 1.0:
-        return 1.0
-    bf = abs(z) * math.exp(-z * z / 2.0) * math.sqrt(math.e)
-    if bf < FLOAT_MIN:
-        # e^(-z^2/2) rounded as a subnormal, to few bits: round once instead
-        bf = math.exp(math.log(abs(z)) + 0.5 - z * z / 2.0)
-    return bf
-
-
-def min_bf_els(z: float) -> float:
-    """Minimum BF01 over all possible priors (simple alternative at the MLE)."""
-    if not math.isfinite(z):
-        raise DataError(f"z must be finite, got {z!r}")
-    return math.exp(-z * z / 2.0)
 
 
 def min_bf(p: float, kind: CalibrationKind) -> float:

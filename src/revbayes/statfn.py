@@ -1,6 +1,6 @@
-"""Scalar special functions (the normal quantile, both real branches of
-Lambert W on log x), column forms of two of them, and root finding used by
-the analysis modules.
+"""Scalar functions that more than one module calls: the normal quantile,
+critical values, and the p-value and minimum Bayes factors of a z-value, with
+column forms of two of them. Lambert W and the root finder are bf's alone.
 
 Everything here is a pure function of its arguments and safe to call from
 any number of threads. The caches are alpha_for_level's and critical_z's:
@@ -11,13 +11,11 @@ no process imports the statistics module (with fractions and decimal behind
 it) for one function.
 """
 
-import enum
 import functools
 import math
 import sys
 from itertools import repeat
 from operator import truediv
-from typing import Callable
 
 from .errors import DataError
 
@@ -32,20 +30,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 LOG_MAX = math.log(sys.float_info.max)
 # Smallest normal float: a product below it keeps fewer than 53 bits.
 FLOAT_MIN = sys.float_info.min
-# Cap on find_root's steps; from the package's starts Newton needs far fewer.
-_FIND_ROOT_MAX_ITER = 200
 DEFAULT_LEVEL, DEFAULT_ALPHA = 0.95, 0.05   # the alpha is alpha_for_level(DEFAULT_LEVEL)
-
-
-class Branch(enum.Enum):
-    """Branch selector for the real Lambert W function."""
-
-    PRINCIPAL = "principal"  # W0, w >= -1
-    SECONDARY = "secondary"  # W-1, w <= -1
-
-
-# the members as globals: on Python 3.11 Branch.SECONDARY costs ~100 ns a lookup
-PRINCIPAL, SECONDARY = Branch
 
 
 def norm_pdf(x: float) -> float:
@@ -110,6 +95,26 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / _SQRT2)
 
 
+def min_bf_local(z: float) -> float:
+    """Minimum BF01 over all mean-zero normal alternatives."""
+    if not math.isfinite(z):
+        raise DataError(f"z must be finite, got {z!r}")
+    if abs(z) <= 1.0:
+        return 1.0
+    bf = abs(z) * math.exp(-z * z / 2.0) * math.sqrt(math.e)
+    if bf < FLOAT_MIN:
+        # e^(-z^2/2) rounded as a subnormal, to few bits: round once instead
+        bf = math.exp(math.log(abs(z)) + 0.5 - z * z / 2.0)
+    return bf
+
+
+def min_bf_els(z: float) -> float:
+    """Minimum BF01 over all possible priors (simple alternative at the MLE)."""
+    if not math.isfinite(z):
+        raise DataError(f"z must be finite, got {z!r}")
+    return math.exp(-z * z / 2.0)
+
+
 def exp_or_inf_column(xs) -> list:
     """[exp_or_inf(x) for x in xs], bit for bit, with no Python call per item:
     one map of math.exp where no x is past LOG_MAX. The sum finds a nan,
@@ -122,82 +127,3 @@ def exp_or_inf_column(xs) -> list:
 def two_sided_p_column(zs) -> list:
     """[two_sided_p(z) for z in zs], bit for bit, by maps of builtins."""
     return list(map(math.erfc, map(truediv, map(abs, zs), repeat(_SQRT2))))
-
-
-def lambert_w_log(log_x: float, branch: Branch = PRINCIPAL) -> float:
-    """Real Lambert W of -x, given log_x = log x: the w solving
-    w + log(-w) = log_x, in [-1, 0) on the principal branch and w <= -1 on
-    the secondary.
-
-    Taking log x keeps arguments exact whose x underflows (x = e^-1600).
-    Defined for log_x <= -1 (x <= 1/e); up to 1e-14 above -1 is taken as
-    representation noise at the branch point. Halley iteration, whose step
-    is the same on both branches, from the branch-point series of Corless
-    et al. (1996, Adv. Comput. Math. 5:329) near -1 and from
-    log_x - log(-log_x) (W-1) or -x (W0) below; W0 is -x itself for
-    x < 2^-53.
-    """
-    if not math.isfinite(log_x):
-        raise ValueError(f"lambert_w_log requires finite input, got {log_x!r}")
-    if log_x >= -1.0:
-        if log_x > -1.0 + 1e-14:
-            raise ValueError(f"lambert_w_log requires log x <= -1, got {log_x!r}")
-        return -1.0
-    secondary = branch is SECONDARY
-    if log_x > -2.0:
-        p = math.sqrt(-2.0 * math.expm1(1.0 + log_x))
-        p = -p if secondary else p
-        w = -1.0 + p * (1.0 - p / 3.0 * (1.0 - 11.0 / 24.0 * p))
-    elif secondary:
-        w = log_x - math.log(-log_x)
-    else:
-        w = -math.exp(log_x)
-        if w > -2.0 ** -53:
-            return w  # -x - x^2 - ... rounds to -x, also where x underflows
-    for _ in range(50):
-        f = w + math.log(-w) - log_x
-        wp1 = w + 1.0
-        step = f * w / wp1 / (1.0 + f / (2.0 * wp1 * wp1))
-        w -= step
-        if abs(step) < 1e-14 * -w:
-            break
-    return w
-
-
-def find_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float,
-              x0: float, f_lo: float | None = None, f_hi: float | None = None) -> float:
-    """Bracketed Newton root finder; f(x) returns (f(x), f'(x)).
-
-    Requires f(lo), f(hi) of opposite sign (or zero) and lo <= x0 <= hi. A caller that knows
-    the sign of f(lo) or f(hi) passes any number of it as f_lo or f_hi (only the sign is read,
-    and the number is printed if the ends do not bracket), and f is not evaluated there. Newton
-    steps from x0; each evaluation shrinks the bracket, and a step leaving it bisects instead.
-    Stops once a step is within 2 ulp of x, when the bracket is 4 ulp wide, or f is exactly 0.
-    """
-    f_lo = f(lo)[0] if f_lo is None else f_lo
-    f_hi = f(hi)[0] if f_hi is None else f_hi
-    if f_lo > 0.0 < f_hi or f_lo < 0.0 > f_hi:   # f_lo * f_hi can underflow to 0
-        raise ValueError(f"find_root: interval [{lo}, {hi}] does not bracket a root "
-                         f"(f(lo)={f_lo!r}, f(hi)={f_hi!r})")
-    if f_lo == 0.0 or f_hi == 0.0:
-        return lo if f_lo == 0.0 else hi
-    x = x0
-    for _ in range(_FIND_ROOT_MAX_ITER):
-        fx, slope = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (f_lo < 0.0):
-            lo = x
-        else:
-            hi = x
-        step = fx / slope if slope else math.inf
-        tol = 2.0 * math.ulp(x)
-        # Step test first: a roundoff step onto a bracket end would bisect.
-        if abs(step) <= tol:
-            return x - step
-        x -= step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if hi - lo <= 2.0 * tol:
-                return x
-    return x

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from revbayes import bf, statfn
+from revbayes import bf
 from revbayes.bf import (advocacy_for_gamma, advocacy_prior_interval_or,
                          bf01_normal_prior, bf01_sceptical, bf12_sceptical_vs_optimistic,
                          bf_intrinsic, sceptical_g_for_gamma, z_gamma)
 from revbayes.errors import DataError, NonexistenceError
-from revbayes.fpr import min_bf_els, min_bf_local
 from revbayes.model import EffectEstimate, NormalPrior
+from revbayes.statfn import min_bf_els, min_bf_local
 
 
 # advocacy_for_gamma(EffectEstimate(theta_hat, se), gamma): every field's .hex(), or
@@ -418,7 +418,7 @@ class TestAdvocacySolveBudget:
     @pytest.fixture
     def solves(self, monkeypatch):
         """(lo, hi, the points f is evaluated at) per find_root call that bf makes."""
-        solves = []
+        solves, find_root = [], bf.find_root
 
         def counted_find_root(f, lo, hi, x0, *ends):
             solves.append((lo, hi, points := []))
@@ -426,7 +426,7 @@ class TestAdvocacySolveBudget:
             def counted(x):
                 points.append(x)
                 return f(x)
-            return statfn.find_root(counted, lo, hi, x0, *ends)
+            return find_root(counted, lo, hi, x0, *ends)
 
         monkeypatch.setattr(bf, "find_root", counted_find_root)
         return solves

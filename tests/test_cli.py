@@ -23,7 +23,7 @@ import oracles
 import pins
 from readme import readme_cli_block
 import revbayes
-from revbayes import bundled_dataset_path, cli, meta, report
+from revbayes import blocks, bundled_dataset_path, cli, meta, report
 from revbayes.cli import run
 from revbayes.report import render_json, write_json
 from revbayes.ancred import advocacy_prior, sceptical_analysis
@@ -926,8 +926,8 @@ class TestRenderJson:
         assert strict_loads(text) == expected
         assert text == json.dumps(expected, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize("n", [1, report._BLOCK - 1, report._BLOCK, report._BLOCK + 1,
-                                   2 * report._BLOCK + 1, 2 * report._BLOCK + 3],
+    @pytest.mark.parametrize("n", [1, blocks._BLOCK - 1, blocks._BLOCK, blocks._BLOCK + 1,
+                                   2 * blocks._BLOCK + 1, 2 * blocks._BLOCK + 3],
                              ids=["one", "block-1", "block", "block+1", "2block+1", "2block+3"])
     def test_block_boundaries(self, n):
         rows = _rows(n)
@@ -959,7 +959,7 @@ class TestRenderJson:
         args = cli.parse_args(argv)
         assert written == report.envelope(args, *cli.cmd_meta(args))
         assert "".join(writes) == render_json(written) + "\n"
-        assert len(writes) > 2500 // report._BLOCK
+        assert len(writes) > 2500 // blocks._BLOCK
 
     def test_report_memory(self, monkeypatch, tmp_path):
         # A 10 000-study report, less its text in the captured stdout, peaks
@@ -1147,12 +1147,12 @@ _EXPORTED = {
               "advocacy_prior credibility_ratio credibility_ratio_bound "
               "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
               "p_rep sceptical_analysis sceptical_relative_variance scepticism_limit",
-    "bf": "BfAdvocacySolution BfScepticalSolution advocacy_for_gamma "
+    "bf": "BfAdvocacySolution BfScepticalSolution Branch advocacy_for_gamma "
           "advocacy_prior_interval_or bf01_normal_prior bf01_sceptical "
-          "bf12_sceptical_vs_optimistic bf_intrinsic sceptical_g_for_gamma z_gamma",
-    "fpr": "CalibrationKind min_bf min_bf_els min_bf_local prior_bound_fpr_equals_p "
-           "prior_prob_for_fpr",
-    "statfn": "Branch find_root lambert_w_log norm_quantile two_sided_p",
+          "bf12_sceptical_vs_optimistic bf_intrinsic find_root lambert_w_log "
+          "sceptical_g_for_gamma z_gamma",
+    "fpr": "CalibrationKind min_bf prior_bound_fpr_equals_p prior_prob_for_fpr",
+    "statfn": "min_bf_els min_bf_local norm_quantile two_sided_p",
     "__init__": "bundled_dataset_path",
 }
 
@@ -1261,7 +1261,7 @@ class TestPackage:
         # package imports __future__
         unloaded = ["statistics", "fractions", "decimal", "json", "csv", "revbayes.model",
                     "revbayes.meta", "revbayes.ancred", "revbayes.bf", "revbayes.fpr",
-                    "__future__"]
+                    "revbayes.blocks", "__future__"]
         proc = self.python("-c", "import sys; from revbayes.cli import main; "
                            f"print([m for m in {unloaded!r} if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
@@ -1277,10 +1277,18 @@ class TestPackage:
         assert proc.stdout.splitlines()[-1] == "[]"
 
     # the modules each subcommand loads, besides revbayes itself, the cli and
-    # what the cli imports for every subcommand
-    _LOADS = {"meta": {"revbayes.model", "revbayes.meta"},
+    # what the cli imports for every subcommand; the block writers load with a
+    # Table, which meta's studies and fpr's grid are
+    _LOADS = {"meta": {"revbayes.model", "revbayes.meta", "revbayes.blocks"},
               "ancred": {"revbayes.model", "revbayes.ancred"},
-              "bf": {"revbayes.model", "revbayes.bf", "revbayes.fpr"}, "fpr": {"revbayes.fpr"}}
+              "bf": {"revbayes.model", "revbayes.bf"}, "fpr": {"revbayes.fpr"},
+              "fpr --grid": {"revbayes.fpr", "revbayes.blocks"}}
+
+    @staticmethod
+    def expected(table: dict, argv) -> set:
+        """The entry of table for argv: its subcommand's, or fpr --grid's."""
+        command = next(arg for arg in argv if arg in table)
+        return table[f"{command} --grid" if "--grid" in argv else command]
 
     def loaded_modules(self, argv) -> tuple[set, set]:
         """The watched modules that a run of argv loads, and those its
@@ -1290,9 +1298,9 @@ class TestPackage:
         json package or __future__, nor argparse, gettext and locale, which
         the command line's own parser replaced, nor the help's renderer."""
         watched = ["revbayes.model", "revbayes.meta", "revbayes.ancred", "revbayes.bf",
-                   "revbayes.fpr", "revbayes.text", "revbayes.usage", "csv", "json",
-                   "json.decoder", "json.scanner", "__future__", "argparse", "gettext",
-                   "locale"]
+                   "revbayes.fpr", "revbayes.blocks", "revbayes.text", "revbayes.usage",
+                   "csv", "json", "json.decoder", "json.scanner", "__future__", "argparse",
+                   "gettext", "locale"]
         if importlib.util.find_spec(_SHA256) is not None:
             watched.append("_hashlib")
         proc = self.python("-c", "import sys; from revbayes.cli import run; "
@@ -1303,7 +1311,7 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         code, loaded, package = ast.literal_eval(proc.stdout.splitlines()[-1])
         assert code == 0
-        expected = self._LOADS[next(arg for arg in argv if arg in self._LOADS)]
+        expected = self.expected(self._LOADS, argv)
         assert package == sorted(
             {"revbayes", "revbayes.cli", "revbayes.errors", "revbayes.options",
              "revbayes.report", "revbayes.statfn"} | {m for m in set(loaded) if m.startswith("revbayes.")})
@@ -1317,14 +1325,20 @@ class TestPackage:
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
     def test_text_run_loads_its_printers(self, argv):
+        # the printers take a Table's rows one at a time, with no block writer
         loaded, expected = self.loaded_modules(argv)
-        assert loaded == expected | {"revbayes.text"}
+        assert loaded == expected - {"revbayes.blocks"} | {"revbayes.text"}
 
-    # the runners and the counts code that a run of each subcommand compiles: cli
-    # keeps cmd_meta, and bf loads fpr for the minimum Bayes factors
-    _COMPILES = {"meta": {"cmd_meta", "theta_se", "estimate_from_counts"},
+    # the runners, the counts code, the root finders, the calibrations and the
+    # block writers that a run of each subcommand compiles: cli keeps cmd_meta,
+    # only bf runs the root finders, bf takes its minimum Bayes factors from
+    # statfn and loads no fpr, and only a Table (meta's studies, fpr's grid)
+    # loads the block writers
+    _COMPILES = {"meta": {"cmd_meta", "theta_se", "estimate_from_counts", "_block_texts"},
                  "ancred": {"cmd_meta", "cmd_ancred"},
-                 "bf": {"cmd_meta", "cmd_bf", "cmd_fpr"}, "fpr": {"cmd_meta", "cmd_fpr"}}
+                 "bf": {"cmd_meta", "cmd_bf", "find_root", "lambert_w_log"},
+                 "fpr": {"cmd_meta", "cmd_fpr", "prior_prob_for_fpr"},
+                 "fpr --grid": {"cmd_meta", "cmd_fpr", "prior_prob_for_fpr", "_block_texts"}}
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
     def test_subcommand_compiles_only_its_code(self, argv, tmp_path):
@@ -1345,7 +1359,20 @@ class TestPackage:
                      for node in ast.walk(ast.parse(pathlib.Path(path).read_bytes()))
                      if isinstance(node, ast.FunctionDef)}
         watched = set().union(*self._COMPILES.values())
-        assert functions & watched == self._COMPILES[next(a for a in argv if a in self._COMPILES)]
+        assert functions & watched == self.expected(self._COMPILES, argv)
+
+    @pytest.mark.parametrize("argv", [argv for argv in readme_examples() if argv[0] == "fpr"]
+                             + [["-h"], ["--version"]], ids=" ".join)
+    def test_cold_fpr_help_and_version_load_no_typing(self, argv):
+        # under -S, as no site has loaded them first: only the records of model,
+        # ancred, bf and meta need typing, so fpr, the help and the version run
+        # without it and the re it imports
+        script = ("import atexit, sys; atexit.register(lambda: print("
+                  "[m for m in ('typing', 're') if m in sys.modules], file=sys.stderr)); "
+                  "from revbayes.cli import main; main()")
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                              capture_output=True, text=True, cwd=ROOT, env=self.env())
+        assert (proc.returncode, proc.stderr) == (0, "[]\n")
 
     def test_quoted_table_loads_csv(self, tmp_path):
         # a table that the column pass cannot read is read by csv's row parser
@@ -1491,10 +1518,14 @@ class TestPackage:
 
     def test_errors_typed_where_raised(self):
         # an input check raises DataError, so run catches no bare ValueError:
-        # any other exception is a bug, and the fuzz shows its traceback
+        # any other exception is a bug, and the fuzz shows its traceback. bf's
+        # root finders, the statfn primitives that only bf calls, raise
+        # ValueError for a caller's bug, as statfn's own primitives do
         def value_errors(module, node_type, field):
             tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
-            return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            return [f"{module}:{node.lineno}" for top in tree.body
+                    if getattr(top, "name", None) not in ("lambert_w_log", "find_root")
+                    for node in ast.walk(top)
                     if isinstance(node, node_type) and getattr(node, field) is not None
                     and any(isinstance(name, ast.Name) and name.id == "ValueError"
                             for name in ast.walk(getattr(node, field)))]

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import revbayes
+from revbayes.bf import Branch, find_root, lambert_w_log
 from revbayes.errors import DataError
-from revbayes.statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, LOG_MAX, Branch, alpha_for_level,
+from revbayes.statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, LOG_MAX, alpha_for_level,
                              critical_excess, critical_z, exp_or_inf, exp_or_inf_column,
-                             find_root, lambert_w_log, norm_quantile, two_sided_p,
-                             two_sided_p_column)
+                             norm_quantile, two_sided_p, two_sided_p_column)
 
 # AS241's branch edges: q = p - 1/2 = -/+0.425, r = sqrt(-log p) = 5, the extremes; each
 # with its neighbours one ulp away, inside (0, 1)
