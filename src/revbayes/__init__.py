@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # export name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in (
     ("errors", "DataError NonexistenceError"),
-    ("model", "DEFAULT_LEVEL EffectEstimate NormalPrior Study ci_limits"),
-    ("meta", "FailSafeResult MetaResult PosteriorSummary StudyDiagnostics "
+    ("model", "DEFAULT_LEVEL EffectEstimate NormalPrior ci_limits"),
+    ("meta", "FailSafeResult MetaResult PosteriorSummary Study StudyDiagnostics "
              "estimate_from_counts failsafe_n forward_update pool read_study_table "
              "reverse_update"),
     ("ancred", "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "

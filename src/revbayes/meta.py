@@ -1,6 +1,6 @@
-"""The study-table reader, the log OR from 2x2 counts, and fixed-effect
-meta-analysis of its tables into posterior summaries, with leave-one-out
-priors, prior-predictive conflict checks, and fail-safe N."""
+"""The study row `Study`, its table reader, the log OR from 2x2 counts, and
+fixed-effect meta-analysis of its tables into posterior summaries, with
+leave-one-out priors, prior-predictive conflict checks, and fail-safe N."""
 
 import io
 import math
@@ -12,7 +12,7 @@ from typing import NamedTuple
 from _csv import field_size_limit   # csv's own; csv loads only for a table that needs it
 
 from .errors import DataError, NonexistenceError
-from .model import EffectEstimate, Study, _checked_make, interval
+from .model import EffectEstimate, _checked_make, interval
 from .statfn import (DEFAULT_LEVEL, FLOAT_MIN, alpha_for_level, critical_excess,
                      two_sided_p_column)
 
@@ -136,6 +136,53 @@ def reverse_update(posterior: PosteriorSummary,
             "posterior precision not greater than observational precision")
     return PosteriorSummary(*_running_pool((estimate.theta_hat,), (-kappa,),
                                            start=posterior)[2:])
+
+
+class Study(NamedTuple("Study", [
+        ("id", str), ("events_treatment", int | None), ("n_treatment", int | None),
+        ("events_control", int | None), ("n_control", int | None),
+        ("estimate", float | None), ("se", float | None)])):
+    """One trial: either 2x2 outcome counts or a precomputed estimate."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, id, events_treatment=None, n_treatment=None, events_control=None,
+                n_control=None, estimate=None, se=None):
+        self = tuple.__new__(cls, (id, events_treatment, n_treatment,
+                                   events_control, n_control, estimate, se))
+        if self[1:5].count(None) not in (0, 4):
+            raise DataError(f"study {self.id!r}: supply all four counts or none")
+        has_counts = None not in self[1:5]
+        has_estimate = self.estimate is not None and self.se is not None
+        if has_counts == has_estimate:
+            raise DataError(f"study {self.id!r}: supply either all four counts "
+                            "or estimate+se, not both or neither")
+        if has_counts:
+            if not all(isinstance(count, int) for count in self[1:5]):
+                raise DataError(f"study {self.id!r}: non-integer count in {self[1:5]!r}")
+            if self.events_treatment < 0 or self.events_control < 0:
+                raise DataError(f"study {self.id!r}: negative event count")
+            if self.n_treatment <= 0 or self.n_control <= 0:
+                raise DataError(f"study {self.id!r}: arm sizes must be positive")
+            if (self.events_treatment > self.n_treatment
+                    or self.events_control > self.n_control):
+                raise DataError(f"study {self.id!r}: events exceed arm size")
+        elif self.se <= 0:
+            raise DataError(f"study {self.id!r}: se must be positive")
+        return self
+
+    @property
+    def has_counts(self) -> bool:
+        return self.events_treatment is not None
+
+    def effect_estimate(self) -> EffectEstimate:
+        if self.has_counts:
+            return estimate_from_counts(self)
+        try:
+            return EffectEstimate(self.estimate, self.se)
+        except DataError as exc:
+            raise DataError(f"study {self.id!r}: {exc}") from None
 
 
 class StudyTable(Sequence):

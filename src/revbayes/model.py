@@ -1,6 +1,6 @@
-"""Core domain types: studies, effect estimates and normal priors. The
-posterior summary, the log OR from 2x2 counts and the study-table reader are
-in `meta`, beside `pool`, so that only a meta process compiles them.
+"""Core domain types: effect estimates and normal priors. The study row
+`Study`, the posterior summary, the log OR from 2x2 counts and the study-table
+reader are in `meta`, beside `pool`, so that only a meta process compiles them.
 
 Effects live on the log odds ratio scale throughout; odds-ratio-scale
 values only appear at I/O boundaries via exp/log.
@@ -74,53 +74,6 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
         return cls(theta_hat, se)
 
 
-class Study(NamedTuple("Study", [
-        ("id", str), ("events_treatment", "int | None"), ("n_treatment", "int | None"),
-        ("events_control", "int | None"), ("n_control", "int | None"),
-        ("estimate", "float | None"), ("se", "float | None")])):
-    """One trial: either 2x2 outcome counts or a precomputed estimate."""
-
-    __slots__ = ()
-    _make = classmethod(_checked_make)
-
-    def __new__(cls, id, events_treatment=None, n_treatment=None, events_control=None,
-                n_control=None, estimate=None, se=None):
-        self = tuple.__new__(cls, (id, events_treatment, n_treatment,
-                                   events_control, n_control, estimate, se))
-        if self[1:5].count(None) not in (0, 4):
-            raise DataError(f"study {self.id!r}: supply all four counts or none")
-        has_counts = None not in self[1:5]
-        has_estimate = self.estimate is not None and self.se is not None
-        if has_counts == has_estimate:
-            raise DataError(f"study {self.id!r}: supply either all four counts "
-                            "or estimate+se, not both or neither")
-        if has_counts:
-            if self.events_treatment < 0 or self.events_control < 0:
-                raise DataError(f"study {self.id!r}: negative event count")
-            if self.n_treatment <= 0 or self.n_control <= 0:
-                raise DataError(f"study {self.id!r}: arm sizes must be positive")
-            if (self.events_treatment > self.n_treatment
-                    or self.events_control > self.n_control):
-                raise DataError(f"study {self.id!r}: events exceed arm size")
-        else:
-            if self.se <= 0:
-                raise DataError(f"study {self.id!r}: se must be positive")
-        return self
-
-    @property
-    def has_counts(self) -> bool:
-        return self.events_treatment is not None
-
-    def effect_estimate(self) -> EffectEstimate:
-        if self.has_counts:
-            from .meta import estimate_from_counts   # here, so that only meta processes compile it
-            return estimate_from_counts(self)
-        try:
-            return EffectEstimate(self.estimate, self.se)
-        except DataError as exc:
-            raise DataError(f"study {self.id!r}: {exc}") from None
-
-
 class NormalPrior(NamedTuple("NormalPrior", [("mean", float), ("variance", float)])):
     """Normal prior on the log OR scale."""
 
@@ -154,3 +107,11 @@ def interval(center: float, sd: float,
 def ci_limits(estimate: EffectEstimate, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
     """Symmetric confidence limits for the estimate at the given level."""
     return interval(estimate.theta_hat, estimate.se, level)
+
+
+def __getattr__(name: str):
+    # PEP 562: `from revbayes.model import Study` is public, and perfbench's tracer reads it
+    if name == "Study":
+        from .meta import Study
+        return Study
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -498,9 +498,9 @@ class TestMetaCommand:
         from revbayes import model
         assert (cli.read_study_table, cli.pool, cli.failsafe_n) == (
             meta.read_study_table, meta.pool, meta.failsafe_n)
-        # and it wraps this method where model defines it, so moving Study
-        # out of model would break its --trace 1 runs
-        assert callable(model.Study.effect_estimate)
+        # and it wraps this method on model.Study, which model resolves to
+        # meta's Study for it; dropping that name would break its --trace 1 runs
+        assert model.Study is meta.Study and callable(model.Study.effect_estimate)
         called = []
         for name in ("read_study_table", "pool", "failsafe_n"):
             def traced(*args, original=getattr(cli, name), name=name):
@@ -1110,6 +1110,28 @@ class TestFuzz:
             codes.append(code)
         assert {0, 2, 3} <= set(codes)
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("ci", [
+        ["--lower", "5e-324", "--upper", "1e-323"],
+        ["--lower", "0", "--upper", "5e-324"],
+        ["--lower", "1e-320", "--upper", "2e-320"],
+        ["--lower", "-1e-320", "--upper", "1e-320"],
+        ["--lower", "1e308", "--upper", "1.7e308"],
+        ["--lower", "-1.7976931348623157e308", "--upper", "-1e308"],
+        ["--lower", "-1.7e308", "--upper", "1.7e308"],
+        ["--lower=1.589268841848286e+32", "--upper=5.709113530450165e+257"],
+    ], ids=" ".join)
+    def test_ci_edges(self, capsys, ci, json_flag):
+        # the edges of EffectEstimate.from_ci that _fuzz_argv never draws: subnormal
+        # widths, and a sum or width past the float range; a new draw there
+        # would move every later one
+        code = run([*json_flag, "ancred", *ci])
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 0 and json_flag:
+            strict_loads(out)
+
     def test_meta_tables(self, capsys, tmp_path):
         rng = random.Random(7101)
         table = tmp_path / "fuzz.csv"
@@ -1139,8 +1161,8 @@ class TestFuzz:
 # the names `revbayes` exports, by the module that defines them
 _EXPORTED = {
     "errors": "DataError NonexistenceError",
-    "model": "DEFAULT_LEVEL EffectEstimate NormalPrior Study ci_limits",
-    "meta": "FailSafeResult MetaResult PosteriorSummary StudyDiagnostics "
+    "model": "DEFAULT_LEVEL EffectEstimate NormalPrior ci_limits",
+    "meta": "FailSafeResult MetaResult PosteriorSummary Study StudyDiagnostics "
             "estimate_from_counts failsafe_n forward_update pool read_study_table "
             "reverse_update",
     "ancred": "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
@@ -1329,12 +1351,13 @@ class TestPackage:
         loaded, expected = self.loaded_modules(argv)
         assert loaded == expected - {"revbayes.blocks"} | {"revbayes.text"}
 
-    # the runners, the counts code, the root finders, the calibrations and the
-    # block writers that a run of each subcommand compiles: cli keeps cmd_meta,
-    # only bf runs the root finders, bf takes its minimum Bayes factors from
+    # the runners, the counts code, Study, the root finders, the calibrations and
+    # the block writers that a run of each subcommand compiles: cli keeps cmd_meta,
+    # only meta compiles Study (has_counts), only bf runs the root finders, bf takes its minimum Bayes factors from
     # statfn and loads no fpr, and only a Table (meta's studies, fpr's grid)
     # loads the block writers
-    _COMPILES = {"meta": {"cmd_meta", "theta_se", "estimate_from_counts", "_block_texts"},
+    _COMPILES = {"meta": {"cmd_meta", "theta_se", "estimate_from_counts", "has_counts",
+                          "_block_texts"},
                  "ancred": {"cmd_meta", "cmd_ancred"},
                  "bf": {"cmd_meta", "cmd_bf", "find_root", "lambert_w_log"},
                  "fpr": {"cmd_meta", "cmd_fpr", "prior_prob_for_fpr"},

@@ -94,6 +94,12 @@ class TestStudyInvariants:
             with pytest.raises(DataError, match="all four counts or none"):
                 Study("x", *counts, **extra)
 
+    @pytest.mark.parametrize("counts", [(2.0, 10, 3, 10), (2, 10.0, 3, 10), (2, 10, "3", 10)])
+    def test_non_integer_count_rejected(self, counts):
+        # the log OR takes exact integer products of the counts
+        with pytest.raises(DataError, match="study 'a': non-integer count"):
+            pool([Study("a", *counts), Study("b", 3, 10, 4, 10)])
+
     def test_events_bounded_by_arm(self):
         with pytest.raises(DataError):
             Study("bad", 11, 10, 1, 10)
