@@ -3,7 +3,7 @@ credibility, replication-direction probability, and prior-to-data
 conversion into equivalent hypothetical trials."""
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, NormalPrior
@@ -11,50 +11,47 @@ from .statfn import (DEFAULT_ALPHA, LOG_MAX, alpha_for_level, critical_excess, c
                      exp_or_inf, two_sided_p)
 
 
-class ScepticalAnalysis(NamedTuple):
-    """Sufficiently sceptical prior for a significant finding."""
+class ScepticalAnalysis(namedtuple("ScepticalAnalysis", "g tau2 limit critical_interval_or")):
+    """Sufficiently sceptical prior for a significant finding: g is the
+    relative prior variance tau^2 / sigma^2, and limit the scepticism limit S
+    on the log OR scale."""
 
-    g: float                 # relative prior variance tau^2 / sigma^2
-    tau2: float
-    limit: float             # scepticism limit S on the log OR scale
-    critical_interval_or: tuple[float, float]
+    __slots__ = ()
 
     def prior(self) -> NormalPrior:
         return NormalPrior(0.0, self.tau2)
 
 
-class AdvocacyAnalysis(NamedTuple):
-    """Advocacy prior for a non-significant finding."""
+class AdvocacyAnalysis(namedtuple("AdvocacyAnalysis", "m mu tau limit cv")):
+    """Advocacy prior for a non-significant finding: m is the relative prior
+    mean mu / theta_hat, limit the advocacy limit AL = 2 * mu, and cv
+    tau / |mu| = 1 / z_crit."""
 
-    m: float                 # relative prior mean mu / theta_hat
-    mu: float
-    tau: float
-    limit: float             # advocacy limit AL = 2 * mu
-    cv: float                # tau / |mu| = 1 / z_crit
+    __slots__ = ()
 
     def prior(self) -> NormalPrior:
         return NormalPrior(self.mu, self.tau * self.tau)
 
 
-class CredibilityVerdict(NamedTuple):
-    credible: bool
-    reason: str | None = None
+class CredibilityVerdict(namedtuple("CredibilityVerdict", "credible reason", defaults=(None,))):
+    """Whether a finding is intrinsically credible (the record is true if so), and why not."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.credible
 
 
-class EquivalentTrial(NamedTuple):
-    """Hypothetical two-arm trial carrying the same information as a prior."""
+class EquivalentTrial(namedtuple("EquivalentTrial", "events_per_arm patients_per_arm "
+                                 "allocation_ratio per_arm_detail per_arm_cells",
+                                 defaults=(None, 1.0, None, None))):
+    """Hypothetical two-arm trial carrying the same information as a prior.
+    per_arm_detail is ((events, patients) treatment, (events, patients)
+    control), and per_arm_cells ((events, non-events) treatment, (events,
+    non-events) control), both unrounded: the cells b and d that e + b and
+    e + d lose where they are far below e."""
 
-    events_per_arm: float
-    patients_per_arm: float | None = None
-    allocation_ratio: float = 1.0
-    # ((events, patients) treatment, (events, patients) control), unrounded
-    per_arm_detail: tuple[tuple[float, float], tuple[float, float]] | None = None
-    # ((events, non-events) treatment, (events, non-events) control), unrounded:
-    # the cells b and d that e + b and e + d lose where they are far below e
-    per_arm_cells: tuple[tuple[float, float], tuple[float, float]] | None = None
+    __slots__ = ()
 
 
 def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float:

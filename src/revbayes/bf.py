@@ -10,8 +10,8 @@ layers may invert to "1/x" strings.
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from typing import NamedTuple
 
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, NormalPrior, interval
@@ -111,26 +111,21 @@ def find_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float,
     return x
 
 
-class BfScepticalSolution(NamedTuple):
-    """Both relative prior variances g at which BF01 equals the cut-off."""
+class BfScepticalSolution(namedtuple("BfScepticalSolution", "g_small g_large gamma "
+                                     "prior_interval_or", defaults=(None,))):
+    """Both relative prior variances g at which BF01 equals the cut-off.
+    prior_interval_or is the 95% prior credible interval of the small-g
+    (sceptical) prior, OR scale; only available when the estimate's standard
+    error is known."""
 
-    g_small: float
-    g_large: float
-    gamma: float
-    # 95% prior credible interval of the small-g (sceptical) prior, OR scale;
-    # only available when the estimate's standard error is known.
-    prior_interval_or: tuple[float, float] | None = None
+    __slots__ = ()
 
 
-class BfAdvocacySolution(NamedTuple):
+class BfAdvocacySolution(namedtuple("BfAdvocacySolution",
+                                    "m_small tau_small m_large tau_large gamma cv")):
     """Both advocacy priors (fixed CV) at which BF01 equals the cut-off."""
 
-    m_small: float
-    tau_small: float
-    m_large: float
-    tau_large: float
-    gamma: float
-    cv: float
+    __slots__ = ()
 
     @property
     def recommended_m(self) -> float:
@@ -334,7 +329,6 @@ def bf_intrinsic(estimate: EffectEstimate) -> float:
 def cmd_bf(args) -> tuple:
     # the cli's runner, as in ancred, with the report's estimate block
     from .report import estimate_payload
-    from .options import UsageError
     est = EffectEstimate(args.estimate, args.se)
     z = est.z
     results: dict = {"estimate": estimate_payload(*est, args.level),
@@ -350,9 +344,7 @@ def cmd_bf(args) -> tuple:
         results["advocacy"] = dict(
             sol._asdict(), z_gamma=z_gamma(args.gamma), recommended_m=sol.recommended_m,
             prior_interval_or=advocacy_prior_interval_or(est, sol.m_small, args.gamma))
-    elif args.mode == "ic":
+    else:   # ic: options limits --mode to its three choices
         results["bf_intrinsic"] = bf_intrinsic(est)
-    else:
-        raise UsageError(f"unknown mode {args.mode!r}")
     return results, {"estimate": est.theta_hat, "se": est.se, "gamma": args.gamma,
                      "mode": args.mode}, []

@@ -4,10 +4,10 @@ leave-one-out priors, prior-predictive conflict checks, and fail-safe N."""
 
 import io
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from itertools import repeat
 from operator import add, le, mul, sub, truediv
-from typing import NamedTuple
 
 from _csv import field_size_limit   # csv's own; csv loads only for a table that needs it
 
@@ -17,7 +17,7 @@ from .statfn import (DEFAULT_LEVEL, FLOAT_MIN, alpha_for_level, critical_excess,
                      two_sided_p_column)
 
 
-class PosteriorSummary(NamedTuple("PosteriorSummary", [("mean", float), ("precision", float)])):
+class PosteriorSummary(namedtuple("PosteriorSummary", "mean precision")):
     """Posterior mean and precision from forward normal updating."""
 
     __slots__ = ()
@@ -39,27 +39,21 @@ class PosteriorSummary(NamedTuple("PosteriorSummary", [("mean", float), ("precis
         return EffectEstimate(self.mean, self.sd)
 
 
-class StudyDiagnostics(NamedTuple):
-    study_id: str
-    estimate: EffectEstimate
-    # None when the study stands alone: the leave-one-out prior is flat
-    leave_one_out_prior: PosteriorSummary | None
-    t_box: float
-    p_box: float
+class StudyDiagnostics(namedtuple("StudyDiagnostics",
+                                  "study_id estimate leave_one_out_prior t_box p_box")):
+    """One study's row of a MetaResult; leave_one_out_prior is None when the
+    study stands alone, as its leave-one-out prior is flat."""
+
+    __slots__ = ()
 
 
-class MetaResult(NamedTuple):
+class MetaResult(namedtuple("MetaResult",
+                            "pooled ids theta se loo_mean loo_precision t_box p_box")):
     """The pooled posterior and one column per study quantity, in table
     order. A study that stands alone has loo_precision 0.0 (a flat
     leave-one-out prior) and t_box and p_box nan."""
-    pooled: PosteriorSummary
-    ids: tuple[str, ...]
-    theta: tuple[float, ...]
-    se: tuple[float, ...]
-    loo_mean: tuple[float, ...]
-    loo_precision: tuple[float, ...]
-    t_box: tuple[float, ...]
-    p_box: tuple[float, ...]
+
+    __slots__ = ()
 
     @property
     def n_studies(self) -> int:
@@ -74,11 +68,11 @@ class MetaResult(NamedTuple):
                      for sid, theta, se, mean, precision, t_box, p_box in zip(*self[1:]))
 
 
-class FailSafeResult(NamedTuple):
-    n_exact: float
-    n_integer: int
-    significant: bool
-    reason: str | None = None
+class FailSafeResult(namedtuple("FailSafeResult", "n_exact n_integer significant reason",
+                                defaults=(None,))):
+    """Fail-safe N, exact and rounded up, or 0 and why if the pool is not significant."""
+
+    __slots__ = ()
 
 
 def _running_pool(theta, precisions, prior_mean=None, prior_precision=None,
@@ -138,10 +132,8 @@ def reverse_update(posterior: PosteriorSummary,
                                            start=posterior)[2:])
 
 
-class Study(NamedTuple("Study", [
-        ("id", str), ("events_treatment", int | None), ("n_treatment", int | None),
-        ("events_control", int | None), ("n_control", int | None),
-        ("estimate", float | None), ("se", float | None)])):
+class Study(namedtuple("Study", "id events_treatment n_treatment events_control n_control "
+                                "estimate se")):
     """One trial: either 2x2 outcome counts or a precomputed estimate."""
 
     __slots__ = ()
@@ -168,6 +160,8 @@ class Study(NamedTuple("Study", [
             if (self.events_treatment > self.n_treatment
                     or self.events_control > self.n_control):
                 raise DataError(f"study {self.id!r}: events exceed arm size")
+        elif not all(isinstance(value, (int, float)) for value in self[5:]):
+            raise DataError(f"study {self.id!r}: non-numeric value in {self[5:]!r}")
         elif self.se <= 0:
             raise DataError(f"study {self.id!r}: se must be positive")
         return self

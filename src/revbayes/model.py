@@ -7,7 +7,7 @@ values only appear at I/O boundaries via exp/log.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DataError, NonexistenceError
 from .statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, alpha_for_level, critical_excess,
@@ -19,7 +19,7 @@ def _checked_make(cls, values):
     return cls(*values)
 
 
-class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", float)])):
+class EffectEstimate(namedtuple("EffectEstimate", "theta_hat se")):
     """A normally distributed point estimate (log OR) with standard error."""
 
     __slots__ = ()
@@ -74,7 +74,7 @@ class EffectEstimate(NamedTuple("EffectEstimate", [("theta_hat", float), ("se", 
         return cls(theta_hat, se)
 
 
-class NormalPrior(NamedTuple("NormalPrior", [("mean", float), ("variance", float)])):
+class NormalPrior(namedtuple("NormalPrior", "mean variance")):
     """Normal prior on the log OR scale."""
 
     __slots__ = ()

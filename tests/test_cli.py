@@ -1384,14 +1384,16 @@ class TestPackage:
         watched = set().union(*self._COMPILES.values())
         assert functions & watched == self.expected(self._COMPILES, argv)
 
-    @pytest.mark.parametrize("argv", [argv for argv in readme_examples() if argv[0] == "fpr"]
+    @pytest.mark.parametrize("argv", [[*json, *argv] for argv in readme_examples()
+                                      for json in ([], ["--json"])]
                              + [["-h"], ["--version"]], ids=" ".join)
-    def test_cold_fpr_help_and_version_load_no_typing(self, argv):
-        # under -S, as no site has loaded them first: only the records of model,
-        # ancred, bf and meta need typing, so fpr, the help and the version run
-        # without it and the re it imports
+    def test_cold_process_loads_no_typing(self, argv):
+        # under -S, as no site has loaded them first: the records are namedtuples,
+        # so no process loads typing or the re it imports, and only bf and fpr,
+        # whose Branch and CalibrationKind are public enums, load enum
+        barred = ("typing", "re") if {"bf", "fpr"} & set(argv) else ("typing", "re", "enum")
         script = ("import atexit, sys; atexit.register(lambda: print("
-                  "[m for m in ('typing', 're') if m in sys.modules], file=sys.stderr)); "
+                  f"[m for m in {barred!r} if m in sys.modules], file=sys.stderr)); "
                   "from revbayes.cli import main; main()")
         proc = subprocess.run([sys.executable, "-S", "-c", script, *argv],
                               capture_output=True, text=True, cwd=ROOT, env=self.env())

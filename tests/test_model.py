@@ -1,12 +1,18 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from revbayes.ancred import (AdvocacyAnalysis, CredibilityVerdict, EquivalentTrial,
+                             ScepticalAnalysis)
+from revbayes.bf import BfAdvocacySolution, BfScepticalSolution
 from revbayes.errors import DataError, NonexistenceError
-from revbayes.meta import PosteriorSummary, StudyTable, estimate_from_counts, pool, theta_se
+from revbayes.meta import (FailSafeResult, MetaResult, PosteriorSummary, StudyDiagnostics,
+                           StudyTable, estimate_from_counts, pool, theta_se)
 from revbayes.model import EffectEstimate, NormalPrior, Study, ci_limits
 
 
@@ -100,6 +106,12 @@ class TestStudyInvariants:
         with pytest.raises(DataError, match="study 'a': non-integer count"):
             pool([Study("a", *counts), Study("b", 3, 10, 4, 10)])
 
+    @pytest.mark.parametrize("estimate, se", [("0.1", 0.2), (0.1, "0.2"), (0.1, [1])],
+                             ids=["str estimate", "str se", "list se"])
+    def test_non_numeric_estimate_rejected(self, estimate, se):
+        with pytest.raises(DataError, match="study 'a': non-numeric value"):
+            pool([Study("a", estimate=estimate, se=se), Study("b", estimate=0.2, se=0.3)])
+
     def test_events_bounded_by_arm(self):
         with pytest.raises(DataError):
             Study("bad", 11, 10, 1, 10)
@@ -148,6 +160,67 @@ class TestRecords:
             Study("s", 1, 10, 1, 10)._replace(events_treatment=11)
         with pytest.raises(ValueError, match="prior variance must be positive"):
             NormalPrior(0.0, 1.0)._replace(variance=0.0)
+
+
+_EST = EffectEstimate(-0.53, 0.145)
+_POST = PosteriorSummary(-0.4, 25.0)
+# one of each result record: its pinned repr and field defaults and, where
+# the record checks its fields, a replacement that its check refuses
+_RECORDS = [
+    (_EST, "EffectEstimate(theta_hat=-0.53, se=0.145)", {}, {"se": 0.0}),
+    (NormalPrior(0.0, 0.25), "NormalPrior(mean=0.0, variance=0.25)", {}, {"variance": 0.0}),
+    (_POST, "PosteriorSummary(mean=-0.4, precision=25.0)", {}, {"precision": 0.0}),
+    (StudyDiagnostics("a", _EST, _POST, 1.5, 0.13),
+     "StudyDiagnostics(study_id='a', estimate=EffectEstimate(theta_hat=-0.53, se=0.145), "
+     "leave_one_out_prior=PosteriorSummary(mean=-0.4, precision=25.0), t_box=1.5, "
+     "p_box=0.13)", {}, None),
+    (MetaResult(_POST, ("a",), (-0.53,), (0.145,), (0.0,), (0.0,), (1.2,), (0.23,)),
+     "MetaResult(pooled=PosteriorSummary(mean=-0.4, precision=25.0), ids=('a',), "
+     "theta=(-0.53,), se=(0.145,), loo_mean=(0.0,), loo_precision=(0.0,), t_box=(1.2,), "
+     "p_box=(0.23,))", {}, None),
+    (FailSafeResult(3.5, 4, True),
+     "FailSafeResult(n_exact=3.5, n_integer=4, significant=True, reason=None)",
+     {"reason": None}, None),
+    (Study("a", 95, 324, 283, 683),
+     "Study(id='a', events_treatment=95, n_treatment=324, events_control=283, "
+     "n_control=683, estimate=None, se=None)", {}, {"events_treatment": 325}),
+    (ScepticalAnalysis(0.5, 0.01, 0.2, (0.8, 1.25)),
+     "ScepticalAnalysis(g=0.5, tau2=0.01, limit=0.2, critical_interval_or=(0.8, 1.25))",
+     {}, None),
+    (AdvocacyAnalysis(0.5, 0.1, 0.05, 0.2, 0.5),
+     "AdvocacyAnalysis(m=0.5, mu=0.1, tau=0.05, limit=0.2, cv=0.5)", {}, None),
+    (CredibilityVerdict(True), "CredibilityVerdict(credible=True, reason=None)",
+     {"reason": None}, None),
+    (EquivalentTrial(12.5),
+     "EquivalentTrial(events_per_arm=12.5, patients_per_arm=None, allocation_ratio=1.0, "
+     "per_arm_detail=None, per_arm_cells=None)",
+     {"patients_per_arm": None, "allocation_ratio": 1.0, "per_arm_detail": None,
+      "per_arm_cells": None}, None),
+    (BfScepticalSolution(0.1, 10.0, 0.1),
+     "BfScepticalSolution(g_small=0.1, g_large=10.0, gamma=0.1, prior_interval_or=None)",
+     {"prior_interval_or": None}, None),
+    (BfAdvocacySolution(0.2, 0.1, 0.9, 0.4, 0.1, 0.5),
+     "BfAdvocacySolution(m_small=0.2, tau_small=0.1, m_large=0.9, tau_large=0.4, "
+     "gamma=0.1, cv=0.5)", {}, None),
+]
+
+
+class TestRecordParity:
+    # what callers see of each record: fields, defaults, repr, pickling,
+    # copying, a docstring, and _replace running the record's own checks
+    @pytest.mark.parametrize("record, pinned, defaults, refused", _RECORDS,
+                             ids=[type(record).__name__ for record, *_ in _RECORDS])
+    def test_record(self, record, pinned, defaults, refused):
+        cls = type(record)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, record))
+        assert repr(record) == pinned == f"{cls.__name__}({fields})"
+        assert cls._field_defaults == defaults
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(clone) is cls and clone == record
+        assert cls.__doc__
+        if refused is not None:
+            with pytest.raises(DataError):
+                record._replace(**refused)
 
 
 class TestCiLimits:
