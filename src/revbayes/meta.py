@@ -75,17 +75,16 @@ class FailSafeResult(namedtuple("FailSafeResult", "n_exact n_integer significant
     __slots__ = ()
 
 
-def _running_pool(theta, precisions, prior_mean=None, prior_precision=None,
-                  start=(0.0, 0.0)):
+def _running_pool(theta, precisions, prior_mean=None, prior_precision=None):
     """Precision-weighted pooling of the studies' columns, in order, into a
-    running (mean, precision) from the start summary; precision 0.0 is flat.
+    running (mean, precision) from a flat start; precision 0.0 is flat.
     Returns, for each study, the running pool before it pooled with its prior
     from the prior columns (flat by default), and then the pool of all the
     studies. It runs on local floats: a call and a tuple per study would cost
     most of its time."""
     if prior_mean is None:
         prior_mean = prior_precision = repeat(0.0)
-    mean, precision = start
+    mean = precision = 0.0
     out_mean, out_precision = [], []
     for t, w, m, k in zip(theta, precisions, prior_mean, prior_precision):
         if k == 0.0:
@@ -109,8 +108,8 @@ def forward_update(prior_mean: float, prior_precision: float,
     """One step of conjugate normal updating; zero precision is a flat prior."""
     if prior_precision < 0.0:
         raise DataError(f"prior precision must be nonnegative, got {prior_precision!r}")
-    mean, precision = _running_pool((estimate.theta_hat,), (estimate.precision,),
-                                    start=(prior_mean, prior_precision))[2:]
+    mean, precision = _running_pool((prior_mean, estimate.theta_hat),
+                                    (prior_precision, estimate.precision))[2:]
     if precision == 0.0:   # a flat prior, and a study whose 1/se^2 underflows to 0
         raise NonexistenceError(f"posterior is flat: the prior is flat and 1/se^2 is 0.0 "
                                 f"for se = {estimate.se!r}")
@@ -128,8 +127,8 @@ def reverse_update(posterior: PosteriorSummary,
     if posterior.precision - kappa <= 0.0:   # the pool divides by that sum
         raise NonexistenceError(
             "posterior precision not greater than observational precision")
-    return PosteriorSummary(*_running_pool((estimate.theta_hat,), (-kappa,),
-                                           start=posterior)[2:])
+    return PosteriorSummary(*_running_pool((posterior.mean, estimate.theta_hat),
+                                           (posterior.precision, -kappa))[2:])
 
 
 class Study(namedtuple("Study", "id events_treatment n_treatment events_control n_control "
@@ -151,7 +150,9 @@ class Study(namedtuple("Study", "id events_treatment n_treatment events_control 
             raise DataError(f"study {self.id!r}: supply either all four counts "
                             "or estimate+se, not both or neither")
         if has_counts:
-            if not all(isinstance(count, int) for count in self[1:5]):
+            # a bool is an int, but not a count
+            if not all(isinstance(count, int) and not isinstance(count, bool)
+                       for count in self[1:5]):
                 raise DataError(f"study {self.id!r}: non-integer count in {self[1:5]!r}")
             if self.events_treatment < 0 or self.events_control < 0:
                 raise DataError(f"study {self.id!r}: negative event count")
@@ -160,7 +161,8 @@ class Study(namedtuple("Study", "id events_treatment n_treatment events_control 
             if (self.events_treatment > self.n_treatment
                     or self.events_control > self.n_control):
                 raise DataError(f"study {self.id!r}: events exceed arm size")
-        elif not all(isinstance(value, (int, float)) for value in self[5:]):
+        elif not all(isinstance(value, (int, float)) and not isinstance(value, bool)
+                     for value in self[5:]):
             raise DataError(f"study {self.id!r}: non-numeric value in {self[5:]!r}")
         elif self.se <= 0:
             raise DataError(f"study {self.id!r}: se must be positive")
@@ -335,8 +337,9 @@ _SCHEMAS = (
 
 def read_study_table(path: str) -> StudyTable:
     """Parse a study CSV; the header selects the counts or estimate schema.
-    The table is read and checked as columns; if a check fails, it is read
-    again row by row, which names the first bad row by its line."""
+    The table is split at its commas and checked as columns. A text that
+    needs csv's rules, or that fails a check, is read by csv's row parser
+    instead, which names the first bad row by its line."""
     try:
         # utf-8-sig drops the byte order mark that Excel's "CSV UTF-8" writes
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -365,48 +368,12 @@ def _read_rows(path: str, fh) -> StudyTable:
 
 
 def _read_columns(text: str) -> StudyTable | None:
-    """The table, read and checked a column at a time: split at its commas if
-    _split_columns can, else by csv's reader. None where a row has another
-    number of cells than the header, holds only blanks or fails any check of
-    _parse_studies or Study: _parse_studies, reading row by row, then raises
-    the first bad row's error."""
-    if (split := _split_columns(text)) is None:
-        import csv
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header, rows = next(reader, []), list(filter(None, reader))   # [] is an empty line
-        except csv.Error:
-            return None
-        split = header, (list(zip(*rows)) if set(map(len, rows)) == {len(header)} else None)
-        del rows
-    header, columns = split
-    schema = next((s for s in _SCHEMAS if s[0] == [h.strip() for h in header]), None)
-    if schema is None or columns is None:
-        return None
-    _, parse, _, fields = schema
-    ids, *cells = columns
-    del split, columns   # so that each column's strings go once it is converted
-    try:
-        for k in range(len(cells)):
-            cells[k] = list(map(parse, cells[k]))
-    except ValueError:
-        return None
-    ids = list(map(str.strip, ids))
-    columns = [ids] + [[None] * len(ids)] * (len(Study._fields) - 1)
-    columns[fields] = cells
-    valid = (not any(map((0.0).__ge__, cells[-1])) if parse is float   # se > 0
-             # events >= 0, arm sizes > 0 and events <= arm sizes
-             else min(map(min, cells[::2])) >= 0 and min(map(min, cells[1::2])) > 0
-             and all(map(le, cells[0], cells[1])) and all(map(le, cells[2], cells[3])))
-    return StudyTable(tuple(columns)) if valid and len(set(ids)) == len(ids) else None
-
-
-def _split_columns(text: str) -> tuple[list[str], list[list[str]] | None] | None:
-    """The header and the cell columns of the text, with no object per row:
-    the rows are joined and split at their commas at once. The columns are
-    None where a row has another number of cells than the header. None where
-    csv would read the text otherwise: a quote, a NUL, a CR outside a CRLF,
-    or a line past its field size limit."""
+    """The table, read and checked a column at a time: the rows are joined
+    and split at their commas at once, with no object per row. None where
+    csv would read the text otherwise (a quote, a NUL, a CR outside a CRLF,
+    or a line past its field size limit), or where a row has another number
+    of cells than the header, holds only blanks or fails any check of
+    _parse_studies or Study: _read_rows reads such a text, naming its first bad row."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if '"' in text or "\0" in text or "\r" in text:
@@ -421,9 +388,27 @@ def _split_columns(text: str) -> tuple[list[str], list[list[str]] | None] | None
     # those fall at every step-th cell
     cells, step = ",\n,".join(rows).split(","), len(header) + 1
     if len(cells) != len(rows) * step - 1 or cells[step - 1::step].count("\n") != len(rows) - 1:
-        return header, None
+        return None
     del rows
-    return header, [cells[k::step] for k in range(len(header))]
+    schema = next((s for s in _SCHEMAS if s[0] == [h.strip() for h in header]), None)
+    if schema is None:
+        return None
+    _, parse, _, fields = schema
+    # rebinding cells frees the split, so that each column's strings go once it is converted
+    ids, *cells = [cells[k::step] for k in range(len(header))]
+    try:
+        for k in range(len(cells)):
+            cells[k] = list(map(parse, cells[k]))
+    except ValueError:
+        return None
+    ids = list(map(str.strip, ids))
+    columns = [ids] + [[None] * len(ids)] * (len(Study._fields) - 1)
+    columns[fields] = cells
+    valid = (not any(map((0.0).__ge__, cells[-1])) if parse is float   # se > 0
+             # events >= 0, arm sizes > 0 and events <= arm sizes
+             else min(map(min, cells[::2])) >= 0 and min(map(min, cells[1::2])) > 0
+             and all(map(le, cells[0], cells[1])) and all(map(le, cells[2], cells[3])))
+    return StudyTable(tuple(columns)) if valid and len(set(ids)) == len(ids) else None
 
 
 def _parse_studies(path: str, reader) -> list[Study]:

@@ -220,8 +220,7 @@ class TestReadStudyTable:
 
     def test_forms_of_one_table(self, tmp_path):
         # LF, CRLF, a byte order mark and no final newline are split at the
-        # commas, a quoted id by csv's reader, and whitespace-only rows take
-        # the row parser
+        # commas, and a quoted id and whitespace-only rows take the row parser
         lines = ["id,events_t,n_t,events_c,n_c", "A,2,7,2,12", "B b,69,128,76,128",
                  "C,95,324,283,683"]
         forms = {"lf": "\n".join(lines) + "\n", "crlf": "\r\n".join(lines) + "\r\n",
@@ -236,8 +235,8 @@ class TestReadStudyTable:
             f.write_bytes(text.encode())
             tables[name] = self.outcome(read_study_table, str(f))
             text = text.removeprefix("\ufeff")
-            assert (meta._split_columns(text) is None) == (name == "quoted-id"), name
-            assert (meta._read_columns(text) is None) == (name == "blank-rows"), name
+            assert ((meta._read_columns(text) is None)
+                    == (name in ("quoted-id", "blank-rows"))), name
         assert tables["lf"][0] == ("A", "B b", "C")
         assert all(table == tables["lf"] for table in tables.values()), tables
 
@@ -259,12 +258,11 @@ class TestReadStudyTable:
     ], ids=["quote", "nul", "cr-line-ends", "cr-in-a-row", "field-past-the-limit",
             "line-past-the-limit", "comma-too-many", "comma-too-few", "commas-that-cancel"])
     def test_fallbacks_agree_with_the_row_parser(self, tmp_path, text, expected):
-        # text that csv would read otherwise leaves the comma split for csv's
-        # reader, and a bad row leaves the column pass for the row parser;
-        # either way the table or message is the row parser's
+        # text that csv would read otherwise, and a bad row, leave the comma
+        # split for the row parser; either way the table or message is the
+        # row parser's
         needs_csv = '"' in text or "\0" in text or "\r" in text or len(text) > 131072
-        assert (meta._split_columns(text) is None) == needs_csv
-        assert (meta._read_columns(text) is None) == (not isinstance(expected, tuple))
+        assert (meta._read_columns(text) is None) == (needs_csv or not isinstance(expected, tuple))
         f = tmp_path / "t.csv"
         f.write_bytes(text.encode())
         got = self.outcome(read_study_table, str(f))
@@ -1608,6 +1606,20 @@ class TestPackage:
         assert subtractions == []
         assert [path.name for path in sorted(SRC.glob("*.py"))
                 if "critical_ratio" in path.read_text(encoding="utf-8")] == []
+
+    def test_one_csv_route(self):
+        # a study table is read by the comma split or by csv's row parser:
+        # _read_rows alone imports csv, and no second comma split comes back
+        def csv_imports(tree):
+            return [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) and "csv" in [a.name for a in node.names]
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv"]
+
+        tree = ast.parse((SRC / "meta.py").read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        assert [f.name for f in functions if csv_imports(f)] == ["_read_rows"]
+        assert len(csv_imports(tree)) == 1
+        assert "_split_columns" not in [f.name for f in functions]
 
     def test_one_pooling_routine(self):
         # meta._running_pool alone pools normal summaries: no module defines

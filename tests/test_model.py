@@ -100,14 +100,17 @@ class TestStudyInvariants:
             with pytest.raises(DataError, match="all four counts or none"):
                 Study("x", *counts, **extra)
 
-    @pytest.mark.parametrize("counts", [(2.0, 10, 3, 10), (2, 10.0, 3, 10), (2, 10, "3", 10)])
+    @pytest.mark.parametrize("counts", [(2.0, 10, 3, 10), (2, 10.0, 3, 10), (2, 10, "3", 10),
+                                        (True, 10, 3, 10)])
     def test_non_integer_count_rejected(self, counts):
         # the log OR takes exact integer products of the counts
         with pytest.raises(DataError, match="study 'a': non-integer count"):
             pool([Study("a", *counts), Study("b", 3, 10, 4, 10)])
 
-    @pytest.mark.parametrize("estimate, se", [("0.1", 0.2), (0.1, "0.2"), (0.1, [1])],
-                             ids=["str estimate", "str se", "list se"])
+    @pytest.mark.parametrize("estimate, se", [("0.1", 0.2), (0.1, "0.2"), (0.1, [1]),
+                                              (True, 0.2), (0.1, True)],
+                             ids=["str estimate", "str se", "list se", "bool estimate",
+                                  "bool se"])
     def test_non_numeric_estimate_rejected(self, estimate, se):
         with pytest.raises(DataError, match="study 'a': non-numeric value"):
             pool([Study("a", estimate=estimate, se=se), Study("b", estimate=0.2, se=0.3)])
