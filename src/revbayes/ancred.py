@@ -65,12 +65,20 @@ def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float
     return 1.0 / excess
 
 
-def scepticism_limit(lower: float, upper: float) -> float:
-    """Half-width S of the critical prior interval, from the CI limits."""
-    if lower * upper <= 0.0:
+def _check_significant(lower: float, upper: float, quantity: str) -> None:
+    # by the limits' signs, as their product can underflow to 0
+    if not (lower > 0.0 and upper > 0.0 or lower < 0.0 and upper < 0.0):
         raise NonexistenceError(
-            "scepticism limit requires a significant interval (limits of the same sign)")
-    return (upper - lower) * (upper - lower) / (4.0 * math.sqrt(upper * lower))
+            f"{quantity} requires a significant interval (limits of the same sign)")
+
+
+def scepticism_limit(lower: float, upper: float) -> float:
+    """Half-width S = (U - L)^2 / (4 sqrt(UL)) of the critical prior interval,
+    from the CI limits, as (h/sqrt|U|)(h/sqrt|L|) with h = (U - L)/2, so that
+    no step leaves the float range unless S does."""
+    _check_significant(lower, upper, "scepticism limit")
+    half = (upper - lower) / 2.0
+    return half / math.sqrt(abs(upper)) * (half / math.sqrt(abs(lower)))
 
 
 def sceptical_analysis(estimate: EffectEstimate,
@@ -133,9 +141,7 @@ def intrinsic_boundary_p(alpha: float = DEFAULT_ALPHA,
 
 def credibility_ratio(lower: float, upper: float) -> float:
     """Ratio of the CI limits, the quick check for intrinsic credibility."""
-    if lower * upper <= 0.0:
-        raise NonexistenceError(
-            "credibility ratio requires a significant interval (limits of the same sign)")
+    _check_significant(lower, upper, "credibility ratio")
     return max(abs(upper / lower), abs(lower / upper))
 
 
@@ -191,14 +197,21 @@ def equivalent_trial(prior: NormalPrior,
                     f"{event_rate:.6g})")
             return EquivalentTrial(event_rate * n, n)
         if patients_per_arm is not None:
-            # events e per arm of N patients: 2/e + 2/(N-e) = tau^2
+            # events e per arm of N patients: 2/e + 2/(N-e) = tau^2. Its smaller
+            # root (N - sqrt(N^2 - 8N/tau^2))/2 cancels, so e is taken as
+            # (4/tau^2)/(1 + sqrt(w)), with w = 1 - 8/(N tau^2) rounded once
+            # from the exact ratios of N and tau^2, as w cancels near the least N
             n = float(patients_per_arm)
-            disc = n * n - 8.0 * n / tau2
-            if disc < 0.0:
+            if not 0.0 < n < math.inf:
+                raise DataError(f"patients per arm must be positive and finite, "
+                                f"got {patients_per_arm!r}")
+            (a, b), (t, u) = n.as_integer_ratio(), tau2.as_integer_ratio()
+            w = (a * t - 8 * b * u) / (a * t)
+            if w < 0.0:
                 raise DataError(
                     f"no trial with {patients_per_arm} patients per arm carries "
                     f"as little information as variance {tau2:.4g}")
-            return EquivalentTrial(0.5 * (n - math.sqrt(disc)), n)
+            return EquivalentTrial(4.0 / tau2 / (1.0 + math.sqrt(w)), n)
         return EquivalentTrial(2.0 / tau2)
 
     if abs(mu) > LOG_MAX:

@@ -159,6 +159,21 @@ def ancred_fields(z, z_crit, se=1.0) -> dict:
             "m": -2 / excess, "n": excess}
 
 
+def scepticism_limit(lower, upper):
+    """The scepticism limit S = (U - L)^2 / (4 sqrt(UL)) of the interval (L, U)."""
+    lower, upper = mpmath.mpf(lower), mpmath.mpf(upper)
+    return (upper - lower) ** 2 / (4 * mpmath.sqrt(lower * upper))
+
+
+def fixed_arm_events(n, tau2):
+    """The events e per arm of n patients per arm whose trial has the log OR
+    variance tau2: the smaller root of 2/e + 2/(n - e) = tau2, as an mpf, or
+    None where no trial of n patients per arm carries so little information."""
+    n, tau2 = mpmath.mpf(n), mpmath.mpf(tau2)
+    disc = n * n - 8 * n / tau2
+    return None if disc < 0 else (n - mpmath.sqrt(disc)) / 2
+
+
 def ulps(x: float, reference) -> float:
     """|x - reference| in units of the last place of the float nearest reference."""
     return float(abs(mpmath.mpf(x) - reference) / math.ulp(float(reference)))

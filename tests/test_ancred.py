@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import sys
 
 import pytest
 
@@ -195,6 +196,31 @@ class TestScepticismLimit:
             with pytest.raises(NonexistenceError):
                 scepticism_limit(lower, upper)
 
+    def test_last_digits_against_mpmath(self):
+        # S within 4 ulp of mpmath wherever it is a normal float, for limits of
+        # both signs with |L| and |U| log-uniform over [1e-300, 1e300], or U
+        # near L; (U - L)^2 and UL leave the float range where S does not
+        rng = random.Random(23)
+        drawn, misses = 0, []
+        for _ in range(4000):
+            lo, hi = sorted(10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+            if rng.random() < 0.5:
+                hi = lo * (1.0 + 10.0 ** rng.uniform(-16.0, 1.0))
+            lower, upper = (lo, hi) if rng.random() < 0.5 else (-hi, -lo)
+            expected = oracles.scepticism_limit(lower, upper)
+            if sys.float_info.min <= expected <= sys.float_info.max:
+                drawn += 1
+                error = oracles.ulps(scepticism_limit(lower, upper), expected)
+                if not error <= 4.0:
+                    misses.append((lower, upper, error))
+        assert drawn > 3000 and misses == []
+
+    @pytest.mark.parametrize("lower, upper", [(1e-200, 1e-199), (-1e-199, -1e-200),
+                                              (1e200, 1e201)])
+    def test_limits_whose_product_leaves_the_range(self, lower, upper):
+        assert oracles.ulps(scepticism_limit(lower, upper),
+                            oracles.scepticism_limit(lower, upper)) <= 4.0
+
     def test_consistency_with_z_parameterization(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -366,8 +392,14 @@ class TestCredibilityRatio:
         assert credibility_ratio(0.3, 0.3) == 1.0
 
     def test_straddling_rejected(self):
-        with pytest.raises(NonexistenceError):
-            credibility_ratio(-0.2, 0.4)
+        for lower, upper in [(-0.2, 0.4), (0.0, 0.5), (-0.5, 0.0)]:
+            with pytest.raises(NonexistenceError):
+                credibility_ratio(lower, upper)
+
+    def test_limits_whose_product_underflows(self):
+        # significance is read from the limits' signs, not their product
+        assert credibility_ratio(1e-200, 1e-199) == 1e-199 / 1e-200
+        assert credibility_ratio(-1e-199, -1e-200) == 1e-199 / 1e-200
 
 
 class TestPIntrinsicAndPRep:
@@ -483,6 +515,34 @@ class TestEquivalentTrial:
     def test_infeasible_patients(self):
         with pytest.raises(ValueError, match="patients per arm"):
             equivalent_trial(NormalPrior(0.0, 0.0001), patients_per_arm=10)
+
+    @pytest.mark.parametrize("n", [0, -100, math.inf, math.nan])
+    def test_patients_must_be_positive_and_finite(self, n):
+        with pytest.raises(ValueError, match="patients per arm must be positive and finite"):
+            equivalent_trial(NormalPrior(0.0, 0.5), patients_per_arm=n)
+
+    def test_fixed_arms_against_mpmath(self):
+        # the events of n patients per arm within 3 ulp of mpmath, for n
+        # log-uniform over [1e2, 1e12], or just above the least n = 8/tau^2,
+        # and tau^2 log-uniform over [1e-4, 1]: (n - sqrt(n^2 - 8n/tau^2))/2
+        # was up to 7.4e10 ulp off, and its rationalised form 9e7 near 8/tau^2
+        rng = random.Random(24)
+        drawn, misses = 0, []
+        for _ in range(2000):
+            n, tau2 = 10.0 ** rng.uniform(2.0, 12.0), 10.0 ** rng.uniform(-4.0, 0.0)
+            if rng.random() < 0.5:
+                n = 8.0 / tau2 * (1.0 + 10.0 ** rng.uniform(-16.0, 0.0))
+            expected = oracles.fixed_arm_events(n, tau2)
+            if expected is None:
+                with pytest.raises(ValueError, match="patients per arm"):
+                    equivalent_trial(NormalPrior(0.0, tau2), patients_per_arm=n)
+                continue
+            drawn += 1
+            trial = equivalent_trial(NormalPrior(0.0, tau2), patients_per_arm=n)
+            error = oracles.ulps(trial.events_per_arm, expected)
+            if not error <= 3.0:
+                misses.append((n, tau2, error))
+        assert drawn > 1500 and misses == []
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import graphlib
 import hashlib
 import importlib.util
 import io
@@ -23,7 +24,7 @@ import oracles
 import pins
 from readme import readme_cli_block
 import revbayes
-from revbayes import blocks, bundled_dataset_path, cli, meta, report
+from revbayes import bundled_dataset_path, cli, meta, options, report
 from revbayes.cli import run
 from revbayes.report import render_json, write_json
 from revbayes.ancred import advocacy_prior, sceptical_analysis
@@ -55,6 +56,27 @@ def quick_start_block() -> str:
 def readme_examples() -> list[list[str]]:
     """The argv of each `revbayes` line of the README's CLI block."""
     return [argv for argv, _, _ in readme_cli_block()]
+
+
+def _module_name(path: pathlib.Path) -> str:
+    return "revbayes" if path.stem == "__init__" else f"revbayes.{path.stem}"
+
+
+def package_imports(path: pathlib.Path) -> set:
+    """The package modules that the module at `path` imports, at module level
+    or in a function, by their dotted names: `from . import x` imports the
+    submodule x where there is one, and else the package."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "revbayes")
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["revbayes" if node.level else None, node.module]))
+            if base.split(".")[0] == "revbayes":
+                imported.update(f"{base}.{a.name}" if base == "revbayes"
+                                and (SRC / f"{a.name}.py").is_file() else base
+                                for a in node.names)
+    return imported
 
 
 def _reject_constant(token):
@@ -924,8 +946,8 @@ class TestRenderJson:
         assert strict_loads(text) == expected
         assert text == json.dumps(expected, sort_keys=True, indent=2)
 
-    @pytest.mark.parametrize("n", [1, blocks._BLOCK - 1, blocks._BLOCK, blocks._BLOCK + 1,
-                                   2 * blocks._BLOCK + 1, 2 * blocks._BLOCK + 3],
+    @pytest.mark.parametrize("n", [1, report._BLOCK - 1, report._BLOCK, report._BLOCK + 1,
+                                   2 * report._BLOCK + 1, 2 * report._BLOCK + 3],
                              ids=["one", "block-1", "block", "block+1", "2block+1", "2block+3"])
     def test_block_boundaries(self, n):
         rows = _rows(n)
@@ -957,7 +979,7 @@ class TestRenderJson:
         args = cli.parse_args(argv)
         assert written == report.envelope(args, *cli.cmd_meta(args))
         assert "".join(writes) == render_json(written) + "\n"
-        assert len(writes) > 2500 // blocks._BLOCK
+        assert len(writes) > 2500 // report._BLOCK
 
     def test_report_memory(self, monkeypatch, tmp_path):
         # A 10 000-study report, less its text in the captured stdout, peaks
@@ -1281,7 +1303,7 @@ class TestPackage:
         # package imports __future__
         unloaded = ["statistics", "fractions", "decimal", "json", "csv", "revbayes.model",
                     "revbayes.meta", "revbayes.ancred", "revbayes.bf", "revbayes.fpr",
-                    "revbayes.blocks", "__future__"]
+                    "__future__"]
         proc = self.python("-c", "import sys; from revbayes.cli import main; "
                            f"print([m for m in {unloaded!r} if m in sys.modules])")
         assert proc.returncode == 0, proc.stderr
@@ -1297,12 +1319,11 @@ class TestPackage:
         assert proc.stdout.splitlines()[-1] == "[]"
 
     # the modules each subcommand loads, besides revbayes itself, the cli and
-    # what the cli imports for every subcommand; the block writers load with a
-    # Table, which meta's studies and fpr's grid are
-    _LOADS = {"meta": {"revbayes.model", "revbayes.meta", "revbayes.blocks"},
+    # what the cli imports for every subcommand
+    _LOADS = {"meta": {"revbayes.model", "revbayes.meta"},
               "ancred": {"revbayes.model", "revbayes.ancred"},
               "bf": {"revbayes.model", "revbayes.bf"}, "fpr": {"revbayes.fpr"},
-              "fpr --grid": {"revbayes.fpr", "revbayes.blocks"}}
+              "fpr --grid": {"revbayes.fpr"}}
 
     @staticmethod
     def expected(table: dict, argv) -> set:
@@ -1316,11 +1337,10 @@ class TestPackage:
         and the watched ones may load. _hashlib is OpenSSL's libcrypto, which
         hashlib loads where the interpreter has no _SHA256; no run needs the
         json package or __future__, nor argparse, gettext and locale, which
-        the command line's own parser replaced, nor the help's renderer."""
+        the command line's own parser replaced."""
         watched = ["revbayes.model", "revbayes.meta", "revbayes.ancred", "revbayes.bf",
-                   "revbayes.fpr", "revbayes.blocks", "revbayes.text", "revbayes.usage",
-                   "csv", "json", "json.decoder", "json.scanner", "__future__", "argparse",
-                   "gettext", "locale"]
+                   "revbayes.fpr", "revbayes.text", "csv", "json", "json.decoder", "json.scanner",
+                   "__future__", "argparse", "gettext", "locale"]
         if importlib.util.find_spec(_SHA256) is not None:
             watched.append("_hashlib")
         proc = self.python("-c", "import sys; from revbayes.cli import run; "
@@ -1345,21 +1365,46 @@ class TestPackage:
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
     def test_text_run_loads_its_printers(self, argv):
-        # the printers take a Table's rows one at a time, with no block writer
         loaded, expected = self.loaded_modules(argv)
-        assert loaded == expected - {"revbayes.blocks"} | {"revbayes.text"}
+        assert loaded == expected | {"revbayes.text"}
 
-    # the runners, the counts code, Study, the root finders, the calibrations and
-    # the block writers that a run of each subcommand compiles: cli keeps cmd_meta,
-    # only meta compiles Study (has_counts), only bf runs the root finders, bf takes its minimum Bayes factors from
-    # statfn and loads no fpr, and only a Table (meta's studies, fpr's grid)
-    # loads the block writers
-    _COMPILES = {"meta": {"cmd_meta", "theta_se", "estimate_from_counts", "has_counts",
-                          "_block_texts"},
+    @pytest.mark.parametrize("argv", [[*json, *argv] for argv in readme_examples()
+                                      for json in ([], ["--json"])]
+                             + [["-h"], ["--help"], ["ancred", "-h"], ["--version"]],
+                             ids=" ".join)
+    def test_only_its_run_calls_a_table_writer_or_the_help(self, argv, capsys, monkeypatch):
+        # only a --json run of a Table (meta's studies, fpr's grid) calls the
+        # block writers, as the text printers take its rows one at a time, and
+        # only -h or --help renders the help
+        watched = {function.__code__ for function in (
+            report.table_texts, report._block_texts, report._column_texts, options.help_text)}
+        calls = set()
+        monkeypatch.chdir(ROOT)
+        sys.setprofile(lambda frame, event, _: event == "call" and frame.f_code in watched
+                       and calls.add(frame.f_code.co_name))
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            sys.setprofile(None)
+        if {"-h", "--help"} & set(argv):
+            expected = {"help_text"}
+        elif "--json" in argv and ("meta" in argv or "--grid" in argv):
+            expected = {"table_texts", "_block_texts", "_column_texts"}
+        else:
+            expected = set()
+        assert (code, calls) == (0, expected)
+
+    # the runners, the counts code, Study, the root finders and the calibrations
+    # that a run of each subcommand compiles: cli keeps cmd_meta, only meta
+    # compiles Study (has_counts), only bf runs the root finders, and bf takes
+    # its minimum Bayes factors from statfn and loads no fpr
+    _COMPILES = {"meta": {"cmd_meta", "theta_se", "estimate_from_counts", "has_counts"},
                  "ancred": {"cmd_meta", "cmd_ancred"},
                  "bf": {"cmd_meta", "cmd_bf", "find_root", "lambert_w_log"},
                  "fpr": {"cmd_meta", "cmd_fpr", "prior_prob_for_fpr"},
-                 "fpr --grid": {"cmd_meta", "cmd_fpr", "prior_prob_for_fpr", "_block_texts"}}
+                 "fpr --grid": {"cmd_meta", "cmd_fpr", "prior_prob_for_fpr"}}
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
     def test_subcommand_compiles_only_its_code(self, argv, tmp_path):
@@ -1499,22 +1544,20 @@ class TestPackage:
     @pytest.mark.parametrize("module", sorted(
         p.name for p in SRC.glob("*.py") if p.name != "__main__.py"))
     def test_no_module_imports_the_cli(self, module):
-        # the package imports without the command line, which only __main__
-        # starts: each import's module and names, by their full dotted names
-        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
-        importers = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = ".".join(filter(None, ["revbayes" if node.level else None,
-                                              node.module]))
-                names = [base] + [f"{base}.{a.name}" for a in node.names]
-            else:
-                continue
-            if "revbayes.cli" in names:
-                importers.append(f"{module}:{node.lineno}")
-        assert importers == []
+        # the package imports without the command line, which only __main__ starts
+        assert "revbayes.cli" not in package_imports(SRC / module)
+
+    def test_no_import_cycle(self):
+        # the package's imports, module-level and function-local, form no
+        # cycle, so that none is held apart by laziness alone. One edge is left
+        # out: model.__getattr__ resolves model.Study to meta.Study, which
+        # perfbench's tracer reads
+        graph = {_module_name(path): package_imports(path) for path in SRC.glob("*.py")}
+        graph["revbayes.model"].remove("revbayes.meta")
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError as exc:
+            pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
 
     def test_one_oracle_module(self):
         # each mpmath reference is written once, in tests/oracles.py
