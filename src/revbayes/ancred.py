@@ -85,7 +85,8 @@ def sceptical_analysis(estimate: EffectEstimate,
                        alpha: float = DEFAULT_ALPHA) -> ScepticalAnalysis:
     """Full sceptical-prior analysis of a significant estimate."""
     g = sceptical_relative_variance(estimate.z, alpha)
-    tau2 = g * (estimate.se * estimate.se)
+    # g = 0, the limit once (z/z_crit)^2 overflows, keeps tau^2 = 0 where se^2 does too
+    tau2 = g * (estimate.se * estimate.se) if g else 0.0
     limit = critical_z(alpha) * math.sqrt(tau2)
     return ScepticalAnalysis(g, tau2, limit, (exp_or_inf(-limit), exp_or_inf(limit)))
 

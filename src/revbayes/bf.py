@@ -135,9 +135,11 @@ class BfAdvocacySolution(namedtuple("BfAdvocacySolution",
 
 def bf01_sceptical(z: float, g: float) -> float:
     """BF01 for the point null against a mean-zero normal prior with
-    relative variance g."""
-    if g <= 0.0:
+    relative variance g; inf at g = inf, its limit for every finite z."""
+    if not g > 0.0:
         raise DataError(f"relative prior variance must be positive, got {g!r}")
+    if g == math.inf:
+        return math.inf
     return math.sqrt(1.0 + g) * math.exp(-(g / (1.0 + g)) * (z * z) / 2.0)
 
 
@@ -187,12 +189,28 @@ def sceptical_g_for_gamma(z: float, gamma: float,
 
 
 def bf01_normal_prior(estimate: EffectEstimate, prior: NormalPrior) -> float:
-    """BF01 for the point null against a general normal prior."""
-    s2 = estimate.se * estimate.se
-    shift = estimate.theta_hat - prior.mean
-    quad = (estimate.theta_hat * estimate.theta_hat / s2
-            - shift * shift / (s2 + prior.variance))
-    return math.sqrt(1.0 + prior.variance / s2) * math.exp(-0.5 * quad)
+    """BF01 for the point null against a general normal prior.
+
+    With z = theta/se, r = (sd/se)^2 and a = (mu/se)((2 theta - mu)/se),
+    log BF01 = log1p(r)/2 - (z^2 r + a)/(1 + r)/2. The quadratic is taken as
+    (z sd/h)^2 + (mu/h)((2 theta - mu)/h) with h = hypot(se, sd), which is
+    (z^2 r + a)/(1 + r) with no se^2 to underflow and no r to overflow; 2 theta
+    - mu is exact where it cancels. Past the float range BF01 is 0 or inf.
+    """
+    theta, se = estimate
+    mu, sd = prior.mean, prior.sd
+    h = math.hypot(se, sd)
+    z_h, mu_h, twice_shift = estimate.z * (sd / h), mu / h, 2.0 * theta - mu
+    shift_h = twice_shift / h if math.isfinite(twice_shift) else 2.0 * (theta / h) - mu_h
+    # a zero factor is exact where the other one overflows
+    quad = z_h * z_h + (mu_h * shift_h if mu_h and shift_h else 0.0)
+    if math.isnan(quad):   # (z sd/h)^2 = inf, and the prior's term -inf
+        raise NonexistenceError(
+            f"BF01 of the prior N({mu!r}, {prior.variance!r}) for the estimate "
+            f"{theta!r} (se {se!r}) is outside the floating-point range")
+    r = (sd / se) * (sd / se)
+    half_log = 0.5 * math.log1p(r) if r < math.inf else math.log(sd) - math.log(se)
+    return exp_or_inf(half_log - 0.5 * quad)
 
 
 def z_gamma(gamma: float) -> float:
@@ -230,21 +248,19 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
         m = 2.0 * (math.sqrt(2.0) - 1.0) * -log_gamma / abs(z) / abs(z)
         return BfAdvocacySolution(m, cv * m * theta, math.inf, math.inf, gamma, cv)
 
-    # the closures' annotations are strings: evaluated, they would build three
-    # tuple[float, float] objects on every call
-    def p(m: "float") -> "tuple[float, float]":
+    def p(m):
         return ((a * m + k) * m + c) * m - 1.0, (3.0 * a * m + 2.0 * k) * m + c
 
     # h(m) = log BF01(m) - log gamma, with tau^2 / se^2 = k m^2, and its slope
     # dh/dm = z^2 p(m) / (1 + k m^2)^2.
-    def h(m: "float") -> "tuple[float, float]":
+    def h(m):
         d = 1.0 + k * m * m
         return (0.5 * math.log1p(k * m * m) - 0.5 * z2 * m * (2.0 + (k - 1.0) * m) / d
                 - log_gamma, z2 * p(m)[0] / (d * d))
 
     # h and dh/dt in t = log m: h itself below m = 1, and from m = 1 on in
     # w = 1/m, where it stays finite for every t.
-    def h_log(t: "float") -> "tuple[float, float]":
+    def h_log(t):
         if t < 0.0:
             value, slope = h(m := math.exp(t))
             return value, m * slope
@@ -295,9 +311,12 @@ def advocacy_prior_interval_or(estimate: EffectEstimate, m: float,
 def bf12_sceptical_vs_optimistic(z: float, g: float) -> float:
     """BF contrasting the sceptical prior with relative variance g to the
     optimistic prior centred at the estimate with its own variance. At
-    g = 0, where a sceptical g_small underflows, that prior is the null."""
-    if g < 0.0:
+    g = 0, where a sceptical g_small underflows, that prior is the null, and
+    at g = inf the limit is 0."""
+    if not g >= 0.0:
         raise DataError(f"relative prior variance must be non-negative, got {g!r}")
+    if g == math.inf:
+        return 0.0
     return math.sqrt(2.0 / (1.0 + g)) * math.exp(-z * z / (2.0 * (1.0 + g)))
 
 

@@ -1,8 +1,8 @@
 """Command-line front end: parse, dispatch, write and exit, and the meta
 report. The ancred, bf and fpr reports are built by the cmd_ function at the
 end of their own modules, so that a process compiles only its own
-subcommand's, and `report` wraps and writes them as JSON. The command line is
-parsed in `options`, and the text reports are in `text`.
+subcommand's, and `report` wraps them and writes them as JSON or as text. The
+command line is parsed in `options`.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 mathematical nonexistence
 (e.g. sceptical prior undefined), 141 stdout closed. Any other exception is a bug.
@@ -16,10 +16,11 @@ import sys
 
 from .errors import DataError, NonexistenceError
 from .options import UsageError, parse_args
-# model, meta, ancred, bf and fpr load with the subcommands that run them, and
-# text with a text run, so a cold process loads only what it runs
+# model, meta, ancred, bf and fpr load with the subcommands that run them, so a
+# cold process loads only what it runs
 from .report import (ESTIMATE, HI, LO, LOG_OR, P, Table, envelope, estimate_columns,
-                     estimate_payload, write_json)
+                     estimate_payload, print_ancred, print_bf, print_fpr, print_meta,
+                     write_json)
 
 
 # ---------------------------------------------------------------- meta
@@ -70,11 +71,10 @@ def _nan_as_none(column):
 
 
 # each subcommand's runner, or the module whose cmd_<subcommand> runs it, and its
-# printer's name in text, which only a text run imports. A runner returns what
-# report.envelope wraps: its results, the fields its digest hashes (None to hash
-# the study file) and its warnings
-_RUNNERS = {"meta": (cmd_meta, "_print_meta"), "ancred": ("ancred", "_print_ancred"),
-            "bf": ("bf", "_print_bf"), "fpr": ("fpr", "_print_fpr")}
+# text printer. A runner returns what report.envelope wraps: its results, the
+# fields its digest hashes (None to hash the study file) and its warnings
+_RUNNERS = {"meta": (cmd_meta, print_meta), "ancred": ("ancred", print_ancred),
+            "bf": ("bf", print_bf), "fpr": ("fpr", print_fpr)}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -102,8 +102,9 @@ def run(argv: list[str] | None = None) -> int:
         write_json(report, sys.stdout.write)
         print()
     else:
-        from . import text
-        getattr(text, printer)(report, args.scale)
+        printer(report, args.scale)
+        for warning in report["warnings"]:
+            print(f"warning: {warning}")
     return 0
 
 

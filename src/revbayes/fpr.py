@@ -60,7 +60,8 @@ def prior_prob_for_fpr(p: float, fpr: float, kind: CalibrationKind) -> float:
     bf = min_bf(p, kind)   # checks p, so a bad p is reported before a bad FPR
     if not (0.0 < fpr < 1.0):
         raise DataError(f"FPR must be in (0,1), got {fpr!r}")
-    return 1.0 / (1.0 + (1.0 - fpr) / fpr * bf)
+    # Bayes' theorem solved for the prior: no (1 - fpr) / fpr to overflow
+    return fpr / (fpr + (1.0 - fpr) * bf)
 
 
 def prior_bound_fpr_equals_p(p: float, kind: CalibrationKind) -> float:
@@ -77,7 +78,7 @@ def cmd_fpr(args) -> tuple:
     kinds = (list(CalibrationKind) if args.calibration == "all"
              else [CalibrationKind(args.calibration)])
 
-    def bound(p: "float", kind: "CalibrationKind") -> "float":
+    def bound(p, kind):
         return prior_prob_for_fpr(p, p if args.fpr_equals_p else args.fpr, kind)
 
     results: dict = {

@@ -50,6 +50,15 @@ def bf01_quadrature(estimate, prior, n=20000):
     return likelihood.pdf(0.0) / marginal
 
 
+def bf01_normal_prior(theta, se, mean, variance):
+    """BF01 of the prior N(mean, variance) for the estimate theta with standard
+    error se, as an mpf: the closed form of the normal marginal likelihoods."""
+    theta, s2, mean, variance = (mpmath.mpf(theta), mpmath.mpf(se) ** 2, mpmath.mpf(mean),
+                                 mpmath.mpf(variance))
+    return mpmath.sqrt(1 + variance / s2) * mpmath.exp(
+        -(theta ** 2 / s2 - (theta - mean) ** 2 / (s2 + variance)) / 2)
+
+
 def phi(x) -> float:
     """The standard normal CDF."""
     return float(mpmath.ncdf(x))
@@ -86,6 +95,13 @@ def min_bf(p) -> dict:
         "e_q_log_q": -mpmath.e * (1 - mpmath.mpf(p)) * mpmath.log1p(-mpmath.mpf(p)),
     }
     return {kind: float(value) for kind, value in values.items()}
+
+
+def prior_bound(fpr, bf):
+    """The prior probability of the null at which a Bayes factor bf gives the
+    false positive risk fpr, by Bayes' theorem, as an mpf."""
+    fpr, bf = mpmath.mpf(fpr), mpmath.mpf(bf)
+    return fpr / (fpr + (1 - fpr) * bf)
 
 
 def lambert_w_log(log_x, branch) -> float:

@@ -145,6 +145,59 @@ class TestBf01Sceptical:
         with pytest.raises(ValueError):
             bf01_sceptical(2.0, 0.0)
 
+    @pytest.mark.parametrize("g", [math.nan, -math.inf])
+    def test_g_not_positive_rejected(self, g):
+        with pytest.raises(DataError):
+            bf01_sceptical(2.0, g)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0, 40.0, 1e200])
+    def test_infinite_g_is_the_limit(self, z):
+        # sqrt(1 + g) grows without bound, and exp(-z^2 g/(1 + g)/2) tends to exp(-z^2/2)
+        assert bf01_sceptical(z, math.inf) == math.inf
+
+
+class TestBf01NormalPrior:
+    def test_against_mpmath(self):
+        # relative 1e-12 to the closed form in mpmath, wherever BF01 is a normal
+        # float: z and mu/se uniform on [-40, 40], se log-uniform on [1e-150,
+        # 1e150] and (sd/se)^2 on [1e-8, 1e8]
+        rng = random.Random(23)
+        checked = 0
+        for _ in range(3000):
+            se = 10.0 ** rng.uniform(-150.0, 150.0)
+            est = EffectEstimate(rng.uniform(-40.0, 40.0) * se, se)
+            prior = NormalPrior(rng.uniform(-40.0, 40.0) * se,
+                                10.0 ** rng.uniform(-8.0, 8.0) * se * se)
+            expected = oracles.bf01_normal_prior(*est, *prior)
+            if sys.float_info.min <= expected <= sys.float_info.max:
+                checked += 1
+                assert bf01_normal_prior(est, prior) == pytest.approx(
+                    float(expected), rel=1e-12), (est, prior)
+        assert checked > 2000
+
+    @pytest.mark.parametrize("theta, se, mean, variance, expected", [
+        # se^2 underflows to 0, where the quotients by it raised ZeroDivisionError
+        (1.0, 1e-170, 0.0, 1.0, 0.0),
+        (1e-200, 1e-200, 0.0, 1e300, math.inf),   # 6.07e349
+        # variance/se^2 and theta^2/se^2 overflow, and their difference was inf - inf
+        (1.0, 1e-150, 0.0, 1e10, 0.0),
+        (1e-300, 1e-300, 1e-300, 5e-324, 1.3481713307072121e+138),
+        # se^2 overflows to inf, where the quotients by it were inf/inf
+        (1e300, 1e300, -1e300, 1e300, 4.4816890703380645),
+        (1e150, 1e-150, 1e150, 1.0, 0.0),
+    ])
+    def test_past_the_range_of_se_squared(self, theta, se, mean, variance, expected):
+        # BF01 past the float range is 0 or inf; within it, as in mpmath
+        value = bf01_normal_prior(EffectEstimate(theta, se), NormalPrior(mean, variance))
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert float(oracles.bf01_normal_prior(theta, se, mean, variance)) == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_both_terms_past_the_range(self):
+        # (z sd/h)^2 and the prior's term overflow with opposite signs
+        with pytest.raises(NonexistenceError, match="outside the floating-point range"):
+            bf01_normal_prior(EffectEstimate(1e200, 1.0), NormalPrior(-1e250, 1.0))
+
 
 class TestScepticalGForGamma:
     def test_recovery_at_one_tenth(self, recovery):
@@ -318,6 +371,15 @@ class TestBf12:
                  / oracles.bf01_quadrature(recovery, sceptical))
         assert bf12_sceptical_vs_optimistic(recovery.z, g) == pytest.approx(
             ratio, rel=1e-8)
+
+    @pytest.mark.parametrize("z", [0.0, 2.0, 1e295])
+    def test_infinite_g_is_the_limit(self, z):
+        # sqrt(2/(1 + g)) falls to 0, and exp(-z^2/(2(1 + g))) rises to 1
+        assert bf12_sceptical_vs_optimistic(z, math.inf) == 0.0
+
+    def test_nan_g_rejected(self):
+        with pytest.raises(DataError):
+            bf12_sceptical_vs_optimistic(2.0, math.nan)
 
     def test_zero_g_is_the_null(self):
         assert bf12_sceptical_vs_optimistic(2.0, 0.0) == math.sqrt(2.0) * math.exp(-2.0)

@@ -723,6 +723,15 @@ class TestFprCommand:
         report = run_json(capsys, ["--json", "fpr", "--p", "5e-324"])
         assert report["results"]["min_bf"]["els_all_priors"] > 0.0
 
+    def test_subnormal_fpr(self, capsys):
+        # (1 - fpr)/fpr overflows below FPR ~5.6e-309; Bayes' theorem solved
+        # for the prior does not, so no bound reads 0
+        report = run_json(capsys, ["--json", "fpr", "--p", "1e-310", "--fpr-equals-p"])
+        bounds = report["results"]["prior_bound"]
+        expected = {"local_z": 3.40e-4, "simple_z": 1.05e-2, "e_p_log_p": 5.15e-4,
+                    "e_q_log_q": 0.269, "els_all_priors": 2.07e-2}
+        assert bounds == pytest.approx(expected, rel=5e-3)
+
     def test_subnormal_bf_text(self, capsys):
         # at p = 1e-323 the nonzero local-z bound's reciprocal overflows
         assert run(["fpr", "--p", "1e-323"]) == 0
@@ -1339,7 +1348,7 @@ class TestPackage:
         json package or __future__, nor argparse, gettext and locale, which
         the command line's own parser replaced."""
         watched = ["revbayes.model", "revbayes.meta", "revbayes.ancred", "revbayes.bf",
-                   "revbayes.fpr", "revbayes.text", "csv", "json", "json.decoder", "json.scanner",
+                   "revbayes.fpr", "csv", "json", "json.decoder", "json.scanner",
                    "__future__", "argparse", "gettext", "locale"]
         if importlib.util.find_spec(_SHA256) is not None:
             watched.append("_hashlib")
@@ -1365,8 +1374,10 @@ class TestPackage:
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
     def test_text_run_loads_its_printers(self, argv):
+        # the printers are in report, which every run loads, so a text run
+        # loads what a --json run of its subcommand does
         loaded, expected = self.loaded_modules(argv)
-        assert loaded == expected | {"revbayes.text"}
+        assert loaded == expected
 
     @pytest.mark.parametrize("argv", [[*json, *argv] for argv in readme_examples()
                                       for json in ([], ["--json"])]
@@ -1797,6 +1808,19 @@ class TestDriver:
 
     def test_missing_file_exit_two(self, capsys):
         assert run(["meta", "/nonexistent/file.csv"]) == 2
+
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_text_run_prints_each_warning_once(self, capsys, monkeypatch, argv):
+        # run, not the subcommand's printer, prints the report's warnings: each
+        # once, after the printer's lines
+        monkeypatch.chdir(ROOT)
+        assert run(argv) == 0
+        plain = capsys.readouterr()
+        envelope = cli.envelope
+        monkeypatch.setattr(cli, "envelope", lambda args, results, fields, warnings:
+                            envelope(args, results, fields, [*warnings, "first", "second"]))
+        assert run(argv) == 0
+        assert capsys.readouterr() == (plain.out + "warning: first\nwarning: second\n", "")
 
     @pytest.mark.parametrize("argv, rows, code, named", [
         ("meta {table}", "A,1e155,1\nB,1e155,1", 3, ""),

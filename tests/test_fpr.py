@@ -126,6 +126,28 @@ class TestPriorProbForFpr:
             assert prior_prob_for_fpr(p, fpr, kind) == pytest.approx(
                 expected, rel=1e-12)
 
+    def test_against_mpmath(self):
+        # within 2 ulp of Bayes' theorem in mpmath, on min_bf's own float,
+        # wherever (1 - fpr) bf is normal or zero: p and the FPR log-uniform
+        # on [1e-300, 0.49], and a quarter of the FPRs subnormal. Solved as
+        # 1/(1 + (1 - fpr)/fpr bf), it was up to 2.42 ulp off, and 0 for every
+        # FPR below about 5.6e-309, where (1 - fpr)/fpr overflows
+        rng = random.Random(42)
+        worst, checked = 0.0, 0
+        for i in range(4000):
+            p = 10.0 ** rng.uniform(-300.0, math.log10(0.49))
+            fpr = 10.0 ** (rng.uniform(-323.0, -308.0) if i % 4 == 0
+                           else rng.uniform(-300.0, math.log10(0.49)))
+            kind = rng.choice(ALL_KINDS)
+            bf = min_bf(p, kind)
+            if 0.0 < (1.0 - fpr) * bf < sys.float_info.min:
+                continue
+            checked += 1
+            error = oracles.ulps(prior_prob_for_fpr(p, fpr, kind), oracles.prior_bound(fpr, bf))
+            assert error <= 2.0, (p, fpr, kind)
+            worst = max(worst, error)
+        assert checked > 3000 and worst > 0.5
+
     def test_round_trip_through_forward(self):
         rng = random.Random(9)
         for _ in range(200):
