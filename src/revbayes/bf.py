@@ -15,7 +15,7 @@ from collections.abc import Callable
 
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, NormalPrior, interval
-from .statfn import LOG_MAX, exp_or_inf, min_bf_els, min_bf_local
+from .statfn import FLOAT_MIN, LOG_MAX, exp_or_inf, min_bf_els, min_bf_local
 
 # Cap on find_root's steps; from the package's starts Newton needs far fewer.
 _FIND_ROOT_MAX_ITER = 200
@@ -140,7 +140,10 @@ def bf01_sceptical(z: float, g: float) -> float:
         raise DataError(f"relative prior variance must be positive, got {g!r}")
     if g == math.inf:
         return math.inf
-    return math.sqrt(1.0 + g) * math.exp(-(g / (1.0 + g)) * (z * z) / 2.0)
+    log_tail = -(g / (1.0 + g)) * (z * z) / 2.0
+    if (tail := math.exp(log_tail)) < FLOAT_MIN:   # too few bits, or 0: scale it in the logs
+        return math.exp(0.5 * math.log1p(g) + log_tail)
+    return math.sqrt(1.0 + g) * tail
 
 
 def sceptical_g_for_gamma(z: float, gamma: float,

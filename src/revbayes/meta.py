@@ -7,7 +7,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import repeat
-from operator import add, le, mul, sub, truediv
+from operator import add, le, lshift, mul, sub, truediv
 
 from _csv import field_size_limit   # csv's own; csv loads only for a table that needs it
 
@@ -75,60 +75,68 @@ class FailSafeResult(namedtuple("FailSafeResult", "n_exact n_integer significant
     __slots__ = ()
 
 
-def _running_pool(theta, precisions, prior_mean=None, prior_precision=None):
-    """Precision-weighted pooling of the studies' columns, in order, into a
-    running (mean, precision) from a flat start; precision 0.0 is flat.
-    Returns, for each study, the running pool before it pooled with its prior
-    from the prior columns (flat by default), and then the pool of all the
-    studies. It runs on local floats: a call and a tuple per study would cost
-    most of its time."""
-    if prior_mean is None:
-        prior_mean = prior_precision = repeat(0.0)
-    mean = precision = 0.0
-    out_mean, out_precision = [], []
-    for t, w, m, k in zip(theta, precisions, prior_mean, prior_precision):
-        if k == 0.0:
-            out_mean.append(mean)
-            out_precision.append(precision)
-        elif precision == 0.0:
-            out_mean.append(m)
-            out_precision.append(k)
-        else:
-            out_mean.append((m * k + mean * precision) / (k + precision))
-            out_precision.append(k + precision)
-        if precision == 0.0:
-            mean, precision = t, w
-        elif w != 0.0:
-            mean, precision = (mean * precision + t * w) / (precision + w), precision + w
-    return out_mean, out_precision, mean, precision
+def _integers(column) -> tuple:
+    """(k, the ints x 2^k of the column), k >= 0 the least that makes each an
+    integer. Where some x 2^k passes 2^1024, as with 5e-324 beside 1.0, and
+    ldexp would overflow, each 53-bit significand is shifted instead."""
+    k = max(0, 53 - math.frexp(min(map(abs, filter(None, column)), default=1.0))[1])
+    if math.frexp(max(map(abs, column)))[1] + k <= 1024:
+        return k, list(map(int, map(math.ldexp, column, repeat(k))))
+    return k, [int(math.ldexp(m, 53)) << e + k - 53 if m else 0
+               for m, e in map(math.frexp, column)]
+
+
+def _exact_pool(theta, precisions) -> tuple:
+    """Precision-weighted pooling of finite theta and w columns: the pooled mean
+    and precision, and the leave-one-out mean and precision columns, each the
+    pool of every other row. Precision 0.0 is flat, and a pool of no weight has
+    mean 0.0. The sums of theta w and w are exact, as integers over a power of
+    two each, so no row is subtracted in floating point and each value is one
+    correctly rounded int/int quotient. Raises OverflowError past the float range."""
+    (a, t), (b, w) = map(_integers, (theta, precisions))
+    tw, w = [0, *map(mul, t, w)], [0, *w]   # leaving out no row, then each row
+    rest_tw, rest_w = map(sub, repeat(sum(tw)), tw), list(map(sub, repeat(sum(w)), w))
+    means = tuple(map(truediv, rest_tw, map(lshift, rest_w, repeat(a))) if all(rest_w)
+                  else (n / (d << a) if d else 0.0 for n, d in zip(rest_tw, rest_w)))
+    precisions = tuple(map(truediv, rest_w, repeat(1 << b)))
+    return means[0], precisions[0], means[1:], precisions[1:]
 
 
 def forward_update(prior_mean: float, prior_precision: float,
                    estimate: EffectEstimate) -> PosteriorSummary:
     """One step of conjugate normal updating; zero precision is a flat prior."""
-    if prior_precision < 0.0:
+    if not prior_precision >= 0.0:
         raise DataError(f"prior precision must be nonnegative, got {prior_precision!r}")
-    mean, precision = _running_pool((prior_mean, estimate.theta_hat),
-                                    (prior_precision, estimate.precision))[2:]
+    if not math.isfinite(prior_mean):
+        raise DataError(f"prior mean must be finite, got {prior_mean!r}")
+    try:
+        mean, precision = _exact_pool((prior_mean, estimate.theta_hat),
+                                      (prior_precision, estimate.precision))[:2]
+    except OverflowError:   # an inf prior precision, or a sum past the float range
+        raise NonexistenceError(f"the posterior precision, prior {prior_precision!r} plus "
+                                f"1/se^2 = {estimate.precision!r}, is outside the "
+                                f"floating-point range") from None
     if precision == 0.0:   # a flat prior, and a study whose 1/se^2 underflows to 0
         raise NonexistenceError(f"posterior is flat: the prior is flat and 1/se^2 is 0.0 "
                                 f"for se = {estimate.se!r}")
-    if precision == math.inf:
-        raise NonexistenceError(f"the posterior precision, prior {prior_precision!r} plus "
-                                f"1/se^2 = {estimate.precision!r}, is outside the "
-                                f"floating-point range")
     return PosteriorSummary(mean, precision)
 
 
 def reverse_update(posterior: PosteriorSummary,
                    estimate: EffectEstimate) -> PosteriorSummary:
     """Invert one updating step: the prior that produced this posterior."""
+    if not (math.isfinite(posterior.mean) and math.isfinite(posterior.precision)):
+        raise DataError(f"posterior mean and precision must be finite, got {posterior!r}")
     kappa = estimate.precision
     if posterior.precision - kappa <= 0.0:   # the pool divides by that sum
         raise NonexistenceError(
             "posterior precision not greater than observational precision")
-    return PosteriorSummary(*_running_pool((posterior.mean, estimate.theta_hat),
-                                           (posterior.precision, -kappa))[2:])
+    try:
+        return PosteriorSummary(*_exact_pool((posterior.mean, estimate.theta_hat),
+                                             (posterior.precision, -kappa))[:2])
+    except OverflowError:
+        raise NonexistenceError(f"the prior mean of {posterior!r} less 1/se^2 = {kappa!r} "
+                                f"is outside the floating-point range") from None
 
 
 class Study(namedtuple("Study", "id events_treatment n_treatment events_control n_control "
@@ -261,17 +269,15 @@ def theta_se(events_t, n_t, events_c, n_c, estimate, se) -> tuple:
 
 
 def pool(studies: StudyTable | list[Study]) -> MetaResult:
-    """Fixed-effect pooling by iterated forward updating from a flat prior.
-
-    _running_pool runs forward, for the pooled posterior and the pool of the
-    studies before each study, then backward with those pools as priors: each
-    study's leave-one-out prior pools the studies before it with those after
-    it, so no study is subtracted back out of the pooled posterior. The work
-    runs on columns: a StudyTable's own, or a list of Study transposed once,
-    and the log OR and se columns that theta_se, which never raises, makes of
-    them. If a z or se is not finite, each study builds its estimate in table
-    order, so the first bad one raises the error that Study.effect_estimate
-    gives it, naming it.
+    """Fixed-effect pooling, as forward updating from a flat prior, with the
+    float weights w = 1/(se se). One _exact_pool gives the pooled posterior and
+    each study's leave-one-out prior, the pool of every other study (flat for a
+    study that stands alone), each the exact pool of those weights correctly
+    rounded. The work runs on columns: a StudyTable's own, or a list of Study
+    transposed once, and the log OR and se columns that theta_se, which never
+    raises, makes of them. If a z or se is not finite, each study builds its
+    estimate in table order, so the first bad one raises the error that
+    Study.effect_estimate gives it, naming it.
     """
     columns = studies.columns if isinstance(studies, StudyTable) else tuple(zip(*studies))
     if not columns:
@@ -295,21 +301,19 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
             f"precision 1/se^2 is outside the floating-point range")
     precisions = [1.0 / (s * s) for s in se]
 
-    before_mean, before_precision, mean, precision = _running_pool(theta, precisions)
+    try:
+        mean, precision, loo_mean, loo_precision = _exact_pool(theta, precisions)
+    except OverflowError:
+        precision = math.inf
     if not 0.0 < precision < math.inf:   # 0 where every se * se overflows
         raise NonexistenceError(
             f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
             f"{len(studies)} studies, is outside the floating-point range")
-    pooled = PosteriorSummary(mean, precision)
-    loo_mean, loo_precision, _, _ = _running_pool(reversed(theta), reversed(precisions),
-                                                  reversed(before_mean),
-                                                  reversed(before_precision))
-    loo_mean, loo_precision = tuple(reversed(loo_mean)), tuple(reversed(loo_precision))
     # the prior-predictive conflict check of each study against its leave-one-out prior
     t_box = tuple((t - m) / math.sqrt(s * s + 1.0 / k) if k > 0.0 else math.nan
                   for t, s, m, k in zip(theta, se, loo_mean, loo_precision))
-    return MetaResult(pooled, tuple(ids), theta, se, loo_mean, loo_precision,
-                      t_box, tuple(two_sided_p_column(t_box)))
+    return MetaResult(PosteriorSummary(mean, precision), tuple(ids), theta, se, loo_mean,
+                      loo_precision, t_box, tuple(two_sided_p_column(t_box)))
 
 
 def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult:

@@ -1,8 +1,10 @@
 """The tests' references, one per quantity and none from the package: mpmath
 at 60 digits, set here for the session so that arithmetic on the mpfs these
-return keeps them, and float bisection, golden section and Simpson's rule."""
+return keeps them, float bisection, golden section and Simpson's rule, and
+exact sums of Fractions."""
 
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import mpmath
@@ -158,10 +160,11 @@ def log_or_se(a, b, c, d):
 
 
 def pool(rows):
-    """(mean, precision) of the inverse-variance pool of rows (estimate, se), as floats."""
-    precision = mpmath.fsum(1 / mpmath.mpf(se) ** 2 for _, se in rows)
-    mean = mpmath.fsum(mpmath.mpf(est) / mpmath.mpf(se) ** 2 for est, se in rows) / precision
-    return float(mean), float(precision)
+    """(mean, precision) of the inverse-variance pool of rows (estimate, se),
+    exact as Fractions, with the float weights 1/(se*se) that the package forms."""
+    weights = [Fraction(1.0 / (se * se)) for _, se in rows]
+    precision = sum(weights)
+    return sum(Fraction(est) * w for (est, _), w in zip(rows, weights)) / precision, precision
 
 
 def ancred_fields(z, z_crit, se=1.0) -> dict:
@@ -191,5 +194,8 @@ def fixed_arm_events(n, tau2):
 
 
 def ulps(x: float, reference) -> float:
-    """|x - reference| in units of the last place of the float nearest reference."""
+    """|x - reference| in units of the last place of the float nearest reference,
+    exactly where reference is a Fraction."""
+    if isinstance(reference, Fraction):
+        return float(abs(Fraction(x) - reference) / Fraction(math.ulp(float(reference))))
     return float(abs(mpmath.mpf(x) - reference) / math.ulp(float(reference)))

@@ -135,6 +135,23 @@ class TestBf01Sceptical:
             assert bf01_sceptical(z, g) == pytest.approx(
                 bf01_normal_prior(est, prior), rel=1e-12)
 
+    def test_against_mpmath(self):
+        # relative 1e-12 to the closed form in mpmath, wherever BF01 is a normal
+        # float: z uniform on [-40, 40] and g log-uniform on [1e-300, 1e300], and
+        # z = 40, g = 1e300, where e^(-g/(1 + g) z^2/2) underflows before
+        # sqrt(1 + g) scales it
+        rng = random.Random(29)
+        draws = [(40.0, 1e300)] + [(rng.uniform(-40.0, 40.0), 10.0 ** rng.uniform(-300.0, 300.0))
+                                   for _ in range(3000)]
+        checked = 0
+        for z, g in draws:
+            expected = oracles.bf01_normal_prior(z, 1.0, 0.0, g)
+            if expected >= sys.float_info.min:
+                checked += 1
+                assert bf01_sceptical(z, g) == pytest.approx(float(expected), rel=1e-12,
+                                                             abs=0), (z, g)
+        assert checked > 2500
+
     def test_quadrature_oracle(self):
         est = EffectEstimate(-0.7, 0.25)
         prior = NormalPrior(0.1, 0.3)

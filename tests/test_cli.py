@@ -1676,26 +1676,34 @@ class TestPackage:
         assert "_split_columns" not in [f.name for f in functions]
 
     def test_one_pooling_routine(self):
-        # meta._running_pool alone pools normal summaries: no module defines
-        # _combine again, and meta writes no weighted mean (a*b + c*d)/(...)
-        # outside it, where a change to the pooling step would miss a copy
-        def weighted_means(tree):
-            return [node.lineno for node in ast.walk(tree)
-                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
-                    and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
-                    and all(isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
-                            for term in (node.left.left, node.left.right))]
+        # meta._exact_pool alone pools normal summaries: pool, forward_update and
+        # reverse_update each call it, and no other function in src/ forms a
+        # weighted mean, (a*b + c*d)/(...) in floats or sum() over map(mul, ...),
+        # where a change to the pooling step would miss a copy
+        def weighted_mean(function):
+            nodes = list(ast.walk(function))
+            calls = [node.func.id for node in nodes
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+            products = [node for node in nodes
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "map" and isinstance(node.args[0], ast.Name)
+                        and node.args[0].id == "mul"]
+            return ("sum" in calls and bool(products)) or any(
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+                and all(isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+                        for term in (node.left.left, node.left.right))
+                for node in nodes)
 
-        trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-                 for path in sorted(SRC.glob("*.py"))}
-        assert [f"{name}:{node.lineno}" for name, tree in trees.items()
-                for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == "_combine"] == []
-        routine, = [node for node in trees["meta.py"].body
-                    if isinstance(node, ast.FunctionDef) and node.name == "_running_pool"]
-        assert len(weighted_means(routine)) == 2   # merging the prior, and the step
-        routine.body = []
-        assert weighted_means(trees["meta.py"]) == []
+        functions = {f"{path.name}:{node.name}": node for path in sorted(SRC.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.FunctionDef)}
+        assert [name for name, node in functions.items() if weighted_mean(node)] == [
+            "meta.py:_exact_pool"]
+        for caller in ("pool", "forward_update", "reverse_update"):
+            assert "_exact_pool" in {node.func.id for node in ast.walk(functions[f"meta.py:{caller}"])
+                                     if isinstance(node, ast.Call)
+                                     and isinstance(node.func, ast.Name)}, caller
 
     @pytest.mark.parametrize(("json_flag", "unbuffered"),
                              [(["--json"], "1"), ([], "1"), (["--json"], None), ([], None)],

@@ -1,12 +1,13 @@
 """The error contract over extreme valid input: every public scalar function of
-statfn, model, ancred, bf and fpr either returns with no nan in what it returns
+statfn, model, ancred, bf and fpr, meta's forward_update and reverse_update,
+and pool on two-study tables either returns with no nan in what it returns
 or raises DataError or NonexistenceError."""
 
 import inspect
 import math
 from itertools import product
 
-from revbayes import ancred, bf, fpr, model, statfn
+from revbayes import ancred, bf, fpr, meta, model, statfn
 from revbayes.bf import Branch
 from revbayes.errors import DataError, NonexistenceError
 from revbayes.fpr import CalibrationKind
@@ -120,6 +121,22 @@ class TestErrorContract:
                 call(ancred.equivalent_trial, prior, rate)
             for patients in (1.0, 1e10, 1e300):
                 call(ancred.equivalent_trial, prior, None, patients)
+
+        means = THETAS + [math.inf, -math.inf, math.nan]
+        precisions = [0.0, 1e-300, 1.0, 1e300, math.inf, math.nan]
+        # PosteriorSummary rejects a precision <= 0, but not a non-finite field
+        posteriors = [meta.PosteriorSummary(m, k) for m, k in product(means, precisions)
+                      if not k <= 0.0]
+        for est in estimates:
+            for mean, precision in product(means, precisions):
+                call(meta.forward_update, mean, precision, est)
+            for posterior in posteriors:
+                call(meta.reverse_update, posterior, est)
+        for (theta_a, se_a), (theta_b, se_b) in product(product(THETAS, SES), repeat=2):
+            # the fields before t_box and p_box, which are nan where a leave-one-out
+            # prior is flat, as MetaResult says
+            call(lambda a, b: meta.pool([a, b])[:6], meta.Study("a", estimate=theta_a, se=se_a),
+                 meta.Study("b", estimate=theta_b, se=se_b))
 
         assert failures[:20] == [], f"{len(failures)} breaches"
         public = {name for module in (statfn, model, ancred, bf, fpr)

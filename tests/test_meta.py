@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,15 +16,9 @@ from revbayes.statfn import critical_z, two_sided_p
 
 def record_pool(studies):
     """Oracle: pool as written one record per study, with an EffectEstimate,
-    a PosteriorSummary and a conflict check each: (pooled, per_study)."""
-    def combine(mean_a, precision_a, mean_b, precision_b):
-        if precision_a == 0.0:
-            return mean_b, precision_b
-        if precision_b == 0.0:
-            return mean_a, precision_a
-        precision = precision_a + precision_b
-        return (mean_a * precision_a + mean_b * precision_b) / precision, precision
-
+    a PosteriorSummary and a conflict check each: (pooled, per_study). Each
+    mean and precision is the exact pool of the float weights 1/se^2, summed
+    as Fractions and rounded once."""
     if not studies:
         raise DataError("meta-analysis requires at least one study")
     estimates = [s.effect_estimate() for s in studies]
@@ -34,28 +29,27 @@ def record_pool(studies):
         raise NonexistenceError(
             f"no pooled estimate: study {study.id!r} has se = {est.se!r}, whose "
             f"precision 1/se^2 is outside the floating-point range") from None
-    before = [(0.0, 0.0)]
-    for est, precision in zip(estimates, precisions):
-        before.append(combine(*before[-1], est.theta_hat, precision))
-    if not 0.0 < before[-1][1] < math.inf:
+    weights = list(map(Fraction, precisions))
+    terms = [Fraction(est.theta_hat) * w for est, w in zip(estimates, weights)]
+    total_tw, total_w = sum(terms), sum(weights)
+    try:
+        precision = float(total_w)
+    except OverflowError:
+        precision = math.inf
+    if not 0.0 < precision < math.inf:
         raise NonexistenceError(
             f"no pooled estimate: the pooled precision, the sum of 1/se^2 over "
             f"{len(studies)} studies, is outside the floating-point range")
-    pooled = PosteriorSummary(*before.pop())
+    pooled = PosteriorSummary(float(total_tw / total_w), precision)
     per_study = []
-    after = (0.0, 0.0)
-    for study, est, precision, prefix in zip(reversed(studies), reversed(estimates),
-                                             reversed(precisions), reversed(before)):
-        loo_mean, loo_precision = combine(*prefix, *after)
-        loo = PosteriorSummary(loo_mean, loo_precision) if loo_precision > 0.0 else None
-        t_box = p_box = math.nan
-        if loo is not None:
-            t_box = (est.theta_hat - loo.mean) / math.sqrt(
-                est.se * est.se + 1.0 / loo.precision)
+    for study, est, tw, w in zip(studies, estimates, terms, weights):
+        loo, t_box, p_box = None, math.nan, math.nan
+        if total_w - w:
+            loo = PosteriorSummary(float((total_tw - tw) / (total_w - w)), float(total_w - w))
+            t_box = (est.theta_hat - loo.mean) / math.sqrt(est.se * est.se + 1.0 / loo.precision)
             p_box = two_sided_p(t_box)
         per_study.append(StudyDiagnostics(study.id, est, loo, t_box, p_box))
-        after = combine(*after, est.theta_hat, precision)
-    return pooled, tuple(reversed(per_study))
+    return pooled, tuple(per_study)
 
 
 # rows of both schemas, some with a zero cell, counts past 2^53 or 1e308, a
@@ -115,6 +109,15 @@ class TestForwardUpdate:
                                  r"is outside the floating-point range$"):
             forward_update(2.0, prior_precision, EffectEstimate(1.0, 1e-154))
 
+    def test_mean_times_precision_past_the_float_range(self):
+        # the pool of 1e300 with precision 1e300 and 1.0 with precision 1.0
+        assert forward_update(1e300, 1e300, EffectEstimate(1.0, 1.0)) == (1e300, 1e300)
+
+    @pytest.mark.parametrize("prior_mean", [math.inf, -math.inf, math.nan])
+    def test_non_finite_prior_mean(self, prior_mean):
+        with pytest.raises(DataError, match="prior mean must be finite"):
+            forward_update(prior_mean, 1.0, EffectEstimate(0.1, 0.2))
+
 
 class TestReverseUpdate:
     def test_recovery_leave_one_out(self, meta_result, recovery):
@@ -151,6 +154,17 @@ class TestReverseUpdate:
     def test_precision_past_the_float_range(self, se):
         with pytest.raises(NonexistenceError, match="precision 1/se"):
             reverse_update(PosteriorSummary(0.0, 1.0), EffectEstimate(0.1, se))
+
+    @pytest.mark.parametrize("mean, precision", [(math.inf, 1.0), (math.nan, 1.0),
+                                                 (0.0, math.inf), (0.0, math.nan)])
+    def test_non_finite_posterior(self, mean, precision):
+        with pytest.raises(DataError, match="posterior mean and precision must be finite"):
+            reverse_update(PosteriorSummary(mean, precision), EffectEstimate(0.1, 0.2))
+
+    def test_prior_mean_past_the_float_range(self):
+        # (P m - kappa theta)/(P - kappa) with P - kappa = 2^-52 kappa
+        with pytest.raises(NonexistenceError, match="prior mean .* outside the floating-point"):
+            reverse_update(PosteriorSummary(1e300, 1.0 + 2.0 ** -52), EffectEstimate(-1e300, 1.0))
 
 
 class TestPool:
@@ -203,17 +217,22 @@ class TestPool:
     @given(st.lists(st.tuples(st.floats(min_value=-3, max_value=3),
                               st.floats(min_value=-2, max_value=2)),
                     min_size=2, max_size=30))
+    # study 0's leave-one-out mean is 5e-324, where theta * w underflows as a float
+    @example([(0.0, 0.0), (5e-324, 1.0), (5e-324, 1.0)])
+    # se = 1e-149: the pooled mean is 1e11, where theta * w overflows as a float
+    @example([(1e11, -149.0), (1e11, -149.0)])
     def test_loo_against_mpmath(self, rows):
-        # se = 10^u with u in [-2, 2]: precisions differ by up to 1e8
+        # se = 10^u with u in [-2, 2]: precisions differ by up to 1e8. The pooled
+        # and each leave-one-out mean and precision are correctly rounded: within
+        # 0.5 ulp of the exact pool of the float weights 1/(se*se)
         studies = [Study(str(i), estimate=theta, se=10.0 ** u)
                    for i, (theta, u) in enumerate(rows)]
         result = pool(studies)
         rows = [(s.estimate, s.se) for s in studies]
+        assert max(map(oracles.ulps, result.pooled, oracles.pool(rows))) <= 0.5
         for i, diag in enumerate(result.per_study):
-            mean, precision = oracles.pool(rows[:i] + rows[i + 1:])
-            loo = diag.leave_one_out_prior
-            assert loo.precision == pytest.approx(precision, rel=1e-10, abs=0)
-            assert loo.mean == pytest.approx(mean, rel=1e-10, abs=0)
+            expected = oracles.pool(rows[:i] + rows[i + 1:])
+            assert max(map(oracles.ulps, diag.leave_one_out_prior, expected)) <= 0.5
 
     @pytest.mark.parametrize("rows, message", [
         ([("1", 2, 7, 2, 12), ("2", 0, 10, 3, 11), ("3", 2, 7, 2, 12), ("4", 1e308, 1e-10)],
