@@ -3,12 +3,17 @@ credibility, replication-direction probability, and prior-to-data
 conversion into equivalent hypothetical trials."""
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, NormalPrior
 from .statfn import (DEFAULT_ALPHA, LOG_MAX, alpha_for_level, critical_excess, critical_z,
                      exp_or_inf, two_sided_p)
+
+
+# the least g = 1/(r - 1) of a finite r - 1, as 1/x rounds monotonically
+_G_FLOOR = 1.0 / sys.float_info.max
 
 
 class ScepticalAnalysis(namedtuple("ScepticalAnalysis", "g tau2 limit critical_interval_or")):
@@ -62,7 +67,11 @@ def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float
         raise NonexistenceError(
             f"sufficiently sceptical prior undefined: finding not significant "
             f"at alpha={alpha} (z={z:.4g})")
-    return 1.0 / excess
+    if excess < math.inf:
+        return 1.0 / excess
+    # (z/z_crit)^2 overflows: g = z_crit^2/(z^2 - z_crit^2) as two ratios
+    z_crit, z = critical_z(alpha), abs(z)
+    return z_crit / (z - z_crit) * (z_crit / (z + z_crit))
 
 
 def _check_significant(lower: float, upper: float, quantity: str) -> None:
@@ -84,9 +93,12 @@ def scepticism_limit(lower: float, upper: float) -> float:
 def sceptical_analysis(estimate: EffectEstimate,
                        alpha: float = DEFAULT_ALPHA) -> ScepticalAnalysis:
     """Full sceptical-prior analysis of a significant estimate."""
-    g = sceptical_relative_variance(estimate.z, alpha)
-    # g = 0, the limit once (z/z_crit)^2 overflows, keeps tau^2 = 0 where se^2 does too
-    tau2 = g * (estimate.se * estimate.se) if g else 0.0
+    g, se = sceptical_relative_variance(estimate.z, alpha), estimate.se
+    if g >= _G_FLOOR:
+        tau2 = g * (se * se)
+    else:   # r - 1 overflows, and g se^2 would keep few bits of a subnormal g
+        z_crit, z = critical_z(alpha), abs(estimate.z)
+        tau2 = z_crit * (se / (z - z_crit)) * (z_crit * (se / (z + z_crit)))
     limit = critical_z(alpha) * math.sqrt(tau2)
     return ScepticalAnalysis(g, tau2, limit, (exp_or_inf(-limit), exp_or_inf(limit)))
 

@@ -24,9 +24,12 @@ class PosteriorSummary(namedtuple("PosteriorSummary", "mean precision")):
     _make = classmethod(_checked_make)
 
     def __new__(cls, mean: float, precision: float):
+        self = tuple.__new__(cls, (mean, precision))
         if precision <= 0.0:
             raise DataError(f"posterior precision must be positive, got {precision!r}")
-        return tuple.__new__(cls, (mean, precision))
+        if not (math.isfinite(mean) and precision < math.inf):   # a nan precision too
+            raise DataError(f"posterior mean and precision must be finite, got {self!r}")
+        return self
 
     @property
     def sd(self) -> float:
@@ -125,8 +128,6 @@ def forward_update(prior_mean: float, prior_precision: float,
 def reverse_update(posterior: PosteriorSummary,
                    estimate: EffectEstimate) -> PosteriorSummary:
     """Invert one updating step: the prior that produced this posterior."""
-    if not (math.isfinite(posterior.mean) and math.isfinite(posterior.precision)):
-        raise DataError(f"posterior mean and precision must be finite, got {posterior!r}")
     kappa = estimate.precision
     if posterior.precision - kappa <= 0.0:   # the pool divides by that sum
         raise NonexistenceError(
@@ -215,7 +216,7 @@ def estimate_from_counts(study: Study) -> EffectEstimate:
     """
     if not study.has_counts:
         raise DataError(f"study {study.id!r} carries no counts")
-    (theta,), (se,) = theta_se(*zip(study[1:]))
+    (theta,), (se,) = theta_se(*zip(study[1:5]))
     if math.isnan(theta):
         raise DataError(f"study {study.id!r}: zero cell in the 2x2 table; "
                         "supply estimate and se directly instead")
@@ -225,25 +226,16 @@ def estimate_from_counts(study: Study) -> EffectEstimate:
     return EffectEstimate(theta, se)
 
 
-def theta_se(events_t, n_t, events_c, n_c, estimate, se) -> tuple:
-    """(log OR, se) columns from the columns of a table's Study fields: pool
-    passes a table's, and estimate_from_counts one study's. From counts, each
-    takes one correctly rounded quotient of exact integer products:
+def theta_se(events_t, n_t, events_c, n_c) -> tuple:
+    """(log OR, se) columns from a table's four count columns: pool passes a
+    counts table's, and estimate_from_counts one study's. Each takes one
+    correctly rounded quotient of exact integer products:
     log1p((ad - bc)/bc) for an odds ratio within (1/2, 2), else log(ad/bc),
     scaled by a power of two where it leaves the normal range, and
     sqrt((ad(b + c) + bc(a + d))/(ad bc)). Each step is a map or a
     comprehension over the count columns, so no call or tuple is made per
     study. It never raises: both are nan at a zero cell, and se where its
-    square is not a normal float. Estimate columns pass as they are; in a list
-    of Study that mixes the schemas, each counts row is taken alone."""
-    if None in events_t:   # the estimate schema, or a list of Study that mixes the two
-        if events_t.count(None) == len(events_t):
-            return estimate, se
-        theta, se = list(estimate), list(se)
-        for i, cells in enumerate(zip(events_t, n_t, events_c, n_c)):
-            if cells[0] is not None:
-                (theta[i],), (se[i],) = theta_se(*zip(cells), (), ())
-        return theta, se
+    square is not a normal float."""
     a, c = events_t, events_c
     b, d = list(map(sub, n_t, a)), list(map(sub, n_c, c))
     ad, bc = list(map(mul, a, d)), list(map(mul, b, c))
@@ -273,11 +265,12 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
     float weights w = 1/(se se). One _exact_pool gives the pooled posterior and
     each study's leave-one-out prior, the pool of every other study (flat for a
     study that stands alone), each the exact pool of those weights correctly
-    rounded. The work runs on columns: a StudyTable's own, or a list of Study
-    transposed once, and the log OR and se columns that theta_se, which never
-    raises, makes of them. If a z or se is not finite, each study builds its
-    estimate in table order, so the first bad one raises the error that
-    Study.effect_estimate gives it, naming it.
+    rounded. The work runs on columns, a StudyTable's own or a list of Study
+    transposed once: theta_se's of a counts table, which never raises, or an
+    estimate table's own. A list that mixes the schemas, or a table with a z
+    or se that is not finite, goes study by study through
+    Study.effect_estimate in table order, so the first bad study raises its
+    own error, naming it.
     """
     columns = studies.columns if isinstance(studies, StudyTable) else tuple(zip(*studies))
     if not columns:
@@ -289,10 +282,15 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
             if sid in seen:
                 raise DataError(f"study ids must be unique: {sid!r} is repeated")
             seen.add(sid)
-    theta, se = map(tuple, theta_se(*columns[1:]))
-    if not (all(map(math.isfinite, map(truediv, theta, se))) and all(map(math.isfinite, se))):
-        for study in studies:
-            study.effect_estimate()   # the first bad study raises its own error
+    # a counts table through theta_se, and an estimate table as it is
+    theta, se = (theta_se(*columns[1:5]) if None not in columns[1]
+                 else columns[5:] if None not in columns[5] else ((), ()))
+    if not (theta and all(map(math.isfinite, map(truediv, theta, se)))
+            and all(map(math.isfinite, se))):
+        # a list that mixes the schemas, or a bad study: study by study, in
+        # table order, so that the first bad one raises its own error
+        theta, se = zip(*map(Study.effect_estimate, studies))
+    theta, se = map(tuple, (theta, se))
     # 1/se^2 falls as se grows: if any precision leaves the float range, the smallest se's does
     i = se.index(min(se))
     if se[i] * se[i] == 0.0 or 1.0 / (se[i] * se[i]) == math.inf:

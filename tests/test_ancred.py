@@ -12,10 +12,11 @@ from revbayes.ancred import (advocacy_prior,
                              intrinsic_credibility, p_intrinsic, p_rep,
                              sceptical_analysis, sceptical_relative_variance,
                              scepticism_limit)
-from revbayes.errors import NonexistenceError
+from revbayes.errors import DataError, NonexistenceError
 from revbayes.meta import failsafe_n, forward_update, pool
 from revbayes.model import EffectEstimate, NormalPrior, Study, ci_limits
-from revbayes.statfn import alpha_for_level, critical_z, norm_quantile, two_sided_p
+from revbayes.statfn import (FLOAT_MIN, alpha_for_level, critical_excess, critical_z,
+                             norm_quantile, two_sided_p)
 
 
 def implied_log_or_stats(a, b, c, d):
@@ -130,6 +131,36 @@ class TestScepticalRelativeVariance:
     def test_boundary_rejected(self):
         with pytest.raises(NonexistenceError, match="undefined"):
             sceptical_relative_variance(norm_quantile(0.975), 0.05)
+
+    @pytest.mark.parametrize("theta, se, tau2", [   # tau^2 from mpmath
+        (1e300, 1e145, 3.841458820694127e-20), (-1e300, 1e140, 3.841458820694127e-40)])
+    def test_where_r_overflows(self, theta, se, tau2):
+        # (z/z_crit)^2 overflows, so g is subnormal and g se^2 would keep few of its bits
+        assert sceptical_analysis(EffectEstimate(theta, se)).tau2 == pytest.approx(
+            tau2, rel=1e-15, abs=0)
+
+    def test_where_r_overflows_against_mpmath(self):
+        # tau^2 and S within relative 1e-12 of mpmath wherever r - 1 = (z/z_crit)^2 - 1
+        # overflows and tau^2 is a normal float, and g, subnormal there, within 1 ulp
+        rng = random.Random(44)
+        checked = 0
+        for _ in range(2000):
+            alpha = rng.choice([0.05, 0.01, 1e-6, 0.5])
+            z_crit = critical_z(alpha)
+            z = 10.0 ** rng.uniform(154.0, 308.0)
+            se = 10.0 ** rng.uniform(-320.0, 308.0 - math.log10(z))
+            if critical_excess(z, alpha) < math.inf or not 0.0 < z * se < math.inf:
+                continue
+            estimate = EffectEstimate(rng.choice([-1.0, 1.0]) * z * se, se)
+            expected = oracles.ancred_fields(estimate.z, z_crit, se)
+            got = sceptical_analysis(estimate, alpha)
+            assert oracles.ulps(got.g, expected["g"]) <= 1.0
+            if float(expected["tau2"]) >= FLOAT_MIN:
+                checked += 1
+                for name in ("tau2", "limit"):
+                    reference = float(expected[name])
+                    assert getattr(got, name) == pytest.approx(reference, rel=1e-12, abs=0)
+        assert checked > 100
 
 
 class TestSignificanceBoundary:
@@ -414,6 +445,12 @@ class TestPIntrinsicAndPRep:
     def test_zero_z(self):
         assert p_intrinsic(0.0) == 1.0
         assert p_rep(0.0) == 0.5
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z(self, z):
+        with pytest.raises(DataError) as exc:
+            p_intrinsic(z)
+        assert str(exc.value) == f"z must be finite, got {z!r}"
 
     def test_doubling_the_variance_rule(self):
         for z in [-4.0, -1.3, 0.2, 2.5, 6.0]:

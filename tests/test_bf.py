@@ -110,7 +110,7 @@ class TestMinBf:
         for _ in range(50):
             z = rng.uniform(1.05, 6.0) * rng.choice([-1, 1])
             _, fmin = oracles.golden_minimize(lambda g: bf01_sceptical(z, g), 1e-8, 1e6)
-            assert min_bf_local(z) == pytest.approx(fmin, rel=1e-9)
+            assert min_bf_local(z) == pytest.approx(fmin, rel=1e-9, abs=0)
 
     def test_els_below_local(self):
         for z in [1.2, 2.0, 3.5, 5.0]:
@@ -156,7 +156,7 @@ class TestBf01Sceptical:
         est = EffectEstimate(-0.7, 0.25)
         prior = NormalPrior(0.1, 0.3)
         assert bf01_normal_prior(est, prior) == pytest.approx(
-            oracles.bf01_quadrature(est, prior), rel=1e-8)
+            oracles.bf01_quadrature(est, prior), rel=1e-8, abs=0)
 
     def test_zero_g_rejected(self):
         with pytest.raises(ValueError):
@@ -189,7 +189,7 @@ class TestBf01NormalPrior:
             if sys.float_info.min <= expected <= sys.float_info.max:
                 checked += 1
                 assert bf01_normal_prior(est, prior) == pytest.approx(
-                    float(expected), rel=1e-12), (est, prior)
+                    float(expected), rel=1e-12, abs=0), (est, prior)
         assert checked > 2000
 
     @pytest.mark.parametrize("theta, se, mean, variance, expected", [
@@ -206,9 +206,9 @@ class TestBf01NormalPrior:
     def test_past_the_range_of_se_squared(self, theta, se, mean, variance, expected):
         # BF01 past the float range is 0 or inf; within it, as in mpmath
         value = bf01_normal_prior(EffectEstimate(theta, se), NormalPrior(mean, variance))
-        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
         assert float(oracles.bf01_normal_prior(theta, se, mean, variance)) == pytest.approx(
-            expected, rel=1e-12)
+            expected, rel=1e-12, abs=0)
 
     def test_both_terms_past_the_range(self):
         # (z sd/h)^2 and the prior's term overflow with opposite signs
@@ -387,7 +387,7 @@ class TestBf12:
         ratio = (oracles.bf01_quadrature(recovery, optimistic)
                  / oracles.bf01_quadrature(recovery, sceptical))
         assert bf12_sceptical_vs_optimistic(recovery.z, g) == pytest.approx(
-            ratio, rel=1e-8)
+            ratio, rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("z", [0.0, 2.0, 1e295])
     def test_infinite_g_is_the_limit(self, z):

@@ -578,8 +578,14 @@ class TestAncredCommand:
         assert adv["mu"] == pytest.approx(-0.94, abs=0.01)
         assert adv["advocacy_limit_or"] == pytest.approx(0.15, abs=5e-3)
 
+    def test_sceptical_prior_where_r_overflows(self, capsys):
+        # (z/z_crit)^2 overflows, and tau^2 = (z_crit se/z)^2 is a normal float
+        report = run_json(capsys, ["--json", "ancred", "--estimate", "1e300", "--se", "1e145"])
+        assert report["results"]["sceptical"]["tau2"] == pytest.approx(
+            3.841458820694127e-20, rel=1e-15, abs=0)   # mpmath
+
     @pytest.mark.parametrize("argv, mode, tau2", [
-        ("--estimate 1e155 --se 1", "sceptical", "0.0"),         # g = 0 once z * z overflows
+        ("--estimate 1e300 --se 1", "sceptical", "0.0"),         # (z_crit/z)^2 underflows
         ("--estimate 1e300 --se 1e200", "sceptical", "inf"),     # g se^2 overflows
         ("--estimate 1e-170 --se 1e-160", "advocacy", "0.0"),    # (mu / z_crit)^2 underflows
         ("--estimate 1e300 --se 1e300", "advocacy", "inf"),      # and overflows
@@ -1832,7 +1838,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("argv, rows, code, named", [
         ("meta {table}", "A,1e155,1\nB,1e155,1", 3, ""),
-        ("ancred --estimate 1e155 --se 1", "", 3, "sceptical prior variance tau^2"),
+        ("ancred --estimate 1e155 --se 1", "", 0, ""),
         ("bf --estimate 1e155 --se 1", "", 0, ""),
         # se * se underflows to 0, or 1/(se * se) overflows to inf
         ("meta {table}", "A,0.1,1e-200\nB,0.2,2e-200", 3, "study 'A' has se = 1e-200"),
@@ -1845,9 +1851,10 @@ class TestDriver:
             "meta-pooled-precision", "meta-pooled-precision-underflow"])
     def test_z_squared_past_the_float_range(self, capsys, tmp_path, argv, rows, code,
                                             named):
-        # z = 1e155: z * z is inf; meta and ancred report an error (ancred's
-        # sceptical g is 0, and so is tau^2), bf its limits, and none a traceback. A study whose precision 1/se^2 is
-        # past the float range is named, and so is a pooled precision that is.
+        # z = 1e155: z * z is inf; meta reports an error, ancred its sceptical
+        # tau^2 = 3.8e-310 and bf its limits, and none a traceback. A study whose
+        # precision 1/se^2 is past the float range is named, and so is a pooled
+        # precision that is.
         table = tmp_path / "huge.csv"
         table.write_text(f"id,estimate,se\n{rows}\n")
         assert run(shlex.split(argv.format(table=table))) == code

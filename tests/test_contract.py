@@ -124,9 +124,10 @@ class TestErrorContract:
 
         means = THETAS + [math.inf, -math.inf, math.nan]
         precisions = [0.0, 1e-300, 1.0, 1e300, math.inf, math.nan]
-        # PosteriorSummary rejects a precision <= 0, but not a non-finite field
-        posteriors = [meta.PosteriorSummary(m, k) for m, k in product(means, precisions)
-                      if not k <= 0.0]
+        # PosteriorSummary rejects a precision <= 0 and a non-finite field
+        posteriors = [p for p in (call(meta.PosteriorSummary, m, k)
+                                  for m, k in product(means, precisions)) if p is not None]
+        assert len(posteriors) == len(THETAS) * 3
         for est in estimates:
             for mean, precision in product(means, precisions):
                 call(meta.forward_update, mean, precision, est)

@@ -28,6 +28,13 @@ class TestMinBf:
         assert min_bf(p, K.SIMPLE_Z) == pytest.approx(
             2 * math.exp(-z ** 2 / 2) / (1 + math.exp(-2 * z ** 2)), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["local_z", None, 0])
+    def test_kind_that_is_not_a_member(self, kind):
+        # a caller's bug, not input: TypeError, not DataError
+        with pytest.raises(TypeError) as exc:
+            min_bf(0.05, kind)
+        assert str(exc.value) == f"unknown calibration {kind!r}"
+
     def test_saturation_to_one(self):
         assert min_bf(0.5, K.E_P_LOG_P) == 1.0
         assert min_bf(0.8, K.E_Q_LOG_Q) == 1.0

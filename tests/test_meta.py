@@ -8,8 +8,8 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from revbayes.errors import DataError, NonexistenceError
-from revbayes.meta import (PosteriorSummary, StudyDiagnostics, failsafe_n, forward_update,
-                           pool, reverse_update)
+from revbayes.meta import (PosteriorSummary, StudyDiagnostics, StudyTable, failsafe_n,
+                           forward_update, pool, reverse_update)
 from revbayes.model import EffectEstimate, Study
 from revbayes.statfn import critical_z, two_sided_p
 
@@ -183,12 +183,20 @@ class TestPool:
         assert result.pooled.mean == 0.4
         assert result.pooled.precision == pytest.approx(25.0, rel=1e-12)
 
+    def test_columns_are_tuples(self):
+        # a counts table, an estimate table, and lists of Study of either schema and of both
+        counts = [Study("a", 2, 7, 2, 12), Study("b", 3, 9, 1, 8)]
+        estimates = [Study("c", estimate=0.1, se=0.2), Study("d", estimate=-0.3, se=0.4)]
+        tables = [StudyTable(tuple(map(list, zip(*rows)))) for rows in (counts, estimates)]
+        for studies in [*tables, counts, estimates, counts + estimates]:
+            assert [type(column) for column in pool(studies)[1:]] == [tuple] * 7
+
     def test_two_study_closed_form(self):
         studies = [Study("a", estimate=0.5, se=0.2), Study("b", estimate=-0.1, se=0.4)]
         result = pool(studies)
         mean, precision = oracles.pool([s.effect_estimate() for s in studies])
-        assert result.pooled.mean == pytest.approx(mean, rel=1e-12)
-        assert result.pooled.precision == pytest.approx(precision, rel=1e-12)
+        assert result.pooled.mean == pytest.approx(mean, rel=1e-12, abs=0)
+        assert result.pooled.precision == pytest.approx(precision, rel=1e-12, abs=0)
 
     def test_permutation_invariance(self, studies):
         base = pool(studies)

@@ -41,6 +41,11 @@ class TestEstimateFromCounts:
         with pytest.raises(DataError, match="estimate and se directly"):
             estimate_from_counts(Study("degenerate", 0, 10, 3, 10))
 
+    def test_estimate_schema_rejected(self):
+        with pytest.raises(DataError) as exc:
+            estimate_from_counts(Study("est", estimate=0.1, se=0.2))
+        assert str(exc.value) == "study 'est' carries no counts"
+
     def test_arm_swap_antisymmetry(self):
         a = estimate_from_counts(Study("x", 7, 40, 13, 55))
         b = estimate_from_counts(Study("x", 13, 55, 7, 40))
@@ -80,7 +85,7 @@ class TestEstimateFromCounts:
         # a zero cell in the table: nan in its row alone, and pool names its study
         columns = [[*column[:1000], cell, *column[1000:]]
                    for column, cell in zip(table.columns, ["zero", 0, 5, 3, 4, None, None])]
-        theta, se = theta_se(*columns[1:])
+        theta, se = theta_se(*columns[1:5])
         assert math.isnan(theta.pop(1000)) and math.isnan(se.pop(1000))
         assert (tuple(theta), tuple(se)) == (result.theta, result.se)
         with pytest.raises(DataError, match=r"^study 'zero': zero cell"):
@@ -153,6 +158,15 @@ class TestRecords:
         assert str(exc.value) == "study 'bad': events exceed arm size"
         with pytest.raises(ValueError, match="posterior precision must be positive"):
             PosteriorSummary(0.0, -1.0)
+
+    @pytest.mark.parametrize("mean, precision", [
+        (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1e300),
+    ])
+    def test_posterior_summary_is_finite(self, mean, precision):
+        with pytest.raises(DataError) as exc:
+            PosteriorSummary(mean, precision)
+        assert str(exc.value) == ("posterior mean and precision must be finite, got "
+                                  f"PosteriorSummary(mean={mean!r}, precision={precision!r})")
 
     def test_replace_validates(self):
         est = EffectEstimate(1.0, 2.0)
