@@ -47,6 +47,11 @@ class CredibilityVerdict(namedtuple("CredibilityVerdict", "credible reason", def
         return self.credible
 
 
+# intrinsic_credibility's verdicts, shared: a caller that keeps them keeps no record a call
+_CREDIBLE, _NOT_CREDIBLE = CredibilityVerdict(True), CredibilityVerdict(False)
+_NOT_SIGNIFICANT = CredibilityVerdict(False, "not significant at this level")
+
+
 class EquivalentTrial(namedtuple("EquivalentTrial", "events_per_arm patients_per_arm "
                                  "allocation_ratio per_arm_detail per_arm_cells",
                                  defaults=(None, 1.0, None, None))):
@@ -94,9 +99,9 @@ def sceptical_analysis(estimate: EffectEstimate,
                        alpha: float = DEFAULT_ALPHA) -> ScepticalAnalysis:
     """Full sceptical-prior analysis of a significant estimate."""
     g, se = sceptical_relative_variance(estimate.z, alpha), estimate.se
-    if g >= _G_FLOOR:
+    if g >= _G_FLOOR and se * se < math.inf:
         tau2 = g * (se * se)
-    else:   # r - 1 overflows, and g se^2 would keep few bits of a subnormal g
+    else:   # r - 1 overflows, and g se^2 would keep few bits of a subnormal g, or se^2 overflows
         z_crit, z = critical_z(alpha), abs(estimate.z)
         tau2 = z_crit * (se / (z - z_crit)) * (z_crit * (se / (z + z_crit)))
     limit = critical_z(alpha) * math.sqrt(tau2)
@@ -137,12 +142,16 @@ def intrinsic_credibility(estimate: EffectEstimate,
     flavor "prior_based": the estimate must lie outside the critical prior
     interval. flavor "predictive_based": the prior-predictive tail
     probability of the estimate must fall below alpha.
+
+    The verdict is one of three shared constants (credible, not credible,
+    and not significant with its reason), so two calls with the same outcome
+    return the same record.
     """
     factor = _INTRINSIC_FACTOR[flavor]
     excess = critical_excess(estimate.z, alpha)
     if excess <= 0.0:
-        return CredibilityVerdict(False, "not significant at this level")
-    return CredibilityVerdict(excess > factor - 1.0)   # exact: factor is in [1, 2]
+        return _NOT_SIGNIFICANT
+    return _CREDIBLE if excess > factor - 1.0 else _NOT_CREDIBLE   # exact: factor is in [1, 2]
 
 
 def intrinsic_boundary_p(alpha: float = DEFAULT_ALPHA,

@@ -251,6 +251,20 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
         m = 2.0 * (math.sqrt(2.0) - 1.0) * -log_gamma / abs(z) / abs(z)
         return BfAdvocacySolution(m, cv * m * theta, math.inf, math.inf, gamma, cv)
 
+    m_min, h_min, m_small, m_large = _advocacy_roots(z2, k, a, c, cv, log_gamma)
+    if h_min > 0.0:   # the minimum, gamma e^h_min, is at most 1 where e^h_min overflows
+        raise NonexistenceError(
+            f"no advocacy prior reaches BF01 = {gamma:.4g}: the family's "
+            f"minimum is {math.exp(log_gamma + h_min):.4g} (at m = {m_min:.4g})")
+    return BfAdvocacySolution(m_small, cv * m_small * theta, m_large, cv * m_large * theta,
+                              gamma, cv)
+
+
+def _advocacy_roots(z2: float, k: float, a: float, c: float, cv: float,
+                    log_gamma: float) -> tuple[float, float, float, float]:
+    """advocacy_for_gamma's solves for finite z2 and a: (m_min, h_min, m_small,
+    m_large), the roots nan where h_min > 0. It returns only floats, so the
+    caller's error pins none of the closures through its traceback."""
     def p(m):
         return ((a * m + k) * m + c) * m - 1.0, (3.0 * a * m + 2.0 * k) * m + c
 
@@ -281,10 +295,8 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
                                -1.0, 1.0))
     m_min = math.exp(t_min)
     h_min = h(m_min)[0]
-    if h_min > 0.0:   # the minimum, gamma e^h_min, is at most 1 where e^h_min overflows
-        raise NonexistenceError(
-            f"no advocacy prior reaches BF01 = {gamma:.4g}: the family's "
-            f"minimum is {math.exp(log_gamma + h_min):.4g} (at m = {m_min:.4g})")
+    if h_min > 0.0:
+        return m_min, h_min, math.nan, math.nan
 
     # h(0) = -log gamma > 0 with slope -z^2: the small root starts where that
     # tangent meets 0. log BF01 >= log m + log(k)/2 - z^2/2 for every m, so
@@ -298,8 +310,7 @@ def advocacy_for_gamma(estimate: EffectEstimate, gamma: float) -> BfAdvocacySolu
     m_large = exp_or_inf(find_root(h_log, t_min, t_hi + 1.0,
                                    max(t_far, t_mirror) if t_far > 0.0 else t_mirror,
                                    h_min, 1.0))
-    return BfAdvocacySolution(m_small, cv * m_small * theta, m_large, cv * m_large * theta,
-                              gamma, cv)
+    return m_min, h_min, m_small, m_large
 
 
 def advocacy_prior_interval_or(estimate: EffectEstimate, m: float,

@@ -82,9 +82,13 @@ def _integers(column) -> tuple:
     """(k, the ints x 2^k of the column), k >= 0 the least that makes each an
     integer. Where some x 2^k passes 2^1024, as with 5e-324 beside 1.0, and
     ldexp would overflow, each 53-bit significand is shifted instead."""
-    k = max(0, 53 - math.frexp(min(map(abs, filter(None, column)), default=1.0))[1])
-    if math.frexp(max(map(abs, column)))[1] + k <= 1024:
-        return k, list(map(int, map(math.ldexp, column, repeat(k))))
+    least = min(column)
+    top = max(max(column), -least)
+    if least <= 0.0:   # then the least nonzero magnitude takes a scan of its own
+        least = min(map(abs, filter(None, column)), default=1.0)
+    k = max(0, 53 - math.frexp(least)[1])
+    if math.frexp(top)[1] + k <= 1024:
+        return k, list(map(math.trunc, map(math.ldexp, column, repeat(k))))
     return k, [int(math.ldexp(m, 53)) << e + k - 53 if m else 0
                for m, e in map(math.frexp, column)]
 
@@ -175,6 +179,12 @@ class Study(namedtuple("Study", "id events_treatment n_treatment events_control 
             raise DataError(f"study {self.id!r}: non-numeric value in {self[5:]!r}")
         elif self.se <= 0:
             raise DataError(f"study {self.id!r}: se must be positive")
+        else:
+            try:   # an int past the float range, on which every float step would raise
+                float(self.estimate), float(self.se)
+            except OverflowError:
+                raise DataError(f"study {self.id!r}: estimate or se is outside the "
+                                "floating-point range") from None
         return self
 
     @property

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import oracles
-from revbayes.ancred import (advocacy_prior,
+from revbayes.ancred import (CredibilityVerdict, advocacy_prior,
                              credibility_ratio, credibility_ratio_bound,
                              equivalent_trial, intrinsic_boundary_p,
                              intrinsic_credibility, p_intrinsic, p_rep,
@@ -161,6 +161,28 @@ class TestScepticalRelativeVariance:
                     reference = float(expected[name])
                     assert getattr(got, name) == pytest.approx(reference, rel=1e-12, abs=0)
         assert checked > 100
+
+    def test_where_se_squared_overflows_against_mpmath(self):
+        # tau^2 and S within relative 1e-12 of mpmath wherever se^2 overflows and
+        # tau^2 = se^2/(r - 1) is a normal float, as g se^2 would be inf
+        rng = random.Random(45)
+        checked = 0
+        for _ in range(2000):
+            alpha = rng.choice([0.05, 0.01, 1e-6, 0.5])
+            z_crit = critical_z(alpha)
+            se = 10.0 ** rng.uniform(154.2, 308.0)
+            z = z_crit * 10.0 ** rng.uniform(1e-6, 308.0 - math.log10(se * z_crit))
+            if se * se < math.inf or not z * se < math.inf:
+                continue
+            estimate = EffectEstimate(rng.choice([-1.0, 1.0]) * z * se, se)
+            expected = oracles.ancred_fields(estimate.z, z_crit, se)
+            if FLOAT_MIN <= float(expected["tau2"]) < math.inf:
+                checked += 1
+                got = sceptical_analysis(estimate, alpha)
+                for name in ("tau2", "limit"):
+                    reference = float(expected[name])
+                    assert getattr(got, name) == pytest.approx(reference, rel=1e-12, abs=0)
+        assert checked > 400
 
 
 class TestSignificanceBoundary:
@@ -371,6 +393,23 @@ class TestIntrinsicCredibility:
     def test_recovery_both_flavors(self, recovery):
         assert intrinsic_credibility(recovery, 0.05, "prior_based")
         assert intrinsic_credibility(recovery, 0.05, "predictive_based")
+
+    def test_verdicts_are_shared(self):
+        # each of the three outcomes is one record, equal to the one built per call
+        rng = random.Random(45)
+        built = {}
+        for _ in range(1000):
+            z, alpha = rng.uniform(-6.0, 6.0), rng.choice([0.05, 0.01])
+            excess = critical_excess(z, alpha)
+            for flavor, factor in (("prior_based", oracles.GOLDEN_RATIO),
+                                   ("predictive_based", 2)):
+                verdict = intrinsic_credibility(EffectEstimate(z, 1.0), alpha, flavor)
+                expected = (CredibilityVerdict(False, "not significant at this level")
+                            if excess <= 0.0 else CredibilityVerdict(excess > factor - 1))
+                assert verdict == expected and type(verdict) is CredibilityVerdict
+                assert built.setdefault((flavor, expected), verdict) is verdict
+        assert len(built) == 6
+        assert len(set(map(id, built.values()))) == 3
 
     def test_non_significant_returns_reason(self, remap_cap):
         verdict = intrinsic_credibility(remap_cap, 0.05)

@@ -1,7 +1,9 @@
 import functools
 import math
+import os
 import random
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +320,21 @@ class TestAdvocacyForGamma:
         with pytest.raises(NonexistenceError,
                            match=r"the family's minimum is 0\.8826 \(at m = 0\.9993\)"):
             advocacy_for_gamma(EffectEstimate(0.5, 1.0), gamma)
+
+    def test_error_pins_no_solver_function(self):
+        # a caller that keeps the error keeps its traceback's frames: none of the
+        # package's holds a function, whose closure cells it would keep alive too
+        with pytest.raises(NonexistenceError, match="no advocacy prior") as info:
+            advocacy_for_gamma(EffectEstimate(0.1, 1.0), 0.1)
+        package, frames, tb = os.path.dirname(bf.__file__), [], info.value.__traceback__
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename.startswith(package):
+                frames.append(tb.tb_frame)
+            tb = tb.tb_next
+        assert frames
+        for frame in frames:
+            assert not [name for name, value in frame.f_locals.items()
+                        if isinstance(value, types.FunctionType)], frame.f_code.co_name
 
     def test_pinned_bits(self):
         def outcome(theta_hat, se, gamma):

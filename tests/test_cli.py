@@ -584,9 +584,15 @@ class TestAncredCommand:
         assert report["results"]["sceptical"]["tau2"] == pytest.approx(
             3.841458820694127e-20, rel=1e-15, abs=0)   # mpmath
 
+    def test_sceptical_prior_where_se_squared_overflows(self, capsys):
+        # and se^2 too, while tau^2 is still a normal float
+        report = run_json(capsys, ["--json", "ancred", "--estimate", "1e300", "--se", "1e200"])
+        assert report["results"]["sceptical"]["tau2"] == pytest.approx(
+            3.841458820694126e200, rel=1e-15, abs=0)   # mpmath
+
     @pytest.mark.parametrize("argv, mode, tau2", [
         ("--estimate 1e300 --se 1", "sceptical", "0.0"),         # (z_crit/z)^2 underflows
-        ("--estimate 1e300 --se 1e200", "sceptical", "inf"),     # g se^2 overflows
+        ("--estimate 3e160 --se 1e160", "sceptical", "inf"),     # se^2 and tau^2 overflow
         ("--estimate 1e-170 --se 1e-160", "advocacy", "0.0"),    # (mu / z_crit)^2 underflows
         ("--estimate 1e300 --se 1e300", "advocacy", "inf"),      # and overflows
     ], ids=["sceptical-0", "sceptical-inf", "advocacy-0", "advocacy-inf"])

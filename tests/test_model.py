@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,6 +120,22 @@ class TestStudyInvariants:
     def test_non_numeric_estimate_rejected(self, estimate, se):
         with pytest.raises(DataError, match="study 'a': non-numeric value"):
             pool([Study("a", estimate=estimate, se=se), Study("b", estimate=0.2, se=0.3)])
+
+    @pytest.mark.parametrize("estimate, se", [(10 ** 400, 1.0), (-(2 ** 1024 - 2 ** 970), 1.0),
+                                              (0.1, 10 ** 400), (0.1, 2 ** 1024 - 2 ** 970)],
+                             ids=["huge estimate", "estimate rounding to -2^1024",
+                                  "huge se", "se rounding to 2^1024"])
+    def test_int_past_the_float_range_rejected(self, estimate, se):
+        # float() of such an int raises OverflowError, bare in every float step after
+        message = "study 'a': estimate or se is outside the floating-point range"
+        with pytest.raises(DataError, match=message):
+            pool([Study("a", estimate=estimate, se=se), Study("b", estimate=0.2, se=0.3)])
+        with pytest.raises(DataError, match=message):
+            Study("a", estimate=estimate, se=se).effect_estimate()
+
+    def test_largest_int_in_the_float_range_accepted(self):
+        top = 2 ** 1024 - 2 ** 970 - 1   # rounds to the largest float, and one more past it
+        assert pool([Study("a", estimate=top, se=10.0)]).pooled.mean == sys.float_info.max
 
     def test_events_bounded_by_arm(self):
         with pytest.raises(DataError):
