@@ -24,7 +24,7 @@ _EXPORTS = {name: module for module, names in (
     ("ancred", "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
                "advocacy_prior credibility_ratio credibility_ratio_bound "
                "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
-               "p_rep sceptical_analysis sceptical_relative_variance scepticism_limit"),
+               "p_rep sceptical_analysis scepticism_limit"),
     ("bf", "BfAdvocacySolution BfScepticalSolution Branch advocacy_for_gamma "
            "advocacy_prior_interval_or bf01_normal_prior bf01_sceptical "
            "bf12_sceptical_vs_optimistic bf_intrinsic find_root lambert_w_log "

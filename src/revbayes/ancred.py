@@ -3,17 +3,12 @@ credibility, replication-direction probability, and prior-to-data
 conversion into equivalent hypothetical trials."""
 
 import math
-import sys
 from collections import namedtuple
 
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, NormalPrior
 from .statfn import (DEFAULT_ALPHA, LOG_MAX, alpha_for_level, critical_excess, critical_z,
-                     exp_or_inf, two_sided_p)
-
-
-# the least g = 1/(r - 1) of a finite r - 1, as 1/x rounds monotonically
-_G_FLOOR = 1.0 / sys.float_info.max
+                     exact_quotient, exp_or_inf, two_sided_p)
 
 
 class ScepticalAnalysis(namedtuple("ScepticalAnalysis", "g tau2 limit critical_interval_or")):
@@ -64,21 +59,6 @@ class EquivalentTrial(namedtuple("EquivalentTrial", "events_per_arm patients_per
     __slots__ = ()
 
 
-def sceptical_relative_variance(z: float, alpha: float = DEFAULT_ALPHA) -> float:
-    """Relative variance g of the sceptical prior pulling a significant
-    finding back to the credibility boundary."""
-    excess = critical_excess(z, alpha)
-    if excess <= 0.0:
-        raise NonexistenceError(
-            f"sufficiently sceptical prior undefined: finding not significant "
-            f"at alpha={alpha} (z={z:.4g})")
-    if excess < math.inf:
-        return 1.0 / excess
-    # (z/z_crit)^2 overflows: g = z_crit^2/(z^2 - z_crit^2) as two ratios
-    z_crit, z = critical_z(alpha), abs(z)
-    return z_crit / (z - z_crit) * (z_crit / (z + z_crit))
-
-
 def _check_significant(lower: float, upper: float, quantity: str) -> None:
     # by the limits' signs, as their product can underflow to 0
     if not (lower > 0.0 and upper > 0.0 or lower < 0.0 and upper < 0.0):
@@ -97,40 +77,44 @@ def scepticism_limit(lower: float, upper: float) -> float:
 
 def sceptical_analysis(estimate: EffectEstimate,
                        alpha: float = DEFAULT_ALPHA) -> ScepticalAnalysis:
-    """Full sceptical-prior analysis of a significant estimate."""
-    g, se = sceptical_relative_variance(estimate.z, alpha), estimate.se
-    if g >= _G_FLOOR and se * se < math.inf:
-        tau2 = g * (se * se)
-    else:   # r - 1 overflows, and g se^2 would keep few bits of a subnormal g, or se^2 overflows
-        z_crit, z = critical_z(alpha), abs(estimate.z)
-        tau2 = z_crit * (se / (z - z_crit)) * (z_crit * (se / (z + z_crit)))
-    limit = critical_z(alpha) * math.sqrt(tau2)
-    return ScepticalAnalysis(g, tau2, limit, (exp_or_inf(-limit), exp_or_inf(limit)))
+    """Full sceptical-prior analysis of a significant estimate: g = 1/(r - 1) and tau^2 =
+    g se^2 rounded once from their exact ratios, and S = z_crit tau the root of S^2 so rounded."""
+    excess, y2 = critical_excess(*estimate, alpha)
+    if excess <= 0:
+        raise NonexistenceError("sufficiently sceptical prior undefined: finding not "
+                                f"significant at alpha={alpha} (z={estimate.z:.4g})")
+    (c, d), (p, q) = estimate.se.as_integer_ratio(), critical_z(alpha).as_integer_ratio()
+    tau2_n, tau2_d = y2 * c * c, excess * d * d
+    s2_n, s2_d = tau2_n * p * p, tau2_d * q * q   # S^2 = z_crit^2 tau^2
+    j = (s2_d.bit_length() - s2_n.bit_length()) // 2   # S^2 4^j is in [1/4, 4), a normal float
+    try:   # ldexp is exact unless S is subnormal
+        limit = math.ldexp(math.sqrt(exact_quotient(s2_n, s2_d, 2 * j)), -j)
+    except OverflowError:
+        limit = math.inf
+    return ScepticalAnalysis(y2 / excess, exact_quotient(tau2_n, tau2_d), limit,
+                             (exp_or_inf(-limit), exp_or_inf(limit)))
 
 
 def advocacy_prior(estimate: EffectEstimate,
                    alpha: float = DEFAULT_ALPHA) -> AdvocacyAnalysis:
-    """Advocacy prior pushing a non-significant finding to just credible.
-
-    The prior's quantile nearer zero sits exactly at zero, so its
-    coefficient of variation is fixed at 1/z_crit.
-    """
-    excess = critical_excess(estimate.z, alpha)
-    if excess >= 0.0:
+    """Advocacy prior pushing a non-significant finding to just credible: m =
+    2/(1 - r), mu = m theta and tau = |mu|/z_crit, one quotient each. The prior's
+    quantile nearer zero sits exactly at zero, so its cv is fixed at 1/z_crit."""
+    excess, y2 = critical_excess(*estimate, alpha)
+    if excess >= 0:
         raise NonexistenceError("advocacy prior undefined: finding " + (
             "significant" if excess else "on the significance boundary") + f" at alpha={alpha}")
     if estimate.theta_hat == 0.0:
         raise NonexistenceError("advocacy prior undefined for a zero point estimate")
-    m = -2.0 / excess
-    mu = m * estimate.theta_hat
-    z_crit = critical_z(alpha)
-    tau = abs(mu) / z_crit
-    return AdvocacyAnalysis(m, mu, tau, 2.0 * mu, 1.0 / z_crit)
+    z_crit, deficit = critical_z(alpha), -excess
+    (a, b), (p, q) = estimate.theta_hat.as_integer_ratio(), z_crit.as_integer_ratio()
+    mu = exact_quotient(2 * y2 * a, deficit * b)
+    tau = exact_quotient(2 * y2 * abs(a) * q, deficit * b * p)
+    return AdvocacyAnalysis(2 * y2 / deficit, mu, tau, 2.0 * mu, 1.0 / z_crit)
 
 
-# Intrinsic credibility is r = z^2/z_crit^2 > factor: with the sceptical g = 1/(r - 1),
-# the prior flavour's z^2 > z_crit^2 g is r^2 - r - 1 > 0, so r > phi (the golden
-# ratio), and the predictive flavour's z^2/(1 + g) > z_crit^2 is r > 2.
+# Intrinsic credibility is r > phi (prior flavour: z^2 > z_crit^2 g, g = 1/(r - 1)) or r > 2
+# (predictive: z^2/(1 + g) > z_crit^2); for r - 1 = E/Y^2, (E + Y^2) E > Y^4 and E > Y^2.
 _INTRINSIC_FACTOR = {"prior_based": (1.0 + math.sqrt(5.0)) / 2.0, "predictive_based": 2.0}
 
 
@@ -147,11 +131,12 @@ def intrinsic_credibility(estimate: EffectEstimate,
     and not significant with its reason), so two calls with the same outcome
     return the same record.
     """
-    factor = _INTRINSIC_FACTOR[flavor]
-    excess = critical_excess(estimate.z, alpha)
-    if excess <= 0.0:
+    factor = _INTRINSIC_FACTOR[flavor]   # a KeyError names an unknown flavour
+    excess, y2 = critical_excess(*estimate, alpha)
+    if excess <= 0:
         return _NOT_SIGNIFICANT
-    return _CREDIBLE if excess > factor - 1.0 else _NOT_CREDIBLE   # exact: factor is in [1, 2]
+    credible = excess > y2 if factor == 2.0 else (excess + y2) * excess > y2 * y2
+    return _CREDIBLE if credible else _NOT_CREDIBLE
 
 
 def intrinsic_boundary_p(alpha: float = DEFAULT_ALPHA,
@@ -234,16 +219,16 @@ def equivalent_trial(prior: NormalPrior,
                     f"no trial with {patients_per_arm} patients per arm carries "
                     f"as little information as variance {tau2:.4g}")
             return EquivalentTrial(4.0 / tau2 / (1.0 + math.sqrt(w)), n)
-        return EquivalentTrial(2.0 / tau2)
-
-    if abs(mu) > LOG_MAX:
+    elif abs(mu) > LOG_MAX:
         raise NonexistenceError(
             f"no equivalent trial: the allocation ratio exp({mu:.6g}) is "
             f"outside the floating-point range")
+    if event_rate is None:   # large-arm limit: non-event cells contribute nothing to the variance
+        if 2.0 / tau2 == math.inf:   # a subnormal tau^2
+            raise NonexistenceError(f"no equivalent trial: its events per arm are outside "
+                                    f"the floating-point range (prior variance {tau2:.6g})")
+        return EquivalentTrial(2.0 / tau2, None, math.exp(mu))
     allocation = math.exp(mu)
-    if event_rate is None:
-        # large-arm limit: non-event cells contribute nothing to the variance
-        return EquivalentTrial(2.0 / tau2, None, allocation)
 
     # Equal event counts e in both arms; non-event cells b (treatment) and
     # d (control) solve {log(d/b) = mu, 2/e + 1/b + 1/d = tau^2}. The

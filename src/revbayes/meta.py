@@ -14,7 +14,7 @@ from _csv import field_size_limit   # csv's own; csv loads only for a table that
 from .errors import DataError, NonexistenceError
 from .model import EffectEstimate, _checked_make, interval
 from .statfn import (DEFAULT_LEVEL, FLOAT_MIN, alpha_for_level, critical_excess,
-                     two_sided_p_column)
+                     exact_quotient, two_sided_p_column)
 
 
 class PosteriorSummary(namedtuple("PosteriorSummary", "mean precision")):
@@ -327,15 +327,17 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
 def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult:
     """Number of unpublished average-precision null studies needed to make
     the pooled estimate non-significant at the level."""
-    pooled_z = meta.pooled.mean * math.sqrt(meta.pooled.precision)
-    excess = critical_excess(pooled_z, alpha_for_level(level))
-    if excess <= 0.0:
+    # N = n (r - 1) for r = mean^2 precision / z_crit^2 = (X^2/Y^2)(w/v), with no square root
+    (mean, precision), (w, v) = meta.pooled, meta.pooled.precision.as_integer_ratio()
+    excess, y2 = critical_excess(mean, 1.0, alpha_for_level(level))
+    excess, y2 = (excess + y2) * w - y2 * v, y2 * v
+    if excess <= 0:
         return FailSafeResult(0.0, 0, significant=False,
                               reason="pooled estimate not significant at this level")
-    n_exact = meta.n_studies * excess
-    if not math.isfinite(n_exact):
+    n_exact = exact_quotient(meta.n_studies * excess, y2)
+    if n_exact == math.inf:
         raise NonexistenceError(
-            f"no fail-safe N: for pooled z = {pooled_z:.6g} it is outside "
+            f"no fail-safe N: for pooled z = {mean * math.sqrt(precision):.6g} it is outside "
             f"the floating-point range")
     return FailSafeResult(n_exact, math.ceil(n_exact), significant=True)
 

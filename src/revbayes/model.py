@@ -56,7 +56,7 @@ class EffectEstimate(namedtuple("EffectEstimate", "theta_hat se")):
         return ci_limits(self, level)
 
     def significant(self, alpha: float = DEFAULT_ALPHA) -> bool:
-        return critical_excess(self.z, alpha) > 0.0
+        return critical_excess(self.theta_hat, self.se, alpha)[0] > 0
 
     @classmethod
     def from_ci(cls, lower: float, upper: float,

@@ -3,9 +3,9 @@ critical values, and the p-value and minimum Bayes factors of a z-value, with
 column forms of two of them. Lambert W and the root finder are bf's alone.
 
 Everything here is a pure function of its arguments and safe to call from
-any number of threads. The caches are alpha_for_level's and critical_z's:
-bounded functools.lru_caches over the few levels a process uses, their alphas,
-and the p-values fpr has just inverted, which each calibration asks for again.
+any number of threads. Its bounded functools.lru_caches hold alpha_for_level and
+critical_z over the levels, alphas and just-inverted p-values that callers ask
+for again, and critical_excess over the findings whose analyses ask for it again.
 norm_quantile calls the standard library's C AS241 from _statistics, so that
 no process imports the statistics module (with fractions and decimal behind
 it) for one function.
@@ -78,11 +78,22 @@ def alpha_for_level(level: float) -> float:
     raise DataError(f"level must be in (0,1), with 1 - level a float below 1, got {level!r}")
 
 
-def critical_excess(z: float, alpha: float) -> float:
-    """r - 1 for r = z^2/z_crit^2, from |z| - z_crit, exact near r = 1 (Sterbenz). Significant
-    iff positive; sceptical g = 1/(r - 1), advocacy m = 2/(1 - r), fail-safe N = n (r - 1)."""
-    z_crit = critical_z(alpha)
-    return (abs(z) - z_crit) / z_crit * ((abs(z) + z_crit) / z_crit)
+@functools.lru_cache(maxsize=16)
+def critical_excess(theta: float, se: float, alpha: float) -> tuple:
+    """r - 1 for r = (theta/(se z_crit))^2 of the floats taken as exact, as the integers
+    (X^2 - Y^2, Y^2) of r = X^2/Y^2: significant iff X^2 > Y^2. Memoised, for each analysis."""
+    (a, b), (c, d) = theta.as_integer_ratio(), se.as_integer_ratio()
+    p, q = critical_z(alpha).as_integer_ratio()
+    x, y = a * d * q, b * c * p
+    return (x - y) * (x + y), y * y
+
+
+def exact_quotient(n: int, d: int, shift: int = 0) -> float:
+    """n 2^shift / d for d > 0 in one rounding, or its infinite limit past the float range."""
+    try:
+        return (n << shift) / d if shift >= 0 else n / (d << -shift)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def exp_or_inf(x: float) -> float:

@@ -167,15 +167,24 @@ def pool(rows):
     return sum(Fraction(est) * w for (est, _), w in zip(rows, weights)) / precision, precision
 
 
-def ancred_fields(z, z_crit, se=1.0) -> dict:
-    """The sceptical g, tau^2 = g se^2 and limit S = z_crit tau, the advocacy
-    m and the fail-safe N of one study (r - 1) of a finding z, as mpfs, from
-    r - 1 = (z/z_crit)^2 - 1 with z and z_crit taken as exact."""
-    z_crit = mpmath.mpf(z_crit)
-    excess = (mpmath.mpf(z) / z_crit) ** 2 - 1
-    tau2 = mpmath.mpf(se) ** 2 / excess
-    return {"g": 1 / excess, "tau2": tau2, "limit": z_crit * mpmath.sqrt(tau2),
-            "m": -2 / excess, "n": excess}
+def ancred_fields(theta, se, z_crit) -> dict:
+    """The AnCred quantities of the finding theta with standard error se, as
+    mpfs, from r = (theta/(se z_crit))^2 with theta, se and z_crit taken as
+    exact: r - 1 (the fail-safe N of one study), the sceptical g = 1/(r - 1),
+    tau^2 = g se^2 and limit S = z_crit tau, and the advocacy m = 2/(1 - r),
+    mu = m theta and tau = |mu|/z_crit."""
+    theta, se, z_crit = mpmath.mpf(theta), mpmath.mpf(se), mpmath.mpf(z_crit)
+    excess = (theta / (se * z_crit)) ** 2 - 1
+    tau2, m = se ** 2 / excess, -2 / excess
+    return {"excess": excess, "g": 1 / excess, "tau2": tau2, "limit": z_crit * mpmath.sqrt(tau2),
+            "m": m, "mu": m * theta, "tau": abs(m * theta) / z_crit}
+
+
+def critical_r(theta, se, z_crit) -> Fraction:
+    """r = (theta/(se z_crit))^2 as an exact Fraction of the floats: the finding
+    is significant iff r > 1, and intrinsically credible iff r > phi (prior
+    flavour: r^2 > r + 1) or r > 2 (predictive flavour)."""
+    return (Fraction(theta) / (Fraction(se) * Fraction(z_crit))) ** 2
 
 
 def scepticism_limit(lower, upper):

@@ -10,12 +10,12 @@ from revbayes.ancred import (CredibilityVerdict, advocacy_prior,
                              credibility_ratio, credibility_ratio_bound,
                              equivalent_trial, intrinsic_boundary_p,
                              intrinsic_credibility, p_intrinsic, p_rep,
-                             sceptical_analysis, sceptical_relative_variance,
+                             sceptical_analysis,
                              scepticism_limit)
 from revbayes.errors import DataError, NonexistenceError
 from revbayes.meta import failsafe_n, forward_update, pool
 from revbayes.model import EffectEstimate, NormalPrior, Study, ci_limits
-from revbayes.statfn import (FLOAT_MIN, alpha_for_level, critical_excess, critical_z,
+from revbayes.statfn import (FLOAT_MIN, alpha_for_level, critical_z,
                              norm_quantile, two_sided_p)
 
 
@@ -120,17 +120,18 @@ def _assert_verdict_flips(alpha, flavor, factor):
 
 class TestScepticalRelativeVariance:
     def test_recovery(self, recovery):
-        assert sceptical_relative_variance(recovery.z, 0.05) == pytest.approx(
+        assert sceptical_analysis(recovery, 0.05).g == pytest.approx(
             0.39, abs=5e-3)
 
     def test_algebraic_point(self):
         z_crit = norm_quantile(0.975)
         z = math.sqrt(2.0) * z_crit
-        assert sceptical_relative_variance(z, 0.05) == pytest.approx(1.0, rel=1e-12)
+        assert sceptical_analysis(EffectEstimate(z, 1.0), 0.05).g == pytest.approx(
+            1.0, rel=1e-12, abs=0)
 
     def test_boundary_rejected(self):
         with pytest.raises(NonexistenceError, match="undefined"):
-            sceptical_relative_variance(norm_quantile(0.975), 0.05)
+            sceptical_analysis(EffectEstimate(norm_quantile(0.975), 1.0), 0.05)
 
     @pytest.mark.parametrize("theta, se, tau2", [   # tau^2 from mpmath
         (1e300, 1e145, 3.841458820694127e-20), (-1e300, 1e140, 3.841458820694127e-40)])
@@ -149,10 +150,10 @@ class TestScepticalRelativeVariance:
             z_crit = critical_z(alpha)
             z = 10.0 ** rng.uniform(154.0, 308.0)
             se = 10.0 ** rng.uniform(-320.0, 308.0 - math.log10(z))
-            if critical_excess(z, alpha) < math.inf or not 0.0 < z * se < math.inf:
+            if (z / z_crit) * (z / z_crit) < math.inf or not 0.0 < z * se < math.inf:
                 continue
             estimate = EffectEstimate(rng.choice([-1.0, 1.0]) * z * se, se)
-            expected = oracles.ancred_fields(estimate.z, z_crit, se)
+            expected = oracles.ancred_fields(*estimate, z_crit)
             got = sceptical_analysis(estimate, alpha)
             assert oracles.ulps(got.g, expected["g"]) <= 1.0
             if float(expected["tau2"]) >= FLOAT_MIN:
@@ -161,6 +162,15 @@ class TestScepticalRelativeVariance:
                     reference = float(expected[name])
                     assert getattr(got, name) == pytest.approx(reference, rel=1e-12, abs=0)
         assert checked > 100
+
+    def test_limit_where_tau2_is_subnormal(self):
+        # tau^2 = 6.8e-324 rounds to 5e-324; S = z_crit tau comes from the exact
+        # tau^2, where the rounded one gave 4.3565e-162
+        estimate = EffectEstimate(-1.6009080860692483e-159, 4.612159443909952e-161)
+        analysis = sceptical_analysis(estimate)
+        expected = oracles.ancred_fields(*estimate, critical_z(0.05))["limit"]
+        assert analysis.tau2 == 5e-324 and float(expected) == 5.112482872840538e-162
+        assert oracles.ulps(analysis.limit, expected) <= 2.0
 
     def test_where_se_squared_overflows_against_mpmath(self):
         # tau^2 and S within relative 1e-12 of mpmath wherever se^2 overflows and
@@ -175,7 +185,7 @@ class TestScepticalRelativeVariance:
             if se * se < math.inf or not z * se < math.inf:
                 continue
             estimate = EffectEstimate(rng.choice([-1.0, 1.0]) * z * se, se)
-            expected = oracles.ancred_fields(estimate.z, z_crit, se)
+            expected = oracles.ancred_fields(*estimate, z_crit)
             if FLOAT_MIN <= float(expected["tau2"]) < math.inf:
                 checked += 1
                 got = sceptical_analysis(estimate, alpha)
@@ -189,33 +199,75 @@ class TestSignificanceBoundary:
     """Near |z| = z_crit, where r - 1 would cancel, on both sides."""
 
     def test_last_digits_against_mpmath(self):
-        # g, tau^2, S and the fail-safe N (r > 1), and m (r < 1), within 4 ulp
-        # of mpmath for |r - 1| from 1e-15 to 0.2, taking the package's z_crit
-        # as input: it is itself within half an ulp, which moves g by up to
-        # about 1/(r - 1) ulp. se is a power of two, so z = (z se) / se exactly
+        # g, tau^2, the fail-safe N (r > 1) and m (r < 1) within 1 ulp of mpmath,
+        # and S within 2, for |r - 1| from 1e-15 to 0.2, taking the package's
+        # z_crit as input: it is itself within half an ulp, which moves the true
+        # g by up to about 1/(r - 1) ulp. se is a power of two, so that the one
+        # study's pooled precision 1/se^2 is exact
         rng = random.Random(31)
-        worst = dict.fromkeys(["g", "tau2", "limit", "n", "m"], 0.0)
+        worst = dict.fromkeys(["g", "tau2", "limit", "excess", "m"], 0.0)
         for _ in range(4000):
             level = rng.choice([0.8, 0.95, 0.99, 0.999999])
             alpha, se = alpha_for_level(level), 2.0 ** rng.randint(-30, 30)
             z_crit = critical_z(alpha)
             target = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, math.log10(0.2))
             z = rng.choice([-1.0, 1.0]) * z_crit * math.sqrt(1.0 + target)
-            expected = oracles.ancred_fields(z, z_crit, se)
-            if abs(expected["n"]) < 1e-15:
+            expected = oracles.ancred_fields(z * se, se, z_crit)
+            if abs(expected["excess"]) < 1e-15:
                 continue
             estimate = EffectEstimate(z * se, se)
             fsn = failsafe_n(pool([Study("s", estimate=z * se, se=se)]), level)
-            assert fsn.significant == (expected["n"] > 0) == estimate.significant(alpha)
+            assert fsn.significant == (expected["excess"] > 0) == estimate.significant(alpha)
             if fsn.significant:
                 sceptical = sceptical_analysis(estimate, alpha)
                 got = {"g": sceptical.g, "tau2": sceptical.tau2, "limit": sceptical.limit,
-                       "n": fsn.n_exact}
+                       "excess": fsn.n_exact}
             else:
                 got = {"m": advocacy_prior(estimate, alpha).m}
             for name, value in got.items():
                 worst[name] = max(worst[name], oracles.ulps(value, expected[name]))
-        assert max(worst.values()) <= 4.0, worst
+        assert worst.pop("limit") <= 2.0 and max(worst.values()) <= 1.0, worst
+
+    def test_exact_quotients_against_mpmath(self):
+        # theta, se and the float z_crit taken as exact: g, tau^2, m, mu and tau
+        # within 1 ulp of mpmath wherever they are normal floats, and S within 2;
+        # significance and both verdicts are the exact signs. r - 1 is
+        # log-uniform over [1e-15, 1e3] or 1 - r over (1e-15, 1), se over
+        # [1e-150, 1e150], and a quarter of the draws lie within 1e-15 relative
+        # of r = 1, phi or 2. 1/critical_excess(z) from the rounded z = theta/se
+        # was 1.1e-9 relative off in g near r = 1
+        rng = random.Random(46)
+        worst, seen = collections.defaultdict(float), collections.Counter()
+        for _ in range(4000):
+            alpha = rng.choice([0.2, 0.05, 0.01, 1e-6])
+            z_crit, se = critical_z(alpha), 10.0 ** rng.uniform(-150.0, 150.0)
+            t = 10.0 ** rng.uniform(-15.0, 3.0)
+            if rng.random() < 0.25:
+                target = rng.choice([1.0, (1.0 + math.sqrt(5.0)) / 2.0, 2.0])
+                r = target * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17.0, -15.0))
+            else:
+                target, r = None, rng.choice([1.0 + t, 1.0 / (1.0 + t)])
+            theta = rng.choice([-1.0, 1.0]) * z_crit * math.sqrt(r) * se
+            estimate, exact = EffectEstimate(theta, se), oracles.critical_r(theta, se, z_crit)
+            assert estimate.significant(alpha) == (exact > 1)
+            for flavor, credible in (("prior_based", exact * exact > exact + 1),
+                                     ("predictive_based", exact > 2)):
+                assert bool(intrinsic_credibility(estimate, alpha, flavor)) == (
+                    exact > 1 and credible)
+            seen[target, exact > (target or 1.0)] += 1
+            if exact > 1:
+                analysis = sceptical_analysis(estimate, alpha)
+                got = {name: getattr(analysis, name) for name in ("g", "tau2", "limit")}
+            else:
+                analysis = advocacy_prior(estimate, alpha)
+                got = {name: getattr(analysis, name) for name in ("m", "mu", "tau")}
+            expected = oracles.ancred_fields(theta, se, z_crit)
+            for name, value in got.items():
+                if FLOAT_MIN <= abs(float(expected[name])) < math.inf:
+                    worst[name] = max(worst[name], oracles.ulps(value, expected[name]))
+        assert len(worst) == 6 and worst.pop("limit") <= 2.0, worst
+        assert max(worst.values()) <= 1.0, worst
+        assert len(seen) == 8 and min(seen.values()) >= 50, seen
 
     def test_messages_at_the_boundary_agree(self):
         # |z| == z_crit is not significant; neither prior exists, and the
@@ -283,7 +335,7 @@ class TestScepticismLimit:
             z = rng.uniform(z_crit * 1.05, z_crit * 4) * rng.choice([-1, 1])
             est = EffectEstimate(z * se, se)
             lo, hi = ci_limits(est, 1 - alpha)
-            g = sceptical_relative_variance(z, alpha)
+            g = sceptical_analysis(EffectEstimate(z, 1.0), alpha).g
             assert scepticism_limit(lo, hi) == pytest.approx(
                 z_crit * se * math.sqrt(g), abs=1e-10)
 
@@ -400,12 +452,12 @@ class TestIntrinsicCredibility:
         built = {}
         for _ in range(1000):
             z, alpha = rng.uniform(-6.0, 6.0), rng.choice([0.05, 0.01])
-            excess = critical_excess(z, alpha)
-            for flavor, factor in (("prior_based", oracles.GOLDEN_RATIO),
-                                   ("predictive_based", 2)):
+            r = oracles.critical_r(z, 1.0, critical_z(alpha))
+            for flavor, credible in (("prior_based", r * r > r + 1),
+                                     ("predictive_based", r > 2)):
                 verdict = intrinsic_credibility(EffectEstimate(z, 1.0), alpha, flavor)
                 expected = (CredibilityVerdict(False, "not significant at this level")
-                            if excess <= 0.0 else CredibilityVerdict(excess > factor - 1))
+                            if r <= 1 else CredibilityVerdict(credible))
                 assert verdict == expected and type(verdict) is CredibilityVerdict
                 assert built.setdefault((flavor, expected), verdict) is verdict
         assert len(built) == 6
@@ -583,6 +635,19 @@ class TestEquivalentTrial:
         with pytest.raises(NonexistenceError, match="its patients per arm are outside"):
             equivalent_trial(NormalPrior(mu, tau2), event_rate=rate)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_large_arms_outside_float_range(self, mu):
+        # 2/tau^2 events per arm of arbitrarily large arms overflow for a subnormal
+        # tau^2, which inf reported before; the event-rate path raises as well
+        with pytest.raises(NonexistenceError) as exc:
+            equivalent_trial(NormalPrior(mu, 5e-324))
+        assert str(exc.value) == ("no equivalent trial: its events per arm are outside the "
+                                  "floating-point range (prior variance 4.94066e-324)")
+        with pytest.raises(NonexistenceError, match="no equivalent trial"):
+            equivalent_trial(NormalPrior(mu, 5e-324), event_rate=0.3)
+        # the least tau^2 whose 2/tau^2 is a float
+        assert equivalent_trial(NormalPrior(mu, 1.2e-308)).events_per_arm < math.inf
+
     def test_mean_zero_rate_hits_rate_exactly(self):
         trial = equivalent_trial(NormalPrior(0.0, 0.3), event_rate=0.25)
         assert trial.events_per_arm / trial.patients_per_arm == pytest.approx(
@@ -684,7 +749,48 @@ class TestEquivalentTrial:
         assert min(seen[k] for k in ("lower infeasible", "upper", "lower", "tie")) >= 50, seen
 
 
+def _bits(theta, se, alpha, k):
+    """The .hex() of every AnCred output of (2^k theta, 2^k se), scaled back by
+    2^-k (tau^2 by 4^-k), or None where one is not a normal float: significance
+    and both verdicts, then g, tau^2 and S, or m, mu and tau."""
+    estimate = EffectEstimate(math.ldexp(theta, k), math.ldexp(se, k))
+    out = [estimate.significant(alpha)] + [
+        bool(intrinsic_credibility(estimate, alpha, flavor))
+        for flavor in ("prior_based", "predictive_based")]
+    if out[0]:
+        analysis = sceptical_analysis(estimate, alpha)
+        values = [(analysis.g, 0), (analysis.tau2, -2 * k), (analysis.limit, -k)]
+    else:
+        analysis = advocacy_prior(estimate, alpha)
+        values = [(analysis.m, 0), (analysis.mu, -k), (analysis.tau, -k)]
+    if not all(FLOAT_MIN <= abs(x) < math.inf for x, _ in values):
+        return None
+    return out + [math.ldexp(x, shift).hex() for x, shift in values]
+
+
 class TestSignEquivariance:
+    def test_mirror_and_power_of_two_scaling_bit_for_bit(self):
+        # every output is an exact quotient of theta, se and z_crit, so theta ->
+        # -theta leaves it as it is (mu changes sign) and (theta, se) -> (2^k
+        # theta, 2^k se) scales it exactly, wherever it stays a normal float
+        rng = random.Random(46)
+        scaled = 0
+        for _ in range(3000):
+            alpha = rng.choice([0.2, 0.05, 0.01, 1e-6])
+            se = 10.0 ** rng.uniform(-3.0, 3.0)
+            theta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 1.6) * se
+            base = _bits(theta, se, alpha, 0)
+            mirrored = _bits(-theta, se, alpha, 0)
+            if not base[0]:   # mu, the advocacy output at index 4, changes sign
+                mirrored[4] = (-float.fromhex(mirrored[4])).hex()
+            assert mirrored == base, (theta, se, alpha)
+            for k in (-1000, -60, -1, 1, 60, 1000):
+                other = _bits(theta, se, alpha, k)
+                if other is not None:
+                    scaled += 1
+                    assert other == base, (theta, se, alpha, k)
+        assert scaled > 12000
+
     def test_negation(self, recovery):
         flipped = EffectEstimate(-recovery.theta_hat, recovery.se)
         a = sceptical_analysis(recovery, 0.05)

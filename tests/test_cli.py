@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,10 +29,11 @@ from revbayes import bundled_dataset_path, cli, meta, options, report
 from revbayes.cli import run
 from revbayes.report import render_json, write_json
 from revbayes.ancred import advocacy_prior, sceptical_analysis
-from revbayes.errors import DataError
+from revbayes.errors import DataError, NonexistenceError
 from revbayes.fpr import CalibrationKind
-from revbayes.meta import StudyTable, read_study_table
-from revbayes.model import EffectEstimate, Study
+from revbayes.meta import StudyTable, failsafe_n, pool, read_study_table
+from revbayes.model import DEFAULT_LEVEL, EffectEstimate, Study
+from revbayes.statfn import FLOAT_MIN, alpha_for_level, critical_z
 
 DATA = str(bundled_dataset_path())
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -589,6 +591,24 @@ class TestAncredCommand:
         report = run_json(capsys, ["--json", "ancred", "--estimate", "1e300", "--se", "1e200"])
         assert report["results"]["sceptical"]["tau2"] == pytest.approx(
             3.841458820694126e200, rel=1e-15, abs=0)   # mpmath
+
+    @pytest.mark.parametrize("argv, g", [   # mpmath, correctly rounded
+        ("--estimate 0.9235927606541671 --se 0.47122943116224925", 9800252.546473574),
+        ("--estimate 1e300 --se 1e200", 3.8414588206941264e-200)])
+    def test_sceptical_g_correctly_rounded(self, capsys, argv, g):
+        # g is one quotient of theta, se and z_crit taken as exact; from the
+        # rounded z = theta/se the first was 1.1e-9 relative off, near r = 1
+        report = run_json(capsys, ["--json", "ancred", *argv.split()])
+        assert report["results"]["sceptical"]["g"] == g
+
+    def test_events_per_arm_outside_float_range(self, capsys):
+        # tau^2 = 3.8e-310 is subnormal, and the 2/tau^2 events per arm of
+        # arbitrarily large arms overflow: nonexistence, where "inf" was reported
+        for flags in ([], ["--json"]):
+            assert run([*flags, "ancred", "--estimate", "1e155", "--se", "1"]) == 3
+            assert capsys.readouterr().err == (
+                "nonexistence: no equivalent trial: its events per arm are outside the "
+                "floating-point range (prior variance 3.84146e-310)\n")
 
     @pytest.mark.parametrize("argv, mode, tau2", [
         ("--estimate 1e300 --se 1", "sceptical", "0.0"),         # (z_crit/z)^2 underflows
@@ -1173,6 +1193,33 @@ class TestFuzz:
         if code == 0 and json_flag:
             strict_loads(out)
 
+    @pytest.mark.parametrize("seed", [7101, 7102])
+    def test_meta_tables_failsafe_n_exact(self, seed, tmp_path):
+        # the fail-safe N of each table of test_meta_tables' draw (and of the next
+        # seed's) that pools, within 1 ulp of n (mean^2 precision / z_crit^2 - 1)
+        # with the pooled mean and precision and the float z_crit taken as exact,
+        # wherever it is a normal float: m7102:606 was 72 ulp off
+        rng = random.Random(seed)
+        table = tmp_path / "fuzz.csv"
+        worst, checked = 0.0, 0
+        for i in range(800):
+            table.write_text(_fuzz_table(rng, 53.0 if i < 600 else rng.choice([120.0, 1100.0])))
+            level = rng.uniform(0.01, 0.99) if rng.random() < 0.3 else DEFAULT_LEVEL
+            rng.random()   # --json or text
+            try:
+                meta = pool(read_study_table(str(table)))
+            except (DataError, NonexistenceError):
+                continue
+            mean, precision = map(Fraction, meta.pooled)
+            z_crit = Fraction(critical_z(alpha_for_level(level)))
+            exact = meta.n_studies * (mean * mean * precision / (z_crit * z_crit) - 1)
+            if exact > 0 and FLOAT_MIN <= exact <= sys.float_info.max:
+                checked += 1
+                worst = max(worst, oracles.ulps(failsafe_n(meta, level).n_exact, exact))
+            elif exact <= 0:
+                assert not failsafe_n(meta, level).significant
+        assert checked > 150 and worst <= 1.0, (checked, worst)
+
     def test_meta_tables(self, capsys, tmp_path):
         rng = random.Random(7101)
         table = tmp_path / "fuzz.csv"
@@ -1209,7 +1256,7 @@ _EXPORTED = {
     "ancred": "AdvocacyAnalysis CredibilityVerdict EquivalentTrial ScepticalAnalysis "
               "advocacy_prior credibility_ratio credibility_ratio_bound "
               "equivalent_trial intrinsic_boundary_p intrinsic_credibility p_intrinsic "
-              "p_rep sceptical_analysis sceptical_relative_variance scepticism_limit",
+              "p_rep sceptical_analysis scepticism_limit",
     "bf": "BfAdvocacySolution BfScepticalSolution Branch advocacy_for_gamma "
           "advocacy_prior_interval_or bf01_normal_prior bf01_sceptical "
           "bf12_sceptical_vs_optimistic bf_intrinsic find_root lambert_w_log "
@@ -1844,7 +1891,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("argv, rows, code, named", [
         ("meta {table}", "A,1e155,1\nB,1e155,1", 3, ""),
-        ("ancred --estimate 1e155 --se 1", "", 0, ""),
+        ("ancred --estimate 1e155 --se 1", "", 3, "its events per arm"),
         ("bf --estimate 1e155 --se 1", "", 0, ""),
         # se * se underflows to 0, or 1/(se * se) overflows to inf
         ("meta {table}", "A,0.1,1e-200\nB,0.2,2e-200", 3, "study 'A' has se = 1e-200"),
@@ -1857,8 +1904,9 @@ class TestDriver:
             "meta-pooled-precision", "meta-pooled-precision-underflow"])
     def test_z_squared_past_the_float_range(self, capsys, tmp_path, argv, rows, code,
                                             named):
-        # z = 1e155: z * z is inf; meta reports an error, ancred its sceptical
-        # tau^2 = 3.8e-310 and bf its limits, and none a traceback. A study whose
+        # z = 1e155: z * z is inf; meta reports an error, ancred that the 2/tau^2
+        # events per arm of its subnormal sceptical tau^2 = 3.8e-310 overflow,
+        # and bf its limits, and none a traceback. A study whose
         # precision 1/se^2 is past the float range is named, and so is a pooled
         # precision that is.
         table = tmp_path / "huge.csv"

@@ -62,9 +62,6 @@ class TestErrorContract:
                              statfn.min_bf_local, statfn.min_bf_els, ancred.p_intrinsic,
                              ancred.p_rep):
                 call(function, z)
-            for alpha in PROBS:
-                call(statfn.critical_excess, z, alpha)
-                call(ancred.sceptical_relative_variance, z, alpha)
             for g in GS:
                 call(bf.bf01_sceptical, z, g)
                 call(bf.bf12_sceptical_vs_optimistic, z, g)
@@ -80,6 +77,9 @@ class TestErrorContract:
                 call(fpr.prior_bound_fpr_equals_p, p, kind)
                 for fpr_value in PROBS:
                     call(fpr.prior_prob_for_fpr, p, fpr_value, kind)
+        for n, d, shift in product([0, 3, -3, 10 ** 400, -10 ** 400], [1, 3, 10 ** 400],
+                                   [0, 2000, -2000]):
+            call(statfn.exact_quotient, n, d, shift)
         for gamma in GAMMAS:
             call(bf.z_gamma, gamma)
         for log_x, branch in product([-1.0, -1.5, -2.0, -745.0, -1e300], Branch):
@@ -100,6 +100,7 @@ class TestErrorContract:
                 call(model.ci_limits, est, prob)
                 call(est.ci, prob)
                 call(est.significant, prob)
+                call(statfn.critical_excess, est.theta_hat, est.se, prob)
                 for flavor in ("prior_based", "predictive_based"):
                     call(ancred.intrinsic_credibility, est, prob, flavor)
                 for analysis in (call(ancred.sceptical_analysis, est, prob),

@@ -16,8 +16,9 @@ import revbayes
 from revbayes.bf import Branch, find_root, lambert_w_log
 from revbayes.errors import DataError
 from revbayes.statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, LOG_MAX, alpha_for_level,
-                             critical_excess, critical_z, exp_or_inf, exp_or_inf_column,
-                             norm_quantile, two_sided_p, two_sided_p_column)
+                             critical_excess, critical_z, exact_quotient, exp_or_inf,
+                             exp_or_inf_column, norm_quantile, two_sided_p,
+                             two_sided_p_column)
 
 # AS241's branch edges: q = p - 1/2 = -/+0.425, r = sqrt(-log p) = 5, the extremes; each
 # with its neighbours one ulp away, inside (0, 1)
@@ -150,11 +151,28 @@ class TestCriticalZ:
 
 
 class TestCriticalExcess:
-    @given(st.floats(min_value=-40, max_value=40),
-           st.sampled_from([0.5, 0.2, 0.1, 0.05, 0.01, 0.005]))
-    def test_decides_significance_like_the_squares(self, z, alpha):
-        # |z| - z_crit rounds to 0 only where it is 0, and never changes sign
-        assert (critical_excess(z, alpha) > 0.0) == (z ** 2 > critical_z(alpha) ** 2)
+    @given(st.floats(min_value=-1e300, max_value=1e300),
+           st.floats(min_value=1e-300, max_value=1e300),
+           st.sampled_from([0.5, 0.2, 0.1, 0.05, 0.01, 0.005, 5e-324]))
+    def test_decides_significance_like_the_squares(self, theta, se, alpha):
+        # (E, Y^2) is r - 1 = E/Y^2 for r = (theta/(se z_crit))^2 of the floats taken
+        # as exact, so significance (E > 0) is theta^2 > (se z_crit)^2, whatever
+        # z = theta/se rounds to
+        excess, y2 = critical_excess(theta, se, alpha)
+        theta, se, z_crit = Fraction(theta), Fraction(se), Fraction(critical_z(alpha))
+        assert y2 > 0 and Fraction(excess, y2) == (theta / (se * z_crit)) ** 2 - 1
+        assert (excess > 0) == (theta * theta > (se * z_crit) ** 2)
+
+    @pytest.mark.parametrize("n, d, shift, expected", [
+        (1, 3, 0, 1 / 3), (-1, 3, 2, -4 / 3), (1, 3, -2, 1 / 12), (1, 3, -1075, 0.0),
+        (5, 4, -1075, 5e-324), (1, 1, 1024, math.inf), (-(10 ** 400), 1, 0, -math.inf)])
+    def test_exact_quotient(self, n, d, shift, expected):
+        # n 2^shift / d in one rounding, subnormal results included, and its
+        # infinite limit where the quotient leaves the float range
+        assert exact_quotient(n, d, shift) == expected
+
+    def test_cache_is_bounded(self):
+        assert critical_excess.cache_info().maxsize is not None
 
 
 # decimal texts in (0, 1) of up to 15 significant digits, each its float's
