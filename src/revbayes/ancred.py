@@ -77,13 +77,12 @@ def scepticism_limit(lower: float, upper: float) -> float:
 
 def sceptical_analysis(estimate: EffectEstimate,
                        alpha: float = DEFAULT_ALPHA) -> ScepticalAnalysis:
-    """Full sceptical-prior analysis of a significant estimate: g = 1/(r - 1) and tau^2 =
-    g se^2 rounded once from their exact ratios, and S = z_crit tau the root of S^2 so rounded."""
-    excess, y2 = critical_excess(*estimate, alpha)
+    """Sceptical prior of a significant estimate: g = 1/(r - 1), tau^2 = g se^2 and S^2 =
+    (z_crit tau)^2, each rounded once from the integers of critical_excess's record; S its root."""
+    excess, y2, _, (c, d), (p, q) = critical_excess(*estimate, alpha)
     if excess <= 0:
         raise NonexistenceError("sufficiently sceptical prior undefined: finding not "
                                 f"significant at alpha={alpha} (z={estimate.z:.4g})")
-    (c, d), (p, q) = estimate.se.as_integer_ratio(), critical_z(alpha).as_integer_ratio()
     tau2_n, tau2_d = y2 * c * c, excess * d * d
     s2_n, s2_d = tau2_n * p * p, tau2_d * q * q   # S^2 = z_crit^2 tau^2
     j = (s2_d.bit_length() - s2_n.bit_length()) // 2   # S^2 4^j is in [1/4, 4), a normal float
@@ -97,20 +96,18 @@ def sceptical_analysis(estimate: EffectEstimate,
 
 def advocacy_prior(estimate: EffectEstimate,
                    alpha: float = DEFAULT_ALPHA) -> AdvocacyAnalysis:
-    """Advocacy prior pushing a non-significant finding to just credible: m =
-    2/(1 - r), mu = m theta and tau = |mu|/z_crit, one quotient each. The prior's
-    quantile nearer zero sits exactly at zero, so its cv is fixed at 1/z_crit."""
-    excess, y2 = critical_excess(*estimate, alpha)
+    """Advocacy prior pushing a non-significant finding to just credible: m = 2/(1 - r), mu =
+    m theta and tau = |mu|/z_crit, one quotient each of the integers of critical_excess's record.
+    The prior's quantile nearer zero sits exactly at zero, so its cv is fixed at 1/z_crit."""
+    excess, y2, (a, b), _, (p, q) = critical_excess(*estimate, alpha)
     if excess >= 0:
         raise NonexistenceError("advocacy prior undefined: finding " + (
             "significant" if excess else "on the significance boundary") + f" at alpha={alpha}")
     if estimate.theta_hat == 0.0:
         raise NonexistenceError("advocacy prior undefined for a zero point estimate")
-    z_crit, deficit = critical_z(alpha), -excess
-    (a, b), (p, q) = estimate.theta_hat.as_integer_ratio(), z_crit.as_integer_ratio()
-    mu = exact_quotient(2 * y2 * a, deficit * b)
-    tau = exact_quotient(2 * y2 * abs(a) * q, deficit * b * p)
-    return AdvocacyAnalysis(2 * y2 / deficit, mu, tau, 2.0 * mu, 1.0 / z_crit)
+    mu = exact_quotient(2 * y2 * a, -excess * b)
+    tau = exact_quotient(2 * y2 * abs(a) * q, -excess * b * p)
+    return AdvocacyAnalysis(2 * y2 / -excess, mu, tau, 2.0 * mu, q / p)
 
 
 # Intrinsic credibility is r > phi (prior flavour: z^2 > z_crit^2 g, g = 1/(r - 1)) or r > 2
@@ -132,7 +129,7 @@ def intrinsic_credibility(estimate: EffectEstimate,
     return the same record.
     """
     factor = _INTRINSIC_FACTOR[flavor]   # a KeyError names an unknown flavour
-    excess, y2 = critical_excess(*estimate, alpha)
+    excess, y2, _, _, _ = critical_excess(*estimate, alpha)
     if excess <= 0:
         return _NOT_SIGNIFICANT
     credible = excess > y2 if factor == 2.0 else (excess + y2) * excess > y2 * y2

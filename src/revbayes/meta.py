@@ -329,7 +329,7 @@ def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult
     the pooled estimate non-significant at the level."""
     # N = n (r - 1) for r = mean^2 precision / z_crit^2 = (X^2/Y^2)(w/v), with no square root
     (mean, precision), (w, v) = meta.pooled, meta.pooled.precision.as_integer_ratio()
-    excess, y2 = critical_excess(mean, 1.0, alpha_for_level(level))
+    excess, y2, _, _, _ = critical_excess(mean, 1.0, alpha_for_level(level))
     excess, y2 = (excess + y2) * w - y2 * v, y2 * v
     if excess <= 0:
         return FailSafeResult(0.0, 0, significant=False,

@@ -5,7 +5,8 @@ column forms of two of them. Lambert W and the root finder are bf's alone.
 Everything here is a pure function of its arguments and safe to call from
 any number of threads. Its bounded functools.lru_caches hold alpha_for_level and
 critical_z over the levels, alphas and just-inverted p-values that callers ask
-for again, and critical_excess over the findings whose analyses ask for it again.
+for again, and critical_excess over the findings whose analyses ask for it again:
+its record holds the integer ratios of theta, se and z_crit, which no analysis forms again.
 norm_quantile calls the standard library's C AS241 from _statistics, so that
 no process imports the statistics module (with fractions and decimal behind
 it) for one function.
@@ -80,12 +81,13 @@ def alpha_for_level(level: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def critical_excess(theta: float, se: float, alpha: float) -> tuple:
-    """r - 1 for r = (theta/(se z_crit))^2 of the floats taken as exact, as the integers
-    (X^2 - Y^2, Y^2) of r = X^2/Y^2: significant iff X^2 > Y^2. Memoised, for each analysis."""
+    """A finding's record (E, Y^2, (a, b), (c, d), (p, q)): r - 1 = E/Y^2 for r = (theta/(se
+    z_crit))^2 of the floats taken as exact, so significant iff E > 0, and the integer ratios
+    theta = a/b, se = c/d and z_crit = p/q that it is formed from. Memoised, for each analysis."""
     (a, b), (c, d) = theta.as_integer_ratio(), se.as_integer_ratio()
     p, q = critical_z(alpha).as_integer_ratio()
     x, y = a * d * q, b * c * p
-    return (x - y) * (x + y), y * y
+    return (x - y) * (x + y), y * y, (a, b), (c, d), (p, q)
 
 
 def exact_quotient(n: int, d: int, shift: int = 0) -> float:

@@ -1720,6 +1720,23 @@ class TestPackage:
         assert [path.name for path in sorted(SRC.glob("*.py"))
                 if "critical_ratio" in path.read_text(encoding="utf-8")] == []
 
+    def test_one_home_of_the_finding_integers(self):
+        # critical_excess alone takes theta, se and z_crit as integer ratios, and its
+        # record hands them on: no function outside statfn calls as_integer_ratio on a
+        # theta_hat, an se or a critical_z(...). Other quantities' ratios (the equivalent
+        # trial's n and tau^2, the pooled precision) are not the finding's
+        def finding_float(node):
+            return (isinstance(node, ast.Attribute) and node.attr in ("theta_hat", "se")
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "critical_z")
+
+        ratios = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+                  if path.name != "statfn.py"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "as_integer_ratio" and finding_float(node.func.value)]
+        assert ratios == []
+
     def test_one_csv_route(self):
         # a study table is read by the comma split or by csv's row parser:
         # _read_rows alone imports csv, and no second comma split comes back

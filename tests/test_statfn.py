@@ -157,9 +157,11 @@ class TestCriticalExcess:
     def test_decides_significance_like_the_squares(self, theta, se, alpha):
         # (E, Y^2) is r - 1 = E/Y^2 for r = (theta/(se z_crit))^2 of the floats taken
         # as exact, so significance (E > 0) is theta^2 > (se z_crit)^2, whatever
-        # z = theta/se rounds to
-        excess, y2 = critical_excess(theta, se, alpha)
+        # z = theta/se rounds to; the record also holds the integer ratios of theta,
+        # se and z_crit that the analyses take their quotients of
+        excess, y2, (a, b), (c, d), (p, q) = critical_excess(theta, se, alpha)
         theta, se, z_crit = Fraction(theta), Fraction(se), Fraction(critical_z(alpha))
+        assert (Fraction(a, b), Fraction(c, d), Fraction(p, q)) == (theta, se, z_crit)
         assert y2 > 0 and Fraction(excess, y2) == (theta / (se * z_crit)) ** 2 - 1
         assert (excess > 0) == (theta * theta > (se * z_crit) ** 2)
 
