@@ -220,12 +220,12 @@ def equivalent_trial(prior: NormalPrior,
         raise NonexistenceError(
             f"no equivalent trial: the allocation ratio exp({mu:.6g}) is "
             f"outside the floating-point range")
+    allocation = math.exp(mu)
     if event_rate is None:   # large-arm limit: non-event cells contribute nothing to the variance
         if 2.0 / tau2 == math.inf:   # a subnormal tau^2
             raise NonexistenceError(f"no equivalent trial: its events per arm are outside "
                                     f"the floating-point range (prior variance {tau2:.6g})")
-        return EquivalentTrial(2.0 / tau2, None, math.exp(mu))
-    allocation = math.exp(mu)
+        return EquivalentTrial(2.0 / tau2, None, allocation)
 
     # Equal event counts e in both arms; non-event cells b (treatment) and
     # d (control) solve {log(d/b) = mu, 2/e + 1/b + 1/d = tau^2}. The

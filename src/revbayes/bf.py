@@ -14,8 +14,8 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .errors import DataError, NonexistenceError
-from .model import EffectEstimate, NormalPrior, interval
-from .statfn import FLOAT_MIN, LOG_MAX, exp_or_inf, min_bf_els, min_bf_local
+from .model import EffectEstimate, NormalPrior
+from .statfn import FLOAT_MIN, LOG_MAX, exp_or_inf, interval, min_bf_els, min_bf_local
 
 # Cap on find_root's steps; from the package's starts Newton needs far fewer.
 _FIND_ROOT_MAX_ITER = 200

@@ -12,9 +12,9 @@ from operator import add, le, lshift, mul, sub, truediv
 from _csv import field_size_limit   # csv's own; csv loads only for a table that needs it
 
 from .errors import DataError, NonexistenceError
-from .model import EffectEstimate, _checked_make, interval
+from .model import EffectEstimate, _checked_make
 from .statfn import (DEFAULT_LEVEL, FLOAT_MIN, alpha_for_level, critical_excess,
-                     exact_quotient, two_sided_p_column)
+                     exact_quotient, interval, two_sided_p)
 
 
 class PosteriorSummary(namedtuple("PosteriorSummary", "mean precision")):
@@ -321,7 +321,7 @@ def pool(studies: StudyTable | list[Study]) -> MetaResult:
     t_box = tuple((t - m) / math.sqrt(s * s + 1.0 / k) if k > 0.0 else math.nan
                   for t, s, m, k in zip(theta, se, loo_mean, loo_precision))
     return MetaResult(PosteriorSummary(mean, precision), tuple(ids), theta, se, loo_mean,
-                      loo_precision, t_box, tuple(two_sided_p_column(t_box)))
+                      loo_precision, t_box, tuple(map(two_sided_p, t_box)))
 
 
 def failsafe_n(meta: MetaResult, level: float = DEFAULT_LEVEL) -> FailSafeResult:

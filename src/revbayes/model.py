@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from .errors import DataError, NonexistenceError
 from .statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, alpha_for_level, critical_excess,
-                     critical_z, two_sided_p)
+                     critical_z, interval, two_sided_p)
 
 
 def _checked_make(cls, values):
@@ -95,13 +95,6 @@ class NormalPrior(namedtuple("NormalPrior", "mean variance")):
 
     def ci(self, level: float = DEFAULT_LEVEL) -> tuple[float, float]:
         return interval(self.mean, self.sd, level)
-
-
-def interval(center: float, sd: float,
-             level: float = DEFAULT_LEVEL) -> tuple[float, float]:
-    """Symmetric normal interval center -/+ z_crit * sd at the given level."""
-    half = critical_z(alpha_for_level(level)) * sd
-    return center - half, center + half
 
 
 def ci_limits(estimate: EffectEstimate, level: float = DEFAULT_LEVEL) -> tuple[float, float]:

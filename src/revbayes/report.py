@@ -5,15 +5,15 @@ printer of each subcommand, so that no runner imports the cli for them."""
 import functools
 import math
 import sys
-from itertools import repeat
-from operator import add, is_, mul, sub, truediv
+from itertools import chain, repeat
+from operator import is_, truediv
 
 try:   # the json package's C encoder, without importing the package and its decoder
     from _json import encode_basestring_ascii
 except ImportError:   # an interpreter built without _json
     from json.encoder import encode_basestring_ascii
 
-from .statfn import alpha_for_level, critical_z, exp_or_inf_column, two_sided_p_column
+from .statfn import exp_or_inf, interval, two_sided_p
 
 
 def envelope(args, results: dict, fields: dict | None, warnings: list) -> dict:
@@ -60,10 +60,10 @@ _JSON_SCALARS = {str: encode_basestring_ascii, float: _json_float, int: int.__re
                  type(None): lambda _: "null"}
 
 
-def render_json(value) -> str:
-    """`value` as strict RFC 8259 JSON, with the bytes of
-    json.dumps(value, sort_keys=True, indent=2) for every finite value, a
-    Table written as the list of its rows.
+def write_json(value, write) -> None:
+    """Pass `value` to `write`, chunk by chunk, as strict RFC 8259 JSON, with
+    the bytes of json.dumps(value, sort_keys=True, indent=2) for every finite
+    value, a Table written as the list of its rows.
 
     json.dumps is not used: given an indent, the standard library drops its
     C encoder for a pure-Python generator chain, which spends most of a
@@ -76,18 +76,13 @@ def render_json(value) -> str:
     however many slots share it. A block is one list of texts, the row layout's
     pieces repeated for each row, into which each slot's column texts go by
     one strided slice assignment, and one join: no tuple or call per row.
-    write_json writes each text as the walker yields it. A non-finite float
+    Each text goes to `write` as the walker yields it. A non-finite float
     becomes the string of its repr ("inf", "-inf" or "nan"), where json.dumps
     would write the non-standard Infinity and NaN tokens; null keeps its
     meaning of "not applicable". Anything but a dict, list, tuple, Table,
     str, int, float, bool or None raises TypeError, as in json.dumps, and so
     does a non-str key.
     """
-    return "".join(_texts(value, "\n", _value_texts))
-
-
-def write_json(value, write) -> None:
-    """Pass the text of render_json(value) to `write`, chunk by chunk."""
     for text in _texts(value, "\n", _value_texts):
         write(text)
 
@@ -164,12 +159,15 @@ ESTIMATE = {"log_or": LOG_OR, "se": SE, "z": Z, "p": P, "ci_log": [LO, HI],
 
 
 def estimate_columns(theta, se, level: float) -> list:
-    """The columns of ESTIMATE for the estimates theta with standard errors se."""
-    half = list(map(mul, se, repeat(critical_z(alpha_for_level(level)))))
-    lo, hi = list(map(sub, theta, half)), list(map(add, theta, half))
+    """The columns of ESTIMATE for the estimates theta with standard errors se,
+    each a map of its statfn scalar."""
+    # flat, so that each (lo, hi) tuple is freed at once: kept in a list, the
+    # 10 000 tuples of a meta-large report set off 14 collections of the cyclic GC
+    limits = list(chain.from_iterable(map(interval, theta, se, repeat(level))))
+    lo, hi = limits[::2], limits[1::2]
     z = list(map(truediv, theta, se))
-    return [theta, se, z, two_sided_p_column(z), lo, hi, exp_or_inf_column(theta),
-            exp_or_inf_column(lo), exp_or_inf_column(hi), [level] * len(theta)]
+    return [theta, se, z, list(map(two_sided_p, z)), lo, hi,
+            *(list(map(exp_or_inf, column)) for column in (theta, lo, hi)), [level] * len(theta)]
 
 
 def estimate_payload(theta: float, se: float, level: float) -> dict:

@@ -1,6 +1,7 @@
 """Scalar functions that more than one module calls: the normal quantile,
-critical values, and the p-value and minimum Bayes factors of a z-value, with
-column forms of two of them. Lambert W and the root finder are bf's alone.
+critical values, the symmetric normal interval, and the p-value and minimum
+Bayes factors of a z-value. A column of p-values, bounded exps or limits is a
+map of the scalar, its one home. Lambert W and the root finder are bf's alone.
 
 Everything here is a pure function of its arguments and safe to call from
 any number of threads. Its bounded functools.lru_caches hold alpha_for_level and
@@ -15,8 +16,6 @@ it) for one function.
 import functools
 import math
 import sys
-from itertools import repeat
-from operator import truediv
 
 from .errors import DataError
 
@@ -58,7 +57,7 @@ def two_sided_z(alpha: float) -> float:
         return 38.48540833556734
     half = alpha / 2.0
     x = -norm_quantile(half)
-    return x + (0.5 * math.erfc(x / _SQRT2) - half) / norm_pdf(x)
+    return x + (0.5 * two_sided_p(x) - half) / norm_pdf(x)
 
 
 @functools.lru_cache(maxsize=16)
@@ -77,6 +76,13 @@ def alpha_for_level(level: float) -> float:
     if alpha < 1.0:
         return alpha
     raise DataError(f"level must be in (0,1), with 1 - level a float below 1, got {level!r}")
+
+
+def interval(center: float, sd: float,
+             level: float = DEFAULT_LEVEL) -> tuple[float, float]:
+    """Symmetric normal interval center -/+ z_crit * sd at the given level."""
+    half = critical_z(alpha_for_level(level)) * sd
+    return center - half, center + half
 
 
 @functools.lru_cache(maxsize=16)
@@ -127,16 +133,3 @@ def min_bf_els(z: float) -> float:
         raise DataError(f"z must be finite, got {z!r}")
     return math.exp(-z * z / 2.0)
 
-
-def exp_or_inf_column(xs) -> list:
-    """[exp_or_inf(x) for x in xs], bit for bit, with no Python call per item:
-    one map of math.exp where no x is past LOG_MAX. The sum finds a nan,
-    whose exp_or_inf is inf, where max can skip one after a number."""
-    if xs and max(xs) <= LOG_MAX and not math.isnan(sum(xs)):
-        return list(map(math.exp, xs))
-    return list(map(exp_or_inf, xs))
-
-
-def two_sided_p_column(zs) -> list:
-    """[two_sided_p(z) for z in zs], bit for bit, by maps of builtins."""
-    return list(map(math.erfc, map(truediv, map(abs, zs), repeat(_SQRT2))))

@@ -27,7 +27,7 @@ from readme import readme_cli_block
 import revbayes
 from revbayes import bundled_dataset_path, cli, meta, options, report
 from revbayes.cli import run
-from revbayes.report import render_json, write_json
+from revbayes.report import write_json
 from revbayes.ancred import advocacy_prior, sceptical_analysis
 from revbayes.errors import DataError, NonexistenceError
 from revbayes.fpr import CalibrationKind
@@ -915,7 +915,7 @@ def _counts_table(tmp_path, n):
 
 
 def _non_finite_as_strings(value):
-    """value with each non-finite float replaced by its repr, as render_json
+    """value with each non-finite float replaced by its repr, as write_json
     writes it, and each declared table by its rows."""
     if isinstance(value, report.Table):
         value = list(value)
@@ -926,25 +926,32 @@ def _non_finite_as_strings(value):
     return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
+def _json_text(value) -> str:
+    """The text write_json writes of value: its chunks, joined."""
+    chunks: list = []
+    write_json(value, chunks.append)
+    return "".join(chunks)
+
+
 _X, _Y, _Z = 0.1 + 0.2, 2.0 / 3.0, 0.0   # one object each, shared by the rows below
 
 
 class TestRenderJson:
     @given(_VALUES)
     def test_same_bytes_as_json_dumps(self, value):
-        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     @given(_TABLES)
     def test_tables_same_bytes_as_json_dumps(self, value):
         expected = json.dumps(value, sort_keys=True, indent=2)
-        assert render_json(value) == expected
-        assert render_json(_declare(value)) == expected
+        assert _json_text(value) == expected
+        assert _json_text(_declare(value)) == expected
 
     @given(_declared_tables())
     def test_declared_tables(self, table):
         expected = json.dumps(_non_finite_as_strings(table), sort_keys=True, indent=2)
-        assert render_json(table) == expected
-        assert render_json({"rows": [table]}) == json.dumps(
+        assert _json_text(table) == expected
+        assert _json_text({"rows": [table]}) == json.dumps(
             _non_finite_as_strings({"rows": [table]}), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [
@@ -961,8 +968,8 @@ class TestRenderJson:
     def test_column_layouts(self, value):
         # as a declared table too, whose row template marks its slots with a NUL
         expected = json.dumps(value, sort_keys=True, indent=2)
-        assert render_json(value) == expected
-        assert render_json(_declare(value)) == expected
+        assert _json_text(value) == expected
+        assert _json_text(_declare(value)) == expected
 
     @pytest.mark.parametrize("value", [
         # the same float objects under two keys and at a list position
@@ -977,12 +984,12 @@ class TestRenderJson:
     ], ids=["same-objects", "signed-zeros", "signed-zero-inside", "same-ends",
             "one-object"])
     def test_shared_float_columns(self, value):
-        assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_shared_non_finite_columns(self):
         floats = [1.0, math.inf, math.nan, -math.inf, -0.0]
         value = [{"a": x, "b": [x, math.nan], "c": x} for x in floats]
-        text = render_json(value)
+        text = _json_text(value)
         expected = _non_finite_as_strings(value)
         assert strict_loads(text) == expected
         assert text == json.dumps(expected, sort_keys=True, indent=2)
@@ -993,11 +1000,11 @@ class TestRenderJson:
     def test_block_boundaries(self, n):
         rows = _rows(n)
         for value in (rows, rows[:-1] + [None], {"per_study": rows}):
-            assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+            assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
         table = _declared_rows(n)
         for value in (table, {"per_study": table}, [table, table]):
             expected = json.dumps(_non_finite_as_strings(value), sort_keys=True, indent=2)
-            assert render_json(value) == expected
+            assert _json_text(value) == expected
 
     def test_large_meta_report(self, capsys, tmp_path):
         # about a quarter of a meta-large table, through the equality gate
@@ -1006,7 +1013,7 @@ class TestRenderJson:
         assert results["n_studies"] == len(results["per_study"]) == 2500
 
     def test_run_streams_the_report(self, monkeypatch, tmp_path):
-        # run writes render_json's text through write_json, a block at a time
+        # run writes the report through write_json, a block at a time
         table = _counts_table(tmp_path, 2500)
         argv = ["--json", "meta", table]
         calls, writes = [], []
@@ -1019,7 +1026,7 @@ class TestRenderJson:
         (written,) = calls
         args = cli.parse_args(argv)
         assert written == report.envelope(args, *cli.cmd_meta(args))
-        assert "".join(writes) == render_json(written) + "\n"
+        assert "".join(writes) == _json_text(written) + "\n"
         assert len(writes) > 2500 // report._BLOCK
 
     def test_report_memory(self, monkeypatch, tmp_path):
@@ -1049,15 +1056,15 @@ class TestRenderJson:
     def test_scalar_keys_raise(self, value):
         # every report has str keys; json.dumps would write these as strings
         with pytest.raises(TypeError):
-            render_json(value)
+            _json_text(value)
 
     def test_non_finite_floats_are_strings(self):
-        text = render_json({"g": math.inf, "ci": [-math.inf, math.nan], "p": None})
+        text = _json_text({"g": math.inf, "ci": [-math.inf, math.nan], "p": None})
         assert strict_loads(text) == {"g": "inf", "ci": ["-inf", "nan"], "p": None}
         # float columns: by position, and by key
         columns = {"rows": [[1.0, math.inf], [math.nan, -math.inf]],
                    "dicts": [{"g": 0.5}, {"g": math.inf}]}
-        assert strict_loads(render_json(columns)) == {
+        assert strict_loads(_json_text(columns)) == {
             "rows": [[1.0, "inf"], ["nan", "-inf"]], "dicts": [{"g": 0.5}, {"g": "inf"}]}
 
     @pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {(1,): 2},
@@ -1069,7 +1076,7 @@ class TestRenderJson:
         with pytest.raises(TypeError):
             json.dumps(value, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
-            render_json(value)
+            _json_text(value)
 
 
 def _fuzz_argv(rng):
@@ -1736,6 +1743,51 @@ class TestPackage:
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "as_integer_ratio" and finding_float(node.func.value)]
         assert ratios == []
+
+    def test_one_home_per_estimate_formula(self):
+        # an estimate block's p-value, bounded exp and limits theta -/+ z_crit * se each
+        # have one home, a statfn scalar that every column maps: each is defined once in
+        # src/, statfn defines no *_column twin, math.erfc appears only in two_sided_p,
+        # and only interval multiplies a critical_z(...) by an sd, by * or map(mul, ...)
+        def name(node):
+            return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+        def scoped(tree, where):
+            """Each node under tree, with the name of the innermost function around it."""
+            for node in ast.iter_child_nodes(tree):
+                inner = node.name if isinstance(node, ast.FunctionDef) else where
+                yield node, inner
+                yield from scoped(node, inner)
+
+        homes, twins, erfc, limits = {}, [], set(), set()
+        for path in sorted(SRC.glob("*.py")):
+            nodes = list(scoped(ast.parse(path.read_text(encoding="utf-8")), "<module>"))
+            z_crits = {name(target) for node, _ in nodes if isinstance(node, ast.Assign)
+                       for target in node.targets for call in ast.walk(node.value)
+                       if isinstance(call, ast.Call) and name(call.func) == "critical_z"}
+            for node, where in nodes:
+                where = f"{path.stem}.{where}"
+                if isinstance(node, ast.FunctionDef):
+                    homes.setdefault(node.name, []).append(where)
+                    if path.stem == "statfn" and node.name.endswith("_column"):
+                        twins.append(where)
+                if name(node) == "erfc" or isinstance(node, ast.alias) and node.name == "erfc":
+                    erfc.add(where)
+                factors = ((node.left, node.right)
+                           if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                           else node.args[1:] if isinstance(node, ast.Call)
+                           and name(node.func) == "map" and node.args
+                           and name(node.args[0]) == "mul" else ())
+                if any(name(factor) in ("sd", "se") for factor in factors) and any(
+                        name(item) in z_crits or isinstance(item, ast.Call)
+                        and name(item.func) == "critical_z"
+                        for factor in factors for item in ast.walk(factor)):
+                    limits.add(where)
+        assert [homes.get(f) for f in ("two_sided_p", "exp_or_inf", "interval")] == [
+            ["statfn.two_sided_p"], ["statfn.exp_or_inf"], ["statfn.interval"]]
+        assert twins == []
+        assert erfc == {"statfn.two_sided_p"}
+        assert limits == {"statfn.interval"}
 
     def test_one_csv_route(self):
         # a study table is read by the comma split or by csv's row parser:

@@ -18,10 +18,9 @@ PROBS = [5e-324, 1e-310, 1e-300, 0.05, 1.0 - 1e-16]   # p-values, FPRs, alphas a
 GAMMAS = [1e-300, 0.1, 1.0 - 1e-12]
 VARIANCES = [1e-300, 1.0, 1e300]
 GS = [1e-300, 1.0, 1e300, math.inf]
-# the public functions that take no scalar input: the column forms, the root
-# finder of a callable and the subcommands' runners
-NOT_SCALAR = {"exp_or_inf_column", "two_sided_p_column", "find_root", "cmd_ancred", "cmd_bf",
-              "cmd_fpr"}
+# the public functions that take no scalar input: the root finder of a callable
+# and the subcommands' runners
+NOT_SCALAR = {"find_root", "cmd_ancred", "cmd_bf", "cmd_fpr"}
 
 
 def nans(value) -> bool:
@@ -90,7 +89,7 @@ class TestErrorContract:
             call(ancred.credibility_ratio, lo, hi)
             call(model.EffectEstimate.from_ci, lo, hi)
         for center, sd, level in product(THETAS, SES, PROBS):
-            call(model.interval, center, sd, level)
+            call(statfn.interval, center, sd, level)
 
         for est in estimates:
             call(lambda e: (e.z, e.p_value), est)

@@ -131,7 +131,7 @@ class TestPriorProbForFpr:
             bf = min_bf(p, kind)
             expected = 1.0 / (1.0 + (1.0 - fpr) / fpr * bf)
             assert prior_prob_for_fpr(p, fpr, kind) == pytest.approx(
-                expected, rel=1e-12)
+                expected, rel=1e-12, abs=0)
 
     def test_against_mpmath(self):
         # within 2 ulp of Bayes' theorem in mpmath, on min_bf's own float,

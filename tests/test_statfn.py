@@ -15,10 +15,10 @@ import oracles
 import revbayes
 from revbayes.bf import Branch, find_root, lambert_w_log
 from revbayes.errors import DataError
+from revbayes.report import OR, estimate_columns
 from revbayes.statfn import (DEFAULT_ALPHA, DEFAULT_LEVEL, LOG_MAX, alpha_for_level,
                              critical_excess, critical_z, exact_quotient, exp_or_inf,
-                             exp_or_inf_column, norm_quantile, two_sided_p,
-                             two_sided_p_column)
+                             interval, norm_quantile, two_sided_p)
 
 # AS241's branch edges: q = p - 1/2 = -/+0.425, r = sqrt(-log p) = 5, the extremes; each
 # with its neighbours one ulp away, inside (0, 1)
@@ -294,8 +294,25 @@ def _bits(column) -> list[bytes]:
     return [struct.pack("<d", x) for x in column]
 
 
+def _scalar_columns(theta, level: float) -> list[list[bytes]]:
+    """The bits of estimate_columns(theta, [1.0] * len(theta), level), built one
+    estimate at a time from statfn's scalars: z is theta, so p and the three
+    ORs see every edge of the column."""
+    rows = []
+    for t in theta:
+        lo, hi = interval(t, 1.0, level)
+        rows.append((t, 1.0, t, two_sided_p(t), lo, hi,
+                     exp_or_inf(t), exp_or_inf(lo), exp_or_inf(hi), level))
+    return [_bits(column) for column in zip(*rows)] if rows else [[]] * 10
+
+
+def _block_bits(theta, level: float = DEFAULT_LEVEL) -> list[list[bytes]]:
+    return [_bits(column) for column in estimate_columns(theta, [1.0] * len(theta), level)]
+
+
 class TestColumnKernels:
-    """exp_or_inf_column and two_sided_p_column against maps of the scalars."""
+    """report.estimate_columns, whose columns are maps of the scalars, against
+    the scalars called one estimate at a time."""
 
     @pytest.mark.parametrize("column", [
         [], [0.0], _IN_RANGE, _IN_RANGE[::-1], _COLUMN_EDGES, _COLUMN_EDGES[::-1],
@@ -305,17 +322,17 @@ class TestColumnKernels:
             "nan-after-finite", "nan-inside", "nan-first", "nan-after-minus-inf",
             "past-log-max-first", "inf-last", "tuple"])
     def test_same_bits_as_the_scalar_maps(self, column):
-        assert _bits(exp_or_inf_column(column)) == _bits(map(exp_or_inf, column))
-        assert _bits(two_sided_p_column(column)) == _bits(map(two_sided_p, column))
+        for level in (DEFAULT_LEVEL, 0.5, 1.0 - 1e-16):
+            assert _block_bits(column, level) == _scalar_columns(column, level)
 
     def test_nan_after_a_number_is_inf(self):
-        # max([1.0, nan]) is 1.0, within the range; exp_or_inf(nan) is inf
-        assert exp_or_inf_column([1.0, math.nan]) == [math.e, math.inf]
+        # exp_or_inf(nan) is inf, also after a number within the range
+        assert estimate_columns([1.0, math.nan], [1.0, 1.0], DEFAULT_LEVEL)[OR] == [
+            math.e, math.inf]
 
     @given(st.lists(st.floats() | st.sampled_from(_COLUMN_EDGES), max_size=40))
     def test_drawn_columns(self, column):
-        assert _bits(exp_or_inf_column(column)) == _bits(map(exp_or_inf, column))
-        assert _bits(two_sided_p_column(column)) == _bits(map(two_sided_p, column))
+        assert _block_bits(column) == _scalar_columns(column, DEFAULT_LEVEL)
 
 
 # smooth f(x) - c with (value, slope), for the known-ends property
